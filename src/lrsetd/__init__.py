@@ -5,7 +5,6 @@ from .kernels import (
     SvdFactors,
     soft_shrink,
     spd_solve,
-    spectral_norm,
     svd_reduced,
     svd_shrink,
     toeplitz_diff,
@@ -25,10 +24,8 @@ from .tensor import (
     fold,
     frobenius,
     inner,
-    kron,
     mode_product,
     multilinear,
-    project_assign,
     unfold,
 )
 

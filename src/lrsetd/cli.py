@@ -121,40 +121,40 @@ def _load_missing_spec(arg, seed_flag):
 
 def _solver_config(args):
     """Assemble the solver configuration: flags > config file > preset >
-    defaults."""
+    defaults. The preset comes from --preset or else the file's "preset"
+    key."""
     fields = {}
-    if args.preset:
-        if args.preset not in PRESETS:
-            raise ValueError(
-                f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}"
-            )
-        fields.update(PRESETS[args.preset])
-        fields["preset"] = args.preset
     if args.config:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError("config file must hold a JSON object")
         known = set(SolverConfig.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         for key in ("ranks", "alpha", "omega", "toeplitz_modes"):
-            if key in doc and doc[key] is not None:
+            if isinstance(doc.get(key), list):
                 doc[key] = tuple(doc[key])
         fields.update(doc)
-    for flag, key in (
-        ("ranks", "ranks"),
-        ("tol", "tol"),
-        ("max_iter", "max_iter"),
-        ("seed", "seed"),
-        ("beta", "beta"),
-        ("init", "init"),
-        ("stop_denominator", "stop_denominator"),
+    for key in (
+        "preset",
+        "ranks",
+        "tol",
+        "max_iter",
+        "seed",
+        "beta",
+        "init",
+        "stop_denominator",
     ):
-        value = getattr(args, flag)
+        value = getattr(args, key)
         if value is not None:
             fields[key] = value
     if isinstance(fields.get("ranks"), str):
         fields["ranks"] = _parse_triple(fields["ranks"], int, "--ranks")
-    return SolverConfig(**fields)
+    preset = fields.pop("preset", None)
+    if preset is None:
+        return SolverConfig(**fields)
+    return preset_config(preset, **fields)
 
 
 def _config_echo(cfg):

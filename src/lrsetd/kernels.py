@@ -1,7 +1,7 @@
 """Matrix kernels used by the ADMM updates.
 
-Singular value shrinkage, elementwise soft thresholding, SPD solves,
-spectral norms, and the first-order difference (Toeplitz) regularizer.
+Singular value shrinkage, elementwise soft thresholding, SPD solves and
+the first-order difference (Toeplitz) regularizer.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,6 @@ __all__ = [
     "soft_shrink",
     "spd_solve",
     "spd_factorize",
-    "spectral_norm",
     "toeplitz_diff",
 ]
 
@@ -86,37 +85,6 @@ def spd_factorize(a):
 def spd_solve(a, b):
     """Solve ``a @ x = b`` for symmetric positive definite `a`."""
     return spd_factorize(a)(b)
-
-
-def spectral_norm(m, tol=1e-10, max_iter=500):
-    """Largest singular value of `m`.
-
-    Power iteration on the smaller Gram matrix; on stagnation falls back to
-    a full SVD inflated by (1 + 1e-6) so the estimate never undershoots a
-    Lipschitz constant.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.size == 0:
-        return 0.0
-    g = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
-    n = g.shape[0]
-    if n == 1:
-        return float(np.sqrt(max(g[0, 0], 0.0)))
-    # deterministic start; the ramp breaks symmetry for e.g. permutations
-    v = 1.0 + np.arange(n) / n
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = g @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (g @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return float(np.sqrt(max(lam_new, 0.0)))
-        lam = lam_new
-    return float(np.linalg.svd(m, compute_uv=False)[0]) * (1.0 + 1e-6)
 
 
 def toeplitz_diff(n):

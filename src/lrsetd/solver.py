@@ -12,20 +12,26 @@ observations. One iteration updates the blocks in the order
 X -> Y -> S -> Z -> W -> duals; the X sub-blocks run Gauss-Seidel, everything
 else is separable per mode.
 
+The split W_i = Z exists only to give the smoothness term an easy
+subproblem. For a mode with omega_i = 0 the W and dual steps force W_i = Z
+and U_i = 0 after every iteration, so the solver keeps W_i and U_i only for
+the smoothed modes (omega_i > 0) and lets Z stand in for the others.
+
 Only third-order tensors are supported.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hosvd import hosvd
 from .kernels import (
     soft_shrink,
     spd_factorize,
     spd_solve,
-    spectral_norm,
     svd_shrink,
     toeplitz_diff,
 )
@@ -90,6 +96,23 @@ class SolverConfig:
     preset: str | None = None
 
     def __post_init__(self):
+        for name in ("alpha", "omega", "toeplitz_modes", "ranks"):
+            value = getattr(self, name)
+            if value is None and name in ("toeplitz_modes", "ranks"):
+                continue
+            if np.ndim(value) != 1 or len(value) != 3:
+                raise ValueError(f"{name} needs three values, got {value!r}")
+        integers = (self.max_iter, self.seed, *(self.ranks or ()))
+        if not all(isinstance(v, numbers.Integral) for v in integers):
+            raise ValueError("ranks, max_iter and seed must be integers")
+        reals = (self.lam, self.beta, self.sigma, self.tol, *self.alpha)
+        if not all(
+            isinstance(v, numbers.Real) and math.isfinite(v)
+            for v in (*reals, *self.omega)
+        ):
+            raise ValueError(
+                "lam, beta, sigma, tol, alpha and omega must be finite numbers"
+            )
         if self.lam <= 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if self.beta <= 0:
@@ -109,17 +132,22 @@ class SolverConfig:
         if self.init not in ("hosvd", "random"):
             raise ValueError(f"unknown init {self.init!r}")
 
+    def smoothed_modes(self):
+        """Modes with omega_i > 0: the only ones that carry W_i, U_i and a
+        smoothing matrix A_i."""
+        return tuple(i for i, w in enumerate(self.omega) if w > 0)
+
     def resolved_toeplitz(self):
-        """Per-mode Toeplitz flags; default puts the regularizer wherever
-        omega_i > 0."""
+        """Per-mode Toeplitz flags; default puts the regularizer on every
+        smoothed mode. A flag has no effect on a mode with omega_i = 0."""
         if self.toeplitz_modes is not None:
             return tuple(bool(t) for t in self.toeplitz_modes)
-        return tuple(w > 0 for w in self.omega)
-
+        smoothed = self.smoothed_modes()
+        return tuple(i in smoothed for i in range(3))
 
 def preset_config(name, **overrides):
     """Build a :class:`SolverConfig` from a named preset."""
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise ValueError(
             f"unknown preset {name!r}; choose from {sorted(PRESETS)}"
         )
@@ -135,15 +163,19 @@ def default_ranks(dims):
 
 @dataclass
 class SolverState:
-    """All block variables of one run plus iteration-invariant caches."""
+    """All block variables of one run plus iteration-invariant caches.
+
+    The per-mode lists `w`, `u`, `a_mats` and `w_solvers` have length 3 and
+    hold None at every mode with omega_i = 0; index them by mode.
+    """
 
     x: list  # factor matrices X_i, I_i x r_i
     y: list  # auxiliary factors Y_i
     t: list  # duals for X_i = Y_i
     s: np.ndarray  # core, r0 x r1 x r2
     z: np.ndarray  # completed tensor estimate
-    w: list  # auxiliary tensors W_i, full size
-    u: list  # duals for Z = W_i
+    w: list  # auxiliary tensors W_i, full size, smoothed modes only
+    u: list  # duals for Z = W_i, smoothed modes only
     iteration: int = 0
     a_mats: list = field(default_factory=list)  # smoothing matrices A_i
     w_solvers: list = field(default_factory=list)  # cached SPD solves
@@ -157,25 +189,9 @@ class SolverState:
         return self.s.shape
 
 
-def _leading_left_vectors(mat, r):
-    """Leading r left singular vectors via the Gram eigenproblem, with the
-    largest-magnitude entry of each column forced nonnegative."""
-    g = mat @ mat.T
-    evals, evecs = np.linalg.eigh(g)
-    order = np.argsort(evals)[::-1][:r]
-    u = evecs[:, order]
-    for j in range(u.shape[1]):
-        i = np.argmax(np.abs(u[:, j]))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-    return u
-
-
 def _resolve_ranks(cfg, dims):
     ranks = cfg.ranks if cfg.ranks is not None else default_ranks(dims)
     ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != len(dims):
-        raise ValueError(f"need {len(dims)} ranks, got {ranks}")
     for r, d in zip(ranks, dims):
         if not 1 <= r <= d:
             raise ValueError(f"rank {r} out of range [1, {d}]")
@@ -187,7 +203,8 @@ def init_state(m, mask, cfg):
 
     Z starts as the zero-filled observation; the factors come from a
     truncated HOSVD of Z (default) or a seeded random orthonormal draw; the
-    core is the multilinear compression of Z; W_i copy Z; all duals are zero.
+    core is the multilinear compression of Z; W_i copy Z on the smoothed
+    modes; all duals are zero.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 3:
@@ -202,30 +219,27 @@ def init_state(m, mask, cfg):
     z0[sel] = m[sel]
 
     if cfg.init == "hosvd":
-        x0 = [
-            _leading_left_vectors(unfold(z0, n), ranks[n]) for n in range(3)
-        ]
+        model = hosvd(z0, ranks)
+        x0, s0 = model.factors, model.core
     else:
         rng = np.random.default_rng(cfg.seed)
         x0 = []
         for n in range(3):
             q, _ = np.linalg.qr(rng.standard_normal((dims[n], ranks[n])))
             x0.append(q)
-    s0 = multilinear(z0, [f.T for f in x0])
+        s0 = multilinear(z0, [f.T for f in x0])
 
     toep = cfg.resolved_toeplitz()
-    a_mats = [
-        toeplitz_diff(dims[i]) if toep[i] else np.eye(dims[i])
-        for i in range(3)
-    ]
-    # [beta*I + 2*omega_i*A_i^T A_i] is iteration-invariant: factor once
-    w_solvers = [
-        spd_factorize(
+    w, u, a_mats, w_solvers = ([None] * 3 for _ in range(4))
+    for i in cfg.smoothed_modes():
+        w[i] = z0.copy()
+        u[i] = np.zeros(dims)
+        a_mats[i] = toeplitz_diff(dims[i]) if toep[i] else np.eye(dims[i])
+        # [beta*I + 2*omega_i*A_i^T A_i] is iteration-invariant: factor once
+        w_solvers[i] = spd_factorize(
             cfg.beta * np.eye(dims[i])
             + 2.0 * cfg.omega[i] * a_mats[i].T @ a_mats[i]
         )
-        for i in range(3)
-    ]
 
     return SolverState(
         x=x0,
@@ -233,8 +247,8 @@ def init_state(m, mask, cfg):
         t=[np.zeros_like(f) for f in x0],
         s=s0,
         z=z0,
-        w=[z0.copy() for _ in range(3)],
-        u=[np.zeros(dims) for _ in range(3)],
+        w=w,
+        u=u,
         a_mats=a_mats,
         w_solvers=w_solvers,
     )
@@ -302,10 +316,10 @@ def update_core(state, cfg):
     from r-sized Grams only. A zero Lipschitz constant (all-zero factors)
     skips the step.
     """
-    x0, x1, x2 = state.x
-    xg = _gram(x0)
-    g1, g2 = _gram(x1), _gram(x2)
-    zeta = spectral_norm(xg) * spectral_norm(g1) * spectral_norm(g2)
+    x0 = state.x[0]
+    xg, g1, g2 = (_gram(f) for f in state.x)
+    # the spectral norm of a Gram is its largest eigenvalue
+    zeta = math.prod(np.linalg.eigvalsh(g)[-1] for g in (xg, g1, g2))
     if zeta == 0.0:
         return state
     s_mat = unfold(state.s, 0)
@@ -321,12 +335,15 @@ def update_z(state, cfg, m, mask):
     """Closed-form Z update with the observation constraint (in place).
 
     Off the observed set, Z = (sum_i (beta*W_i - U_i) + lam*Zhat)/(lam+3beta)
-    with Zhat the current Tucker reconstruction; on it, Z = M exactly.
+    with Zhat the current Tucker reconstruction; on it, Z = M exactly. An
+    unsmoothed mode enters with W_i = Z_prev (the Z before this update) and
+    U_i = 0, the values its W and dual steps would have left.
     """
-    zhat = multilinear(state.s, state.x)
-    acc = cfg.lam * zhat
-    for i in range(3):
+    smoothed = cfg.smoothed_modes()
+    acc = cfg.lam * multilinear(state.s, state.x)
+    for i in smoothed:
         acc += cfg.beta * state.w[i] - state.u[i]
+    acc += (3 - len(smoothed)) * cfg.beta * state.z
     z = acc / (cfg.lam + 3.0 * cfg.beta)
     sel = mask.boolean()
     z[sel] = np.asarray(m, dtype=np.float64)[sel]
@@ -336,17 +353,20 @@ def update_z(state, cfg, m, mask):
 
 def update_w(state, cfg):
     """Smoothness-regularized W update (in place), one cached SPD solve per
-    mode: W_(i) = [beta*I + 2*omega_i*A_i^T A_i]^{-1} [beta*Z_(i) + U_(i)]."""
-    for i in range(3):
+    smoothed mode:
+    W_(i) = [beta*I + 2*omega_i*A_i^T A_i]^{-1} [beta*Z_(i) + U_(i)]."""
+    for i in cfg.smoothed_modes():
         rhs = cfg.beta * unfold(state.z, i) + unfold(state.u[i], i)
         state.w[i] = fold(state.w_solvers[i](rhs), i, state.dims)
     return state
 
 
 def update_duals(state, cfg):
-    """Dual ascent (in place): U_i += beta*(Z - W_i), T_i += beta*(X_i - Y_i)."""
-    for i in range(3):
+    """Dual ascent (in place): U_i += beta*(Z - W_i) on the smoothed modes,
+    T_i += beta*(X_i - Y_i) on all."""
+    for i in cfg.smoothed_modes():
         state.u[i] = state.u[i] + cfg.beta * (state.z - state.w[i])
+    for i in range(3):
         state.t[i] = state.t[i] + cfg.beta * (state.x[i] - state.y[i])
     return state
 
@@ -354,17 +374,16 @@ def update_duals(state, cfg):
 def augmented_lagrangian(state, cfg):
     """Value of the augmented Lagrangian at the current state."""
     val = 0.0
-    for i in range(3):
+    for i in cfg.smoothed_modes():
         val += cfg.omega[i] * np.sum(
             (state.a_mats[i] @ unfold(state.w[i], i)) ** 2
         )
-        val += cfg.alpha[i] * np.linalg.svd(state.y[i], compute_uv=False).sum()
         val += inner(state.u[i], state.z - state.w[i])
+        val += (cfg.beta / 2.0) * frobenius(state.z - state.w[i]) ** 2
+    for i in range(3):
+        val += cfg.alpha[i] * np.linalg.svd(state.y[i], compute_uv=False).sum()
         val += inner(state.t[i], state.x[i] - state.y[i])
-        val += (cfg.beta / 2.0) * (
-            frobenius(state.z - state.w[i]) ** 2
-            + frobenius(state.x[i] - state.y[i]) ** 2
-        )
+        val += (cfg.beta / 2.0) * frobenius(state.x[i] - state.y[i]) ** 2
     val += cfg.sigma * np.abs(state.s).sum()
     val += (cfg.lam / 2.0) * frobenius(
         multilinear(state.s, state.x) - state.z
@@ -376,9 +395,10 @@ def objective_value(state, cfg):
     """Value of the relaxed model objective at (X, S):
     Psi(X, S) + sum_i alpha_i*||X_i||_* + sigma*||S||_1."""
     val = cfg.sigma * np.abs(state.s).sum()
+    smoothed = cfg.smoothed_modes()
     for i in range(3):
         val += cfg.alpha[i] * np.linalg.svd(state.x[i], compute_uv=False).sum()
-        if cfg.omega[i] > 0:
+        if i in smoothed:
             factors = [
                 state.a_mats[j] @ state.x[j] if j == i else state.x[j]
                 for j in range(3)
@@ -407,8 +427,10 @@ class CompletionReport:
     total_seconds: float
 
 
-def _check_finite(state):
-    arrays = [state.s, state.z, *state.x, *state.y, *state.t, *state.w, *state.u]
+def _check_finite(state, cfg):
+    arrays = [state.s, state.z, *state.x, *state.y, *state.t]
+    for i in cfg.smoothed_modes():
+        arrays += [state.w[i], state.u[i]]
     for a in arrays:
         if not np.all(np.isfinite(a)):
             raise NumericalError(
@@ -456,7 +478,7 @@ def solve(m, mask, cfg, z_true=None, callback=None):
         update_w(state, cfg)
         update_duals(state, cfg)
         state.iteration = k
-        _check_finite(state)
+        _check_finite(state, cfg)
 
         if cfg.stop_denominator == "blind":
             denom = max(frobenius(state.z), 1.0)

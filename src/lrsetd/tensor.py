@@ -19,11 +19,9 @@ __all__ = [
     "fold",
     "mode_product",
     "multilinear",
-    "kron",
     "inner",
     "frobenius",
     "ObservationMask",
-    "project_assign",
 ]
 
 
@@ -100,11 +98,6 @@ def multilinear(core, factors):
     for mode, f in enumerate(factors):
         out = mode_product(out, f, mode)
     return out
-
-
-def kron(a, b):
-    """Matrix Kronecker product. Exists for tests and small cases only."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def inner(a, b):
@@ -200,20 +193,3 @@ class ObservationMask:
             f"observed={self.n_observed}/{int(np.prod(self.dims))})"
         )
 
-
-def project_assign(tensor, mask, source):
-    """Return `tensor` with the entries in the mask overwritten by `source`.
-
-    Entries outside the observed set are untouched; inputs are not mutated.
-    """
-    tensor = np.asarray(tensor)
-    source = np.asarray(source)
-    if tensor.shape != source.shape or tensor.shape != mask.dims:
-        raise ValueError(
-            f"shape mismatch: tensor {tensor.shape}, source {source.shape}, "
-            f"mask {mask.dims}"
-        )
-    out = tensor.copy()
-    sel = mask.boolean()
-    out[sel] = source[sel]
-    return out

@@ -27,6 +27,22 @@ def unfold_by_index_formula(tensor, mode):
     return out
 
 
+def fold_by_index_formula(matrix, mode, dims):
+    """Inverse of :func:`unfold_by_index_formula`, by the same column index
+    formula."""
+    out = np.zeros(dims)
+    for idx in np.ndindex(*dims):
+        j = 0
+        stride = 1
+        for l, d in enumerate(dims):
+            if l == mode:
+                continue
+            j += idx[l] * stride
+            stride *= d
+        out[idx] = matrix[idx[mode], j]
+    return out
+
+
 def kron_others(factors, mode):
     """Explicit Kronecker factor of the matricized Tucker identity:
     kron(X_N, ..., X_{mode+1}, X_{mode-1}, ..., X_0)."""
@@ -35,6 +51,71 @@ def kron_others(factors, mode):
     for m in mats[1:]:
         out = np.kron(out, m)
     return out
+
+
+def reference_admm(m, observed, cfg, n_iter):
+    """Slow reference for :func:`lrsetd.solver.solve`: the same ADMM with a
+    W_i/U_i pair on all three modes, whatever omega is.
+
+    Every block is written out in matrix form: unfoldings by the index
+    formula, each X_i from its normal equations with the explicit
+    :func:`kron_others` factor, the HOSVD start from a plain SVD. Returns Z
+    after `n_iter` iterations.
+    """
+    dims, ranks = m.shape, cfg.ranks
+    beta, lam = cfg.beta, cfg.lam
+    unf, fld = unfold_by_index_formula, fold_by_index_formula
+    z = np.where(observed, m, 0.0)
+    x = []
+    for n in range(3):
+        u = np.linalg.svd(unf(z, n), full_matrices=False)[0][:, : ranks[n]]
+        # sign convention: largest-magnitude entry of each column nonnegative
+        flip = u[np.abs(u).argmax(axis=0), np.arange(ranks[n])] < 0
+        x.append(np.where(flip, -u, u))
+    s = fld(x[0].T @ unf(z, 0) @ kron_others(x, 0), 0, ranks)
+    y = [f.copy() for f in x]
+    t = [np.zeros_like(f) for f in x]
+    w = [z.copy() for _ in range(3)]
+    u = [np.zeros(dims) for _ in range(3)]
+    a_mats = [
+        np.eye(d) - np.eye(d, k=1) if toep else np.eye(d)
+        for d, toep in zip(dims, cfg.resolved_toeplitz())
+    ]
+    for _ in range(n_iter):
+        for i in range(3):
+            b = kron_others(x, i)
+            s_i = unf(s, i)
+            lhs = beta * np.eye(ranks[i]) + lam * s_i @ b.T @ b @ s_i.T
+            rhs = lam * unf(z, i) @ b @ s_i.T + beta * y[i] - t[i]
+            x[i] = np.linalg.solve(lhs, rhs.T).T
+        for i in range(3):
+            left, sv, right = np.linalg.svd(
+                x[i] + t[i] / beta, full_matrices=False
+            )
+            y[i] = left * np.maximum(sv - cfg.alpha[i] / beta, 0.0) @ right
+        b = kron_others(x, 0)
+        zeta = np.prod([np.linalg.norm(f.T @ f, 2) for f in x])
+        if zeta > 0:
+            s_mat = unf(s, 0)
+            step = s_mat - x[0].T @ (x[0] @ s_mat @ b.T - unf(z, 0)) @ b / zeta
+            tau = cfg.sigma / (lam * zeta)
+            s_mat = np.sign(step) * np.maximum(np.abs(step) - tau, 0.0)
+            s = fld(s_mat, 0, ranks)
+        zhat = fld(x[0] @ unf(s, 0) @ b.T, 0, dims)
+        z = (lam * zhat + sum(beta * w[i] - u[i] for i in range(3))) / (
+            lam + 3.0 * beta
+        )
+        z[observed] = m[observed]
+        for i in range(3):
+            a = a_mats[i]
+            lhs = beta * np.eye(dims[i]) + 2.0 * cfg.omega[i] * a.T @ a
+            w[i] = fld(
+                np.linalg.solve(lhs, beta * unf(z, i) + unf(u[i], i)), i, dims
+            )
+        for i in range(3):
+            u[i] = u[i] + beta * (z - w[i])
+            t[i] = t[i] + beta * (x[i] - y[i])
+    return z
 
 
 def smooth_orthonormal_factors(dims, ranks):

@@ -71,6 +71,32 @@ class TestCompleteCommand:
         assert doc["config"]["omega"] == [0.0, 1.0, 2e-3]
         assert doc["config"]["preset"] == "traffic-random"
 
+    def test_config_file_preset_is_applied(self, problem, tmp_path):
+        _, _, tensor_path, mask_path = problem
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"preset": "image", "max_iter": 2}))
+        base = [
+            "complete",
+            "--input", str(tensor_path),
+            "--mask", str(mask_path),
+            "--config", str(cfg_path),
+            "--ranks", "2,2,2",
+        ]
+        rep_file, rep_flag = tmp_path / "file.json", tmp_path / "flag.json"
+        assert main(base + ["--report", str(rep_file)]) == 0
+        assert main(
+            base + ["--preset", "traffic-wholeday", "--report", str(rep_flag)]
+        ) == 0
+        from_file = json.loads(rep_file.read_text())["config"]
+        assert from_file["preset"] == "image"
+        assert from_file["omega"] == [1.0, 1.0, 0.0]
+        assert from_file["max_iter"] == 2
+        # the --preset flag beats the file's preset key
+        from_flag = json.loads(rep_flag.read_text())["config"]
+        assert from_flag["preset"] == "traffic-wholeday"
+        assert from_flag["omega"] == [0.0, 1.0, 1.0]
+        assert from_flag["max_iter"] == 2
+
     def test_sample_ratio_and_trace(self, problem, tmp_path):
         _, _, tensor_path, _ = problem
         trace_path = tmp_path / "trace.csv"
@@ -185,6 +211,21 @@ class TestCompleteCommand:
             ]
         )
         assert code == 2
+
+    def test_bad_config_value_is_config_error(self, problem, tmp_path, capsys):
+        _, _, tensor_path, mask_path = problem
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"omega": [1.0, 1.0]}))
+        code = main(
+            [
+                "complete",
+                "--input", str(tensor_path),
+                "--mask", str(mask_path),
+                "--config", str(cfg_path),
+            ]
+        )
+        assert code == 2
+        assert "omega needs three values" in capsys.readouterr().err
 
     def test_csv_requires_tensorize(self, tmp_path):
         csv = tmp_path / "t.csv"

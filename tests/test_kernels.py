@@ -5,7 +5,6 @@ from lrsetd.kernels import (
     soft_shrink,
     spd_factorize,
     spd_solve,
-    spectral_norm,
     svd_reduced,
     svd_shrink,
     toeplitz_diff,
@@ -149,20 +148,6 @@ class TestSpdSolve:
         for _ in range(3):
             b = rng.standard_normal((2, 4))
             np.testing.assert_allclose(a @ solve(b), b, atol=1e-12)
-
-
-class TestSpectralNorm:
-    def test_diagonal(self):
-        assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0)
-
-    def test_zero(self):
-        assert spectral_norm(np.zeros((3, 4))) == 0.0
-
-    def test_matches_svd(self, rng):
-        for _ in range(5):
-            m = rng.standard_normal((5, 5))
-            top = np.linalg.svd(m, compute_uv=False)[0]
-            assert spectral_norm(m) == pytest.approx(top, rel=1e-8)
 
 
 class TestToeplitzDiff:

@@ -25,7 +25,7 @@ from lrsetd.tensor import (
     unfold,
 )
 
-from conftest import kron_others, synthetic_tucker
+from conftest import kron_others, reference_admm, synthetic_tucker
 
 
 def small_problem(seed=0, dims=(4, 3, 2), ranks=(2, 2, 2), obs=0.7):
@@ -46,9 +46,14 @@ def randomized_state(seed, dims, ranks, cfg, m, mask):
     state.t = [rng.standard_normal(f.shape) for f in state.t]
     state.s = rng.standard_normal(ranks)
     state.z = rng.standard_normal(dims)
-    state.w = [rng.standard_normal(dims) for _ in range(3)]
-    state.u = [rng.standard_normal(dims) for _ in range(3)]
+    for i in cfg.smoothed_modes():
+        state.w[i] = rng.standard_normal(dims)
+        state.u[i] = rng.standard_normal(dims)
     return state
+
+
+def unsmoothed_modes(cfg):
+    return [i for i in range(3) if i not in cfg.smoothed_modes()]
 
 
 class TestSolverConfig:
@@ -64,6 +69,19 @@ class TestSolverConfig:
             dict(omega=(-1.0, 0.0, 0.0)),
             dict(stop_denominator="magic"),
             dict(init="zeros"),
+            dict(omega=(1.0, 1.0)),
+            dict(omega=1.0),
+            dict(alpha=(0.5, 0.5, 0.5, 0.5)),
+            dict(toeplitz_modes=(1, 0)),
+            dict(ranks=(2, 2)),
+            dict(ranks=(2.7, 2, 2)),
+            dict(max_iter=2.5),
+            dict(seed=2.5),
+            dict(lam=float("inf")),
+            dict(beta=float("nan")),
+            dict(sigma=float("nan")),
+            dict(tol=float("nan")),
+            dict(omega=(0.0, float("inf"), 0.0)),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -81,6 +99,7 @@ class TestSolverConfig:
 
     def test_resolved_toeplitz_follows_omega(self):
         cfg = SolverConfig(omega=(0.0, 1.0, 2e-3))
+        assert cfg.smoothed_modes() == (1, 2)
         assert cfg.resolved_toeplitz() == (False, True, True)
 
     def test_resolved_toeplitz_override(self):
@@ -112,6 +131,8 @@ class TestPresets:
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset_config("video")
+        with pytest.raises(ValueError, match="unknown preset"):
+            preset_config(["image"])
 
 
 class TestDefaultRanks:
@@ -135,8 +156,11 @@ class TestInitState:
             )
             np.testing.assert_array_equal(state.y[i], state.x[i])
             assert not state.t[i].any()
+        for i in cfg.smoothed_modes():
             assert not state.u[i].any()
             np.testing.assert_array_equal(state.w[i], state.z)
+        for i in unsmoothed_modes(cfg):
+            assert state.w[i] is None and state.u[i] is None
         np.testing.assert_allclose(
             state.s, multilinear(state.z, [f.T for f in state.x]), atol=1e-12
         )
@@ -152,8 +176,18 @@ class TestInitState:
     def test_toeplitz_attachment(self):
         m, mask, cfg = small_problem()
         state = init_state(m, mask, cfg)
-        np.testing.assert_array_equal(state.a_mats[0], np.eye(m.shape[0]))
+        # omega = (0, 1, 0.2): mode 0 is unsmoothed and gets no A_0 or solver
+        assert state.a_mats[0] is None and state.w_solvers[0] is None
         np.testing.assert_array_equal(state.a_mats[1], toeplitz_diff(m.shape[1]))
+        np.testing.assert_array_equal(state.a_mats[2], toeplitz_diff(m.shape[2]))
+        # toeplitz_modes still picks A_i = I or the difference matrix on the
+        # smoothed modes
+        cfg = SolverConfig(
+            ranks=(2, 2, 2), omega=cfg.omega, toeplitz_modes=(1, 0, 1)
+        )
+        state = init_state(m, mask, cfg)
+        assert state.a_mats[0] is None
+        np.testing.assert_array_equal(state.a_mats[1], np.eye(m.shape[1]))
         np.testing.assert_array_equal(state.a_mats[2], toeplitz_diff(m.shape[2]))
 
     def test_rejects_bad_order(self):
@@ -290,14 +324,18 @@ class TestUpdateZ:
     def test_off_mask_stationarity(self):
         # off the mask, Z must zero the gradient of
         # lam/2*||Zhat - Z||^2 + sum_i (<U_i, Z - W_i> + beta/2*||Z - W_i||^2)
+        # where an unsmoothed mode has W_i = Z_prev and U_i = 0
         dims, ranks = (4, 3, 2), (2, 2, 2)
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
         state = randomized_state(23, dims, ranks, cfg, m, mask)
+        z_prev = state.z
         update_z(state, cfg, m, mask)
         zhat = multilinear(state.s, state.x)
         grad = cfg.lam * (state.z - zhat)
-        for i in range(3):
+        for i in cfg.smoothed_modes():
             grad += state.u[i] + cfg.beta * (state.z - state.w[i])
+        for i in unsmoothed_modes(cfg):
+            grad += cfg.beta * (state.z - z_prev)
         off = ~mask.boolean()
         assert np.abs(grad[off]).max() <= 1e-12
 
@@ -314,8 +352,10 @@ class TestUpdateZ:
         state = randomized_state(31, dims, ranks, cfg, m, mask)
         zhat = multilinear(state.s, state.x)
         expected = cfg.lam * zhat
-        for i in range(3):
+        for i in cfg.smoothed_modes():
             expected += cfg.beta * state.w[i] - state.u[i]
+        for i in unsmoothed_modes(cfg):
+            expected += cfg.beta * state.z
         expected /= cfg.lam + 3.0 * cfg.beta
         update_z(state, cfg, m, ObservationMask.empty(dims))
         np.testing.assert_allclose(state.z, expected, atol=1e-13)
@@ -327,7 +367,9 @@ class TestUpdateW:
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
         state = randomized_state(37, dims, ranks, cfg, m, mask)
         update_w(state, cfg)
-        for i in range(3):
+        for i in unsmoothed_modes(cfg):
+            assert state.w[i] is None
+        for i in cfg.smoothed_modes():
             a = state.a_mats[i]
             lhs = cfg.beta * np.eye(dims[i]) + 2.0 * cfg.omega[i] * a.T @ a
             rhs = cfg.beta * unfold(state.z, i) + unfold(state.u[i], i)
@@ -335,14 +377,22 @@ class TestUpdateW:
             assert res <= 1e-10 * max(1.0, np.linalg.norm(rhs))
 
     def test_omega_zero_closed_form(self):
+        # with omega = 0 everywhere there is nothing to split off: no W_i, no
+        # U_i, and Z moves to (lam*Zhat + 3*beta*Z_prev) / (lam + 3*beta)
         dims, ranks = (3, 3, 3), (2, 2, 2)
         m, mask, _ = small_problem(dims=dims, ranks=ranks)
         cfg = SolverConfig(ranks=ranks, beta=0.4, omega=(0.0, 0.0, 0.0))
         state = randomized_state(41, dims, ranks, cfg, m, mask)
-        expected = [state.z + state.u[i] / cfg.beta for i in range(3)]
+        assert state.w == [None] * 3 and state.u == [None] * 3
+        assert state.a_mats == [None] * 3 and state.w_solvers == [None] * 3
+        expected = (
+            cfg.lam * multilinear(state.s, state.x) + 3.0 * cfg.beta * state.z
+        ) / (cfg.lam + 3.0 * cfg.beta)
+        update_z(state, cfg, m, ObservationMask.empty(dims))
         update_w(state, cfg)
-        for i in range(3):
-            np.testing.assert_allclose(state.w[i], expected[i], atol=1e-11)
+        update_duals(state, cfg)
+        np.testing.assert_allclose(state.z, expected, atol=1e-13)
+        assert state.w == [None] * 3 and state.u == [None] * 3
 
     def test_stationarity_probe(self):
         # each W_i minimizes
@@ -352,7 +402,7 @@ class TestUpdateW:
         state = randomized_state(43, dims, ranks, cfg, m, mask)
         update_w(state, cfg)
         rng = np.random.default_rng(1)
-        for i in range(3):
+        for i in cfg.smoothed_modes():
             a = state.a_mats[i]
 
             def obj(w):
@@ -374,22 +424,24 @@ class TestUpdateDuals:
         dims, ranks = (4, 3, 2), (2, 2, 2)
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
         state = randomized_state(47, dims, ranks, cfg, m, mask)
-        u_before = [u.copy() for u in state.u]
+        smoothed = cfg.smoothed_modes()
+        u_before = {i: state.u[i].copy() for i in smoothed}
         t_before = [t.copy() for t in state.t]
         lag_before = augmented_lagrangian(state, cfg)
         update_duals(state, cfg)
         gap = 0.0
-        for i in range(3):
+        for i in smoothed:
             np.testing.assert_allclose(
                 state.u[i] - u_before[i], cfg.beta * (state.z - state.w[i])
             )
+            gap += frobenius(state.z - state.w[i]) ** 2
+        for i in unsmoothed_modes(cfg):
+            assert state.u[i] is None
+        for i in range(3):
             np.testing.assert_allclose(
                 state.t[i] - t_before[i], cfg.beta * (state.x[i] - state.y[i])
             )
-            gap += (
-                frobenius(state.z - state.w[i]) ** 2
-                + frobenius(state.x[i] - state.y[i]) ** 2
-            )
+            gap += frobenius(state.x[i] - state.y[i]) ** 2
         # dual step raises the Lagrangian by exactly beta * sum of residuals
         delta = augmented_lagrangian(state, cfg) - lag_before
         assert delta == pytest.approx(cfg.beta * gap, rel=1e-9, abs=1e-9)
@@ -411,7 +463,8 @@ class TestLagrangianAndObjective:
         dims, ranks = (3, 3, 3), (2, 2, 2)
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
         state = randomized_state(53, dims, ranks, cfg, m, mask)
-        state.w = [state.z.copy() for _ in range(3)]
+        for i in cfg.smoothed_modes():
+            state.w[i] = state.z.copy()
         state.y = [f.copy() for f in state.x]
         val = augmented_lagrangian(state, cfg)
         # recompute by hand without any consensus terms
@@ -419,10 +472,11 @@ class TestLagrangianAndObjective:
         expected += (cfg.lam / 2.0) * frobenius(
             multilinear(state.s, state.x) - state.z
         ) ** 2
-        for i in range(3):
+        for i in cfg.smoothed_modes():
             expected += cfg.omega[i] * np.sum(
                 (state.a_mats[i] @ unfold(state.w[i], i)) ** 2
             )
+        for i in range(3):
             expected += cfg.alpha[i] * np.linalg.svd(
                 state.y[i], compute_uv=False
             ).sum()
@@ -534,6 +588,31 @@ class TestSolve:
         report = solve(truth, mask, cfg, z_true=truth)
         assert report.iterations == 3
         assert all(np.isfinite(r.rel_change) for r in report.trace)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            preset_config("image", ranks=(3, 3, 2), max_iter=30, tol=1e-300),
+            preset_config(
+                "traffic-wholeday", ranks=(3, 3, 2), max_iter=30, tol=1e-300
+            ),
+            SolverConfig(ranks=(3, 3, 2), max_iter=30, tol=1e-300),
+        ],
+        ids=["image", "traffic-wholeday", "omega-zero"],
+    )
+    def test_matches_reference_admm(self, cfg):
+        # the solver drops W_i/U_i on unsmoothed modes; the reference keeps
+        # all three pairs, so agreement shows the collapse is exact
+        truth, _, _ = synthetic_tucker(
+            seed=6, dims=(6, 5, 4), ranks=(2, 2, 2), density=0.5
+        )
+        mask = ObservationMask.from_boolean(
+            np.random.default_rng(7).random(truth.shape) < 0.7
+        )
+        observed = np.where(mask.boolean(), truth, 0.0)
+        got = solve(observed, mask, cfg).recovered
+        expected = reference_admm(observed, mask.boolean(), cfg, 30)
+        assert frobenius(got - expected) <= 1e-10 * frobenius(expected)
 
     def test_synthetic_recovery(self):
         from lrsetd.masks import random_mask

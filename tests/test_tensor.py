@@ -6,10 +6,8 @@ from lrsetd.tensor import (
     fold,
     frobenius,
     inner,
-    kron,
     mode_product,
     multilinear,
-    project_assign,
     unfold,
 )
 
@@ -150,36 +148,6 @@ class TestMultilinear:
             multilinear(rng.standard_normal((2, 2, 2)), [np.eye(2)] * 2)
 
 
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_block_expansion(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        expected = np.array(
-            [
-                [0, 1, 0, 2],
-                [1, 0, 2, 0],
-                [0, 3, 0, 4],
-                [3, 0, 4, 0],
-            ],
-            dtype=float,
-        )
-        np.testing.assert_array_equal(kron(a, b), expected)
-
-    def test_scalar_case(self, rng):
-        a = rng.standard_normal((3, 2))
-        np.testing.assert_allclose(kron(a, np.array([[2.5]])), 2.5 * a)
-
-    def test_mixed_product_property(self, rng):
-        a, c = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
-        b, d = rng.standard_normal((3, 2)), rng.standard_normal((2, 3))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1, np.linalg.norm(rhs))
-
-
 class TestInnerFrobenius:
     def test_inner_with_zeros(self, rng):
         a = rng.standard_normal((2, 3, 2))
@@ -228,36 +196,3 @@ class TestObservationMask:
     def test_full_and_empty(self):
         assert ObservationMask.full((2, 3, 2)).n_missing == 0
         assert ObservationMask.empty((2, 3, 2)).n_observed == 0
-
-
-class TestProjectAssign:
-    def test_full_mask_returns_source(self, rng):
-        t = rng.standard_normal((2, 3, 2))
-        s = rng.standard_normal((2, 3, 2))
-        np.testing.assert_array_equal(
-            project_assign(t, ObservationMask.full(t.shape), s), s
-        )
-
-    def test_empty_mask_returns_target(self, rng):
-        t = rng.standard_normal((2, 3, 2))
-        s = rng.standard_normal((2, 3, 2))
-        np.testing.assert_array_equal(
-            project_assign(t, ObservationMask.empty(t.shape), s), t
-        )
-
-    def test_postcondition_on_mask(self, rng):
-        t = rng.standard_normal((4, 4, 4))
-        s = rng.standard_normal((4, 4, 4))
-        mask = ObservationMask.from_boolean(rng.random((4, 4, 4)) < 0.5)
-        out = project_assign(t, mask, s)
-        sel = mask.boolean()
-        assert np.abs(out[sel] - s[sel]).max() == 0.0
-        assert np.array_equal(out[~sel], t[~sel])
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            project_assign(
-                np.zeros((2, 2, 2)),
-                ObservationMask.full((2, 2, 2)),
-                np.zeros((2, 2, 3)),
-            )
