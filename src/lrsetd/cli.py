@@ -192,7 +192,10 @@ def cmd_complete(args):
 
     metrics = {}
     if mask.n_missing and not args.skip_metrics:
-        metrics["rse"] = rse(truth, report.recovered)
+        try:
+            metrics["rse"] = rse(truth, report.recovered)
+        except ValueError:
+            metrics["rse"] = None
         try:
             metrics["nmae"] = nmae(truth, report.recovered, mask)
         except ValueError:

@@ -8,6 +8,8 @@ payload with a uint64 count followed by that many uint64 flat indices in the
 same lexicographic order.
 """
 
+import math
+
 import numpy as np
 
 from .tensor import ObservationMask
@@ -186,7 +188,7 @@ def write_image(path, tensor):
 
 
 def read_traffic_csv(path):
-    """Read a rectangular CSV of reals as a 2-D matrix."""
+    """Read a rectangular CSV of finite reals as a 2-D matrix."""
     rows = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -194,11 +196,14 @@ def read_traffic_csv(path):
             if not line:
                 continue
             try:
-                rows.append([float(v) for v in line.split(",")])
+                row = [float(v) for v in line.split(",")]
             except ValueError as e:
                 raise FileFormatError(
                     f"{path}:{lineno}: non-numeric field ({e})"
                 ) from e
+            if not all(math.isfinite(v) for v in row):
+                raise FileFormatError(f"{path}:{lineno}: non-finite field")
+            rows.append(row)
     if not rows:
         raise FileFormatError(f"{path}: empty CSV")
     width = len(rows[0])

@@ -204,7 +204,8 @@ def init_state(m, mask, cfg):
     Z starts as the zero-filled observation; the factors come from a
     truncated HOSVD of Z (default) or a seeded random orthonormal draw; the
     core is the multilinear compression of Z; W_i copy Z on the smoothed
-    modes; all duals are zero.
+    modes; all duals are zero. Raises ValueError when an observed entry is
+    not finite or the observed data's squared Frobenius norm overflows.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 3:
@@ -217,6 +218,13 @@ def init_state(m, mask, cfg):
     z0 = np.zeros(dims)
     sel = mask.boolean()
     z0[sel] = m[sel]
+    # values off the mask are ignored, so only observed ones are checked
+    if not np.all(np.isfinite(z0)):
+        raise ValueError("observed entries must be finite, found NaN or inf")
+    if not math.isfinite(inner(z0, z0)):
+        raise ValueError(
+            "observed entries too large: their squared norm overflows float64"
+        )
 
     if cfg.init == "hosvd":
         model = hosvd(z0, ranks)
@@ -254,25 +262,17 @@ def init_state(m, mask, cfg):
     )
 
 
-def _gram(mat):
-    return mat.T @ mat
+def _contract_others(t, mats, i):
+    """unfold(t x_j mats[j]^T for every j != i, mode i).
 
-
-def _others_gram(x, i):
-    """B_i^T B_i as the Kronecker of the r-sized factor Grams, with
-    B_i = kron(higher-mode other factor, lower-mode other factor)."""
-    lo, hi = [j for j in range(3) if j != i]
-    return np.kron(_gram(x[hi]), _gram(x[lo]))
-
-
-def _z_contract(z, x, i):
-    """Z_(i) @ B_i computed as unfold(Z x_j X_j^T for j != i, mode i); the
-    large Kronecker factor B_i is never materialized."""
-    out = z
+    With the factors X_j this is T_(i) @ kron(X_hi, X_lo); with the
+    symmetric Grams X_j^T X_j it is T_(i) @ kron(G_hi, G_lo). Either way the
+    Kronecker matrix is never materialized.
+    """
     for j in range(3):
         if j != i:
-            out = mode_product(out, x[j].T, j)
-    return unfold(out, i)
+            t = mode_product(t, mats[j].T, j)
+    return unfold(t, i)
 
 
 def update_factors(state, cfg):
@@ -281,16 +281,20 @@ def update_factors(state, cfg):
     Each X_i is the exact minimizer of its subproblem given the current
     remaining blocks:
 
-        X_i = [lam*Z_(i)*B_i*S_(i)^T + beta*Y_i - T_i]
-              [beta*I + lam*S_(i)*B_i^T*B_i*S_(i)^T]^{-1}
+        X_i = [lam*C_i(Z, X)*S_(i)^T + beta*Y_i - T_i]
+              [beta*I + lam*C_i(S, G)*S_(i)^T]^{-1}
+
+    with C_i(T, M) = unfold(T x_j M_j^T for j != i, i) and G_j = X_j^T X_j
+    taken from the factors as they stand at step i.
     """
     beta, lam = cfg.beta, cfg.lam
     for i in range(3):
+        grams = [f.T @ f for f in state.x]
         s_i = unfold(state.s, i)
-        rhs = lam * _z_contract(state.z, state.x, i) @ s_i.T
+        rhs = lam * _contract_others(state.z, state.x, i) @ s_i.T
         rhs += beta * state.y[i] - state.t[i]
-        lhs = beta * np.eye(s_i.shape[0]) + lam * s_i @ _others_gram(
-            state.x, i
+        lhs = beta * np.eye(s_i.shape[0]) + lam * _contract_others(
+            state.s, grams, i
         ) @ s_i.T
         lhs = 0.5 * (lhs + lhs.T)
         # X @ lhs = rhs with lhs SPD
@@ -309,25 +313,22 @@ def update_y(state, cfg):
 
 
 def update_core(state, cfg):
-    """One proximal-gradient step on the core (in place).
+    """One proximal-gradient step on the core tensor (in place).
 
-    The smooth part is phi(S_(0)) = 0.5*||X0 S_(0) B - Z_(0)||_F^2 with
-    B = kron(X2, X1)^T; its gradient and Lipschitz constant are assembled
-    from r-sized Grams only. A zero Lipschitz constant (all-zero factors)
-    skips the step.
+    The smooth part is phi(S) = 0.5*||[[S; X0, X1, X2]] - Z||_F^2 with
+    gradient S x_j G_j - Z x_j X_j^T over all modes, G_j = X_j^T X_j, and
+    Lipschitz constant the product of the Grams' spectral norms. A zero
+    Lipschitz constant (all-zero factors) skips the step.
     """
-    x0 = state.x[0]
-    xg, g1, g2 = (_gram(f) for f in state.x)
+    grams = [f.T @ f for f in state.x]
     # the spectral norm of a Gram is its largest eigenvalue
-    zeta = math.prod(np.linalg.eigvalsh(g)[-1] for g in (xg, g1, g2))
+    zeta = math.prod(np.linalg.eigvalsh(g)[-1] for g in grams)
     if zeta == 0.0:
         return state
-    s_mat = unfold(state.s, 0)
-    bhat = np.kron(g2, g1)
-    grad = xg @ s_mat @ bhat - x0.T @ _z_contract(state.z, state.x, 0)
-    stepped = s_mat - grad / zeta
-    s_new = soft_shrink(stepped, cfg.sigma / (cfg.lam * zeta))
-    state.s = fold(s_new, 0, state.ranks)
+    grad = multilinear(state.s, grams) - multilinear(
+        state.z, [f.T for f in state.x]
+    )
+    state.s = soft_shrink(state.s - grad / zeta, cfg.sigma / (cfg.lam * zeta))
     return state
 
 

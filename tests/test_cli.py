@@ -257,6 +257,51 @@ class TestCompleteCommand:
         )
 
 
+def _first_observed(value):
+    def edit(truth, observed):
+        data = truth.copy()
+        data[tuple(np.argwhere(observed)[0])] = value
+        return data
+
+    return edit
+
+
+# input -> (exit code, stream, expected substring)
+BAD_INPUTS = {
+    "nan-observed": (_first_observed(np.nan), 2, "err", "must be finite"),
+    "inf-observed": (_first_observed(np.inf), 2, "err", "must be finite"),
+    "scaled-1e200": (lambda t, o: t * 1e200, 2, "err", "overflows float64"),
+    "csv-nan": ("1,2,3,4,5,6\n7,8,nan,1,2,3\n", 3, "err", "non-finite"),
+    "all-zero": (lambda t, o: np.zeros_like(t), 0, "out", '"rse": null'),
+    "nan-off-mask": (lambda t, o: np.where(o, t, np.nan), 0, "out", '"rse"'),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exit_code_and_message(self, case, problem, tmp_path, capsys):
+        truth, mask, tensor_path, mask_path = problem
+        make, code, stream, text = BAD_INPUTS[case]
+        if isinstance(make, str):
+            csv = tmp_path / "t.csv"
+            csv.write_text(make)
+            source = ["--input", str(csv), "--tensorize", "otd:2,3,2",
+                      "--sample-ratio", "0.75"]
+        else:
+            write_tensor(tensor_path, make(truth, mask.boolean()))
+            source = ["--input", str(tensor_path), "--mask", str(mask_path)]
+        report = tmp_path / "report.json"
+        got = main(
+            ["complete", *source, "--ranks", "2,2,2", "--max-iter", "3",
+             "--report", str(report)]
+        )
+        captured = capsys.readouterr()
+        assert got == code
+        assert text in (captured.out if stream == "out" else captured.err)
+        # a run that solves always writes its report
+        assert report.exists() == (code == 0)
+
+
 class TestMaskGen:
     def test_random_ratio(self, tmp_path, capsys):
         out = tmp_path / "m.lrm"

@@ -238,6 +238,13 @@ class TestTrafficCsv:
         with pytest.raises(FileFormatError, match="empty"):
             read_traffic_csv(path)
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN", "1e400"])
+    def test_non_finite(self, tmp_path, field):
+        path = tmp_path / "t.csv"
+        path.write_text(f"1,2\n3,{field}\n")
+        with pytest.raises(FileFormatError, match=r"t\.csv:2: non-finite"):
+            read_traffic_csv(path)
+
 
 class TestTensorize:
     def test_otd_layout(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,20 @@ def randomized_state(seed, dims, ranks, cfg, m, mask):
 
 def unsmoothed_modes(cfg):
     return [i for i in range(3) if i not in cfg.smoothed_modes()]
+
+
+# (dims, ranks) for the explicit-Kronecker block oracles: equal ranks,
+# unequal ranks, a dimension of 1, and rank equal to dimension on every mode
+ORACLE_SHAPES = pytest.mark.parametrize(
+    "dims, ranks",
+    [
+        ((4, 3, 2), (2, 2, 2)),
+        ((5, 4, 3), (3, 1, 2)),
+        ((4, 1, 3), (2, 1, 3)),
+        ((3, 2, 4), (3, 2, 4)),
+    ],
+    ids=["4x3x2-r222", "5x4x3-r312", "4x1x3-r213", "3x2x4-r324"],
+)
 
 
 class TestSolverConfig:
@@ -205,13 +221,32 @@ class TestInitState:
         with pytest.raises(ValueError, match="rank"):
             init_state(m, mask, SolverConfig(ranks=(5, 2, 2)))
 
+    @pytest.mark.parametrize("init", ["hosvd", "random"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_observation(self, bad, init):
+        m, mask, _ = small_problem()
+        m[tuple(mask.indices[0])] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            init_state(m, mask, SolverConfig(ranks=(2, 2, 2), init=init))
+
+    def test_rejects_overflowing_observation(self):
+        m, mask, cfg = small_problem()
+        with pytest.raises(ValueError, match="overflows"):
+            init_state(m * 1e200, mask, cfg)
+
+    def test_ignores_non_finite_off_mask(self):
+        m, mask, cfg = small_problem()
+        m[~mask.boolean()] = np.nan
+        state = init_state(m, mask, cfg)
+        assert np.all(np.isfinite(state.z)) and np.all(np.isfinite(state.s))
+
 
 class TestUpdateFactors:
-    def test_normal_equation_oracle(self):
+    @ORACLE_SHAPES
+    def test_normal_equation_oracle(self, dims, ranks):
         # X_i must solve X [beta*I + lam*S_(i)B_i^T B_i S_(i)^T]
         #              = lam*Z_(i)B_i S_(i)^T + beta*Y_i - T_i
         # with B_i materialized explicitly from the other (updated) factors.
-        dims, ranks = (4, 3, 2), (2, 2, 2)
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
         state = randomized_state(3, dims, ranks, cfg, m, mask)
         x_old = [f.copy() for f in state.x]
@@ -242,6 +277,27 @@ class TestUpdateFactors:
         update_factors(state, cfg)
         for i in range(3):
             np.testing.assert_allclose(state.x[i], expected[i], atol=1e-10)
+
+
+class TestBlockMemory:
+    def test_factor_and_core_blocks_build_no_kronecker_gram(self):
+        # at ranks (32, 32, 3) the Kronecker product of two 32x32 Grams is a
+        # 1024x1024 float64 matrix (8 MiB); the mode-product form of both
+        # blocks needs a small fraction of that
+        dims, ranks = (64, 64, 3), (32, 32, 3)
+        rng = np.random.default_rng(0)
+        m = rng.standard_normal(dims)
+        mask = ObservationMask.from_boolean(rng.random(dims) < 0.4)
+        cfg = preset_config("image", ranks=ranks)
+        state = init_state(m, mask, cfg)
+        tracemalloc.start()
+        try:
+            update_factors(state, cfg)
+            update_core(state, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestUpdateY:
@@ -286,8 +342,8 @@ class TestUpdateCore:
         update_core(state, cfg)
         assert sub_obj(state.s) <= before + 1e-10
 
-    def test_sigma_zero_is_plain_gradient_step(self):
-        dims, ranks = (4, 3, 2), (2, 2, 2)
+    @ORACLE_SHAPES
+    def test_sigma_zero_is_plain_gradient_step(self, dims, ranks):
         m, mask, _ = small_problem(dims=dims, ranks=ranks)
         cfg = SolverConfig(ranks=ranks, sigma=0.0)
         state = randomized_state(13, dims, ranks, cfg, m, mask)
