@@ -19,6 +19,7 @@ if "LRSETD_THREADS" in os.environ:
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -168,7 +169,8 @@ def _config_echo(cfg):
 
 def _write_report(path, doc):
     Path(path).write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n",
+        encoding="utf-8",
     )
 
 
@@ -192,18 +194,9 @@ def cmd_complete(args):
 
     metrics = {}
     if mask.n_missing and not args.skip_metrics:
-        try:
-            metrics["rse"] = rse(truth, report.recovered)
-        except ValueError:
-            metrics["rse"] = None
-        try:
-            metrics["nmae"] = nmae(truth, report.recovered, mask)
-        except ValueError:
-            metrics["nmae"] = None
-        try:
-            metrics["psnr"] = psnr(truth, report.recovered, mask)
-        except ValueError:
-            metrics["psnr"] = None
+        metrics["rse"] = _metric(rse, truth, report.recovered)
+        metrics["nmae"] = _metric(nmae, truth, report.recovered, mask)
+        metrics["psnr"] = _metric(psnr, truth, report.recovered, mask)
 
     if args.out:
         if Path(args.out).suffix.lower() in (".ppm", ".pgm"):
@@ -238,8 +231,18 @@ def cmd_complete(args):
         _write_trace_csv(args.trace_csv, report.trace)
     summary = {"iterations": report.iterations, "termination": report.termination}
     summary.update(metrics)
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps(summary, sort_keys=True, allow_nan=False))
     return EXIT_OK
+
+
+def _metric(fn, *args):
+    """`fn(*args)`, or None when the metric is undefined for the input or
+    not finite (for example, a truth that holds NaN off the mask)."""
+    try:
+        value = fn(*args)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 def cmd_hosvd_demo(args):

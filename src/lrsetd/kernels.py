@@ -1,7 +1,8 @@
 """Matrix kernels used by the ADMM updates.
 
-Singular value shrinkage, elementwise soft thresholding, SPD solves and
-the first-order difference (Toeplitz) regularizer.
+Singular value shrinkage, elementwise soft thresholding, SPD solves, the
+first-order difference (Toeplitz) regularizer and an O(n) solve with a
+symmetric positive definite tridiagonal matrix along one tensor axis.
 """
 
 from dataclasses import dataclass
@@ -15,8 +16,9 @@ __all__ = [
     "svd_shrink",
     "soft_shrink",
     "spd_solve",
-    "spd_factorize",
     "toeplitz_diff",
+    "tridiag_ldl",
+    "tridiag_solve",
 ]
 
 
@@ -64,27 +66,17 @@ def soft_shrink(m, tau):
     return np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
 
 
-def spd_factorize(a):
-    """Cholesky-factor a symmetric positive definite matrix.
+def spd_solve(a, b):
+    """Solve ``a @ x = b`` for symmetric positive definite `a`.
 
-    Returns a callable ``solve(b) -> x`` with ``a @ x = b``. Raises
-    ``np.linalg.LinAlgError`` when `a` is not SPD.
+    Raises ``np.linalg.LinAlgError`` when `a` is not SPD.
     """
     a = np.asarray(a, dtype=np.float64)
     try:
-        c, lower = scipy.linalg.cho_factor(a)
+        factor = scipy.linalg.cho_factor(a)
     except scipy.linalg.LinAlgError as e:
         raise np.linalg.LinAlgError(f"matrix is not SPD: {e}") from e
-
-    def solve(b):
-        return scipy.linalg.cho_solve((c, lower), np.asarray(b, dtype=np.float64))
-
-    return solve
-
-
-def spd_solve(a, b):
-    """Solve ``a @ x = b`` for symmetric positive definite `a`."""
-    return spd_factorize(a)(b)
+    return scipy.linalg.cho_solve(factor, np.asarray(b, dtype=np.float64))
 
 
 def toeplitz_diff(n):
@@ -96,3 +88,57 @@ def toeplitz_diff(n):
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return np.eye(n) - np.eye(n, k=1)
+
+
+def tridiag_ldl(diag, off):
+    """LDL^T factor of a symmetric positive definite tridiagonal matrix.
+
+    `diag` is the main diagonal (length n) and `off` the sub- and
+    superdiagonal (length n-1). Returns ``(lower, inv_d)``: the subdiagonal
+    of the unit lower bidiagonal L and the reciprocal diagonal of D. Raises
+    ``np.linalg.LinAlgError`` when the matrix is not SPD.
+    """
+    diag = np.asarray(diag, dtype=np.float64)
+    off = np.asarray(off, dtype=np.float64)
+    if diag.ndim != 1 or diag.size < 1 or off.shape != (diag.size - 1,):
+        raise ValueError(
+            f"need n >= 1 diagonal and n-1 off-diagonal entries, got "
+            f"{diag.shape} and {off.shape}"
+        )
+    d = diag.copy()
+    lower = np.empty_like(off)
+    for j in range(off.size):
+        if not d[j] > 0:
+            break
+        lower[j] = off[j] / d[j]
+        d[j + 1] -= lower[j] * off[j]
+    if not np.all(d > 0):
+        raise np.linalg.LinAlgError("tridiagonal matrix is not SPD")
+    return lower, 1.0 / d
+
+
+def tridiag_solve(ldl, b, axis):
+    """Solve ``T x = b`` along `axis` of `b` in place and return `b`.
+
+    `ldl` is :func:`tridiag_ldl` of T; every 1-D line of `b` along `axis`
+    is one right-hand side. One forward and one backward sweep over the
+    slices of `b` normal to `axis`, O(n) work per line.
+    """
+    lower, inv_d = ldl
+    lines = np.moveaxis(b, axis, 0)  # a view: writes land in b
+    n = inv_d.size
+    if lines.shape[0] != n:
+        raise ValueError(f"axis {axis} of b has length {lines.shape[0]}, T {n}")
+    # each sweep step is one ufunc call over a whole slice, several times
+    # faster on contiguous memory, so strided slices are swept in a copy
+    x = np.ascontiguousarray(lines)
+    rows = x.reshape(n, -1)
+    for j in range(1, n):
+        rows[j] -= lower[j - 1] * rows[j - 1]
+    rows[n - 1] *= inv_d[n - 1]
+    for j in range(n - 2, -1, -1):
+        rows[j] *= inv_d[j]
+        rows[j] -= lower[j] * rows[j + 1]
+    if x is not lines:
+        lines[...] = x
+    return b

@@ -17,25 +17,30 @@ subproblem. For a mode with omega_i = 0 the W and dual steps force W_i = Z
 and U_i = 0 after every iteration, so the solver keeps W_i and U_i only for
 the smoothed modes (omega_i > 0) and lets Z stand in for the others.
 
+A_i is the first-order difference matrix (or I when the mode's Toeplitz
+flag is off) and is never stored: the penalty applies it as differences
+along axis i, and the W subproblem matrix [beta*I + 2*omega_i*A_i^T A_i] is
+tridiagonal, so W_i comes from an O(n) sweep along that axis.
+
 Only third-order tensors are supported.
 """
 
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hosvd import hosvd
 from .kernels import (
     soft_shrink,
-    spd_factorize,
     spd_solve,
     svd_shrink,
-    toeplitz_diff,
+    tridiag_ldl,
+    tridiag_solve,
 )
-from .tensor import fold, frobenius, inner, mode_product, multilinear, unfold
+from .tensor import frobenius, inner, mode_product, multilinear, unfold
 
 __all__ = [
     "SolverConfig",
@@ -134,7 +139,7 @@ class SolverConfig:
 
     def smoothed_modes(self):
         """Modes with omega_i > 0: the only ones that carry W_i, U_i and a
-        smoothing matrix A_i."""
+        smoothing term."""
         return tuple(i for i, w in enumerate(self.omega) if w > 0)
 
     def resolved_toeplitz(self):
@@ -163,10 +168,10 @@ def default_ranks(dims):
 
 @dataclass
 class SolverState:
-    """All block variables of one run plus iteration-invariant caches.
+    """All block variables of one run plus the iteration-invariant W solve.
 
-    The per-mode lists `w`, `u`, `a_mats` and `w_solvers` have length 3 and
-    hold None at every mode with omega_i = 0; index them by mode.
+    The per-mode lists `w`, `u` and `w_ldl` have length 3 and hold None at
+    every mode with omega_i = 0; index them by mode.
     """
 
     x: list  # factor matrices X_i, I_i x r_i
@@ -176,9 +181,9 @@ class SolverState:
     z: np.ndarray  # completed tensor estimate
     w: list  # auxiliary tensors W_i, full size, smoothed modes only
     u: list  # duals for Z = W_i, smoothed modes only
+    # LDL^T of the tridiagonal [beta*I + 2*omega_i*A_i^T A_i], O(n) numbers
+    w_ldl: list
     iteration: int = 0
-    a_mats: list = field(default_factory=list)  # smoothing matrices A_i
-    w_solvers: list = field(default_factory=list)  # cached SPD solves
 
     @property
     def dims(self):
@@ -238,16 +243,19 @@ def init_state(m, mask, cfg):
         s0 = multilinear(z0, [f.T for f in x0])
 
     toep = cfg.resolved_toeplitz()
-    w, u, a_mats, w_solvers = ([None] * 3 for _ in range(4))
+    w, u, w_ldl = ([None] * 3 for _ in range(3))
     for i in cfg.smoothed_modes():
         w[i] = z0.copy()
         u[i] = np.zeros(dims)
-        a_mats[i] = toeplitz_diff(dims[i]) if toep[i] else np.eye(dims[i])
-        # [beta*I + 2*omega_i*A_i^T A_i] is iteration-invariant: factor once
-        w_solvers[i] = spd_factorize(
-            cfg.beta * np.eye(dims[i])
-            + 2.0 * cfg.omega[i] * a_mats[i].T @ a_mats[i]
-        )
+        # A_i^T A_i is tridiag(-1, (1, 2, ..., 2), -1) for the difference
+        # matrix and I otherwise; the shifted matrix is factored once
+        two_omega = 2.0 * cfg.omega[i]
+        diag = np.full(dims[i], cfg.beta + two_omega)
+        off = np.zeros(dims[i] - 1)
+        if toep[i]:
+            diag[1:] += two_omega
+            off -= two_omega
+        w_ldl[i] = tridiag_ldl(diag, off)
 
     return SolverState(
         x=x0,
@@ -257,8 +265,7 @@ def init_state(m, mask, cfg):
         z=z0,
         w=w,
         u=u,
-        a_mats=a_mats,
-        w_solvers=w_solvers,
+        w_ldl=w_ldl,
     )
 
 
@@ -341,24 +348,26 @@ def update_z(state, cfg, m, mask):
     U_i = 0, the values its W and dual steps would have left.
     """
     smoothed = cfg.smoothed_modes()
-    acc = cfg.lam * multilinear(state.s, state.x)
+    # C order keeps Z, and the W_i and U_i built from it, in one layout
+    acc = np.multiply(cfg.lam, multilinear(state.s, state.x), order="C")
     for i in smoothed:
         acc += cfg.beta * state.w[i] - state.u[i]
     acc += (3 - len(smoothed)) * cfg.beta * state.z
     z = acc / (cfg.lam + 3.0 * cfg.beta)
-    sel = mask.boolean()
-    z[sel] = np.asarray(m, dtype=np.float64)[sel]
+    np.copyto(z, np.asarray(m, dtype=np.float64), where=mask.boolean())
     state.z = z
     return state
 
 
 def update_w(state, cfg):
-    """Smoothness-regularized W update (in place), one cached SPD solve per
-    smoothed mode:
-    W_(i) = [beta*I + 2*omega_i*A_i^T A_i]^{-1} [beta*Z_(i) + U_(i)]."""
+    """Smoothness-regularized W update (in place) on each smoothed mode:
+    W_(i) = [beta*I + 2*omega_i*A_i^T A_i]^{-1} [beta*Z_(i) + U_(i)],
+    solved by a tridiagonal sweep along axis i of beta*Z + U_i, so W_i is
+    a fresh C-contiguous tensor."""
     for i in cfg.smoothed_modes():
-        rhs = cfg.beta * unfold(state.z, i) + unfold(state.u[i], i)
-        state.w[i] = fold(state.w_solvers[i](rhs), i, state.dims)
+        rhs = cfg.beta * state.z
+        rhs += state.u[i]
+        state.w[i] = tridiag_solve(state.w_ldl[i], rhs, i)
     return state
 
 
@@ -372,15 +381,27 @@ def update_duals(state, cfg):
     return state
 
 
+def _smoothing_parts(t, axis, toeplitz):
+    """A_i applied along `axis` of `t`, split into pieces whose squared
+    norms sum to ||A_i T_(i)||_F^2 (and, for a matrix along axis 0, whose
+    Grams sum to (A_i t)^T (A_i t)): the differences of neighbouring slices
+    and the last slice for the difference matrix, `t` itself for I."""
+    if not toeplitz:
+        return (t,)
+    return np.diff(t, axis=axis), np.take(t, [-1], axis=axis)
+
+
 def augmented_lagrangian(state, cfg):
     """Value of the augmented Lagrangian at the current state."""
     val = 0.0
+    toep = cfg.resolved_toeplitz()
     for i in cfg.smoothed_modes():
-        val += cfg.omega[i] * np.sum(
-            (state.a_mats[i] @ unfold(state.w[i], i)) ** 2
+        val += cfg.omega[i] * sum(
+            inner(p, p) for p in _smoothing_parts(state.w[i], i, toep[i])
         )
-        val += inner(state.u[i], state.z - state.w[i])
-        val += (cfg.beta / 2.0) * frobenius(state.z - state.w[i]) ** 2
+        gap = state.z - state.w[i]
+        val += inner(state.u[i], gap)
+        val += (cfg.beta / 2.0) * inner(gap, gap)
     for i in range(3):
         val += cfg.alpha[i] * np.linalg.svd(state.y[i], compute_uv=False).sum()
         val += inner(state.t[i], state.x[i] - state.y[i])
@@ -394,17 +415,21 @@ def augmented_lagrangian(state, cfg):
 
 def objective_value(state, cfg):
     """Value of the relaxed model objective at (X, S):
-    Psi(X, S) + sum_i alpha_i*||X_i||_* + sigma*||S||_1."""
+    Psi(X, S) + sum_i alpha_i*||X_i||_* + sigma*||S||_1.
+
+    Each smoothness term ||S x_i (A_i X_i) x_{j!=i} X_j||_F^2 is evaluated
+    at core size as <S, S x_j G_j> with G_j = X_j^T X_j and
+    G_i = (A_i X_i)^T (A_i X_i)."""
     val = cfg.sigma * np.abs(state.s).sum()
-    smoothed = cfg.smoothed_modes()
+    toep = cfg.resolved_toeplitz()
+    grams = [f.T @ f for f in state.x]
     for i in range(3):
         val += cfg.alpha[i] * np.linalg.svd(state.x[i], compute_uv=False).sum()
-        if i in smoothed:
-            factors = [
-                state.a_mats[j] @ state.x[j] if j == i else state.x[j]
-                for j in range(3)
-            ]
-            val += cfg.omega[i] * frobenius(multilinear(state.s, factors)) ** 2
+    for i in cfg.smoothed_modes():
+        parts = _smoothing_parts(state.x[i], 0, toep[i])
+        g = list(grams)
+        g[i] = sum(p.T @ p for p in parts)
+        val += cfg.omega[i] * inner(state.s, multilinear(state.s, g))
     return float(val)
 
 
@@ -463,7 +488,10 @@ def solve(m, mask, cfg, z_true=None, callback=None):
     if cfg.stop_denominator == "oracle":
         if z_true is None:
             raise ValueError("oracle stopping requires z_true")
-        denom = max(frobenius(z_true), np.finfo(float).tiny)
+        denom = frobenius(z_true)
+        if not math.isfinite(denom):
+            raise ValueError("oracle stopping requires a finite z_true")
+        denom = max(denom, np.finfo(float).tiny)
 
     start = time.perf_counter()
     state = init_state(m, mask, cfg)

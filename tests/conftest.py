@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lrsetd.kernels import toeplitz_diff
 from lrsetd.tensor import multilinear
 
 
@@ -53,6 +54,14 @@ def kron_others(factors, mode):
     return out
 
 
+def smoothing_matrix(cfg, dims, i):
+    """Dense smoothing matrix A_i of mode i: the first-order difference
+    matrix where ``cfg.resolved_toeplitz()`` flags the mode, else I."""
+    if cfg.resolved_toeplitz()[i]:
+        return toeplitz_diff(dims[i])
+    return np.eye(dims[i])
+
+
 def reference_admm(m, observed, cfg, n_iter):
     """Slow reference for :func:`lrsetd.solver.solve`: the same ADMM with a
     W_i/U_i pair on all three modes, whatever omega is.
@@ -77,10 +86,7 @@ def reference_admm(m, observed, cfg, n_iter):
     t = [np.zeros_like(f) for f in x]
     w = [z.copy() for _ in range(3)]
     u = [np.zeros(dims) for _ in range(3)]
-    a_mats = [
-        np.eye(d) - np.eye(d, k=1) if toep else np.eye(d)
-        for d, toep in zip(dims, cfg.resolved_toeplitz())
-    ]
+    a_mats = [smoothing_matrix(cfg, dims, i) for i in range(3)]
     for _ in range(n_iter):
         for i in range(3):
             b = kron_others(x, i)

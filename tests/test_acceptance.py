@@ -33,7 +33,12 @@ from lrsetd.solver import (
 )
 from lrsetd.tensor import ObservationMask, multilinear, unfold
 
-from conftest import kron_others, synthetic_image, synthetic_tucker
+from conftest import (
+    kron_others,
+    smoothing_matrix,
+    synthetic_image,
+    synthetic_tucker,
+)
 
 
 def verdict(ok, name, detail):
@@ -109,7 +114,7 @@ def test_criterion_1_block_updates_solve_their_subproblems():
 
         update_w(state, cfg)
         for i in range(3):
-            a = state.a_mats[i]
+            a = smoothing_matrix(cfg, dims, i)
             lhs = cfg.beta * np.eye(dims[i]) + 2.0 * cfg.omega[i] * a.T @ a
             rhs = cfg.beta * unfold(state.z, i) + unfold(state.u[i], i)
             worst = max(

@@ -227,6 +227,24 @@ class TestCompleteCommand:
         assert code == 2
         assert "omega needs three values" in capsys.readouterr().err
 
+    def test_oracle_stop_needs_known_truth(self, problem, tmp_path, capsys):
+        # NaN off the mask leaves the oracle denominator undefined
+        truth, mask, tensor_path, mask_path = problem
+        write_tensor(tensor_path, np.where(mask.boolean(), truth, np.nan))
+        report = tmp_path / "report.json"
+        code = main(
+            [
+                "complete",
+                "--input", str(tensor_path),
+                "--mask", str(mask_path),
+                "--stop-denominator", "oracle",
+                "--report", str(report),
+            ]
+        )
+        assert code == 2
+        assert "finite z_true" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_csv_requires_tensorize(self, tmp_path):
         csv = tmp_path / "t.csv"
         csv.write_text("1,2\n3,4\n")
@@ -273,8 +291,20 @@ BAD_INPUTS = {
     "scaled-1e200": (lambda t, o: t * 1e200, 2, "err", "overflows float64"),
     "csv-nan": ("1,2,3,4,5,6\n7,8,nan,1,2,3\n", 3, "err", "non-finite"),
     "all-zero": (lambda t, o: np.zeros_like(t), 0, "out", '"rse": null'),
-    "nan-off-mask": (lambda t, o: np.where(o, t, np.nan), 0, "out", '"rse"'),
+    # the truth is unknown off the mask, so no metric is defined
+    "nan-off-mask": (
+        lambda t, o: np.where(o, t, np.nan), 0, "out", '"rse": null'
+    ),
 }
+
+
+def strict_json(text):
+    """json.loads that refuses the non-standard NaN/Infinity literals."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON literal {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestBadInput:
@@ -298,8 +328,12 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert got == code
         assert text in (captured.out if stream == "out" else captured.err)
-        # a run that solves always writes its report
+        # a run that solves always writes its report, in standard JSON
         assert report.exists() == (code == 0)
+        if code == 0:
+            metrics = strict_json(report.read_text())["metrics"]
+            summary = strict_json(captured.out.splitlines()[-1])
+            assert metrics.items() <= summary.items()
 
 
 class TestMaskGen:

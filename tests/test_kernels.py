@@ -3,11 +3,12 @@ import pytest
 
 from lrsetd.kernels import (
     soft_shrink,
-    spd_factorize,
     spd_solve,
     svd_reduced,
     svd_shrink,
     toeplitz_diff,
+    tridiag_ldl,
+    tridiag_solve,
 )
 
 
@@ -142,12 +143,11 @@ class TestSpdSolve:
         with pytest.raises(np.linalg.LinAlgError):
             spd_solve(np.diag([1.0, -1.0]), np.ones((2, 1)))
 
-    def test_factorize_reuse(self, rng):
+    def test_repeated_solves(self, rng):
         a = np.diag([2.0, 3.0])
-        solve = spd_factorize(a)
         for _ in range(3):
             b = rng.standard_normal((2, 4))
-            np.testing.assert_allclose(a @ solve(b), b, atol=1e-12)
+            np.testing.assert_allclose(a @ spd_solve(a, b), b, atol=1e-12)
 
 
 class TestToeplitzDiff:
@@ -185,3 +185,51 @@ class TestToeplitzDiff:
             a = toeplitz_diff(7)
             m = beta * np.eye(7) + 2 * omega * a.T @ a
             assert np.linalg.eigvalsh(m).min() > 0
+
+
+class TestTridiagSolve:
+    @pytest.mark.parametrize("toeplitz", [True, False], ids=["toeplitz", "eye"])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_matches_dense_solve(self, n, axis, toeplitz):
+        # the W subproblem matrix beta*I + 2*omega*A^T A, solved along one
+        # axis of a 3-way array, against np.linalg.solve on the unfolding
+        rng = np.random.default_rng([n, axis, toeplitz])
+        beta, omega = rng.uniform(0.1, 2.0), rng.uniform(0.0, 2.0)
+        a = toeplitz_diff(n) if toeplitz else np.eye(n)
+        t = beta * np.eye(n) + 2.0 * omega * a.T @ a
+        shape = [3, 2]
+        shape.insert(axis, n)
+        b = rng.standard_normal(shape)
+        lines = np.moveaxis(b, axis, 0).reshape(n, -1)
+        expected = np.moveaxis(
+            np.linalg.solve(t, lines).reshape(np.moveaxis(b, axis, 0).shape),
+            0,
+            axis,
+        )
+        got = tridiag_solve(tridiag_ldl(np.diag(t), np.diag(t, 1)), b, axis)
+        assert got is b
+        err = np.linalg.norm(got - expected)
+        assert err <= 1e-12 * np.linalg.norm(expected)
+
+    def test_vector_right_hand_side(self):
+        t = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        b = np.array([1.0, 0.0, 1.0])
+        x = tridiag_solve(tridiag_ldl(np.diag(t), np.diag(t, 1)), b.copy(), 0)
+        np.testing.assert_allclose(t @ x, b, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "diag, off",
+        [([1.0, -1.0], [0.0]), ([1.0, 1.0], [2.0]), ([0.0], [])],
+        ids=["negative-pivot", "indefinite", "zero"],
+    )
+    def test_non_spd_raises(self, diag, off):
+        with pytest.raises(np.linalg.LinAlgError):
+            tridiag_ldl(diag, off)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            tridiag_ldl([1.0, 1.0], [0.0, 0.0])
+        ldl = tridiag_ldl([2.0, 2.0], [1.0])
+        with pytest.raises(ValueError, match="axis 1"):
+            tridiag_solve(ldl, np.zeros((2, 3)), 1)

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lrsetd.kernels import toeplitz_diff
 from lrsetd.solver import (
     PRESETS,
     SolverConfig,
@@ -27,7 +26,12 @@ from lrsetd.tensor import (
     unfold,
 )
 
-from conftest import kron_others, reference_admm, synthetic_tucker
+from conftest import (
+    kron_others,
+    reference_admm,
+    smoothing_matrix,
+    synthetic_tucker,
+)
 
 
 def small_problem(seed=0, dims=(4, 3, 2), ranks=(2, 2, 2), obs=0.7):
@@ -56,6 +60,74 @@ def randomized_state(seed, dims, ranks, cfg, m, mask):
 
 def unsmoothed_modes(cfg):
     return [i for i in range(3) if i not in cfg.smoothed_modes()]
+
+
+def check_factor_update(state, cfg):
+    """Run update_factors; each X_i must solve
+
+        X [beta*I + lam*S_(i)B_i^T B_i S_(i)^T]
+            = lam*Z_(i)B_i S_(i)^T + beta*Y_i - T_i
+
+    with B_i materialized explicitly from the other (updated) factors."""
+    ranks = state.ranks
+    x_old = [f.copy() for f in state.x]
+    update_factors(state, cfg)
+    for i in range(3):
+        # Gauss-Seidel: mode i saw the updated factors below it and the
+        # pre-sweep factors above it
+        mix = [state.x[j] if j < i else x_old[j] for j in range(3)]
+        mix[i] = state.x[i]
+        b = kron_others(mix, i)
+        s_i = unfold(state.s, i)
+        lhs = cfg.beta * np.eye(ranks[i]) + cfg.lam * s_i @ b.T @ b @ s_i.T
+        rhs = (
+            cfg.lam * unfold(state.z, i) @ b @ s_i.T
+            + cfg.beta * state.y[i]
+            - state.t[i]
+        )
+        res = np.linalg.norm(state.x[i] @ lhs - rhs)
+        assert res <= 1e-10 * max(1.0, np.linalg.norm(rhs))
+
+
+def check_core_update(state, cfg):
+    """Run update_core; S must be the soft-thresholded gradient step of the
+    explicit-Kronecker mode-0 unfolding."""
+    x0 = state.x[0]
+    b = kron_others(state.x, 0)
+    s_mat = unfold(state.s, 0)
+    grad = x0.T @ (x0 @ s_mat @ b.T - unfold(state.z, 0)) @ b
+    zeta = 1.0
+    for f in state.x:
+        zeta *= np.linalg.svd(f.T @ f, compute_uv=False)[0]
+    step = s_mat - grad / zeta
+    tau = cfg.sigma / (cfg.lam * zeta)
+    expected = np.sign(step) * np.maximum(np.abs(step) - tau, 0.0)
+    update_core(state, cfg)
+    np.testing.assert_allclose(unfold(state.s, 0), expected, atol=1e-10)
+
+
+def check_w_update(state, cfg):
+    """Run update_w; each smoothed W_i must be C-contiguous and solve
+    [beta*I + 2*omega_i*A_i^T A_i] W_(i) = beta*Z_(i) + U_(i) with the dense
+    A_i; unsmoothed modes keep no W_i."""
+    dims = state.dims
+    update_w(state, cfg)
+    for i in unsmoothed_modes(cfg):
+        assert state.w[i] is None
+    for i in cfg.smoothed_modes():
+        assert state.w[i].flags.c_contiguous
+        a = smoothing_matrix(cfg, dims, i)
+        lhs = cfg.beta * np.eye(dims[i]) + 2.0 * cfg.omega[i] * a.T @ a
+        rhs = cfg.beta * unfold(state.z, i) + unfold(state.u[i], i)
+        res = np.linalg.norm(lhs @ unfold(state.w[i], i) - rhs)
+        assert res <= 1e-10 * max(1.0, np.linalg.norm(rhs))
+
+
+def ldl_matrix(ldl):
+    """Dense L D L^T from the coefficients kept in SolverState.w_ldl."""
+    lower, inv_d = ldl
+    unit = np.eye(inv_d.size) + np.diag(lower, -1)
+    return unit @ np.diag(1.0 / inv_d) @ unit.T
 
 
 # (dims, ranks) for the explicit-Kronecker block oracles: equal ranks,
@@ -190,21 +262,28 @@ class TestInitState:
             np.testing.assert_array_equal(a.x[i], b.x[i])
 
     def test_toeplitz_attachment(self):
-        m, mask, cfg = small_problem()
-        state = init_state(m, mask, cfg)
-        # omega = (0, 1, 0.2): mode 0 is unsmoothed and gets no A_0 or solver
-        assert state.a_mats[0] is None and state.w_solvers[0] is None
-        np.testing.assert_array_equal(state.a_mats[1], toeplitz_diff(m.shape[1]))
-        np.testing.assert_array_equal(state.a_mats[2], toeplitz_diff(m.shape[2]))
-        # toeplitz_modes still picks A_i = I or the difference matrix on the
-        # smoothed modes
-        cfg = SolverConfig(
-            ranks=(2, 2, 2), omega=cfg.omega, toeplitz_modes=(1, 0, 1)
-        )
-        state = init_state(m, mask, cfg)
-        assert state.a_mats[0] is None
-        np.testing.assert_array_equal(state.a_mats[1], np.eye(m.shape[1]))
-        np.testing.assert_array_equal(state.a_mats[2], toeplitz_diff(m.shape[2]))
+        # the kept LDL^T coefficients rebuild [beta*I + 2*omega_i*A_i^T A_i]
+        # with A_i the difference matrix or I as toeplitz_modes resolves
+        m, mask, _ = small_problem()
+        for toeplitz_modes in (None, (1, 0, 1)):
+            cfg = SolverConfig(
+                ranks=(2, 2, 2),
+                omega=(0.0, 1.0, 0.2),
+                toeplitz_modes=toeplitz_modes,
+            )
+            state = init_state(m, mask, cfg)
+            # omega = (0, 1, 0.2): mode 0 is unsmoothed and gets no W solve
+            assert state.w_ldl[0] is None
+            for i in cfg.smoothed_modes():
+                n = m.shape[i]
+                assert [c.shape for c in state.w_ldl[i]] == [(n - 1,), (n,)]
+                a = smoothing_matrix(cfg, m.shape, i)
+                np.testing.assert_allclose(
+                    ldl_matrix(state.w_ldl[i]),
+                    cfg.beta * np.eye(n) + 2.0 * cfg.omega[i] * a.T @ a,
+                    rtol=1e-14,
+                    atol=1e-14,
+                )
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError, match="third-order"):
@@ -244,28 +323,9 @@ class TestInitState:
 class TestUpdateFactors:
     @ORACLE_SHAPES
     def test_normal_equation_oracle(self, dims, ranks):
-        # X_i must solve X [beta*I + lam*S_(i)B_i^T B_i S_(i)^T]
-        #              = lam*Z_(i)B_i S_(i)^T + beta*Y_i - T_i
-        # with B_i materialized explicitly from the other (updated) factors.
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
         state = randomized_state(3, dims, ranks, cfg, m, mask)
-        x_old = [f.copy() for f in state.x]
-        update_factors(state, cfg)
-        for i in range(3):
-            # Gauss-Seidel: mode i saw the updated factors below it and the
-            # pre-sweep factors above it
-            mix = [state.x[j] if j < i else x_old[j] for j in range(3)]
-            mix[i] = state.x[i]
-            b = kron_others(mix, i)
-            s_i = unfold(state.s, i)
-            lhs = cfg.beta * np.eye(ranks[i]) + cfg.lam * s_i @ b.T @ b @ s_i.T
-            rhs = (
-                cfg.lam * unfold(state.z, i) @ b @ s_i.T
-                + cfg.beta * state.y[i]
-                - state.t[i]
-            )
-            res = np.linalg.norm(state.x[i] @ lhs - rhs)
-            assert res <= 1e-10 * max(1.0, np.linalg.norm(rhs))
+        check_factor_update(state, cfg)
 
     def test_tiny_lam_limit(self):
         # as lam -> 0 the update degenerates to X_i = Y_i - T_i/beta
@@ -298,6 +358,50 @@ class TestBlockMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+    def test_w_block_builds_no_dense_smoothing_matrix(self):
+        # a dense A_i or [beta*I + 2*omega*A^T A] of a mode of length 2000
+        # is a 32 MB float64 matrix; the full-size tensors here are 96 kB
+        dims = (2000, 3, 2)
+        rng = np.random.default_rng(0)
+        m = rng.standard_normal(dims)
+        mask = ObservationMask.from_boolean(rng.random(dims) < 0.5)
+        # the random start skips the HOSVD, whose mode-0 Gram is 2000 x 2000
+        cfg = SolverConfig(ranks=(2, 2, 2), omega=(1.0, 0.0, 0.0), init="random")
+        tracemalloc.start()
+        try:
+            state = init_state(m, mask, cfg)
+            update_w(state, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
+class TestRandomShapeSweep:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_block_oracles(self, seed):
+        # seeded random dims (1..6), ranks, scalars, smoothed modes and
+        # Toeplitz flags through the explicit-Kronecker and dense-A_i oracles
+        rng = np.random.default_rng(1000 + seed)
+        dims = tuple(int(d) for d in rng.integers(1, 7, size=3))
+        ranks = tuple(int(rng.integers(1, d + 1)) for d in dims)
+        cfg = SolverConfig(
+            ranks=ranks,
+            beta=float(rng.uniform(0.1, 2.0)),
+            lam=float(rng.uniform(0.01, 1.0)),
+            sigma=float(rng.uniform(0.0, 1.0)),
+            omega=tuple(
+                float(w) * (rng.random() < 0.7) for w in rng.uniform(0, 2, 3)
+            ),
+            toeplitz_modes=tuple(int(t) for t in rng.integers(0, 2, size=3)),
+        )
+        m = rng.standard_normal(dims)
+        mask = ObservationMask.from_boolean(rng.random(dims) < 0.7)
+        state = randomized_state(seed, dims, ranks, cfg, m, mask)
+        check_factor_update(state, cfg)
+        check_core_update(state, cfg)
+        check_w_update(state, cfg)
 
 
 class TestUpdateY:
@@ -347,16 +451,7 @@ class TestUpdateCore:
         m, mask, _ = small_problem(dims=dims, ranks=ranks)
         cfg = SolverConfig(ranks=ranks, sigma=0.0)
         state = randomized_state(13, dims, ranks, cfg, m, mask)
-        x0 = state.x[0]
-        b = kron_others(state.x, 0)
-        s_mat = unfold(state.s, 0)
-        grad = x0.T @ (x0 @ s_mat @ b.T - unfold(state.z, 0)) @ b
-        zeta = 1.0
-        for f in (x0, state.x[1], state.x[2]):
-            zeta *= np.linalg.svd(f.T @ f, compute_uv=False)[0]
-        expected = s_mat - grad / zeta
-        update_core(state, cfg)
-        np.testing.assert_allclose(unfold(state.s, 0), expected, atol=1e-10)
+        check_core_update(state, cfg)
 
     def test_zero_factors_skip(self):
         dims, ranks = (3, 3, 3), (2, 2, 2)
@@ -422,15 +517,25 @@ class TestUpdateW:
         dims, ranks = (4, 3, 2), (2, 2, 2)
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
         state = randomized_state(37, dims, ranks, cfg, m, mask)
-        update_w(state, cfg)
-        for i in unsmoothed_modes(cfg):
-            assert state.w[i] is None
+        check_w_update(state, cfg)
+
+    def test_iterates_stay_c_contiguous(self):
+        # the Tucker reconstruction comes out of its last mode product in a
+        # permuted layout; Z, and W_i and U_i built from it, must not
+        dims, ranks = (6, 5, 4), (2, 2, 2)
+        m, mask, _ = small_problem(dims=dims, ranks=ranks)
+        cfg = preset_config("traffic-wholeday", ranks=ranks)
+        state = init_state(m, mask, cfg)
+        for _ in range(2):
+            for step in (update_factors, update_y, update_core):
+                step(state, cfg)
+            update_z(state, cfg, m, mask)
+            update_w(state, cfg)
+            update_duals(state, cfg)
+        assert state.z.flags.c_contiguous
         for i in cfg.smoothed_modes():
-            a = state.a_mats[i]
-            lhs = cfg.beta * np.eye(dims[i]) + 2.0 * cfg.omega[i] * a.T @ a
-            rhs = cfg.beta * unfold(state.z, i) + unfold(state.u[i], i)
-            res = np.linalg.norm(lhs @ unfold(state.w[i], i) - rhs)
-            assert res <= 1e-10 * max(1.0, np.linalg.norm(rhs))
+            assert state.w[i].flags.c_contiguous
+            assert state.u[i].flags.c_contiguous
 
     def test_omega_zero_closed_form(self):
         # with omega = 0 everywhere there is nothing to split off: no W_i, no
@@ -440,7 +545,7 @@ class TestUpdateW:
         cfg = SolverConfig(ranks=ranks, beta=0.4, omega=(0.0, 0.0, 0.0))
         state = randomized_state(41, dims, ranks, cfg, m, mask)
         assert state.w == [None] * 3 and state.u == [None] * 3
-        assert state.a_mats == [None] * 3 and state.w_solvers == [None] * 3
+        assert state.w_ldl == [None] * 3
         expected = (
             cfg.lam * multilinear(state.s, state.x) + 3.0 * cfg.beta * state.z
         ) / (cfg.lam + 3.0 * cfg.beta)
@@ -459,7 +564,7 @@ class TestUpdateW:
         update_w(state, cfg)
         rng = np.random.default_rng(1)
         for i in cfg.smoothed_modes():
-            a = state.a_mats[i]
+            a = smoothing_matrix(cfg, dims, i)
 
             def obj(w):
                 return (
@@ -529,9 +634,8 @@ class TestLagrangianAndObjective:
             multilinear(state.s, state.x) - state.z
         ) ** 2
         for i in cfg.smoothed_modes():
-            expected += cfg.omega[i] * np.sum(
-                (state.a_mats[i] @ unfold(state.w[i], i)) ** 2
-            )
+            a = smoothing_matrix(cfg, dims, i)
+            expected += cfg.omega[i] * np.sum((a @ unfold(state.w[i], i)) ** 2)
         for i in range(3):
             expected += cfg.alpha[i] * np.linalg.svd(
                 state.y[i], compute_uv=False
@@ -568,9 +672,9 @@ class TestLagrangianAndObjective:
                 state.x[i], compute_uv=False
             ).sum()
             if cfg.omega[i] > 0:
+                a = smoothing_matrix(cfg, dims, i)
                 expected += cfg.omega[i] * np.sum(
-                    (state.a_mats[i] @ unfold(multilinear(state.s, state.x), i))
-                    ** 2
+                    (a @ unfold(multilinear(state.s, state.x), i)) ** 2
                 )
         assert val == pytest.approx(expected, rel=1e-10)
 
@@ -633,6 +737,13 @@ class TestSolve:
         cfg = SolverConfig(ranks=(2, 2, 2), stop_denominator="oracle")
         with pytest.raises(ValueError, match="z_true"):
             solve(m, mask, cfg)
+
+    def test_oracle_stop_requires_finite_truth(self):
+        m, mask, _ = small_problem()
+        cfg = SolverConfig(ranks=(2, 2, 2), stop_denominator="oracle")
+        truth = np.where(mask.boolean(), m, np.nan)
+        with pytest.raises(ValueError, match="finite z_true"):
+            solve(m, mask, cfg, z_true=truth)
 
     def test_oracle_denominator_used(self):
         truth, _, _ = synthetic_tucker(seed=3, dims=(6, 6, 6))
