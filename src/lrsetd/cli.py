@@ -1,21 +1,9 @@
 """Command-line runner: complete / hosvd-demo / mask-gen / metrics.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-failure. Setting LRSETD_THREADS caps the BLAS thread pools.
+failure. Setting LRSETD_THREADS caps the BLAS thread pools (see the
+package docstring).
 """
-
-import os
-
-# must happen before numpy is imported anywhere in the process
-if "LRSETD_THREADS" in os.environ:
-    _n = os.environ["LRSETD_THREADS"]
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(_var, _n)
 
 import argparse
 import json
@@ -235,11 +223,11 @@ def cmd_complete(args):
     return EXIT_OK
 
 
-def _metric(fn, *args):
-    """`fn(*args)`, or None when the metric is undefined for the input or
-    not finite (for example, a truth that holds NaN off the mask)."""
+def _metric(fn, *args, **kwargs):
+    """`fn(*args, **kwargs)`, or None when the metric is undefined for the
+    input or not finite (for example, a truth that holds NaN off the mask)."""
     try:
-        value = fn(*args)
+        value = fn(*args, **kwargs)
     except ValueError:
         return None
     return value if math.isfinite(value) else None
@@ -299,10 +287,16 @@ def cmd_metrics(args):
     truth = _load_input(args.truth, args.format, None)
     recovered = _load_input(args.recovered, args.format, None)
     mask = tio.read_mask(args.mask)
+    if recovered.shape != truth.shape or mask.dims != truth.shape:
+        raise ValueError(
+            f"truth {truth.shape}, recovered {recovered.shape} and mask "
+            f"{mask.dims} must have the same shape"
+        )
     doc = {
-        "rse": rse(truth, recovered),
-        "nmae": nmae(truth, recovered, mask),
-        "psnr": psnr(
+        "rse": _metric(rse, truth, recovered),
+        "nmae": _metric(nmae, truth, recovered, mask),
+        "psnr": _metric(
+            psnr,
             truth,
             recovered,
             mask,
@@ -310,7 +304,7 @@ def cmd_metrics(args):
             full_tensor=args.psnr_full,
         ),
     }
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:

@@ -45,8 +45,12 @@ def hosvd(t, ranks):
 
     factors[n] holds the leading ranks[n] left singular vectors of the
     mode-n unfolding; the core is the multilinear compression of `t`.
+    Raises ValueError when `t` holds NaN or inf.
     """
     t = np.asarray(t, dtype=np.float64)
+    # min and max carry any NaN or inf, without a full-size boolean mask
+    if t.size and not (np.isfinite(t.min()) and np.isfinite(t.max())):
+        raise ValueError("hosvd input must be finite, found NaN or inf")
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != t.ndim:
         raise ValueError(f"need {t.ndim} ranks, got {len(ranks)}")

@@ -45,14 +45,20 @@ def svd_shrink(m, tau):
 
     Unique minimizer of ``tau*||Y||_* + 0.5*||Y - m||_F^2``.
     """
+    return _svd_shrink(m, tau)[0]
+
+
+def _svd_shrink(m, tau):
+    """:func:`svd_shrink` of `m` and the nuclear norm of the result, which
+    is the sum of the shrunk singular values, so it needs no second SVD."""
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     f = svd_reduced(m)
     s = np.maximum(f.singular_values - tau, 0.0)
     keep = s > 0
     if not keep.any():
-        return np.zeros_like(np.asarray(m, dtype=np.float64))
-    return (f.u[:, keep] * s[keep]) @ f.v[:, keep].T
+        return np.zeros_like(np.asarray(m, dtype=np.float64)), 0.0
+    return (f.u[:, keep] * s[keep]) @ f.v[:, keep].T, float(s.sum())
 
 
 def soft_shrink(m, tau):

@@ -22,6 +22,13 @@ flag is off) and is never stored: the penalty applies it as differences
 along axis i, and the W subproblem matrix [beta*I + 2*omega_i*A_i^T A_i] is
 tridiagonal, so W_i comes from an O(n) sweep along that axis.
 
+Within one iteration of :func:`solve` each full-size product is built once
+and reduced to a scalar in the block that builds it: the factor sweep and
+the core step share the partial contractions of Z, the Z step builds the
+only reconstruction [[S; X]] and returns the fit term, and the Y and dual
+steps return their Lagrangian terms. :func:`augmented_lagrangian` computes
+the same value from scratch through the same term functions.
+
 Only third-order tensors are supported.
 """
 
@@ -34,9 +41,9 @@ import numpy as np
 
 from .hosvd import hosvd
 from .kernels import (
+    _svd_shrink,
     soft_shrink,
     spd_solve,
-    svd_shrink,
     tridiag_ldl,
     tridiag_solve,
 )
@@ -272,14 +279,41 @@ def init_state(m, mask, cfg):
 def _contract_others(t, mats, i):
     """unfold(t x_j mats[j]^T for every j != i, mode i).
 
-    With the factors X_j this is T_(i) @ kron(X_hi, X_lo); with the
-    symmetric Grams X_j^T X_j it is T_(i) @ kron(G_hi, G_lo). Either way the
-    Kronecker matrix is never materialized.
+    With the symmetric Grams X_j^T X_j this is T_(i) @ kron(G_hi, G_lo),
+    and the Kronecker matrix is never materialized.
     """
     for j in range(3):
         if j != i:
             t = mode_product(t, mats[j].T, j)
     return unfold(t, i)
+
+
+def _factor_step(state, cfg, i, z_others):
+    """X_i of the Gauss-Seidel sweep, from z_others = Z x_j X_j^T for j != i."""
+    grams = [f.T @ f for f in state.x]
+    s_i = unfold(state.s, i)
+    rhs = cfg.lam * unfold(z_others, i) @ s_i.T
+    rhs += cfg.beta * state.y[i] - state.t[i]
+    lhs = cfg.beta * np.eye(s_i.shape[0]) + cfg.lam * _contract_others(
+        state.s, grams, i
+    ) @ s_i.T
+    lhs = 0.5 * (lhs + lhs.T)
+    # X @ lhs = rhs with lhs SPD
+    state.x[i] = spd_solve(lhs, rhs.T).T
+
+
+def _factor_sweep(state, cfg):
+    """Gauss-Seidel X0 -> X1 -> X2 that reads the full-size Z twice;
+    returns the last step's Z x_0 X0^T x_1 X1^T for the core step."""
+    x, z = state.x, state.z
+    # X2 moves only at the last step, so steps 0 and 1 share Z x_2 X2^T
+    z2 = mode_product(z, x[2].T, 2)
+    _factor_step(state, cfg, 0, mode_product(z2, x[1].T, 1))
+    _factor_step(state, cfg, 1, mode_product(z2, x[0].T, 0))
+    del z2
+    z01 = mode_product(mode_product(z, x[0].T, 0), x[1].T, 1)
+    _factor_step(state, cfg, 2, z01)
+    return z01
 
 
 def update_factors(state, cfg):
@@ -294,29 +328,38 @@ def update_factors(state, cfg):
     with C_i(T, M) = unfold(T x_j M_j^T for j != i, i) and G_j = X_j^T X_j
     taken from the factors as they stand at step i.
     """
-    beta, lam = cfg.beta, cfg.lam
-    for i in range(3):
-        grams = [f.T @ f for f in state.x]
-        s_i = unfold(state.s, i)
-        rhs = lam * _contract_others(state.z, state.x, i) @ s_i.T
-        rhs += beta * state.y[i] - state.t[i]
-        lhs = beta * np.eye(s_i.shape[0]) + lam * _contract_others(
-            state.s, grams, i
-        ) @ s_i.T
-        lhs = 0.5 * (lhs + lhs.T)
-        # X @ lhs = rhs with lhs SPD
-        state.x[i] = spd_solve(lhs, rhs.T).T
+    _factor_sweep(state, cfg)
     return state
+
+
+def _y_step(state, cfg):
+    """Y update; returns sum_i alpha_i*||Y_i||_* of the new Y."""
+    val = 0.0
+    for i in range(3):
+        state.y[i], nuclear = _svd_shrink(
+            state.x[i] + state.t[i] / cfg.beta, cfg.alpha[i] / cfg.beta
+        )
+        val += cfg.alpha[i] * nuclear
+    return val
 
 
 def update_y(state, cfg):
     """Nuclear-norm prox on each auxiliary factor (in place):
     Y_i = svd_shrink(X_i + T_i/beta, alpha_i/beta)."""
-    for i in range(3):
-        state.y[i] = svd_shrink(
-            state.x[i] + state.t[i] / cfg.beta, cfg.alpha[i] / cfg.beta
-        )
+    _y_step(state, cfg)
     return state
+
+
+def _core_step(state, cfg, z01):
+    """Core update from z01 = Z x_0 X0^T x_1 X1^T, to which it applies the
+    last mode product of Z x_j X_j^T."""
+    grams = [f.T @ f for f in state.x]
+    # the spectral norm of a Gram is its largest eigenvalue
+    zeta = math.prod(np.linalg.eigvalsh(g)[-1] for g in grams)
+    if zeta == 0.0:
+        return
+    grad = multilinear(state.s, grams) - mode_product(z01, state.x[2].T, 2)
+    state.s = soft_shrink(state.s - grad / zeta, cfg.sigma / (cfg.lam * zeta))
 
 
 def update_core(state, cfg):
@@ -327,16 +370,38 @@ def update_core(state, cfg):
     Lipschitz constant the product of the Grams' spectral norms. A zero
     Lipschitz constant (all-zero factors) skips the step.
     """
-    grams = [f.T @ f for f in state.x]
-    # the spectral norm of a Gram is its largest eigenvalue
-    zeta = math.prod(np.linalg.eigvalsh(g)[-1] for g in grams)
-    if zeta == 0.0:
-        return state
-    grad = multilinear(state.s, grams) - multilinear(
-        state.z, [f.T for f in state.x]
+    x = state.x
+    _core_step(
+        state, cfg, mode_product(mode_product(state.z, x[0].T, 0), x[1].T, 1)
     )
-    state.s = soft_shrink(state.s - grad / zeta, cfg.sigma / (cfg.lam * zeta))
     return state
+
+
+def _fit_term(recon, z, cfg):
+    """lam/2 * ||recon - Z||_F^2 for the reconstruction [[S; X]], which is
+    overwritten by the difference."""
+    gap = np.subtract(recon, z, out=recon).ravel(order="K")  # no copy
+    return (cfg.lam / 2.0) * float(gap @ gap)
+
+
+def _z_step(state, cfg, m, index):
+    """Z update with the entries of `m` at the C-order flat positions
+    `index` written exactly; returns the fit term of the new Z, so the
+    reconstruction is built once per iteration."""
+    smoothed = cfg.smoothed_modes()
+    recon = multilinear(state.s, state.x)
+    # C order keeps Z, and the W_i and U_i built from it, in one layout
+    acc = np.multiply(cfg.lam, recon, order="C")
+    for i in smoothed:
+        term = cfg.beta * state.w[i]
+        term -= state.u[i]
+        acc += term
+        del term
+    acc += (3 - len(smoothed)) * cfg.beta * state.z
+    acc /= cfg.lam + 3.0 * cfg.beta
+    acc.reshape(-1)[index] = np.take(m, index)  # a view: acc is C-contiguous
+    state.z = acc
+    return _fit_term(recon, acc, cfg)
 
 
 def update_z(state, cfg, m, mask):
@@ -347,15 +412,10 @@ def update_z(state, cfg, m, mask):
     unsmoothed mode enters with W_i = Z_prev (the Z before this update) and
     U_i = 0, the values its W and dual steps would have left.
     """
-    smoothed = cfg.smoothed_modes()
-    # C order keeps Z, and the W_i and U_i built from it, in one layout
-    acc = np.multiply(cfg.lam, multilinear(state.s, state.x), order="C")
-    for i in smoothed:
-        acc += cfg.beta * state.w[i] - state.u[i]
-    acc += (3 - len(smoothed)) * cfg.beta * state.z
-    z = acc / (cfg.lam + 3.0 * cfg.beta)
-    np.copyto(z, np.asarray(m, dtype=np.float64), where=mask.boolean())
-    state.z = z
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape != mask.dims:
+        raise ValueError(f"tensor {m.shape} vs mask {mask.dims}")
+    _z_step(state, cfg, m, mask.c_flat_index())
     return state
 
 
@@ -371,13 +431,33 @@ def update_w(state, cfg):
     return state
 
 
+def _penalty(dual, gap, beta):
+    """<dual, gap> + beta/2*||gap||^2, one constraint's augmented term."""
+    return inner(dual, gap) + (beta / 2.0) * inner(gap, gap)
+
+
+def _dual_step(state, cfg):
+    """Dual ascent; returns the penalty terms of both constraint families
+    at the new duals, from the gaps the step forms anyway."""
+    val = 0.0
+    for i in cfg.smoothed_modes():
+        gap = state.z - state.w[i]
+        u = cfg.beta * gap
+        u += state.u[i]
+        state.u[i] = u
+        val += _penalty(u, gap, cfg.beta)
+        del gap, u  # before the next mode's full-size temporaries
+    for i in range(3):
+        gap = state.x[i] - state.y[i]
+        state.t[i] = state.t[i] + cfg.beta * gap
+        val += _penalty(state.t[i], gap, cfg.beta)
+    return val
+
+
 def update_duals(state, cfg):
     """Dual ascent (in place): U_i += beta*(Z - W_i) on the smoothed modes,
     T_i += beta*(X_i - Y_i) on all."""
-    for i in cfg.smoothed_modes():
-        state.u[i] = state.u[i] + cfg.beta * (state.z - state.w[i])
-    for i in range(3):
-        state.t[i] = state.t[i] + cfg.beta * (state.x[i] - state.y[i])
+    _dual_step(state, cfg)
     return state
 
 
@@ -391,26 +471,34 @@ def _smoothing_parts(t, axis, toeplitz):
     return np.diff(t, axis=axis), np.take(t, [-1], axis=axis)
 
 
-def augmented_lagrangian(state, cfg):
-    """Value of the augmented Lagrangian at the current state."""
-    val = 0.0
+def _lagrangian(state, cfg, nuclear, penalties, fit):
+    """The augmented Lagrangian from the Y, dual and Z blocks' terms plus
+    the smoothness and sparsity terms read off W and S."""
+    val = nuclear + penalties + fit + cfg.sigma * np.abs(state.s).sum()
     toep = cfg.resolved_toeplitz()
     for i in cfg.smoothed_modes():
         val += cfg.omega[i] * sum(
             inner(p, p) for p in _smoothing_parts(state.w[i], i, toep[i])
         )
-        gap = state.z - state.w[i]
-        val += inner(state.u[i], gap)
-        val += (cfg.beta / 2.0) * inner(gap, gap)
-    for i in range(3):
-        val += cfg.alpha[i] * np.linalg.svd(state.y[i], compute_uv=False).sum()
-        val += inner(state.t[i], state.x[i] - state.y[i])
-        val += (cfg.beta / 2.0) * frobenius(state.x[i] - state.y[i]) ** 2
-    val += cfg.sigma * np.abs(state.s).sum()
-    val += (cfg.lam / 2.0) * frobenius(
-        multilinear(state.s, state.x) - state.z
-    ) ** 2
     return float(val)
+
+
+def augmented_lagrangian(state, cfg):
+    """Value of the augmented Lagrangian at the current state, computed
+    from scratch. :func:`solve` sums the same terms from its blocks."""
+    nuclear = sum(
+        cfg.alpha[i] * np.linalg.svd(state.y[i], compute_uv=False).sum()
+        for i in range(3)
+    )
+    penalties = sum(
+        _penalty(state.u[i], state.z - state.w[i], cfg.beta)
+        for i in cfg.smoothed_modes()
+    ) + sum(
+        _penalty(state.t[i], state.x[i] - state.y[i], cfg.beta)
+        for i in range(3)
+    )
+    fit = _fit_term(multilinear(state.s, state.x), state.z, cfg)
+    return _lagrangian(state, cfg, nuclear, penalties, fit)
 
 
 def objective_value(state, cfg):
@@ -495,17 +583,20 @@ def solve(m, mask, cfg, z_true=None, callback=None):
 
     start = time.perf_counter()
     state = init_state(m, mask, cfg)
+    index = mask.c_flat_index()
     trace = []
     termination = "max_iter"
     for k in range(1, cfg.max_iter + 1):
         it_start = time.perf_counter()
         z_prev = state.z
-        update_factors(state, cfg)
-        update_y(state, cfg)
-        update_core(state, cfg)
-        update_z(state, cfg, m, mask)
+        # each full-size product is built once and reduced to a scalar
+        # inside the block that built it; the Lagrangian sums those scalars
+        z01 = _factor_sweep(state, cfg)
+        nuclear = _y_step(state, cfg)
+        _core_step(state, cfg, z01)
+        fit = _z_step(state, cfg, m, index)
         update_w(state, cfg)
-        update_duals(state, cfg)
+        penalties = _dual_step(state, cfg)
         state.iteration = k
         _check_finite(state, cfg)
 
@@ -516,7 +607,7 @@ def solve(m, mask, cfg, z_true=None, callback=None):
             IterationRecord(
                 iteration=k,
                 rel_change=rel_change,
-                lagrangian=augmented_lagrangian(state, cfg),
+                lagrangian=_lagrangian(state, cfg, nuclear, penalties, fit),
                 objective=objective_value(state, cfg),
                 seconds=time.perf_counter() - it_start,
             )

@@ -118,7 +118,8 @@ class ObservationMask:
     """Set of observed multi-indices over a fixed dimension vector.
 
     Stores explicit index tuples (a ``(k, N)`` int array) and caches a dense
-    boolean view for inner-loop use. Immutable after construction.
+    boolean view and a flat C-order index for inner-loop use. Immutable
+    after construction.
     """
 
     def __init__(self, dims, indices):
@@ -143,6 +144,7 @@ class ObservationMask:
             np.unravel_index(flat, self.dims, order="F")
         ).astype(np.int64)
         self._boolean = None
+        self._c_flat = None
 
     @classmethod
     def from_boolean(cls, observed):
@@ -176,6 +178,16 @@ class ObservationMask:
                 b[tuple(self.indices.T)] = True
             self._boolean = b
         return self._boolean
+
+    def c_flat_index(self):
+        """Ascending C-order flat positions of the observed entries, so that
+        ``np.take(a, index)`` are the observed values of `a` and, for a
+        C-contiguous `a`, ``a.reshape(-1)[index] = values`` writes them
+        back. Cached; treat as read-only."""
+        if self._c_flat is None:
+            flat = np.ravel_multi_index(self.indices.T, self.dims)
+            self._c_flat = np.sort(flat)
+        return self._c_flat
 
     def contains(self, index):
         return bool(self.boolean()[tuple(index)])

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lrsetd
 from lrsetd.cli import main
 from lrsetd.io import read_mask, read_tensor, write_mask, write_tensor
 from lrsetd.masks import random_mask
@@ -284,16 +290,39 @@ def _first_observed(value):
     return edit
 
 
-# input -> (exit code, stream, expected substring)
+def _nan_off_mask(truth, observed):
+    return np.where(observed, truth, np.nan)
+
+
+def _all_zero(truth, observed):
+    return np.zeros_like(truth)
+
+
+# input -> (command, exit code, stream, expected substring); the input edits
+# the truth tensor (or is CSV text), which `metrics` compares with the
+# unedited truth
 BAD_INPUTS = {
-    "nan-observed": (_first_observed(np.nan), 2, "err", "must be finite"),
-    "inf-observed": (_first_observed(np.inf), 2, "err", "must be finite"),
-    "scaled-1e200": (lambda t, o: t * 1e200, 2, "err", "overflows float64"),
-    "csv-nan": ("1,2,3,4,5,6\n7,8,nan,1,2,3\n", 3, "err", "non-finite"),
-    "all-zero": (lambda t, o: np.zeros_like(t), 0, "out", '"rse": null'),
+    "nan-observed": (
+        _first_observed(np.nan), "complete", 2, "err", "must be finite"
+    ),
+    "inf-observed": (
+        _first_observed(np.inf), "complete", 2, "err", "must be finite"
+    ),
+    "scaled-1e200": (
+        lambda t, o: t * 1e200, "complete", 2, "err", "overflows float64"
+    ),
+    "csv-nan": (
+        "1,2,3,4,5,6\n7,8,nan,1,2,3\n", "complete", 3, "err", "non-finite"
+    ),
+    "all-zero": (_all_zero, "complete", 0, "out", '"rse": null'),
     # the truth is unknown off the mask, so no metric is defined
-    "nan-off-mask": (
-        lambda t, o: np.where(o, t, np.nan), 0, "out", '"rse": null'
+    "nan-off-mask": (_nan_off_mask, "complete", 0, "out", '"rse": null'),
+    "hosvd-demo-nan": (
+        _first_observed(np.nan), "hosvd-demo", 2, "err", "must be finite"
+    ),
+    "metrics-nan-truth": (_nan_off_mask, "metrics", 0, "out", '"psnr": null'),
+    "metrics-all-zero-truth": (
+        _all_zero, "metrics", 0, "out", '"rse": null'
     ),
 }
 
@@ -311,7 +340,7 @@ class TestBadInput:
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_exit_code_and_message(self, case, problem, tmp_path, capsys):
         truth, mask, tensor_path, mask_path = problem
-        make, code, stream, text = BAD_INPUTS[case]
+        make, command, code, stream, text = BAD_INPUTS[case]
         if isinstance(make, str):
             csv = tmp_path / "t.csv"
             csv.write_text(make)
@@ -321,19 +350,75 @@ class TestBadInput:
             write_tensor(tensor_path, make(truth, mask.boolean()))
             source = ["--input", str(tensor_path), "--mask", str(mask_path)]
         report = tmp_path / "report.json"
-        got = main(
-            ["complete", *source, "--ranks", "2,2,2", "--max-iter", "3",
-             "--report", str(report)]
-        )
+        if command == "complete":
+            argv = ["complete", *source, "--ranks", "2,2,2", "--max-iter", "3",
+                    "--report", str(report)]
+        elif command == "hosvd-demo":
+            argv = ["hosvd-demo", "--input", str(tensor_path)]
+        else:
+            recovered = tmp_path / "recovered.lrt"
+            write_tensor(recovered, truth)
+            argv = ["metrics", "--truth", str(tensor_path),
+                    "--recovered", str(recovered), "--mask", str(mask_path)]
+        got = main(argv)
         captured = capsys.readouterr()
         assert got == code
         assert text in (captured.out if stream == "out" else captured.err)
+        if command == "metrics" and code == 0:
+            assert all(v is None for v in strict_json(captured.out).values())
+        if command != "complete":
+            return
         # a run that solves always writes its report, in standard JSON
         assert report.exists() == (code == 0)
         if code == 0:
             metrics = strict_json(report.read_text())["metrics"]
             summary = strict_json(captured.out.splitlines()[-1])
             assert metrics.items() <= summary.items()
+
+
+class TestThreadsVariable:
+    def test_caps_openblas_threads(self):
+        # the console script imports lrsetd.cli, and importing the package
+        # loads numpy, whose OpenBLAS reads its thread count once, at load
+        probe = textwrap.dedent(
+            """
+            import ctypes, glob, json, os
+            import lrsetd.cli
+            import numpy
+            counts = []
+            libdir = os.path.dirname(numpy.__file__) + ".libs"
+            for path in sorted(glob.glob(os.path.join(libdir, "*openblas*.so*"))):
+                lib = ctypes.CDLL(path)
+                for symbol in (
+                    "scipy_openblas_get_num_threads64_",
+                    "openblas_get_num_threads64_",
+                    "openblas_get_num_threads",
+                ):
+                    fn = getattr(lib, symbol, None)
+                    if fn is not None:
+                        fn.argtypes = []
+                        fn.restype = ctypes.c_int
+                        counts.append(fn())
+                        break
+            print(json.dumps(counts))
+            """
+        )
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env["LRSETD_THREADS"] = "1"
+        src = str(Path(lrsetd.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, timeout=60, check=True,
+        )
+        counts = json.loads(done.stdout)
+        if not counts:
+            pytest.skip("numpy ships no OpenBLAS to ask")
+        assert counts == [1] * len(counts)
 
 
 class TestMaskGen:

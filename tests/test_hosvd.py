@@ -64,6 +64,13 @@ class TestHosvd:
         with pytest.raises(ValueError, match="ranks"):
             hosvd(t, (2, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, rng, bad):
+        t = rng.standard_normal((4, 3, 2))
+        t[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            hosvd(t, (2, 2, 2))
+
     def test_matrix_input(self, rng):
         m = rng.standard_normal((6, 4))
         model = hosvd(m, (2, 2))

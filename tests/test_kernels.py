@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lrsetd.kernels import (
+    _svd_shrink,
     soft_shrink,
     spd_solve,
     svd_reduced,
@@ -79,6 +80,15 @@ class TestSvdShrink:
         y = svd_shrink(m, 0.8)
         assert nuclear_norm(y) <= nuclear_norm(m) + 1e-10
         assert np.linalg.matrix_rank(y) <= np.linalg.matrix_rank(m)
+
+
+    @pytest.mark.parametrize("tau", [0.0, 0.8, 1e3])
+    def test_reported_nuclear_norm(self, rng, tau):
+        # the sum of the shrunk singular values, against a fresh SVD
+        m = rng.standard_normal((7, 3))
+        y, norm = _svd_shrink(m, tau)
+        np.testing.assert_array_equal(y, svd_shrink(m, tau))
+        assert norm == pytest.approx(nuclear_norm(y), rel=1e-12, abs=1e-300)
 
 
 class TestSoftShrink:

@@ -144,6 +144,32 @@ ORACLE_SHAPES = pytest.mark.parametrize(
 )
 
 
+# the three W_i/U_i layouts: two smoothed modes of two kinds, and none
+SOLVE_CONFIGS = pytest.mark.parametrize(
+    "cfg",
+    [
+        preset_config("image", ranks=(3, 3, 2), max_iter=30, tol=1e-300),
+        preset_config(
+            "traffic-wholeday", ranks=(3, 3, 2), max_iter=30, tol=1e-300
+        ),
+        SolverConfig(ranks=(3, 3, 2), max_iter=30, tol=1e-300),
+    ],
+    ids=["image", "traffic-wholeday", "omega-zero"],
+)
+
+
+def reference_problem():
+    """Zero-filled observations of a sparse-core Tucker tensor and their
+    mask, for whole-solve comparisons."""
+    truth, _, _ = synthetic_tucker(
+        seed=6, dims=(6, 5, 4), ranks=(2, 2, 2), density=0.5
+    )
+    mask = ObservationMask.from_boolean(
+        np.random.default_rng(7).random(truth.shape) < 0.7
+    )
+    return np.where(mask.boolean(), truth, 0.0), mask
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -378,6 +404,27 @@ class TestBlockMemory:
         assert peak < 4e6
 
 
+    def test_solve_iteration_keeps_no_extra_full_size_tensor(self):
+        # with the Lagrangian recomputed from scratch every iteration the
+        # peak here was 1 132 284 bytes, set by that recomputation; each
+        # full-size product is now reduced to a scalar in the block that
+        # builds it, and less than one more full-size tensor (98 304 bytes)
+        # is allowed
+        dims, ranks = (64, 64, 3), (32, 32, 3)
+        rng = np.random.default_rng(0)
+        m = 255.0 * rng.random(dims)
+        mask = ObservationMask.from_boolean(rng.random(dims) < 0.4)
+        cfg = preset_config("image", ranks=ranks, max_iter=2, tol=1e-300)
+        tracemalloc.start()
+        try:
+            report = solve(m, mask, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.iterations == 2
+        assert peak < 1_132_284 + 98_304
+
+
 class TestRandomShapeSweep:
     @pytest.mark.parametrize("seed", range(16))
     def test_block_oracles(self, seed):
@@ -489,6 +536,31 @@ class TestUpdateZ:
             grad += cfg.beta * (state.z - z_prev)
         off = ~mask.boolean()
         assert np.abs(grad[off]).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["fortran-boolean", "empty", "full"])
+    def test_observed_write_and_closed_form(self, kind):
+        # observed entries are an exact copy of m whatever the memory layout
+        # of the mask and of m; off the mask Z is the closed form term by term
+        dims, ranks = (4, 3, 2), (2, 2, 2)
+        m, mask, cfg = small_problem(dims=dims, ranks=ranks)
+        mask = {
+            "fortran-boolean": lambda: ObservationMask.from_boolean(
+                np.asfortranarray(mask.boolean())
+            ),
+            "empty": lambda: ObservationMask.empty(dims),
+            "full": lambda: ObservationMask.full(dims),
+        }[kind]()
+        m = np.asfortranarray(m)
+        state = randomized_state(41, dims, ranks, cfg, m, mask)
+        acc = cfg.lam * multilinear(state.s, state.x)
+        for i in cfg.smoothed_modes():
+            acc += cfg.beta * state.w[i] - state.u[i]
+        acc += (3 - len(cfg.smoothed_modes())) * cfg.beta * state.z
+        expected = acc / (cfg.lam + 3.0 * cfg.beta)
+        update_z(state, cfg, m, mask)
+        sel = mask.boolean()
+        np.testing.assert_array_equal(state.z[sel], m[sel])
+        np.testing.assert_array_equal(state.z[~sel], expected[~sel])
 
     def test_full_mask_copies_data(self):
         dims, ranks = (3, 3, 3), (2, 2, 2)
@@ -756,30 +828,33 @@ class TestSolve:
         assert report.iterations == 3
         assert all(np.isfinite(r.rel_change) for r in report.trace)
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            preset_config("image", ranks=(3, 3, 2), max_iter=30, tol=1e-300),
-            preset_config(
-                "traffic-wholeday", ranks=(3, 3, 2), max_iter=30, tol=1e-300
-            ),
-            SolverConfig(ranks=(3, 3, 2), max_iter=30, tol=1e-300),
-        ],
-        ids=["image", "traffic-wholeday", "omega-zero"],
-    )
+    @SOLVE_CONFIGS
     def test_matches_reference_admm(self, cfg):
         # the solver drops W_i/U_i on unsmoothed modes; the reference keeps
         # all three pairs, so agreement shows the collapse is exact
-        truth, _, _ = synthetic_tucker(
-            seed=6, dims=(6, 5, 4), ranks=(2, 2, 2), density=0.5
-        )
-        mask = ObservationMask.from_boolean(
-            np.random.default_rng(7).random(truth.shape) < 0.7
-        )
-        observed = np.where(mask.boolean(), truth, 0.0)
+        observed, mask = reference_problem()
         got = solve(observed, mask, cfg).recovered
         expected = reference_admm(observed, mask.boolean(), cfg, 30)
         assert frobenius(got - expected) <= 1e-10 * frobenius(expected)
+
+    @SOLVE_CONFIGS
+    def test_trace_matches_from_scratch_values(self, cfg):
+        # solve sums the Lagrangian from scalars its blocks report; every
+        # record must equal the from-scratch functions on the state it
+        # describes
+        observed, mask = reference_problem()
+        recomputed = []
+
+        def cb(state):
+            recomputed.append(
+                (augmented_lagrangian(state, cfg), objective_value(state, cfg))
+            )
+
+        report = solve(observed, mask, cfg, callback=cb)
+        assert len(recomputed) == report.iterations == 30
+        for rec, (lagrangian, objective) in zip(report.trace, recomputed):
+            assert rec.lagrangian == pytest.approx(lagrangian, rel=1e-12)
+            assert rec.objective == pytest.approx(objective, rel=1e-12)
 
     def test_synthetic_recovery(self):
         from lrsetd.masks import random_mask

@@ -196,3 +196,21 @@ class TestObservationMask:
     def test_full_and_empty(self):
         assert ObservationMask.full((2, 3, 2)).n_missing == 0
         assert ObservationMask.empty((2, 3, 2)).n_observed == 0
+
+    @pytest.mark.parametrize("kind", ["indices", "fortran-boolean", "full", "empty"])
+    def test_c_flat_index(self, kind, rng):
+        dims = (4, 3, 5)
+        observed = rng.random(dims) < 0.5
+        mask = {
+            "indices": lambda: ObservationMask(dims, np.argwhere(observed)),
+            "fortran-boolean": lambda: ObservationMask.from_boolean(
+                np.asfortranarray(observed)
+            ),
+            "full": lambda: ObservationMask.full(dims),
+            "empty": lambda: ObservationMask.empty(dims),
+        }[kind]()
+        index = mask.c_flat_index()
+        np.testing.assert_array_equal(index, np.flatnonzero(mask.boolean()))
+        a = rng.standard_normal(dims)
+        np.testing.assert_array_equal(np.take(a, index), a[mask.boolean()])
+        assert mask.c_flat_index() is index
