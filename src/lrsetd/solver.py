@@ -27,7 +27,11 @@ and reduced to a scalar in the block that builds it: the factor sweep and
 the core step share the partial contractions of Z, the Z step builds the
 only reconstruction [[S; X]] and returns the fit term, and the Y and dual
 steps return their Lagrangian terms. :func:`augmented_lagrangian` computes
-the same value from scratch through the same term functions.
+the same value from scratch through the same term functions. The factor
+sweep forms each Gram X_i^T X_i once, after X_i changes, and hands the
+Grams to the core step. No full-size array is scanned for NaN or inf: the
+factor-sized subproblem inputs are checked, and every state array enters
+the trace Lagrangian or the relative change, which are checked as scalars.
 
 Only third-order tensors are supported.
 """
@@ -288,9 +292,20 @@ def _contract_others(t, mats, i):
     return unfold(t, i)
 
 
-def _factor_step(state, cfg, i, z_others):
-    """X_i of the Gauss-Seidel sweep, from z_others = Z x_j X_j^T for j != i."""
-    grams = [f.T @ f for f in state.x]
+def _require_finite(state, what, *arrays):
+    """Raise NumericalError when a factor-sized array of the iteration in
+    progress holds NaN or inf. Non-finite full-size state reaches these
+    arrays or the trace scalars, so no full-size array is scanned."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise NumericalError(
+                f"non-finite {what} at iteration {state.iteration + 1}"
+            )
+
+
+def _factor_step(state, cfg, i, z_others, grams):
+    """X_i of the Gauss-Seidel sweep, from z_others = Z x_j X_j^T for j != i
+    and the Grams X_j^T X_j of the current factors; refreshes grams[i]."""
     s_i = unfold(state.s, i)
     rhs = cfg.lam * unfold(z_others, i) @ s_i.T
     rhs += cfg.beta * state.y[i] - state.t[i]
@@ -298,22 +313,27 @@ def _factor_step(state, cfg, i, z_others):
         state.s, grams, i
     ) @ s_i.T
     lhs = 0.5 * (lhs + lhs.T)
+    _require_finite(state, f"X_{i} subproblem", lhs, rhs)
     # X @ lhs = rhs with lhs SPD
-    state.x[i] = spd_solve(lhs, rhs.T).T
+    x = spd_solve(lhs, rhs.T).T
+    state.x[i] = x
+    grams[i] = x.T @ x
 
 
 def _factor_sweep(state, cfg):
-    """Gauss-Seidel X0 -> X1 -> X2 that reads the full-size Z twice;
-    returns the last step's Z x_0 X0^T x_1 X1^T for the core step."""
+    """Gauss-Seidel X0 -> X1 -> X2 that reads the full-size Z twice and
+    forms each Gram once; returns the last step's Z x_0 X0^T x_1 X1^T and
+    the Grams of the new factors for the core step."""
     x, z = state.x, state.z
+    grams = [None] + [f.T @ f for f in x[1:]]  # step 0 does not read G_0
     # X2 moves only at the last step, so steps 0 and 1 share Z x_2 X2^T
     z2 = mode_product(z, x[2].T, 2)
-    _factor_step(state, cfg, 0, mode_product(z2, x[1].T, 1))
-    _factor_step(state, cfg, 1, mode_product(z2, x[0].T, 0))
+    _factor_step(state, cfg, 0, mode_product(z2, x[1].T, 1), grams)
+    _factor_step(state, cfg, 1, mode_product(z2, x[0].T, 0), grams)
     del z2
     z01 = mode_product(mode_product(z, x[0].T, 0), x[1].T, 1)
-    _factor_step(state, cfg, 2, z01)
-    return z01
+    _factor_step(state, cfg, 2, z01, grams)
+    return z01, grams
 
 
 def update_factors(state, cfg):
@@ -336,9 +356,9 @@ def _y_step(state, cfg):
     """Y update; returns sum_i alpha_i*||Y_i||_* of the new Y."""
     val = 0.0
     for i in range(3):
-        state.y[i], nuclear = _svd_shrink(
-            state.x[i] + state.t[i] / cfg.beta, cfg.alpha[i] / cfg.beta
-        )
+        point = state.x[i] + state.t[i] / cfg.beta
+        _require_finite(state, f"Y_{i} prox input", point)
+        state.y[i], nuclear = _svd_shrink(point, cfg.alpha[i] / cfg.beta)
         val += cfg.alpha[i] * nuclear
     return val
 
@@ -350,10 +370,9 @@ def update_y(state, cfg):
     return state
 
 
-def _core_step(state, cfg, z01):
+def _core_step(state, cfg, z01, grams):
     """Core update from z01 = Z x_0 X0^T x_1 X1^T, to which it applies the
-    last mode product of Z x_j X_j^T."""
-    grams = [f.T @ f for f in state.x]
+    last mode product of Z x_j X_j^T, and the Grams G_j = X_j^T X_j."""
     # the spectral norm of a Gram is its largest eigenvalue
     zeta = math.prod(np.linalg.eigvalsh(g)[-1] for g in grams)
     if zeta == 0.0:
@@ -372,7 +391,10 @@ def update_core(state, cfg):
     """
     x = state.x
     _core_step(
-        state, cfg, mode_product(mode_product(state.z, x[0].T, 0), x[1].T, 1)
+        state,
+        cfg,
+        mode_product(mode_product(state.z, x[0].T, 0), x[1].T, 1),
+        [f.T @ f for f in x],
     )
     return state
 
@@ -541,18 +563,6 @@ class CompletionReport:
     total_seconds: float
 
 
-def _check_finite(state, cfg):
-    arrays = [state.s, state.z, *state.x, *state.y, *state.t]
-    for i in cfg.smoothed_modes():
-        arrays += [state.w[i], state.u[i]]
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise NumericalError(
-                "non-finite values in solver state at iteration "
-                f"{state.iteration}"
-            )
-
-
 def solve(m, mask, cfg, z_true=None, callback=None):
     """Run the full ADMM to completion.
 
@@ -571,6 +581,11 @@ def solve(m, mask, cfg, z_true=None, callback=None):
     Returns
     -------
     CompletionReport
+
+    Raises
+    ------
+    NumericalError
+        When an iteration produces NaN or inf, naming that iteration.
     """
     m = np.asarray(m, dtype=np.float64)
     if cfg.stop_denominator == "oracle":
@@ -591,23 +606,29 @@ def solve(m, mask, cfg, z_true=None, callback=None):
         z_prev = state.z
         # each full-size product is built once and reduced to a scalar
         # inside the block that built it; the Lagrangian sums those scalars
-        z01 = _factor_sweep(state, cfg)
+        z01, grams = _factor_sweep(state, cfg)
         nuclear = _y_step(state, cfg)
-        _core_step(state, cfg, z01)
+        _core_step(state, cfg, z01, grams)
         fit = _z_step(state, cfg, m, index)
         update_w(state, cfg)
         penalties = _dual_step(state, cfg)
         state.iteration = k
-        _check_finite(state, cfg)
 
         if cfg.stop_denominator == "blind":
             denom = max(frobenius(state.z), 1.0)
         rel_change = frobenius(state.z - z_prev) / denom
+        lagrangian = _lagrangian(state, cfg, nuclear, penalties, fit)
+        # every state array enters the Lagrangian's terms or, for Z, the
+        # relative change, so NaN or inf anywhere in the state shows here
+        if not (math.isfinite(lagrangian) and math.isfinite(rel_change)):
+            raise NumericalError(
+                f"non-finite values in solver state at iteration {k}"
+            )
         trace.append(
             IterationRecord(
                 iteration=k,
                 rel_change=rel_change,
-                lagrangian=_lagrangian(state, cfg, nuclear, penalties, fit),
+                lagrangian=lagrangian,
                 objective=objective_value(state, cfg),
                 seconds=time.perf_counter() - it_start,
             )

@@ -1,8 +1,13 @@
 """Dense tensor primitives: unfolding, folding, mode products, masks.
 
-Tensors are plain ``numpy.ndarray`` objects of dtype float64. The storage
-convention is mode-1 lexicographic (first index varies fastest), i.e. Fortran
-order, and all unfoldings follow the column ordering
+Tensors are plain ``numpy.ndarray`` objects of dtype float64 and may have
+any memory layout. :func:`mode_product`, and so :func:`multilinear`, returns
+a C-contiguous array (last index varies fastest) for any input; each mode
+product is one matrix multiply of a C-order reshape.
+
+The matrix column order of :func:`unfold` and :func:`fold` is
+Fortran-style, whatever the layout: the first remaining index varies
+fastest, i.e. column
 
     j = sum_{l != n} i_l * J_l,   J_l = prod_{t < l, t != n} I_t
 
@@ -11,6 +16,8 @@ so that ``unfold(multilinear(s, [X1, ..., XN]), n)`` equals
 
 Modes are 0-based throughout, matching numpy axis numbering.
 """
+
+import math
 
 import numpy as np
 
@@ -69,7 +76,10 @@ def mode_product(tensor, matrix, mode):
     """n-mode product ``tensor x_mode matrix``.
 
     `matrix` must have as many columns as ``tensor.shape[mode]``; that mode
-    is replaced by ``matrix.shape[0]`` in the result.
+    is replaced by ``matrix.shape[0]`` in the result, which is C-contiguous
+    for any input layout. The product is one matrix multiply of a C-order
+    reshape: the first and the last mode need no copy of a C-contiguous
+    `tensor`, and a middle mode is moved last and back with one copy each.
     """
     tensor = np.asarray(tensor)
     matrix = np.asarray(matrix)
@@ -79,8 +89,17 @@ def mode_product(tensor, matrix, mode):
             f"factor shape {matrix.shape} incompatible with mode-{mode} "
             f"dimension {tensor.shape[mode]}"
         )
-    out = np.tensordot(matrix, tensor, axes=(1, mode))
-    return np.moveaxis(out, 0, mode)
+    dims = list(tensor.shape)
+    if mode == 0:
+        out = matrix @ tensor.reshape(dims[0], math.prod(dims[1:]))
+        dims[0] = matrix.shape[0]
+        return out.reshape(dims)
+    # a batched matmul over (before, I_mode, after) blocks would re-read
+    # `matrix` once per block, which is slow when `after` is small
+    moved = np.moveaxis(tensor, mode, -1)
+    out = moved.reshape(math.prod(moved.shape[:-1]), dims[mode]) @ matrix.T
+    out = out.reshape(moved.shape[:-1] + matrix.shape[:1])
+    return np.ascontiguousarray(np.moveaxis(out, -1, mode))
 
 
 def multilinear(core, factors):

@@ -324,7 +324,13 @@ BAD_INPUTS = {
     "metrics-all-zero-truth": (
         _all_zero, "metrics", 0, "out", '"rse": null'
     ),
+    # finite input whose first factor subproblem overflows under BAD_CONFIGS
+    "lam-1e300": (
+        lambda t, o: t * 1e10, "complete", 4, "err", "at iteration 1"
+    ),
 }
+# --config file contents for the BAD_INPUTS cases that need one
+BAD_CONFIGS = {"lam-1e300": {"lam": 1e300}}
 
 
 def strict_json(text):
@@ -353,6 +359,10 @@ class TestBadInput:
         if command == "complete":
             argv = ["complete", *source, "--ranks", "2,2,2", "--max-iter", "3",
                     "--report", str(report)]
+            if case in BAD_CONFIGS:
+                config = tmp_path / "config.json"
+                config.write_text(json.dumps(BAD_CONFIGS[case]))
+                argv += ["--config", str(config)]
         elif command == "hosvd-demo":
             argv = ["hosvd-demo", "--input", str(tensor_path)]
         else:

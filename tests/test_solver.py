@@ -5,6 +5,7 @@ import pytest
 
 from lrsetd.solver import (
     PRESETS,
+    NumericalError,
     SolverConfig,
     augmented_lagrangian,
     default_ranks,
@@ -865,3 +866,54 @@ class TestSolve:
         report = solve(truth, mask, cfg)
         err = frobenius(report.recovered - truth) / frobenius(truth)
         assert err < 0.05
+
+
+# state arrays to corrupt after iteration 1, as (SolverState field, mode);
+# X_0 is left out because step 0 of the factor sweep overwrites it before
+# anything reads it, and the image preset smooths modes 0 and 1
+CORRUPTED_ARRAYS = (
+    [("s", None), ("z", None), ("x", 1)]
+    + [(name, i) for name in ("y", "t") for i in range(3)]
+    + [(name, i) for name in ("w", "u") for i in (0, 1)]
+)
+
+
+def solve_corrupted_after_iteration_1(name, mode, value):
+    """Solve a small image-preset problem whose state array `name` (mode
+    `mode`) gets `value` in its first entry after iteration 1."""
+    # data on a 0-255 scale: on [0, 1] data the default alpha/beta shrink
+    # the factors and core to zero and the solve stops by tol after one
+    # iteration
+    rng = np.random.default_rng(0)
+    dims = (8, 7, 6)
+    m = 255.0 * rng.random(dims)
+    mask = ObservationMask.from_boolean(rng.random(dims) < 0.6)
+    cfg = preset_config("image", ranks=(3, 3, 2), max_iter=4, tol=1e-300)
+
+    def corrupt(state):
+        if state.iteration == 1:
+            array = getattr(state, name)
+            (array if mode is None else array[mode]).flat[0] = value
+
+    with np.errstate(all="ignore"):
+        return solve(m, mask, cfg, callback=corrupt)
+
+
+class TestNonFiniteState:
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "name, mode",
+        CORRUPTED_ARRAYS,
+        ids=[n if i is None else f"{n}{i}" for n, i in CORRUPTED_ARRAYS],
+    )
+    def test_injected_value_is_numerical_error(self, name, mode, value):
+        with pytest.raises(NumericalError, match="at iteration 2$"):
+            solve_corrupted_after_iteration_1(name, mode, value)
+
+    def test_overflowing_prox_input_is_numerical_error(self):
+        # a finite T_2 passes the X_2 subproblem check, the last step of
+        # the sweep, but T_2/beta in the Y_2 prox input overflows
+        with pytest.raises(
+            NumericalError, match="Y_2 prox input at iteration 2$"
+        ):
+            solve_corrupted_after_iteration_1("t", 2, 1.7e308)

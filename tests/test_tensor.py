@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrsetd.tensor import (
     ObservationMask,
@@ -101,6 +102,35 @@ class TestModeProduct:
     def test_inner_dim_mismatch(self, rng):
         with pytest.raises(ValueError, match="incompatible"):
             mode_product(rng.standard_normal((2, 3, 2)), np.zeros((4, 5)), 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+        data=st.data(),
+        rows=st.integers(1, 5),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_einsum_oracle_any_layout(self, dims, data, rows, layout, seed):
+        order = len(dims)
+        mode = data.draw(st.integers(0, order - 1), label="mode")
+        rng = np.random.default_rng(seed)
+        if layout == "strided":
+            # every other entry of a larger array along each axis
+            big = rng.standard_normal([2 * d for d in dims])
+            t = big[(slice(None, None, 2),) * order]
+        else:
+            t = np.asarray(rng.standard_normal(dims), order=layout)
+        m = rng.standard_normal((rows, dims[mode]))
+        out = mode_product(t, m, mode)
+        axes = list(range(order))
+        expected = np.einsum(
+            m, [order, mode], t, axes, [order if a == mode else a for a in axes]
+        )
+        assert out.flags.c_contiguous
+        assert out.shape == expected.shape
+        err = np.linalg.norm(out - expected)
+        assert err <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestMultilinear:
