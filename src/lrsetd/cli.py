@@ -390,7 +390,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # failures are caught by explicit checks and reported below, so
+        # numpy's floating-point warnings would only repeat them as noise
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (tio.FileFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO

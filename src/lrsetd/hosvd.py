@@ -22,7 +22,56 @@ class TuckerModel:
     factors: list
 
     def reconstruct(self):
-        return multilinear(self.core, self.factors)
+        """Full-size tensor ``core x_0 F0 x_1 F1 ...``.
+
+        Only the leading block of the core that holds all its nonzero
+        entries is contracted, ``core[:b0, :b1, ...]`` with the leading
+        columns ``factors[n][:, :bn]``, where bn is one past the last mode-n
+        slice that holds a nonzero. The terms left out are exact zeros, so a
+        truncated core costs what its block holds. The slice norms of an
+        HOSVD core fall along every mode, so truncation tends to leave its
+        nonzeros in a small leading block. An all-zero core gives zeros of
+        the full shape.
+        """
+        core = np.asarray(self.core)
+        factors = [np.asarray(f) for f in self.factors]
+        # slicing would hide a factor with too many columns
+        if [f.shape[1:] for f in factors] != [(d,) for d in core.shape]:
+            raise ValueError(
+                f"factor shapes {[f.shape for f in factors]} incompatible "
+                f"with core shape {core.shape}"
+            )
+        block = _nonzero_block(core)
+        if 0 in block:
+            return np.zeros(tuple(f.shape[0] for f in factors))
+        return multilinear(
+            core[tuple(slice(b) for b in block)],
+            [f[:, :b] for f, b in zip(factors, block)],
+        )
+
+
+def _nonzero_block(core):
+    """Per mode, one past the last slice of `core` that holds a nonzero
+    (NaN counts as nonzero); 0 for an all-zero core."""
+    rest = core != 0
+    block = []
+    for d in core.shape:
+        # reductions over axis 0, and over contiguous rows, stay fast; an
+        # `any` over non-leading axes of a C-order array does not
+        held = np.flatnonzero(rest.reshape(d, -1).any(axis=1))
+        block.append(int(held[-1]) + 1 if held.size else 0)
+        rest = rest.any(axis=0)
+    return tuple(block)
+
+
+def _exponent(a):
+    """Binary exponent e of max|a|, so that ``np.ldexp(a, -e)`` peaks in
+    [0.5, 1); 0 for an all-zero or empty `a`. Scaling by a power of two is
+    exact, and keeps sums of squared entries from overflowing or
+    underflowing."""
+    if not a.size:
+        return 0
+    return math.frexp(max(a.max(), -a.min()))[1]
 
 
 def _left_singular_vectors(mat, r):
@@ -57,9 +106,14 @@ def hosvd(t, ranks):
     for r, d in zip(ranks, t.shape):
         if not 1 <= r <= d:
             raise ValueError(f"rank {r} out of range [1, {d}]")
+    # the singular vectors of a tensor scaled by a power of two are those of
+    # the tensor, and its Grams stay finite for any finite input
+    scaled = np.ldexp(t, -_exponent(t))
     factors = [
-        _left_singular_vectors(unfold(t, n), ranks[n]) for n in range(t.ndim)
+        _left_singular_vectors(unfold(scaled, n), ranks[n])
+        for n in range(t.ndim)
     ]
+    del scaled
     core = multilinear(t, [f.T for f in factors])
     return TuckerModel(core=core, factors=factors)
 
@@ -86,10 +140,26 @@ def reconstruction_snr(truth, approx):
     approx = np.asarray(approx, dtype=np.float64)
     if truth.shape != approx.shape:
         raise ValueError(f"shape mismatch: {truth.shape} vs {approx.shape}")
-    ref = frobenius(truth)
+    ref = _norm(truth)
     if ref == 0.0:
         raise ValueError("SNR undefined for an all-zero reference tensor")
-    err = frobenius(approx - truth)
+    err = _norm(approx - truth)
     if err == 0.0:
         return math.inf
     return 20.0 * math.log10(ref / err)
+
+
+# Entries below 2**-511 square to subnormals or zero; a norm above this
+# bound is accurate all the same, since what they lose is below its ulp.
+_NORM_FLOOR = 2.0**-400
+
+
+def _norm(a):
+    """Frobenius norm of a finite `a`, recomputed on `a` scaled by a power
+    of two when its sum of squares may have overflowed or underflowed."""
+    with np.errstate(over="ignore", under="ignore"):
+        n = frobenius(a)
+    if _NORM_FLOOR < n < math.inf:
+        return n
+    e = _exponent(a)
+    return math.ldexp(frobenius(np.ldexp(a, -e)), e)

@@ -179,12 +179,15 @@ def write_image(path, tensor):
             f"expected H x W x 1 or H x W x 3 tensor, got {tensor.shape}"
         )
     height, width, channels = tensor.shape
-    rounded = np.sign(tensor) * np.floor(np.abs(tensor) + 0.5)
-    pixels = np.clip(rounded, 0, 255).astype(np.uint8)
+    # on [0, 255], floor(t + 0.5) is rounding half away from zero, so
+    # clamping first gives the same bytes in three passes
+    pixels = np.clip(tensor, 0.0, 255.0)
+    pixels += 0.5
+    np.floor(pixels, out=pixels)
     magic = b"P6" if channels == 3 else b"P5"
     with open(path, "wb") as f:
         f.write(magic + b"\n%d %d\n255\n" % (width, height))
-        f.write(pixels.tobytes())
+        f.write(pixels.astype(np.uint8, order="C"))
 
 
 def read_traffic_csv(path):

@@ -587,7 +587,9 @@ def solve(m, mask, cfg, z_true=None, callback=None):
     NumericalError
         When an iteration produces NaN or inf, naming that iteration.
     """
-    m = np.asarray(m, dtype=np.float64)
+    # C order once, so the Z step's flat gather of observed values never
+    # copies `m`
+    m = np.ascontiguousarray(m, dtype=np.float64)
     if cfg.stop_denominator == "oracle":
         if z_true is None:
             raise ValueError("oracle stopping requires z_true")

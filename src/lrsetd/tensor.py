@@ -5,6 +5,13 @@ any memory layout. :func:`mode_product`, and so :func:`multilinear`, returns
 a C-contiguous array (last index varies fastest) for any input; each mode
 product is one matrix multiply of a C-order reshape.
 
+Mode products on distinct modes commute, so :func:`multilinear` picks their
+order. A chain whose output is larger than its input (a Tucker
+reconstruction) runs from the last mode to the first: the full-size result
+then comes from the mode-0 product ``M @ T.reshape(I0, -1)``, which copies
+nothing. Every other chain (a compression, or one that keeps the size) runs
+from the first mode to the last.
+
 The matrix column order of :func:`unfold` and :func:`fold` is
 Fortran-style, whatever the layout: the first remaining index varies
 fastest, i.e. column
@@ -105,17 +112,21 @@ def mode_product(tensor, matrix, mode):
 def multilinear(core, factors):
     """Multilinear (Tucker) product ``core x_0 F0 x_1 F1 ...``.
 
-    Computed as sequential mode products; the large Kronecker factor of the
-    matricized form is never materialized.
+    Computed as sequential mode products, in the order the module docstring
+    gives; the large Kronecker factor of the matricized form is never
+    materialized.
     """
     core = np.asarray(core)
     if len(factors) != core.ndim:
         raise ValueError(
             f"expected {core.ndim} factors, got {len(factors)}"
         )
+    modes = range(core.ndim)
+    if math.prod(np.shape(f)[0] for f in factors) > core.size:
+        modes = reversed(modes)
     out = core
-    for mode, f in enumerate(factors):
-        out = mode_product(out, f, mode)
+    for mode in modes:
+        out = mode_product(out, factors[mode], mode)
     return out
 
 

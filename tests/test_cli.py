@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +299,15 @@ def _all_zero(truth, observed):
     return np.zeros_like(truth)
 
 
+HUGE = 1e200
+
+
+def _huge_noise(truth, observed):
+    # full spectrum, so a truncated HOSVD's SNR is set by the dropped
+    # energy, not by rounding; squaring these entries overflows float64
+    return np.random.default_rng(0).random(truth.shape) * HUGE
+
+
 # input -> (command, exit code, stream, expected substring); the input edits
 # the truth tensor (or is CSV text), which `metrics` compares with the
 # unedited truth
@@ -319,6 +329,11 @@ BAD_INPUTS = {
     "nan-off-mask": (_nan_off_mask, "complete", 0, "out", '"rse": null'),
     "hosvd-demo-nan": (
         _first_observed(np.nan), "hosvd-demo", 2, "err", "must be finite"
+    ),
+    # finite data whose Grams overflow unless rescaled; the SNRs must match
+    # the same data at unit scale
+    "hosvd-demo-1e200": (
+        _huge_noise, "hosvd-demo", 0, "out", "tn,sparsity,snr"
     ),
     "metrics-nan-truth": (_nan_off_mask, "metrics", 0, "out", '"psnr": null'),
     "metrics-all-zero-truth": (
@@ -364,18 +379,38 @@ class TestBadInput:
                 config.write_text(json.dumps(BAD_CONFIGS[case]))
                 argv += ["--config", str(config)]
         elif command == "hosvd-demo":
-            argv = ["hosvd-demo", "--input", str(tensor_path)]
+            argv = ["hosvd-demo", "--input", str(tensor_path),
+                    "--ranks", "3,3,3", "--tn-grid", "0"]
         else:
             recovered = tmp_path / "recovered.lrt"
             write_tensor(recovered, truth)
             argv = ["metrics", "--truth", str(tensor_path),
                     "--recovered", str(recovered), "--mask", str(mask_path)]
-        got = main(argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = main(argv)
         captured = capsys.readouterr()
         assert got == code
         assert text in (captured.out if stream == "out" else captured.err)
+        # a failure is one "error:" line, with no numpy warnings before it
+        assert [str(w.message) for w in caught] == []
+        if code == 0:
+            assert captured.err == ""
+        else:
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
         if command == "metrics" and code == 0:
             assert all(v is None for v in strict_json(captured.out).values())
+        if command == "hosvd-demo" and code == 0:
+            write_tensor(tensor_path, make(truth, mask.boolean()) / HUGE)
+            assert main(argv) == 0
+            unit = capsys.readouterr().out
+            snrs = [float(line.split(",")[2])
+                    for line in captured.out.splitlines()[1:]]
+            unit_snrs = [float(line.split(",")[2])
+                         for line in unit.splitlines()[1:]]
+            assert snrs and all(np.isfinite(snrs))
+            assert snrs == pytest.approx(unit_snrs, rel=1e-9)
         if command != "complete":
             return
         # a run that solves always writes its report, in standard JSON

@@ -176,6 +176,31 @@ class TestImages:
             read_image(path), [[[0.0], [0.0], [1.0], [255.0], [255.0]]]
         )
 
+    def test_bytes_match_round_half_away_formula(self, tmp_path, rng):
+        # rounding half away from zero, then clamping, written out directly
+        edges = [-0.5, 0.5, -0.49999999999999994, 0.49999999999999994,
+                 -1.5, 1.5, 2.5, 254.49999999999997, 254.5, 255.0, 255.5,
+                 256.0, -0.0, 0.0, 5e-324, -1e-300, 1e300, -1e300, np.inf,
+                 -np.inf]
+        values = np.concatenate([
+            edges,
+            rng.uniform(-20.0, 280.0, 100_000),
+            np.round(rng.uniform(-5.0, 260.0, 9_981)) + 0.5,
+        ])
+        img = values.reshape(-1, 1, 3)
+        old = np.clip(np.sign(img) * np.floor(np.abs(img) + 0.5), 0, 255)
+        path = tmp_path / "img.ppm"
+        write_image(path, img)
+        body = path.read_bytes()
+        assert body.startswith(b"P6\n1 %d\n255\n" % img.shape[0])
+        assert body[-img.size:] == old.astype(np.uint8).tobytes()
+
+    def test_fortran_ordered_input(self, tmp_path, rng):
+        img = np.asfortranarray(rng.uniform(0.0, 255.0, size=(4, 5, 3)))
+        path = tmp_path / "img.ppm"
+        write_image(path, img)
+        np.testing.assert_array_equal(read_image(path), np.floor(img + 0.5))
+
     def test_header_comments(self, tmp_path):
         body = bytes(range(6))
         path = tmp_path / "img.ppm"

@@ -829,6 +829,32 @@ class TestSolve:
         assert report.iterations == 3
         assert all(np.isfinite(r.rel_change) for r in report.trace)
 
+    def test_fortran_ordered_input_made_c_contiguous_once(self, monkeypatch):
+        # the Z step gathers observed values by C-order flat index, which
+        # copies a non-C-contiguous `m` in full on every call
+        import lrsetd.solver as solver_module
+
+        m, mask, _ = small_problem(seed=3, dims=(5, 4, 3))
+        cfg = SolverConfig(
+            ranks=(2, 2, 2), sigma=0.0, lam=1.0, tol=1e-300, max_iter=6
+        )
+        layouts = []
+        z_step = solver_module._z_step
+
+        def spy(state, cfg, m, index):
+            layouts.append(m.flags.c_contiguous)
+            return z_step(state, cfg, m, index)
+
+        monkeypatch.setattr(solver_module, "_z_step", spy)
+        from_f = solve(np.asfortranarray(m), mask, cfg)
+        assert layouts == [True] * 6
+        from_c = solve(np.ascontiguousarray(m), mask, cfg)
+        np.testing.assert_array_equal(from_f.recovered, from_c.recovered)
+        for a, b in zip(from_f.trace, from_c.trace):
+            assert (a.rel_change, a.lagrangian, a.objective) == (
+                b.rel_change, b.lagrangian, b.objective
+            )
+
     @SOLVE_CONFIGS
     def test_matches_reference_admm(self, cfg):
         # the solver drops W_i/U_i on unsmoothed modes; the reference keeps

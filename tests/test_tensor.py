@@ -109,9 +109,12 @@ class TestModeProduct:
         data=st.data(),
         rows=st.integers(1, 5),
         layout=st.sampled_from(["C", "F", "strided"]),
+        chain=st.sampled_from(["grow", "shrink", "square"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_einsum_oracle_any_layout(self, dims, data, rows, layout, seed):
+    def test_einsum_oracle_any_layout(
+        self, dims, data, rows, layout, chain, seed
+    ):
         order = len(dims)
         mode = data.draw(st.integers(0, order - 1), label="mode")
         rng = np.random.default_rng(seed)
@@ -131,6 +134,29 @@ class TestModeProduct:
         assert out.shape == expected.shape
         err = np.linalg.norm(out - expected)
         assert err <= 1e-12 * np.linalg.norm(expected)
+
+        # the full multilinear chain on the same tensor: one factor per mode,
+        # each adding a row, dropping one (down to 1) or keeping the size
+        delta = {"grow": 1, "shrink": -1, "square": 0}[chain]
+        factors = [
+            rng.standard_normal((max(d + delta, 1), d)) for d in dims
+        ]
+        out = multilinear(t, factors)
+        operands = [t, axes]
+        for n, f in enumerate(factors):
+            operands += [f, [order + n, n]]
+        expected = np.einsum(*operands, [order + n for n in axes])
+        assert out.flags.c_contiguous
+        assert out.shape == expected.shape
+        err = np.linalg.norm(out - expected)
+        assert err <= 1e-12 * max(np.linalg.norm(expected), 1e-300)
+        # a chain that grows runs from the last mode to the first, any
+        # other from the first to the last
+        modes = axes[::-1] if expected.size > t.size else axes
+        chained = t
+        for n in modes:
+            chained = mode_product(chained, factors[n], n)
+        np.testing.assert_array_equal(out, chained)
 
 
 class TestMultilinear:
