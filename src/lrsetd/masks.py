@@ -6,6 +6,7 @@ specs and seeds produce identical masks on every platform.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,13 +68,33 @@ class MissingSpec:
 
     @classmethod
     def from_json(cls, text):
-        doc = json.loads(text)
+        doc = _object(json.loads(text), "missing spec")
         return cls(
             kind=doc["kind"],
-            mode=int(doc.get("mode", 0)),
-            params=dict(doc.get("params", {})),
-            seed=int(doc.get("seed", 0)),
+            mode=_integer(doc.get("mode", 0), "mode"),
+            params=dict(_object(doc.get("params", {}), "params")),
+            seed=_integer(doc.get("seed", 0), "seed"),
         )
+
+
+# Type checks for spec values, which arrive from JSON: null, booleans,
+# strings and fractional numbers are rejected instead of coerced.
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _integer(value, what):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, what):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _rng(seed):
@@ -96,22 +117,22 @@ def random_mask(dims, ratio, seed=0):
 def _structural_drop(dims, spec):
     """Boolean array, True where the structural pattern keeps the entry."""
     keep = np.ones(dims, dtype=bool)
-    mode = spec.mode
+    mode = _integer(spec.mode, "mode")
     if not 0 <= mode < len(dims):
         raise ValueError(f"mode {mode} out of range for dims {dims}")
     size = dims[mode]
     sl = [slice(None)] * len(dims)
     if spec.kind == "drop_every_kth_slice":
-        k = int(spec.params["k"])
-        phase = int(spec.params.get("phase", 0))
+        k = _integer(spec.params["k"], "k")
+        phase = _integer(spec.params.get("phase", 0), "phase")
         if k < 1 or not 0 <= phase < k:
             raise ValueError(f"invalid k={k}, phase={phase}")
         sl[mode] = slice(phase, size, k)
         keep[tuple(sl)] = False
     elif spec.kind == "time_window":
-        period = int(spec.params["period"])
-        start = int(spec.params["start"])
-        length = int(spec.params["length"])
+        period = _integer(spec.params["period"], "period")
+        start = _integer(spec.params["start"], "start")
+        length = _integer(spec.params["length"], "length")
         if period < 1 or length < 0 or not 0 <= start < period:
             raise ValueError(
                 f"invalid window period={period}, start={start}, "
@@ -122,7 +143,10 @@ def _structural_drop(dims, spec):
         sl[mode] = dropped
         keep[tuple(sl)] = False
     elif spec.kind == "whole_slices":
-        slices = [int(s) for s in spec.params.get("slices", [])]
+        slices = spec.params.get("slices", [])
+        if not isinstance(slices, (list, tuple)):
+            raise ValueError(f"slices must be a list, got {slices!r}")
+        slices = [_integer(s, "slice index") for s in slices]
         if any(not 0 <= s < size for s in slices):
             raise ValueError(f"slice index out of range for mode size {size}")
         sl[mode] = slices
@@ -140,16 +164,18 @@ def structured_mask(dims, spec):
     """
     dims = tuple(int(d) for d in dims)
     if spec.kind == "random":
-        return random_mask(dims, float(spec.params["ratio"]), spec.seed)
+        ratio = _real(spec.params["ratio"], "ratio")
+        return random_mask(dims, ratio, spec.seed)
     if spec.kind == "composite":
+        structural = _object(spec.params["structural"], "structural")
         inner = MissingSpec(
-            kind=spec.params["structural"]["kind"],
-            mode=int(spec.params["structural"].get("mode", spec.mode)),
-            params=dict(spec.params["structural"].get("params", {})),
+            kind=structural["kind"],
+            mode=structural.get("mode", spec.mode),
+            params=dict(_object(structural.get("params", {}), "params")),
             seed=spec.seed,
         )
         keep = _structural_drop(dims, inner)
-        ratio = float(spec.params["ratio"])
+        ratio = _real(spec.params["ratio"], "ratio")
         if not 0.0 <= ratio <= 1.0:
             raise ValueError(f"ratio must be in [0, 1], got {ratio}")
         # uniform retention on the structurally surviving part only

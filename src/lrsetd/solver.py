@@ -22,16 +22,20 @@ flag is off) and is never stored: the penalty applies it as differences
 along axis i, and the W subproblem matrix [beta*I + 2*omega_i*A_i^T A_i] is
 tridiagonal, so W_i comes from an O(n) sweep along that axis.
 
-Within one iteration of :func:`solve` each full-size product is built once
-and reduced to a scalar in the block that builds it: the factor sweep and
-the core step share the partial contractions of Z, the Z step builds the
-only reconstruction [[S; X]] and returns the fit term, and the Y and dual
-steps return their Lagrangian terms. :func:`augmented_lagrangian` computes
-the same value from scratch through the same term functions. The factor
-sweep forms each Gram X_i^T X_i once, after X_i changes, and hands the
-Grams to the core step. No full-size array is scanned for NaN or inf: the
-factor-sized subproblem inputs are checked, and every state array enters
-the trace Lagrangian or the relative change, which are checked as scalars.
+Each block is one public function, ``update_factors``, ``update_y``,
+``update_core``, ``update_z``, ``update_w`` and ``update_duals``, and
+:func:`solve` calls exactly these, once each per iteration. Each full-size
+product is built once and reduced to a scalar in the block that builds it,
+and a block returns its Lagrangian term: ``update_y`` the nuclear norms,
+``update_z`` the fit term from the only reconstruction [[S; X]], and
+``update_duals`` the penalty terms; the sparsity and smoothness terms are
+read off S and W_i. ``update_factors`` forms each Gram X_i^T X_i once,
+after X_i changes, and returns the Grams with its partial contraction of
+Z, which ``update_core`` takes. :func:`augmented_lagrangian` computes the
+same value from scratch through the same term functions. No full-size
+array is scanned for NaN or inf: the factor-sized subproblem inputs are
+checked, and every state array enters the trace Lagrangian or the
+relative change, which are checked as scalars.
 
 Only third-order tensors are supported.
 """
@@ -119,8 +123,19 @@ class SolverConfig:
             if np.ndim(value) != 1 or len(value) != 3:
                 raise ValueError(f"{name} needs three values, got {value!r}")
         integers = (self.max_iter, self.seed, *(self.ranks or ()))
-        if not all(isinstance(v, numbers.Integral) for v in integers):
+        if not all(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            for v in integers
+        ):
             raise ValueError("ranks, max_iter and seed must be integers")
+        if self.toeplitz_modes is not None and not all(
+            isinstance(t, (numbers.Integral, np.bool_)) and t in (0, 1)
+            for t in self.toeplitz_modes
+        ):
+            raise ValueError(
+                "toeplitz_modes must hold booleans or 0/1, "
+                f"got {self.toeplitz_modes!r}"
+            )
         reals = (self.lam, self.beta, self.sigma, self.tol, *self.alpha)
         if not all(
             isinstance(v, numbers.Real) and math.isfinite(v)
@@ -320,10 +335,21 @@ def _factor_step(state, cfg, i, z_others, grams):
     grams[i] = x.T @ x
 
 
-def _factor_sweep(state, cfg):
-    """Gauss-Seidel X0 -> X1 -> X2 that reads the full-size Z twice and
-    forms each Gram once; returns the last step's Z x_0 X0^T x_1 X1^T and
-    the Grams of the new factors for the core step."""
+def update_factors(state, cfg):
+    """Gauss-Seidel update X0 -> X1 -> X2 (in place).
+
+    Each X_i is the exact minimizer of its subproblem given the current
+    remaining blocks:
+
+        X_i = [lam*C_i(Z, X)*S_(i)^T + beta*Y_i - T_i]
+              [beta*I + lam*C_i(S, G)*S_(i)^T]^{-1}
+
+    with C_i(T, M) = unfold(T x_j M_j^T for j != i, i) and G_j = X_j^T X_j
+    taken from the factors as they stand at step i. The sweep reads the
+    full-size Z twice and forms each Gram once; it returns the last step's
+    Z x_0 X0^T x_1 X1^T and the Grams of the new factors, which
+    :func:`update_core` takes.
+    """
     x, z = state.x, state.z
     grams = [None] + [f.T @ f for f in x[1:]]  # step 0 does not read G_0
     # X2 moves only at the last step, so steps 0 and 1 share Z x_2 X2^T
@@ -336,24 +362,10 @@ def _factor_sweep(state, cfg):
     return z01, grams
 
 
-def update_factors(state, cfg):
-    """Gauss-Seidel update X0 -> X1 -> X2 (in place).
-
-    Each X_i is the exact minimizer of its subproblem given the current
-    remaining blocks:
-
-        X_i = [lam*C_i(Z, X)*S_(i)^T + beta*Y_i - T_i]
-              [beta*I + lam*C_i(S, G)*S_(i)^T]^{-1}
-
-    with C_i(T, M) = unfold(T x_j M_j^T for j != i, i) and G_j = X_j^T X_j
-    taken from the factors as they stand at step i.
-    """
-    _factor_sweep(state, cfg)
-    return state
-
-
-def _y_step(state, cfg):
-    """Y update; returns sum_i alpha_i*||Y_i||_* of the new Y."""
+def update_y(state, cfg):
+    """Nuclear-norm prox on each auxiliary factor (in place):
+    Y_i = svd_shrink(X_i + T_i/beta, alpha_i/beta). Returns
+    sum_i alpha_i*||Y_i||_* of the new Y."""
     val = 0.0
     for i in range(3):
         point = state.x[i] + state.t[i] / cfg.beta
@@ -363,40 +375,28 @@ def _y_step(state, cfg):
     return val
 
 
-def update_y(state, cfg):
-    """Nuclear-norm prox on each auxiliary factor (in place):
-    Y_i = svd_shrink(X_i + T_i/beta, alpha_i/beta)."""
-    _y_step(state, cfg)
-    return state
-
-
-def _core_step(state, cfg, z01, grams):
-    """Core update from z01 = Z x_0 X0^T x_1 X1^T, to which it applies the
-    last mode product of Z x_j X_j^T, and the Grams G_j = X_j^T X_j."""
-    # the spectral norm of a Gram is its largest eigenvalue
-    zeta = math.prod(np.linalg.eigvalsh(g)[-1] for g in grams)
-    if zeta == 0.0:
-        return
-    grad = multilinear(state.s, grams) - mode_product(z01, state.x[2].T, 2)
-    state.s = soft_shrink(state.s - grad / zeta, cfg.sigma / (cfg.lam * zeta))
-
-
-def update_core(state, cfg):
+def update_core(state, cfg, z01=None, grams=None):
     """One proximal-gradient step on the core tensor (in place).
 
     The smooth part is phi(S) = 0.5*||[[S; X0, X1, X2]] - Z||_F^2 with
     gradient S x_j G_j - Z x_j X_j^T over all modes, G_j = X_j^T X_j, and
     Lipschitz constant the product of the Grams' spectral norms. A zero
     Lipschitz constant (all-zero factors) skips the step.
+
+    `z01` = Z x_0 X0^T x_1 X1^T and the Grams are what
+    :func:`update_factors` returns; pass both or neither, in which case
+    they are built from the current factors.
     """
     x = state.x
-    _core_step(
-        state,
-        cfg,
-        mode_product(mode_product(state.z, x[0].T, 0), x[1].T, 1),
-        [f.T @ f for f in x],
-    )
-    return state
+    if z01 is None:
+        z01 = mode_product(mode_product(state.z, x[0].T, 0), x[1].T, 1)
+        grams = [f.T @ f for f in x]
+    # the spectral norm of a Gram is its largest eigenvalue
+    zeta = math.prod(np.linalg.eigvalsh(g)[-1] for g in grams)
+    if zeta == 0.0:
+        return
+    grad = multilinear(state.s, grams) - mode_product(z01, x[2].T, 2)
+    state.s = soft_shrink(state.s - grad / zeta, cfg.sigma / (cfg.lam * zeta))
 
 
 def _fit_term(recon, z, cfg):
@@ -406,10 +406,20 @@ def _fit_term(recon, z, cfg):
     return (cfg.lam / 2.0) * float(gap @ gap)
 
 
-def _z_step(state, cfg, m, index):
-    """Z update with the entries of `m` at the C-order flat positions
-    `index` written exactly; returns the fit term of the new Z, so the
-    reconstruction is built once per iteration."""
+def update_z(state, cfg, m, mask):
+    """Closed-form Z update with the observation constraint (in place).
+
+    Off the observed set, Z = (sum_i (beta*W_i - U_i) + lam*Zhat)/(lam+3beta)
+    with Zhat the current Tucker reconstruction; on it, Z = M exactly. An
+    unsmoothed mode enters with W_i = Z_prev (the Z before this update) and
+    U_i = 0, the values its W and dual steps would have left. Returns the
+    fit term lam/2*||Zhat - Z||_F^2 of the new Z, so the reconstruction is
+    built once per iteration.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape != mask.dims:
+        raise ValueError(f"tensor {m.shape} vs mask {mask.dims}")
+    index = mask.c_flat_index()
     smoothed = cfg.smoothed_modes()
     recon = multilinear(state.s, state.x)
     # C order keeps Z, and the W_i and U_i built from it, in one layout
@@ -426,31 +436,16 @@ def _z_step(state, cfg, m, index):
     return _fit_term(recon, acc, cfg)
 
 
-def update_z(state, cfg, m, mask):
-    """Closed-form Z update with the observation constraint (in place).
-
-    Off the observed set, Z = (sum_i (beta*W_i - U_i) + lam*Zhat)/(lam+3beta)
-    with Zhat the current Tucker reconstruction; on it, Z = M exactly. An
-    unsmoothed mode enters with W_i = Z_prev (the Z before this update) and
-    U_i = 0, the values its W and dual steps would have left.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != mask.dims:
-        raise ValueError(f"tensor {m.shape} vs mask {mask.dims}")
-    _z_step(state, cfg, m, mask.c_flat_index())
-    return state
-
-
 def update_w(state, cfg):
     """Smoothness-regularized W update (in place) on each smoothed mode:
     W_(i) = [beta*I + 2*omega_i*A_i^T A_i]^{-1} [beta*Z_(i) + U_(i)],
     solved by a tridiagonal sweep along axis i of beta*Z + U_i, so W_i is
-    a fresh C-contiguous tensor."""
+    a fresh C-contiguous tensor. The smoothness term is read off W_i by
+    the Lagrangian."""
     for i in cfg.smoothed_modes():
         rhs = cfg.beta * state.z
         rhs += state.u[i]
         state.w[i] = tridiag_solve(state.w_ldl[i], rhs, i)
-    return state
 
 
 def _penalty(dual, gap, beta):
@@ -458,9 +453,11 @@ def _penalty(dual, gap, beta):
     return inner(dual, gap) + (beta / 2.0) * inner(gap, gap)
 
 
-def _dual_step(state, cfg):
-    """Dual ascent; returns the penalty terms of both constraint families
-    at the new duals, from the gaps the step forms anyway."""
+def update_duals(state, cfg):
+    """Dual ascent (in place): U_i += beta*(Z - W_i) on the smoothed modes,
+    T_i += beta*(X_i - Y_i) on all. Returns the penalty terms of both
+    constraint families at the new duals, from the gaps the step forms
+    anyway."""
     val = 0.0
     for i in cfg.smoothed_modes():
         gap = state.z - state.w[i]
@@ -474,13 +471,6 @@ def _dual_step(state, cfg):
         state.t[i] = state.t[i] + cfg.beta * gap
         val += _penalty(state.t[i], gap, cfg.beta)
     return val
-
-
-def update_duals(state, cfg):
-    """Dual ascent (in place): U_i += beta*(Z - W_i) on the smoothed modes,
-    T_i += beta*(X_i - Y_i) on all."""
-    _dual_step(state, cfg)
-    return state
 
 
 def _smoothing_parts(t, axis, toeplitz):
@@ -587,7 +577,7 @@ def solve(m, mask, cfg, z_true=None, callback=None):
     NumericalError
         When an iteration produces NaN or inf, naming that iteration.
     """
-    # C order once, so the Z step's flat gather of observed values never
+    # C order once, so update_z's flat gather of observed values never
     # copies `m`
     m = np.ascontiguousarray(m, dtype=np.float64)
     if cfg.stop_denominator == "oracle":
@@ -600,7 +590,6 @@ def solve(m, mask, cfg, z_true=None, callback=None):
 
     start = time.perf_counter()
     state = init_state(m, mask, cfg)
-    index = mask.c_flat_index()
     trace = []
     termination = "max_iter"
     for k in range(1, cfg.max_iter + 1):
@@ -608,12 +597,12 @@ def solve(m, mask, cfg, z_true=None, callback=None):
         z_prev = state.z
         # each full-size product is built once and reduced to a scalar
         # inside the block that built it; the Lagrangian sums those scalars
-        z01, grams = _factor_sweep(state, cfg)
-        nuclear = _y_step(state, cfg)
-        _core_step(state, cfg, z01, grams)
-        fit = _z_step(state, cfg, m, index)
+        z01, grams = update_factors(state, cfg)
+        nuclear = update_y(state, cfg)
+        update_core(state, cfg, z01, grams)
+        fit = update_z(state, cfg, m, mask)
         update_w(state, cfg)
-        penalties = _dual_step(state, cfg)
+        penalties = update_duals(state, cfg)
         state.iteration = k
 
         if cfg.stop_denominator == "blind":

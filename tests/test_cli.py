@@ -299,6 +299,10 @@ def _all_zero(truth, observed):
     return np.zeros_like(truth)
 
 
+def _as_is(truth, observed):
+    return truth
+
+
 HUGE = 1e200
 
 
@@ -309,8 +313,8 @@ def _huge_noise(truth, observed):
 
 
 # input -> (command, exit code, stream, expected substring); the input edits
-# the truth tensor (or is CSV text), which `metrics` compares with the
-# unedited truth
+# the truth tensor (or is CSV text, or None for `mask-gen`), which `metrics`
+# compares with the unedited truth
 BAD_INPUTS = {
     "nan-observed": (
         _first_observed(np.nan), "complete", 2, "err", "must be finite"
@@ -343,9 +347,39 @@ BAD_INPUTS = {
     "lam-1e300": (
         lambda t, o: t * 1e10, "complete", 4, "err", "at iteration 1"
     ),
+    "config-toeplitz-null-str": (
+        _as_is, "complete", 2, "err", "toeplitz_modes must hold booleans"
+    ),
+    "config-max-iter-true": (_as_is, "complete", 2, "err", "integers"),
+    "config-ranks-bool": (_as_is, "complete", 2, "err", "integers"),
+    "config-seed-false": (_as_is, "complete", 2, "err", "integers"),
+    "spec-not-object": (None, "mask-gen", 2, "err", "must be a JSON object"),
+    "spec-params-list": (None, "mask-gen", 2, "err", "params must be"),
+    "spec-ratio-null": (None, "mask-gen", 2, "err", "ratio must be a number"),
+    "spec-k-null": (None, "mask-gen", 2, "err", "k must be an integer"),
+    "spec-slices-int": (None, "mask-gen", 2, "err", "slices must be a list"),
+    "spec-structural-str": (None, "mask-gen", 2, "err", "structural must be"),
 }
-# --config file contents for the BAD_INPUTS cases that need one
-BAD_CONFIGS = {"lam-1e300": {"lam": 1e300}}
+# --config file entries for the BAD_INPUTS cases that need them
+BAD_CONFIGS = {
+    "lam-1e300": {"lam": 1e300},
+    "config-toeplitz-null-str": {"toeplitz_modes": [None, 1, "x"]},
+    "config-max-iter-true": {"max_iter": True},
+    "config-ranks-bool": {"ranks": [True, 2, 2]},
+    "config-seed-false": {"seed": False},
+}
+# --missing-spec file contents for the mask-gen cases
+BAD_SPECS = {
+    "spec-not-object": "[1]",
+    "spec-params-list": '{"kind": "random", "params": [0.5]}',
+    "spec-ratio-null": '{"kind": "random", "params": {"ratio": null}}',
+    "spec-k-null": '{"kind": "drop_every_kth_slice", "params": {"k": null}}',
+    "spec-slices-int": '{"kind": "whole_slices", "params": {"slices": 5}}',
+    "spec-structural-str": (
+        '{"kind": "composite",'
+        ' "params": {"structural": "whole_slices", "ratio": 0.5}}'
+    ),
+}
 
 
 def strict_json(text):
@@ -367,17 +401,24 @@ class TestBadInput:
             csv.write_text(make)
             source = ["--input", str(csv), "--tensorize", "otd:2,3,2",
                       "--sample-ratio", "0.75"]
-        else:
+        elif make is not None:
             write_tensor(tensor_path, make(truth, mask.boolean()))
             source = ["--input", str(tensor_path), "--mask", str(mask_path)]
         report = tmp_path / "report.json"
         if command == "complete":
-            argv = ["complete", *source, "--ranks", "2,2,2", "--max-iter", "3",
+            # ranks and iteration cap go in the config file, not in flags,
+            # which would outrank a BAD_CONFIGS entry for the same field
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(
+                {"ranks": [2, 2, 2], "max_iter": 3, **BAD_CONFIGS.get(case, {})}
+            ))
+            argv = ["complete", *source, "--config", str(config),
                     "--report", str(report)]
-            if case in BAD_CONFIGS:
-                config = tmp_path / "config.json"
-                config.write_text(json.dumps(BAD_CONFIGS[case]))
-                argv += ["--config", str(config)]
+        elif command == "mask-gen":
+            spec = tmp_path / "spec.json"
+            spec.write_text(BAD_SPECS[case])
+            argv = ["mask-gen", "--dims", "4,3,2", "--missing-spec", str(spec),
+                    "--out", str(tmp_path / "m.lrm")]
         elif command == "hosvd-demo":
             argv = ["hosvd-demo", "--input", str(tensor_path),
                     "--ranks", "3,3,3", "--tn-grid", "0"]

@@ -232,6 +232,18 @@ class TestTruncateCore:
         )
         assert sparsity == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("tn,sparsity", [(0.0, 0.25), (0.5, 0.5)])
+    def test_negative_zero_counts_and_nan_does_not(self, tn, sparsity):
+        # -0.0 is a zero of the core (kept as is by tn = 0, zeroed to +0.0
+        # otherwise); NaN is not, and no threshold drops it
+        model = TuckerModel(
+            core=np.array([[[np.nan, -0.0], [0.3, 2.0]]]), factors=[]
+        )
+        out, got = truncate_core(model, tn)
+        assert got == sparsity
+        assert np.isnan(out.core[0, 0, 0])
+        assert np.signbit(out.core[0, 0, 1]) == (tn == 0.0)
+
     def test_huge_threshold_zeroes_everything(self, rng):
         model = hosvd(rng.standard_normal((3, 3, 3)), (2, 2, 2))
         out, sparsity = truncate_core(model, 1e12)

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -192,6 +193,12 @@ class TestSolverConfig:
             dict(ranks=(2.7, 2, 2)),
             dict(max_iter=2.5),
             dict(seed=2.5),
+            dict(max_iter=True),
+            dict(seed=False),
+            dict(ranks=(True, 2, 2)),
+            dict(toeplitz_modes=(None, 1, "x")),
+            dict(toeplitz_modes=(2, 0, 1)),
+            dict(toeplitz_modes=(1.0, 0, 1)),
             dict(lam=float("inf")),
             dict(beta=float("nan")),
             dict(sigma=float("nan")),
@@ -219,6 +226,9 @@ class TestSolverConfig:
 
     def test_resolved_toeplitz_override(self):
         cfg = SolverConfig(omega=(0.0, 1.0, 1.0), toeplitz_modes=(1, 0, 1))
+        assert cfg.resolved_toeplitz() == (True, False, True)
+        flags = (True, np.bool_(False), np.int64(1))
+        cfg = SolverConfig(omega=(0.0, 1.0, 1.0), toeplitz_modes=flags)
         assert cfg.resolved_toeplitz() == (True, False, True)
 
 
@@ -493,6 +503,21 @@ class TestUpdateCore:
         before = sub_obj(state.s)
         update_core(state, cfg)
         assert sub_obj(state.s) <= before + 1e-10
+
+    def test_sweep_products_equal_rebuilt_ones(self):
+        # update_factors hands its Z contraction and Grams to update_core;
+        # without them update_core rebuilds both from the same factors
+        dims, ranks = (5, 4, 3), (2, 3, 2)
+        m, mask, _ = small_problem(seed=4, dims=dims, ranks=ranks)
+        cfg = SolverConfig(ranks=ranks, beta=0.5, lam=1.0, sigma=1e-3)
+        rebuilt = randomized_state(43, dims, ranks, cfg, m, mask)
+        passed = copy.deepcopy(rebuilt)
+        s_before = rebuilt.s.copy()
+        update_factors(rebuilt, cfg)
+        update_core(rebuilt, cfg)
+        update_core(passed, cfg, *update_factors(passed, cfg))
+        assert rebuilt.s.tobytes() == passed.s.tobytes()
+        assert not np.array_equal(rebuilt.s, s_before)
 
     @ORACLE_SHAPES
     def test_sigma_zero_is_plain_gradient_step(self, dims, ranks):
@@ -829,8 +854,47 @@ class TestSolve:
         assert report.iterations == 3
         assert all(np.isfinite(r.rel_change) for r in report.trace)
 
+    def test_calls_each_public_block_once_per_iteration(self, monkeypatch):
+        # a tracer or profiler that wraps the public block functions must
+        # see every block, so solve runs its iteration through them, in
+        # the ADMM block order
+        import lrsetd.solver as solver_module
+
+        blocks = (
+            "update_factors",
+            "update_y",
+            "update_core",
+            "update_z",
+            "update_w",
+            "update_duals",
+        )
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name in blocks:
+            fn = getattr(solver_module, name)
+            monkeypatch.setattr(solver_module, name, spy(name, fn))
+        m, mask, _ = small_problem(seed=5, dims=(5, 4, 3))
+        cfg = preset_config(
+            "traffic-wholeday",
+            ranks=(2, 2, 2),
+            sigma=0.0,
+            lam=1.0,
+            tol=1e-300,
+            max_iter=4,
+        )
+        report = solve(m, mask, cfg)
+        assert report.iterations == 4
+        assert calls == list(blocks) * 4
+
     def test_fortran_ordered_input_made_c_contiguous_once(self, monkeypatch):
-        # the Z step gathers observed values by C-order flat index, which
+        # update_z gathers observed values by C-order flat index, which
         # copies a non-C-contiguous `m` in full on every call
         import lrsetd.solver as solver_module
 
@@ -839,13 +903,13 @@ class TestSolve:
             ranks=(2, 2, 2), sigma=0.0, lam=1.0, tol=1e-300, max_iter=6
         )
         layouts = []
-        z_step = solver_module._z_step
+        z_step = solver_module.update_z
 
-        def spy(state, cfg, m, index):
+        def spy(state, cfg, m, mask):
             layouts.append(m.flags.c_contiguous)
-            return z_step(state, cfg, m, index)
+            return z_step(state, cfg, m, mask)
 
-        monkeypatch.setattr(solver_module, "_z_step", spy)
+        monkeypatch.setattr(solver_module, "update_z", spy)
         from_f = solve(np.asfortranarray(m), mask, cfg)
         assert layouts == [True] * 6
         from_c = solve(np.ascontiguousarray(m), mask, cfg)
