@@ -19,10 +19,8 @@ if "LRSETD_THREADS" in os.environ:
 
 from .hosvd import TuckerModel, hosvd, reconstruction_snr, truncate_core
 from .kernels import (
-    SvdFactors,
     soft_shrink,
     spd_solve,
-    svd_reduced,
     svd_shrink,
     toeplitz_diff,
 )

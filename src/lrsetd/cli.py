@@ -31,11 +31,13 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 
-def _parse_triple(text, cast=float, name="value"):
-    parts = [p for p in text.replace(" ", "").split(",") if p]
-    if len(parts) != 3:
-        raise ValueError(f"{name} needs three comma-separated values: {text!r}")
-    return tuple(cast(p) for p in parts)
+def _parse_ints(text, name):
+    """Comma-separated integers, one per mode; the count sets the order, so
+    an empty field is an error, not a value to skip."""
+    parts = text.replace(" ", "").split(",")
+    if not all(parts):
+        raise ValueError(f"{name} has an empty field: {text!r}")
+    return tuple(int(p) for p in parts)
 
 
 def _load_input(path, fmt, tensorize_arg):
@@ -51,8 +53,6 @@ def _load_input(path, fmt, tensorize_arg):
         data = tio.tensorize(matrix, _parse_tensorize(tensorize_arg))
     else:
         raise ValueError(f"unknown input format {fmt!r}")
-    if data.ndim != 3:
-        raise ValueError(f"expected a third-order tensor, got order {data.ndim}")
     return data
 
 
@@ -70,7 +70,7 @@ def _parse_tensorize(text):
         raise ValueError(
             f"--tensorize must look like 'otd:121,288,7', got {text!r}"
         )
-    return (kind, *_parse_triple(dims, int, "--tensorize dims"))
+    return (kind, *_parse_ints(dims, "--tensorize dims"))
 
 
 def _build_mask(args, dims):
@@ -139,7 +139,7 @@ def _solver_config(args):
         if value is not None:
             fields[key] = value
     if isinstance(fields.get("ranks"), str):
-        fields["ranks"] = _parse_triple(fields["ranks"], int, "--ranks")
+        fields["ranks"] = _parse_ints(fields["ranks"], "--ranks")
     preset = fields.pop("preset", None)
     if preset is None:
         return SolverConfig(**fields)
@@ -237,11 +237,7 @@ def cmd_hosvd_demo(args):
     data = _load_input(args.input, args.format, None)
     if args.scale:
         data = data / args.scale
-    ranks = (
-        _parse_triple(args.ranks, int, "--ranks")
-        if args.ranks
-        else data.shape
-    )
+    ranks = _parse_ints(args.ranks, "--ranks") if args.ranks else data.shape
     model = hosvd(data, ranks)
     grid = [float(v) for v in args.tn_grid.replace(" ", "").split(",") if v]
     rows = []
@@ -265,7 +261,7 @@ def cmd_hosvd_demo(args):
 
 
 def cmd_mask_gen(args):
-    dims = _parse_triple(args.dims, int, "--dims")
+    dims = _parse_ints(args.dims, "--dims")
     if (args.missing_spec is None) == (args.ratio is None):
         raise ValueError("exactly one of --missing-spec, --ratio required")
     if args.missing_spec is not None:
@@ -329,7 +325,7 @@ def build_parser():
     p.add_argument("--sample-ratio", type=float)
     p.add_argument("--preset", help=f"one of {sorted(PRESETS)}")
     p.add_argument("--config", help="solver config JSON file")
-    p.add_argument("--ranks", help="r1,r2,r3")
+    p.add_argument("--ranks", help="r1,r2,...: one rank per mode")
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", dest="max_iter", type=int)
     p.add_argument("--beta", type=float)
@@ -354,7 +350,9 @@ def build_parser():
     p = sub.add_parser("hosvd-demo", help="core truncation sweep")
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=("lrt", "ppm", "pgm"))
-    p.add_argument("--ranks", help="r1,r2,r3 (default: full)")
+    p.add_argument(
+        "--ranks", help="r1,r2,...: one rank per mode (default: full)"
+    )
     p.add_argument("--tn-grid", dest="tn_grid", default="0,0.01,0.05,0.1")
     p.add_argument(
         "--scale",
@@ -367,7 +365,7 @@ def build_parser():
     p.set_defaults(func=cmd_hosvd_demo)
 
     p = sub.add_parser("mask-gen", help="write an observation mask")
-    p.add_argument("--dims", required=True, help="I1,I2,I3")
+    p.add_argument("--dims", required=True, help="I1,I2,...: one per mode")
     p.add_argument("--missing-spec", help="MissingSpec JSON (path or inline)")
     p.add_argument("--ratio", type=float)
     p.add_argument("--seed", type=int)

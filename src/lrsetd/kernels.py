@@ -5,14 +5,10 @@ first-order difference (Toeplitz) regularizer and an O(n) solve with a
 symmetric positive definite tridiagonal matrix along one tensor axis.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
 __all__ = [
-    "SvdFactors",
-    "svd_reduced",
     "svd_shrink",
     "soft_shrink",
     "spd_solve",
@@ -20,24 +16,6 @@ __all__ = [
     "tridiag_ldl",
     "tridiag_solve",
 ]
-
-
-@dataclass(frozen=True)
-class SvdFactors:
-    """Reduced SVD: ``u @ diag(singular_values) @ v.T`` rebuilds the input."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-
-def svd_reduced(m):
-    """Reduced SVD of a matrix with finite entries."""
-    m = np.asarray(m, dtype=np.float64)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("svd_reduced: input has non-finite entries")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return SvdFactors(u=u, singular_values=s, v=vt.T)
 
 
 def svd_shrink(m, tau):
@@ -50,15 +28,19 @@ def svd_shrink(m, tau):
 
 def _svd_shrink(m, tau):
     """:func:`svd_shrink` of `m` and the nuclear norm of the result, which
-    is the sum of the shrunk singular values, so it needs no second SVD."""
+    is the sum of the shrunk singular values, so it needs no second SVD.
+    Raises ValueError when `m` holds NaN or inf."""
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    f = svd_reduced(m)
-    s = np.maximum(f.singular_values - tau, 0.0)
+    m = np.asarray(m, dtype=np.float64)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("svd_shrink: input has non-finite entries")
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    s = np.maximum(s - tau, 0.0)
     keep = s > 0
     if not keep.any():
-        return np.zeros_like(np.asarray(m, dtype=np.float64)), 0.0
-    return (f.u[:, keep] * s[keep]) @ f.v[:, keep].T, float(s.sum())
+        return np.zeros_like(m), 0.0
+    return (u[:, keep] * s[keep]) @ vt[keep], float(s.sum())
 
 
 def soft_shrink(m, tau):

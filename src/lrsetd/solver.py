@@ -1,11 +1,12 @@
 """ADMM solver for the low-rank and sparse enhanced Tucker completion model.
 
-Minimizes, over the Tucker factors X = (X0, X1, X2) and core S,
+Minimizes, over the Tucker factors X = (X_0, ..., X_{N-1}) and core S of
+an N-th-order tensor,
 
     sum_i omega_i * ||A_i W_{i,(i)}||_F^2      (spatio-temporal smoothness)
   + sum_i alpha_i * ||Y_i||_*                  (factor low-rankness)
   + sigma * ||S||_1                            (core sparsity)
-  + lam/2 * ||[[S; X0, X1, X2]] - Z||_F^2      (decomposition fit)
+  + lam/2 * ||[[S; X_0, ..., X_{N-1}]] - Z||_F^2   (decomposition fit)
 
 subject to W_i = Z, Y_i = X_i and the data constraint that Z agrees with the
 observations. One iteration updates the blocks in the order
@@ -37,7 +38,8 @@ array is scanned for NaN or inf: the factor-sized subproblem inputs are
 checked, and every state array enters the trace Lagrangian or the
 relative change, which are checked as scalars.
 
-Only third-order tensors are supported.
+The order N is the tensor's: every block loops over its modes, and the
+per-mode fields of :class:`SolverConfig` must have one value per mode.
 """
 
 import math
@@ -96,6 +98,8 @@ PRESETS = {
 class SolverConfig:
     """All scalars of the model plus run policy.
 
+    `alpha`, `omega`, `toeplitz_modes` and `ranks` hold one value per mode
+    of the tensor; the defaults and :data:`PRESETS` are third-order.
     `stop_denominator` selects the normalization of the relative-change
     stopping test: "oracle" uses ||Z_true||_F (ground truth must be passed to
     :func:`solve`), "blind" uses max(||Z_k||_F, 1).
@@ -116,12 +120,17 @@ class SolverConfig:
     preset: str | None = None
 
     def __post_init__(self):
+        # alpha counts the modes; the other per-mode fields must match it
+        modes = np.shape(self.alpha)
         for name in ("alpha", "omega", "toeplitz_modes", "ranks"):
             value = getattr(self, name)
             if value is None and name in ("toeplitz_modes", "ranks"):
                 continue
-            if np.ndim(value) != 1 or len(value) != 3:
-                raise ValueError(f"{name} needs three values, got {value!r}")
+            if len(modes) != 1 or not modes[0] or np.shape(value) != modes:
+                raise ValueError(
+                    "alpha, omega, toeplitz_modes and ranks need one value "
+                    f"per mode, as many as alpha has; got {name}={value!r}"
+                )
         integers = (self.max_iter, self.seed, *(self.ranks or ()))
         if not all(
             isinstance(v, numbers.Integral) and not isinstance(v, bool)
@@ -138,7 +147,9 @@ class SolverConfig:
             )
         reals = (self.lam, self.beta, self.sigma, self.tol, *self.alpha)
         if not all(
-            isinstance(v, numbers.Real) and math.isfinite(v)
+            isinstance(v, numbers.Real)
+            and not isinstance(v, bool)
+            and math.isfinite(v)
             for v in (*reals, *self.omega)
         ):
             raise ValueError(
@@ -174,7 +185,7 @@ class SolverConfig:
         if self.toeplitz_modes is not None:
             return tuple(bool(t) for t in self.toeplitz_modes)
         smoothed = self.smoothed_modes()
-        return tuple(i in smoothed for i in range(3))
+        return tuple(i in smoothed for i in range(len(self.omega)))
 
 def preset_config(name, **overrides):
     """Build a :class:`SolverConfig` from a named preset."""
@@ -196,14 +207,14 @@ def default_ranks(dims):
 class SolverState:
     """All block variables of one run plus the iteration-invariant W solve.
 
-    The per-mode lists `w`, `u` and `w_ldl` have length 3 and hold None at
-    every mode with omega_i = 0; index them by mode.
+    The per-mode lists `w`, `u` and `w_ldl` have one entry per mode and hold
+    None at every mode with omega_i = 0; index them by mode.
     """
 
     x: list  # factor matrices X_i, I_i x r_i
     y: list  # auxiliary factors Y_i
     t: list  # duals for X_i = Y_i
-    s: np.ndarray  # core, r0 x r1 x r2
+    s: np.ndarray  # core, r_0 x ... x r_{N-1}
     z: np.ndarray  # completed tensor estimate
     w: list  # auxiliary tensors W_i, full size, smoothed modes only
     u: list  # duals for Z = W_i, smoothed modes only
@@ -235,12 +246,15 @@ def init_state(m, mask, cfg):
     Z starts as the zero-filled observation; the factors come from a
     truncated HOSVD of Z (default) or a seeded random orthonormal draw; the
     core is the multilinear compression of Z; W_i copy Z on the smoothed
-    modes; all duals are zero. Raises ValueError when an observed entry is
-    not finite or the observed data's squared Frobenius norm overflows.
+    modes; all duals are zero. Raises ValueError when the tensor's order is
+    not the config's number of modes, an observed entry is not finite or
+    the observed data's squared Frobenius norm overflows.
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 3:
-        raise ValueError(f"solver handles third-order tensors, got {m.ndim}")
+    if m.ndim != len(cfg.alpha):
+        raise ValueError(
+            f"config has {len(cfg.alpha)} modes, tensor has order {m.ndim}"
+        )
     if m.shape != mask.dims:
         raise ValueError(f"tensor {m.shape} vs mask {mask.dims}")
     dims = m.shape
@@ -263,13 +277,13 @@ def init_state(m, mask, cfg):
     else:
         rng = np.random.default_rng(cfg.seed)
         x0 = []
-        for n in range(3):
-            q, _ = np.linalg.qr(rng.standard_normal((dims[n], ranks[n])))
+        for d, r in zip(dims, ranks):
+            q, _ = np.linalg.qr(rng.standard_normal((d, r)))
             x0.append(q)
         s0 = multilinear(z0, [f.T for f in x0])
 
     toep = cfg.resolved_toeplitz()
-    w, u, w_ldl = ([None] * 3 for _ in range(3))
+    w, u, w_ldl = [None] * m.ndim, [None] * m.ndim, [None] * m.ndim
     for i in cfg.smoothed_modes():
         w[i] = z0.copy()
         u[i] = np.zeros(dims)
@@ -301,7 +315,7 @@ def _contract_others(t, mats, i):
     With the symmetric Grams X_j^T X_j this is T_(i) @ kron(G_hi, G_lo),
     and the Kronecker matrix is never materialized.
     """
-    for j in range(3):
+    for j in range(len(mats)):
         if j != i:
             t = mode_product(t, mats[j].T, j)
     return unfold(t, i)
@@ -318,25 +332,8 @@ def _require_finite(state, what, *arrays):
             )
 
 
-def _factor_step(state, cfg, i, z_others, grams):
-    """X_i of the Gauss-Seidel sweep, from z_others = Z x_j X_j^T for j != i
-    and the Grams X_j^T X_j of the current factors; refreshes grams[i]."""
-    s_i = unfold(state.s, i)
-    rhs = cfg.lam * unfold(z_others, i) @ s_i.T
-    rhs += cfg.beta * state.y[i] - state.t[i]
-    lhs = cfg.beta * np.eye(s_i.shape[0]) + cfg.lam * _contract_others(
-        state.s, grams, i
-    ) @ s_i.T
-    lhs = 0.5 * (lhs + lhs.T)
-    _require_finite(state, f"X_{i} subproblem", lhs, rhs)
-    # X @ lhs = rhs with lhs SPD
-    x = spd_solve(lhs, rhs.T).T
-    state.x[i] = x
-    grams[i] = x.T @ x
-
-
 def update_factors(state, cfg):
-    """Gauss-Seidel update X0 -> X1 -> X2 (in place).
+    """Gauss-Seidel update X_0 -> X_1 -> ... -> X_{N-1} (in place).
 
     Each X_i is the exact minimizer of its subproblem given the current
     remaining blocks:
@@ -346,20 +343,35 @@ def update_factors(state, cfg):
 
     with C_i(T, M) = unfold(T x_j M_j^T for j != i, i) and G_j = X_j^T X_j
     taken from the factors as they stand at step i. The sweep reads the
-    full-size Z twice and forms each Gram once; it returns the last step's
-    Z x_0 X0^T x_1 X1^T and the Grams of the new factors, which
-    :func:`update_core` takes.
+    full-size Z twice at any order and forms each Gram once; it returns
+    the last step's Z x_j X_j^T over j < N-1 and the Grams of the new
+    factors, which :func:`update_core` takes.
     """
-    x, z = state.x, state.z
+    x, s = state.x, state.s
     grams = [None] + [f.T @ f for f in x[1:]]  # step 0 does not read G_0
-    # X2 moves only at the last step, so steps 0 and 1 share Z x_2 X2^T
-    z2 = mode_product(z, x[2].T, 2)
-    _factor_step(state, cfg, 0, mode_product(z2, x[1].T, 1), grams)
-    _factor_step(state, cfg, 1, mode_product(z2, x[0].T, 0), grams)
-    del z2
-    z01 = mode_product(mode_product(z, x[0].T, 0), x[1].T, 1)
-    _factor_step(state, cfg, 2, z01, grams)
-    return z01, grams
+    # X_j moves only at step j, so the suffix Z x_j X_j^T over j >= k,
+    # built once from the last mode down, is what step k-1 needs; the
+    # stack holds Z itself at the bottom and the suffix from mode 1 on top
+    suffixes = [state.z]
+    for k in range(len(x) - 1, 0, -1):
+        suffixes.append(mode_product(suffixes[-1], x[k].T, k))
+    for i in range(len(x)):
+        # z_others = C_i(Z, X) before unfolding, with the new X_j, j < i
+        z_others = suffixes.pop()
+        for j in range(i):
+            z_others = mode_product(z_others, x[j].T, j)
+        s_i = unfold(s, i)
+        rhs = cfg.lam * unfold(z_others, i) @ s_i.T
+        rhs += cfg.beta * state.y[i] - state.t[i]
+        lhs = cfg.beta * np.eye(s_i.shape[0]) + cfg.lam * _contract_others(
+            s, grams, i
+        ) @ s_i.T
+        lhs = 0.5 * (lhs + lhs.T)
+        _require_finite(state, f"X_{i} subproblem", lhs, rhs)
+        # X @ lhs = rhs with lhs SPD
+        x[i] = spd_solve(lhs, rhs.T).T
+        grams[i] = x[i].T @ x[i]
+    return z_others, grams
 
 
 def update_y(state, cfg):
@@ -367,7 +379,7 @@ def update_y(state, cfg):
     Y_i = svd_shrink(X_i + T_i/beta, alpha_i/beta). Returns
     sum_i alpha_i*||Y_i||_* of the new Y."""
     val = 0.0
-    for i in range(3):
+    for i in range(len(state.x)):
         point = state.x[i] + state.t[i] / cfg.beta
         _require_finite(state, f"Y_{i} prox input", point)
         state.y[i], nuclear = _svd_shrink(point, cfg.alpha[i] / cfg.beta)
@@ -378,24 +390,26 @@ def update_y(state, cfg):
 def update_core(state, cfg, z01=None, grams=None):
     """One proximal-gradient step on the core tensor (in place).
 
-    The smooth part is phi(S) = 0.5*||[[S; X0, X1, X2]] - Z||_F^2 with
+    The smooth part is phi(S) = 0.5*||[[S; X]] - Z||_F^2 with
     gradient S x_j G_j - Z x_j X_j^T over all modes, G_j = X_j^T X_j, and
     Lipschitz constant the product of the Grams' spectral norms. A zero
     Lipschitz constant (all-zero factors) skips the step.
 
-    `z01` = Z x_0 X0^T x_1 X1^T and the Grams are what
+    `z01` = Z x_j X_j^T over j < N-1 and the Grams are what
     :func:`update_factors` returns; pass both or neither, in which case
     they are built from the current factors.
     """
     x = state.x
     if z01 is None:
-        z01 = mode_product(mode_product(state.z, x[0].T, 0), x[1].T, 1)
+        z01 = state.z
+        for j in range(len(x) - 1):
+            z01 = mode_product(z01, x[j].T, j)
         grams = [f.T @ f for f in x]
     # the spectral norm of a Gram is its largest eigenvalue
     zeta = math.prod(np.linalg.eigvalsh(g)[-1] for g in grams)
     if zeta == 0.0:
         return
-    grad = multilinear(state.s, grams) - mode_product(z01, x[2].T, 2)
+    grad = multilinear(state.s, grams) - mode_product(z01, x[-1].T, len(x) - 1)
     state.s = soft_shrink(state.s - grad / zeta, cfg.sigma / (cfg.lam * zeta))
 
 
@@ -409,7 +423,7 @@ def _fit_term(recon, z, cfg):
 def update_z(state, cfg, m, mask):
     """Closed-form Z update with the observation constraint (in place).
 
-    Off the observed set, Z = (sum_i (beta*W_i - U_i) + lam*Zhat)/(lam+3beta)
+    Off the observed set, Z = (sum_i (beta*W_i - U_i) + lam*Zhat)/(lam+N*beta)
     with Zhat the current Tucker reconstruction; on it, Z = M exactly. An
     unsmoothed mode enters with W_i = Z_prev (the Z before this update) and
     U_i = 0, the values its W and dual steps would have left. Returns the
@@ -420,6 +434,7 @@ def update_z(state, cfg, m, mask):
     if m.shape != mask.dims:
         raise ValueError(f"tensor {m.shape} vs mask {mask.dims}")
     index = mask.c_flat_index()
+    order = len(state.x)
     smoothed = cfg.smoothed_modes()
     recon = multilinear(state.s, state.x)
     # C order keeps Z, and the W_i and U_i built from it, in one layout
@@ -429,8 +444,8 @@ def update_z(state, cfg, m, mask):
         term -= state.u[i]
         acc += term
         del term
-    acc += (3 - len(smoothed)) * cfg.beta * state.z
-    acc /= cfg.lam + 3.0 * cfg.beta
+    acc += (order - len(smoothed)) * cfg.beta * state.z
+    acc /= cfg.lam + order * cfg.beta
     acc.reshape(-1)[index] = np.take(m, index)  # a view: acc is C-contiguous
     state.z = acc
     return _fit_term(recon, acc, cfg)
@@ -466,7 +481,7 @@ def update_duals(state, cfg):
         state.u[i] = u
         val += _penalty(u, gap, cfg.beta)
         del gap, u  # before the next mode's full-size temporaries
-    for i in range(3):
+    for i in range(len(state.x)):
         gap = state.x[i] - state.y[i]
         state.t[i] = state.t[i] + cfg.beta * gap
         val += _penalty(state.t[i], gap, cfg.beta)
@@ -499,15 +514,15 @@ def augmented_lagrangian(state, cfg):
     """Value of the augmented Lagrangian at the current state, computed
     from scratch. :func:`solve` sums the same terms from its blocks."""
     nuclear = sum(
-        cfg.alpha[i] * np.linalg.svd(state.y[i], compute_uv=False).sum()
-        for i in range(3)
+        a * np.linalg.svd(y, compute_uv=False).sum()
+        for a, y in zip(cfg.alpha, state.y)
     )
     penalties = sum(
         _penalty(state.u[i], state.z - state.w[i], cfg.beta)
         for i in cfg.smoothed_modes()
     ) + sum(
-        _penalty(state.t[i], state.x[i] - state.y[i], cfg.beta)
-        for i in range(3)
+        _penalty(t, x - y, cfg.beta)
+        for t, x, y in zip(state.t, state.x, state.y)
     )
     fit = _fit_term(multilinear(state.s, state.x), state.z, cfg)
     return _lagrangian(state, cfg, nuclear, penalties, fit)
@@ -523,8 +538,8 @@ def objective_value(state, cfg):
     val = cfg.sigma * np.abs(state.s).sum()
     toep = cfg.resolved_toeplitz()
     grams = [f.T @ f for f in state.x]
-    for i in range(3):
-        val += cfg.alpha[i] * np.linalg.svd(state.x[i], compute_uv=False).sum()
+    for a, x in zip(cfg.alpha, state.x):
+        val += a * np.linalg.svd(x, compute_uv=False).sum()
     for i in cfg.smoothed_modes():
         parts = _smoothing_parts(state.x[i], 0, toep[i])
         g = list(grams)

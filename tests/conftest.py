@@ -46,11 +46,12 @@ def fold_by_index_formula(matrix, mode, dims):
 
 def kron_others(factors, mode):
     """Explicit Kronecker factor of the matricized Tucker identity:
-    kron(X_N, ..., X_{mode+1}, X_{mode-1}, ..., X_0)."""
-    mats = [factors[j] for j in reversed(range(len(factors))) if j != mode]
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
+    kron(X_N, ..., X_{mode+1}, X_{mode-1}, ..., X_0), which is [[1.0]] for
+    a single factor."""
+    out = np.ones((1, 1))
+    for j in reversed(range(len(factors))):
+        if j != mode:
+            out = np.kron(out, factors[j])
     return out
 
 
@@ -64,19 +65,19 @@ def smoothing_matrix(cfg, dims, i):
 
 def reference_admm(m, observed, cfg, n_iter):
     """Slow reference for :func:`lrsetd.solver.solve`: the same ADMM with a
-    W_i/U_i pair on all three modes, whatever omega is.
+    W_i/U_i pair on every mode, whatever omega is, at any order.
 
     Every block is written out in matrix form: unfoldings by the index
     formula, each X_i from its normal equations with the explicit
     :func:`kron_others` factor, the HOSVD start from a plain SVD. Returns Z
     after `n_iter` iterations.
     """
-    dims, ranks = m.shape, cfg.ranks
+    dims, ranks, modes = m.shape, cfg.ranks, range(m.ndim)
     beta, lam = cfg.beta, cfg.lam
     unf, fld = unfold_by_index_formula, fold_by_index_formula
     z = np.where(observed, m, 0.0)
     x = []
-    for n in range(3):
+    for n in modes:
         u = np.linalg.svd(unf(z, n), full_matrices=False)[0][:, : ranks[n]]
         # sign convention: largest-magnitude entry of each column nonnegative
         flip = u[np.abs(u).argmax(axis=0), np.arange(ranks[n])] < 0
@@ -84,17 +85,17 @@ def reference_admm(m, observed, cfg, n_iter):
     s = fld(x[0].T @ unf(z, 0) @ kron_others(x, 0), 0, ranks)
     y = [f.copy() for f in x]
     t = [np.zeros_like(f) for f in x]
-    w = [z.copy() for _ in range(3)]
-    u = [np.zeros(dims) for _ in range(3)]
-    a_mats = [smoothing_matrix(cfg, dims, i) for i in range(3)]
+    w = [z.copy() for _ in modes]
+    u = [np.zeros(dims) for _ in modes]
+    a_mats = [smoothing_matrix(cfg, dims, i) for i in modes]
     for _ in range(n_iter):
-        for i in range(3):
+        for i in modes:
             b = kron_others(x, i)
             s_i = unf(s, i)
             lhs = beta * np.eye(ranks[i]) + lam * s_i @ b.T @ b @ s_i.T
             rhs = lam * unf(z, i) @ b @ s_i.T + beta * y[i] - t[i]
             x[i] = np.linalg.solve(lhs, rhs.T).T
-        for i in range(3):
+        for i in modes:
             left, sv, right = np.linalg.svd(
                 x[i] + t[i] / beta, full_matrices=False
             )
@@ -108,17 +109,17 @@ def reference_admm(m, observed, cfg, n_iter):
             s_mat = np.sign(step) * np.maximum(np.abs(step) - tau, 0.0)
             s = fld(s_mat, 0, ranks)
         zhat = fld(x[0] @ unf(s, 0) @ b.T, 0, dims)
-        z = (lam * zhat + sum(beta * w[i] - u[i] for i in range(3))) / (
-            lam + 3.0 * beta
+        z = (lam * zhat + sum(beta * w[i] - u[i] for i in modes)) / (
+            lam + m.ndim * beta
         )
         z[observed] = m[observed]
-        for i in range(3):
+        for i in modes:
             a = a_mats[i]
             lhs = beta * np.eye(dims[i]) + 2.0 * cfg.omega[i] * a.T @ a
             w[i] = fld(
                 np.linalg.solve(lhs, beta * unf(z, i) + unf(u[i], i)), i, dims
             )
-        for i in range(3):
+        for i in modes:
             u[i] = u[i] + beta * (z - w[i])
             t[i] = t[i] + beta * (x[i] - y[i])
     return z

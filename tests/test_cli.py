@@ -232,7 +232,7 @@ class TestCompleteCommand:
             ]
         )
         assert code == 2
-        assert "omega needs three values" in capsys.readouterr().err
+        assert "one value per mode" in capsys.readouterr().err
 
     def test_oracle_stop_needs_known_truth(self, problem, tmp_path, capsys):
         # NaN off the mask leaves the oracle denominator undefined
@@ -353,6 +353,10 @@ BAD_INPUTS = {
     "config-max-iter-true": (_as_is, "complete", 2, "err", "integers"),
     "config-ranks-bool": (_as_is, "complete", 2, "err", "integers"),
     "config-seed-false": (_as_is, "complete", 2, "err", "integers"),
+    "config-lam-true": (_as_is, "complete", 2, "err", "finite numbers"),
+    # the count of --ranks/--dims fields is the order, so none may be empty
+    "ranks-empty-field": (_as_is, "complete", 2, "err", "empty field"),
+    "dims-trailing-comma": (None, "mask-gen", 2, "err", "empty field"),
     "spec-not-object": (None, "mask-gen", 2, "err", "must be a JSON object"),
     "spec-params-list": (None, "mask-gen", 2, "err", "params must be"),
     "spec-ratio-null": (None, "mask-gen", 2, "err", "ratio must be a number"),
@@ -367,6 +371,13 @@ BAD_CONFIGS = {
     "config-max-iter-true": {"max_iter": True},
     "config-ranks-bool": {"ranks": [True, 2, 2]},
     "config-seed-false": {"seed": False},
+    "config-lam-true": {"lam": True},
+}
+# command-line flags appended for the BAD_INPUTS cases that need them; a
+# repeated flag overrides the earlier one
+BAD_FLAGS = {
+    "ranks-empty-field": ["--ranks", "2,,2,2"],
+    "dims-trailing-comma": ["--dims", "4,3,2,"],
 }
 # --missing-spec file contents for the mask-gen cases
 BAD_SPECS = {
@@ -379,6 +390,7 @@ BAD_SPECS = {
         '{"kind": "composite",'
         ' "params": {"structural": "whole_slices", "ratio": 0.5}}'
     ),
+    "dims-trailing-comma": '{"kind": "random", "params": {"ratio": 0.5}}',
 }
 
 
@@ -427,6 +439,7 @@ class TestBadInput:
             write_tensor(recovered, truth)
             argv = ["metrics", "--truth", str(tensor_path),
                     "--recovered", str(recovered), "--mask", str(mask_path)]
+        argv += BAD_FLAGS.get(case, [])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = main(argv)
@@ -460,6 +473,36 @@ class TestBadInput:
             metrics = strict_json(report.read_text())["metrics"]
             summary = strict_json(captured.out.splitlines()[-1])
             assert metrics.items() <= summary.items()
+
+
+class TestAnyOrder:
+    @pytest.mark.parametrize("order", [1, 2, 4, 5])
+    def test_commands_take_the_order_of_the_data(self, order, tmp_path, capsys):
+        dims = (5, 4, 3, 3, 2)[:order]
+        truth, _, _ = synthetic_tucker(
+            seed=2, dims=dims, ranks=(1,) * order, density=1.0
+        )
+        tensor_path, mask_path = tmp_path / "t.lrt", tmp_path / "m.lrm"
+        write_tensor(tensor_path, truth)
+        text = ",".join(str(d) for d in dims)
+        assert main(["mask-gen", "--dims", text, "--ratio", "0.7",
+                     "--seed", "1", "--out", str(mask_path)]) == 0
+        assert read_mask(mask_path).dims == dims
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"alpha": [0.5] * order, "omega": [1.0] + [0.0] * (order - 1)}
+        ))
+        base = ["complete", "--input", str(tensor_path), "--mask",
+                str(mask_path), "--ranks", ",".join(["1"] * order),
+                "--max-iter", "5", "--out", str(tmp_path / "rec.lrt")]
+        assert main(base + ["--config", str(cfg_path)]) == 0
+        assert read_tensor(tmp_path / "rec.lrt").shape == dims
+        assert main(["hosvd-demo", "--input", str(tensor_path),
+                     "--tn-grid", "0"]) == 0
+        capsys.readouterr()
+        # the presets and the default alpha/omega are three-way
+        assert main(base + ["--preset", "image"]) == 2
+        assert "one value per mode" in capsys.readouterr().err
 
 
 class TestThreadsVariable:

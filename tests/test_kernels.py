@@ -5,7 +5,6 @@ from lrsetd.kernels import (
     _svd_shrink,
     soft_shrink,
     spd_solve,
-    svd_reduced,
     svd_shrink,
     toeplitz_diff,
     tridiag_ldl,
@@ -15,29 +14,6 @@ from lrsetd.kernels import (
 
 def nuclear_norm(m):
     return np.linalg.svd(m, compute_uv=False).sum()
-
-
-class TestSvdReduced:
-    def test_diagonal(self):
-        f = svd_reduced(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(f.singular_values, [3.0, 1.0])
-
-    def test_zero_matrix(self):
-        f = svd_reduced(np.zeros((3, 2)))
-        rebuilt = (f.u * f.singular_values) @ f.v.T
-        assert not rebuilt.any()
-
-    def test_reconstruction_and_orthonormality(self, rng):
-        m = rng.standard_normal((5, 3))
-        f = svd_reduced(m)
-        rebuilt = (f.u * f.singular_values) @ f.v.T
-        assert np.linalg.norm(rebuilt - m) <= 1e-9 * np.linalg.norm(m)
-        np.testing.assert_allclose(f.u.T @ f.u, np.eye(3), atol=1e-9)
-        np.testing.assert_allclose(f.v.T @ f.v, np.eye(3), atol=1e-9)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            svd_reduced(np.array([[1.0, np.nan]]))
 
 
 class TestSvdShrink:
@@ -53,6 +29,10 @@ class TestSvdShrink:
     def test_negative_tau(self):
         with pytest.raises(ValueError, match="nonnegative"):
             svd_shrink(np.eye(2), -0.1)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            svd_shrink(np.array([[1.0, np.nan]]), 0.5)
 
     def test_local_optimality_probe(self, rng):
         m = rng.standard_normal((4, 3))

@@ -61,7 +61,7 @@ def randomized_state(seed, dims, ranks, cfg, m, mask):
 
 
 def unsmoothed_modes(cfg):
-    return [i for i in range(3) if i not in cfg.smoothed_modes()]
+    return [i for i in range(len(cfg.omega)) if i not in cfg.smoothed_modes()]
 
 
 def check_factor_update(state, cfg):
@@ -71,13 +71,13 @@ def check_factor_update(state, cfg):
             = lam*Z_(i)B_i S_(i)^T + beta*Y_i - T_i
 
     with B_i materialized explicitly from the other (updated) factors."""
-    ranks = state.ranks
+    ranks, modes = state.ranks, range(len(state.x))
     x_old = [f.copy() for f in state.x]
     update_factors(state, cfg)
-    for i in range(3):
+    for i in modes:
         # Gauss-Seidel: mode i saw the updated factors below it and the
         # pre-sweep factors above it
-        mix = [state.x[j] if j < i else x_old[j] for j in range(3)]
+        mix = [state.x[j] if j < i else x_old[j] for j in modes]
         mix[i] = state.x[i]
         b = kron_others(mix, i)
         s_i = unfold(state.s, i)
@@ -146,7 +146,8 @@ ORACLE_SHAPES = pytest.mark.parametrize(
 )
 
 
-# the three W_i/U_i layouts: two smoothed modes of two kinds, and none
+# the three-way W_i/U_i layouts: two smoothed modes of two kinds, and
+# none; and a four-way one that smooths a difference and an identity mode
 SOLVE_CONFIGS = pytest.mark.parametrize(
     "cfg",
     [
@@ -155,16 +156,24 @@ SOLVE_CONFIGS = pytest.mark.parametrize(
             "traffic-wholeday", ranks=(3, 3, 2), max_iter=30, tol=1e-300
         ),
         SolverConfig(ranks=(3, 3, 2), max_iter=30, tol=1e-300),
+        SolverConfig(
+            ranks=(3, 3, 2, 2),
+            alpha=(0.25,) * 4,
+            omega=(1.0, 0.0, 0.5, 0.0),
+            toeplitz_modes=(1, 0, 0, 0),
+            max_iter=30,
+            tol=1e-300,
+        ),
     ],
-    ids=["image", "traffic-wholeday", "omega-zero"],
+    ids=["image", "traffic-wholeday", "omega-zero", "4-way"],
 )
 
 
-def reference_problem():
-    """Zero-filled observations of a sparse-core Tucker tensor and their
-    mask, for whole-solve comparisons."""
+def reference_problem(order=3):
+    """Zero-filled observations of a sparse-core Tucker tensor of the given
+    order and their mask, for whole-solve comparisons."""
     truth, _, _ = synthetic_tucker(
-        seed=6, dims=(6, 5, 4), ranks=(2, 2, 2), density=0.5
+        seed=6, dims=(6, 5, 4, 3)[:order], ranks=(2,) * order, density=0.5
     )
     mask = ObservationMask.from_boolean(
         np.random.default_rng(7).random(truth.shape) < 0.7
@@ -204,6 +213,14 @@ class TestSolverConfig:
             dict(sigma=float("nan")),
             dict(tol=float("nan")),
             dict(omega=(0.0, float("inf"), 0.0)),
+            dict(alpha=(), omega=()),
+            dict(ranks=(2, 2, 2, 2)),
+            dict(lam=True),
+            dict(beta=True),
+            dict(sigma=False),
+            dict(tol=True),
+            dict(alpha=(True, 0.5, 0.5)),
+            dict(omega=(False, 1, 1)),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -223,6 +240,13 @@ class TestSolverConfig:
         cfg = SolverConfig(omega=(0.0, 1.0, 2e-3))
         assert cfg.smoothed_modes() == (1, 2)
         assert cfg.resolved_toeplitz() == (False, True, True)
+
+    def test_order_follows_per_mode_fields(self):
+        cfg = SolverConfig(alpha=(0.5,) * 4, omega=(0.0, 1.0, 0.0, 2.0))
+        assert cfg.smoothed_modes() == (1, 3)
+        assert cfg.resolved_toeplitz() == (False, True, False, True)
+        cfg = SolverConfig(alpha=(0.5,), omega=(1.0,), ranks=(2,))
+        assert cfg.resolved_toeplitz() == (True,)
 
     def test_resolved_toeplitz_override(self):
         cfg = SolverConfig(omega=(0.0, 1.0, 1.0), toeplitz_modes=(1, 0, 1))
@@ -323,8 +347,15 @@ class TestInitState:
                 )
 
     def test_rejects_bad_order(self):
-        with pytest.raises(ValueError, match="third-order"):
+        # the order is the config's number of modes; the defaults are
+        # three-way, so a 3-tuple preset on 4-way data is an error too
+        with pytest.raises(ValueError, match="3 modes, tensor has order 2"):
             init_state(np.zeros((2, 2)), ObservationMask.full((2, 2)), SolverConfig())
+        dims = (2, 2, 2, 2)
+        with pytest.raises(ValueError, match="3 modes, tensor has order 4"):
+            init_state(
+                np.zeros(dims), ObservationMask.full(dims), preset_config("image")
+            )
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -363,6 +394,31 @@ class TestUpdateFactors:
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
         state = randomized_state(3, dims, ranks, cfg, m, mask)
         check_factor_update(state, cfg)
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_sweep_reads_z_twice(self, order, monkeypatch):
+        # the suffix products Z x_j X_j^T over j >= k are shared by the
+        # steps below k, so only the first suffix and the last step's
+        # chain take the full-size Z, at any order; ranks below every
+        # dimension keep all other products smaller than Z
+        import lrsetd.solver as solver_module
+
+        dims, ranks = (5, 4, 3, 3, 2)[:order], (2, 2, 2, 2, 1)[:order]
+        cfg = SolverConfig(
+            ranks=ranks, alpha=(0.5,) * order, omega=(0.0,) * order
+        )
+        m = np.zeros(dims)
+        state = randomized_state(2, dims, ranks, cfg, m, ObservationMask.full(dims))
+        reads = []
+        product = solver_module.mode_product
+
+        def spy(tensor, matrix, mode):
+            reads.append(tensor.size == state.z.size)
+            return product(tensor, matrix, mode)
+
+        monkeypatch.setattr(solver_module, "mode_product", spy)
+        update_factors(state, cfg)
+        assert sum(reads) == 2
 
     def test_tiny_lam_limit(self):
         # as lam -> 0 the update degenerates to X_i = Y_i - T_i/beta
@@ -439,20 +495,26 @@ class TestBlockMemory:
 class TestRandomShapeSweep:
     @pytest.mark.parametrize("seed", range(16))
     def test_block_oracles(self, seed):
-        # seeded random dims (1..6), ranks, scalars, smoothed modes and
-        # Toeplitz flags through the explicit-Kronecker and dense-A_i oracles
+        # seeded random order (1..5), dims (1..6), ranks, scalars,
+        # smoothed modes and Toeplitz flags through the explicit-Kronecker
+        # and dense-A_i oracles
         rng = np.random.default_rng(1000 + seed)
-        dims = tuple(int(d) for d in rng.integers(1, 7, size=3))
+        order = int(rng.integers(1, 6))
+        dims = tuple(int(d) for d in rng.integers(1, 7, size=order))
         ranks = tuple(int(rng.integers(1, d + 1)) for d in dims)
         cfg = SolverConfig(
             ranks=ranks,
+            alpha=(1 / 3,) * order,
             beta=float(rng.uniform(0.1, 2.0)),
             lam=float(rng.uniform(0.01, 1.0)),
             sigma=float(rng.uniform(0.0, 1.0)),
             omega=tuple(
-                float(w) * (rng.random() < 0.7) for w in rng.uniform(0, 2, 3)
+                float(w) * (rng.random() < 0.7)
+                for w in rng.uniform(0, 2, order)
             ),
-            toeplitz_modes=tuple(int(t) for t in rng.integers(0, 2, size=3)),
+            toeplitz_modes=tuple(
+                int(t) for t in rng.integers(0, 2, size=order)
+            ),
         )
         m = rng.standard_normal(dims)
         mask = ObservationMask.from_boolean(rng.random(dims) < 0.7)
@@ -923,7 +985,7 @@ class TestSolve:
     def test_matches_reference_admm(self, cfg):
         # the solver drops W_i/U_i on unsmoothed modes; the reference keeps
         # all three pairs, so agreement shows the collapse is exact
-        observed, mask = reference_problem()
+        observed, mask = reference_problem(len(cfg.alpha))
         got = solve(observed, mask, cfg).recovered
         expected = reference_admm(observed, mask.boolean(), cfg, 30)
         assert frobenius(got - expected) <= 1e-10 * frobenius(expected)
@@ -933,7 +995,7 @@ class TestSolve:
         # solve sums the Lagrangian from scalars its blocks report; every
         # record must equal the from-scratch functions on the state it
         # describes
-        observed, mask = reference_problem()
+        observed, mask = reference_problem(len(cfg.alpha))
         recomputed = []
 
         def cb(state):
@@ -953,6 +1015,23 @@ class TestSolve:
         truth, _, _ = synthetic_tucker(seed=4)
         mask = random_mask(truth.shape, 0.6, seed=104)
         cfg = preset_config("image", ranks=(2, 2, 2), beta=1.0)
+        report = solve(truth, mask, cfg)
+        err = frobenius(report.recovered - truth) / frobenius(truth)
+        assert err < 0.05
+
+    def test_four_way_synthetic_recovery(self):
+        from lrsetd.masks import random_mask
+
+        truth, _, _ = synthetic_tucker(
+            seed=4, dims=(20, 16, 12, 8), ranks=(2,) * 4, density=0.25
+        )
+        mask = random_mask(truth.shape, 0.6, seed=104)
+        cfg = SolverConfig(
+            ranks=(2,) * 4,
+            alpha=(1 / 3,) * 4,
+            omega=(1.0, 1.0, 0.0, 0.0),
+            beta=1.0,
+        )
         report = solve(truth, mask, cfg)
         err = frobenius(report.recovered - truth) / frobenius(truth)
         assert err < 0.05
