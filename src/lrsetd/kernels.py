@@ -3,10 +3,19 @@
 Singular value shrinkage, elementwise soft thresholding, SPD solves, the
 first-order difference (Toeplitz) regularizer and an O(n) solve with a
 symmetric positive definite tridiagonal matrix along one tensor axis.
+
+The ADMM calls :func:`spd_solve` and :func:`tridiag_solve` on small
+operands every iteration, so their Python-level cost counts as much as
+their arithmetic. :func:`spd_solve` calls LAPACK ``dpotrf``/``dpotrs``
+directly: ``scipy.linalg.cho_factor``/``cho_solve`` run the same two
+routines behind batching, finiteness and validation layers that cost tens
+of microseconds per call, so :func:`spd_solve` makes its shape and
+finiteness checks itself, once. :func:`tridiag_solve` sweeps with two
+ufunc calls per step into a preallocated row.
 """
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "svd_shrink",
@@ -57,14 +66,26 @@ def soft_shrink(m, tau):
 def spd_solve(a, b):
     """Solve ``a @ x = b`` for symmetric positive definite `a`.
 
-    Raises ``np.linalg.LinAlgError`` when `a` is not SPD.
+    `b` is a vector or a matrix of right-hand sides, and the result has its
+    shape. Only the upper triangle of `a` is read. Raises ValueError when
+    `a` or `b` holds NaN or inf, and ``np.linalg.LinAlgError`` when `a` is
+    not SPD.
     """
     a = np.asarray(a, dtype=np.float64)
-    try:
-        factor = scipy.linalg.cho_factor(a)
-    except scipy.linalg.LinAlgError as e:
-        raise np.linalg.LinAlgError(f"matrix is not SPD: {e}") from e
-    return scipy.linalg.cho_solve(factor, np.asarray(b, dtype=np.float64))
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape[:1] != a.shape[:1]:
+        raise ValueError(f"spd_solve: shapes {a.shape} and {b.shape} differ")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("spd_solve: input has non-finite entries")
+    factor, info = dpotrf(a, lower=0, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"matrix is not SPD: leading minor {info} is not positive"
+        )
+    x, info = dpotrs(factor, b, lower=0)
+    if info != 0:
+        raise ValueError(f"dpotrs: illegal value in argument {-info}")
+    return x
 
 
 def toeplitz_diff(n):
@@ -109,11 +130,13 @@ def tridiag_solve(ldl, b, axis):
     """Solve ``T x = b`` along `axis` of `b` in place and return `b`.
 
     `ldl` is :func:`tridiag_ldl` of T; every 1-D line of `b` along `axis`
-    is one right-hand side. One forward and one backward sweep over the
-    slices of `b` normal to `axis`, O(n) work per line.
+    is one right-hand side. One forward sweep over the slices of `b` normal
+    to `axis`, one multiply by D^{-1} and one backward sweep, O(n) work per
+    line.
     """
     lower, inv_d = ldl
-    lines = np.moveaxis(b, axis, 0)  # a view: writes land in b
+    front = [axis, *range(axis), *range(axis + 1, b.ndim)]
+    lines = b.transpose(front)  # a view: writes land in b
     n = inv_d.size
     if lines.shape[0] != n:
         raise ValueError(f"axis {axis} of b has length {lines.shape[0]}, T {n}")
@@ -121,12 +144,18 @@ def tridiag_solve(ldl, b, axis):
     # faster on contiguous memory, so strided slices are swept in a copy
     x = np.ascontiguousarray(lines)
     rows = x.reshape(n, -1)
+    row = list(rows)  # views, built once
+    lower = lower.tolist()
+    tmp = np.empty_like(row[0])
     for j in range(1, n):
-        rows[j] -= lower[j - 1] * rows[j - 1]
-    rows[n - 1] *= inv_d[n - 1]
+        np.multiply(row[j - 1], lower[j - 1], out=tmp)
+        row[j] -= tmp
+    # backward step j reads only row j+1, which is final by then, so D^{-1}
+    # scales every row at once
+    rows *= inv_d[:, None]
     for j in range(n - 2, -1, -1):
-        rows[j] *= inv_d[j]
-        rows[j] -= lower[j] * rows[j + 1]
+        np.multiply(row[j + 1], lower[j], out=tmp)
+        row[j] -= tmp
     if x is not lines:
         lines[...] = x
     return b

@@ -94,6 +94,15 @@ PRESETS = {
 }
 
 
+def _shape(value):
+    """``np.shape(value)``, or None for a ragged nesting such as
+    ((1, 2), 3, 4), where numpy raises its own ValueError."""
+    try:
+        return np.shape(value)
+    except ValueError:
+        return None
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """All scalars of the model plus run policy.
@@ -121,12 +130,17 @@ class SolverConfig:
 
     def __post_init__(self):
         # alpha counts the modes; the other per-mode fields must match it
-        modes = np.shape(self.alpha)
+        modes = _shape(self.alpha)
         for name in ("alpha", "omega", "toeplitz_modes", "ranks"):
             value = getattr(self, name)
             if value is None and name in ("toeplitz_modes", "ranks"):
                 continue
-            if len(modes) != 1 or not modes[0] or np.shape(value) != modes:
+            if (
+                modes is None
+                or len(modes) != 1
+                or not modes[0]
+                or _shape(value) != modes
+            ):
                 raise ValueError(
                     "alpha, omega, toeplitz_modes and ranks need one value "
                     f"per mode, as many as alpha has; got {name}={value!r}"
@@ -495,7 +509,11 @@ def _smoothing_parts(t, axis, toeplitz):
     and the last slice for the difference matrix, `t` itself for I."""
     if not toeplitz:
         return (t,)
-    return np.diff(t, axis=axis), np.take(t, [-1], axis=axis)
+    # basic slicing is what np.diff does, without its per-call axis
+    # handling; the last slice is a view
+    head = (slice(None),) * axis
+    after, before = t[head + (slice(1, None),)], t[head + (slice(None, -1),)]
+    return after - before, t[head + (slice(-1, None),)]
 
 
 def _lagrangian(state, cfg, nuclear, penalties, fit):

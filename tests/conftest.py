@@ -125,6 +125,25 @@ def reference_admm(m, observed, cfg, n_iter):
     return z
 
 
+def tridiag_solve_reference(ldl, b, axis):
+    """Per-row LDL^T sweep for :func:`lrsetd.kernels.tridiag_solve`: the
+    same forward and backward substitutions, each step written as one
+    in-place row update with a temporary, D^{-1} applied row by row in the
+    backward sweep. Returns a new array and leaves `b` unchanged."""
+    lower, inv_d = ldl
+    x = np.ascontiguousarray(np.moveaxis(b, axis, 0), dtype=np.float64)
+    x = x.copy() if np.shares_memory(x, b) else x
+    n = inv_d.size
+    rows = x.reshape(n, -1)
+    for j in range(1, n):
+        rows[j] -= lower[j - 1] * rows[j - 1]
+    rows[n - 1] *= inv_d[n - 1]
+    for j in range(n - 2, -1, -1):
+        rows[j] *= inv_d[j]
+        rows[j] -= lower[j] * rows[j + 1]
+    return np.moveaxis(x, 0, axis)
+
+
 def smooth_orthonormal_factors(dims, ranks):
     """Orthonormal factor matrices from boundary-decaying polynomial
     columns; smooth along every mode so the difference regularizer is

@@ -354,6 +354,7 @@ BAD_INPUTS = {
     "config-ranks-bool": (_as_is, "complete", 2, "err", "integers"),
     "config-seed-false": (_as_is, "complete", 2, "err", "integers"),
     "config-lam-true": (_as_is, "complete", 2, "err", "finite numbers"),
+    "config-omega-ragged": (_as_is, "complete", 2, "err", "got omega="),
     # the count of --ranks/--dims fields is the order, so none may be empty
     "ranks-empty-field": (_as_is, "complete", 2, "err", "empty field"),
     "dims-trailing-comma": (None, "mask-gen", 2, "err", "empty field"),
@@ -372,6 +373,7 @@ BAD_CONFIGS = {
     "config-ranks-bool": {"ranks": [True, 2, 2]},
     "config-seed-false": {"seed": False},
     "config-lam-true": {"lam": True},
+    "config-omega-ragged": {"omega": [[1, 2], 3, 4]},
 }
 # command-line flags appended for the BAD_INPUTS cases that need them; a
 # repeated flag overrides the earlier one

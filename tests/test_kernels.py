@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+import lrsetd.kernels
+from conftest import tridiag_solve_reference
 from lrsetd.kernels import (
     _svd_shrink,
     soft_shrink,
@@ -139,6 +143,58 @@ class TestSpdSolve:
             b = rng.standard_normal((2, 4))
             np.testing.assert_allclose(a @ spd_solve(a, b), b, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
+    )
+    @pytest.mark.parametrize("where", ["a", "b"])
+    def test_non_finite_rejected_before_lapack(self, where, value, monkeypatch):
+        def lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on non-finite input")
+
+        monkeypatch.setattr(lrsetd.kernels, "dpotrf", lapack)
+        monkeypatch.setattr(lrsetd.kernels, "dpotrs", lapack)
+        a, b = np.diag([2.0, 3.0]), np.ones((2, 3))
+        # a[1, 0] is in the triangle that LAPACK never reads
+        {"a": a, "b": b}[where][1, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            spd_solve(a, b)
+
+    def test_vector_right_hand_side_keeps_its_shape(self, rng):
+        g = rng.standard_normal((4, 4))
+        a = g @ g.T + np.eye(4)
+        b = rng.standard_normal(4)
+        x = spd_solve(a, b)
+        assert x.shape == (4,)
+        np.testing.assert_allclose(a @ x, b, atol=1e-12)
+        with pytest.raises(np.linalg.LinAlgError):
+            spd_solve(np.diag([1.0, -1.0]), np.ones(2))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shapes"):
+            spd_solve(np.eye(3), np.ones((2, 1)))
+        with pytest.raises(ValueError, match="shapes"):
+            spd_solve(np.ones((2, 3)), np.ones((2, 1)))
+
+    @pytest.mark.parametrize("rhs", ["vector", "C", "F", "transposed"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
+    def test_bitwise_equal_to_scipy_cho_solve(self, n, rhs):
+        # scipy's cho_factor/cho_solve run the same LAPACK routines behind
+        # their wrapper layers; the factor step passes rhs.T, a transposed
+        # C-ordered matrix
+        rng = np.random.default_rng([n, len(rhs)])
+        g = rng.standard_normal((n, n))
+        a = g @ g.T + 0.1 * np.eye(n)
+        b = {
+            "vector": lambda: rng.standard_normal(n),
+            "C": lambda: rng.standard_normal((n, 3)),
+            "F": lambda: np.asfortranarray(rng.standard_normal((n, 3))),
+            "transposed": lambda: rng.standard_normal((4, n)).T,
+        }[rhs]()
+        expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b)
+        got = spd_solve(a, b)
+        assert got.shape == b.shape
+        np.testing.assert_array_equal(got, expected)
+
 
 class TestToeplitzDiff:
     def test_n3(self):
@@ -201,6 +257,48 @@ class TestTridiagSolve:
         assert got is b
         err = np.linalg.norm(got - expected)
         assert err <= 1e-12 * np.linalg.norm(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+        data=st.data(),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        toeplitz=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reference_sweep_oracle_any_layout(
+        self, dims, data, layout, toeplitz, seed
+    ):
+        order = len(dims)
+        axis = data.draw(st.integers(0, order - 1), label="axis")
+        rng = np.random.default_rng(seed)
+        n = dims[axis]
+        beta, omega = rng.uniform(0.1, 2.0), rng.uniform(0.0, 2.0)
+        a = toeplitz_diff(n) if toeplitz else np.eye(n)
+        t = beta * np.eye(n) + 2.0 * omega * a.T @ a
+        ldl = tridiag_ldl(np.diag(t), np.diag(t, 1))
+        if layout == "strided":
+            # every other entry of a larger array along each axis
+            big = rng.standard_normal([2 * d for d in dims])
+            b = big[(slice(None, None, 2),) * order]
+            outside = np.ones(big.shape, dtype=bool)
+            outside[(slice(None, None, 2),) * order] = False
+            untouched = big[outside]
+        else:
+            b = np.asarray(rng.standard_normal(dims), order=layout)
+        reference = tridiag_solve_reference(ldl, b, axis)
+        lines = np.moveaxis(b, axis, 0)
+        dense = np.moveaxis(
+            np.linalg.solve(t, lines.reshape(n, -1)).reshape(lines.shape),
+            0,
+            axis,
+        )
+        got = tridiag_solve(ldl, b, axis)
+        assert got is b
+        np.testing.assert_array_equal(got, reference)
+        assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
+        if layout == "strided":
+            np.testing.assert_array_equal(big[outside], untouched)
 
     def test_vector_right_hand_side(self):
         t = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])

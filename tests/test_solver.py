@@ -221,11 +221,21 @@ class TestSolverConfig:
             dict(tol=True),
             dict(alpha=(True, 0.5, 0.5)),
             dict(omega=(False, 1, 1)),
+            dict(omega=((1, 2), 3, 4)),
+            dict(alpha=((0.5, 0.5), 0.5, 0.5)),
+            dict(ranks=((2, 2), 2, 2)),
+            dict(toeplitz_modes=([1, 0], 1, 0)),
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["alpha", "omega", "ranks"])
+    def test_ragged_value_names_the_field(self, name):
+        # numpy's own "inhomogeneous shape" error names no field
+        with pytest.raises(ValueError, match=f"one value per mode.*got {name}="):
+            SolverConfig(**{name: ((1, 2), 3, 4)})
 
     def test_defaults(self):
         cfg = SolverConfig()
@@ -954,6 +964,38 @@ class TestSolve:
         report = solve(m, mask, cfg)
         assert report.iterations == 4
         assert calls == list(blocks) * 4
+
+    def test_iteration_skips_wrapper_layers(self, monkeypatch):
+        # on a small tensor an iteration costs what the Python layers around
+        # its BLAS/LAPACK calls cost, so mode_product and unfold permute
+        # axes with ndarray.transpose and spd_solve calls LAPACK directly
+        import scipy.linalg
+
+        calls = {}
+
+        def spy(module, name):
+            fn = getattr(module, name)
+            calls[name] = 0
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        spy(np, "moveaxis")
+        spy(scipy.linalg, "cho_factor")
+        spy(scipy.linalg, "cho_solve")
+        truth, _, _ = synthetic_tucker(seed=2, dims=(20, 20, 20))
+        mask = ObservationMask.from_boolean(
+            np.random.default_rng(3).random(truth.shape) < 0.6
+        )
+        cfg = preset_config(
+            "image", ranks=(2, 2, 2), beta=1.0, max_iter=3, tol=1e-300
+        )
+        report = solve(np.where(mask.boolean(), truth, 0.0), mask, cfg)
+        assert report.iterations == 3
+        assert calls == {"moveaxis": 0, "cho_factor": 0, "cho_solve": 0}
 
     def test_fortran_ordered_input_made_c_contiguous_once(self, monkeypatch):
         # update_z gathers observed values by C-order flat index, which
