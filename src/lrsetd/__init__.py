@@ -22,7 +22,6 @@ from .kernels import (
     soft_shrink,
     spd_solve,
     svd_shrink,
-    toeplitz_diff,
 )
 from .masks import MissingSpec, nmae, psnr, random_mask, rse, structured_mask
 from .solver import (
@@ -36,7 +35,6 @@ from .solver import (
 )
 from .tensor import (
     ObservationMask,
-    fold,
     frobenius,
     inner,
     mode_product,

@@ -1,27 +1,23 @@
 """Matrix kernels used by the ADMM updates.
 
-Singular value shrinkage, elementwise soft thresholding, SPD solves, the
-first-order difference (Toeplitz) regularizer and an O(n) solve with a
-symmetric positive definite tridiagonal matrix along one tensor axis.
+Singular value shrinkage, elementwise soft thresholding, SPD solves and an
+O(n) solve with a symmetric positive definite tridiagonal matrix along one
+tensor axis.
 
 The ADMM calls :func:`spd_solve` and :func:`tridiag_solve` on small
 operands every iteration, so their Python-level cost counts as much as
-their arithmetic. :func:`spd_solve` calls LAPACK ``dpotrf``/``dpotrs``
-directly: ``scipy.linalg.cho_factor``/``cho_solve`` run the same two
-routines behind batching, finiteness and validation layers that cost tens
-of microseconds per call, so :func:`spd_solve` makes its shape and
-finiteness checks itself, once. :func:`tridiag_solve` sweeps with two
-ufunc calls per step into a preallocated row.
+their arithmetic. Both run on numpy alone, so a process loads one LAPACK
+and one BLAS thread pool. :func:`spd_solve` makes its shape and finiteness
+checks itself, once. :func:`tridiag_solve` sweeps with two ufunc calls per
+step into a preallocated row.
 """
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "svd_shrink",
     "soft_shrink",
     "spd_solve",
-    "toeplitz_diff",
     "tridiag_ldl",
     "tridiag_solve",
 ]
@@ -66,37 +62,23 @@ def soft_shrink(m, tau):
 def spd_solve(a, b):
     """Solve ``a @ x = b`` for symmetric positive definite `a`.
 
-    `b` is a vector or a matrix of right-hand sides, and the result has its
-    shape. Only the upper triangle of `a` is read. Raises ValueError when
-    `a` or `b` holds NaN or inf, and ``np.linalg.LinAlgError`` when `a` is
-    not SPD.
+    `a` must be symmetric. `b` is a vector or a matrix of right-hand sides,
+    and the result has its shape. Raises ValueError when `a` or `b` holds
+    NaN or inf, and ``np.linalg.LinAlgError`` when `a` is not SPD.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape[:1] != a.shape[:1]:
+    if (
+        a.ndim != 2
+        or a.shape[0] != a.shape[1]
+        or b.ndim not in (1, 2)
+        or b.shape[0] != a.shape[0]
+    ):
         raise ValueError(f"spd_solve: shapes {a.shape} and {b.shape} differ")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("spd_solve: input has non-finite entries")
-    factor, info = dpotrf(a, lower=0, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"matrix is not SPD: leading minor {info} is not positive"
-        )
-    x, info = dpotrs(factor, b, lower=0)
-    if info != 0:
-        raise ValueError(f"dpotrs: illegal value in argument {-info}")
-    return x
-
-
-def toeplitz_diff(n):
-    """n-by-n first-order difference matrix.
-
-    Ones on the diagonal, -1 on the first superdiagonal, zeros elsewhere;
-    ``(A @ v)[j] = v[j] - v[j+1]`` for j < n-1 and ``v[n-1]`` at the end.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return np.eye(n) - np.eye(n, k=1)
+    np.linalg.cholesky(a)  # raises LinAlgError when a is not SPD
+    return np.linalg.solve(a, b)
 
 
 def tridiag_ldl(diag, off):

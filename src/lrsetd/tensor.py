@@ -1,4 +1,4 @@
-"""Dense tensor primitives: unfolding, folding, mode products, masks.
+"""Dense tensor primitives: unfolding, mode products, masks.
 
 Tensors are plain ``numpy.ndarray`` objects of dtype float64 and may have
 any memory layout. :func:`mode_product`, and so :func:`multilinear`, returns
@@ -19,9 +19,8 @@ memory layout and every BLAS operand are the same, but ``np.moveaxis``
 normalizes its axis arguments in Python on every call, which on a
 20x20x20 tensor cost more than the matrix multiplies.
 
-The matrix column order of :func:`unfold` and :func:`fold` is
-Fortran-style, whatever the layout: the first remaining index varies
-fastest, i.e. column
+The matrix column order of :func:`unfold` is Fortran-style, whatever the
+layout: the first remaining index varies fastest, i.e. column
 
     j = sum_{l != n} i_l * J_l,   J_l = prod_{t < l, t != n} I_t
 
@@ -37,7 +36,6 @@ import numpy as np
 
 __all__ = [
     "unfold",
-    "fold",
     "mode_product",
     "multilinear",
     "inner",
@@ -68,21 +66,6 @@ def unfold(tensor, mode):
     _check_mode(tensor.ndim, mode)
     front = [mode, *range(mode), *range(mode + 1, tensor.ndim)]
     return tensor.transpose(front).reshape((tensor.shape[mode], -1), order="F")
-
-
-def fold(matrix, mode, dims):
-    """Inverse of :func:`unfold`: rebuild a tensor with shape `dims`."""
-    matrix = np.asarray(matrix)
-    dims = tuple(int(d) for d in dims)
-    _check_mode(len(dims), mode)
-    other = tuple(d for i, d in enumerate(dims) if i != mode)
-    if matrix.shape != (dims[mode], int(np.prod(other, dtype=np.int64))):
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match mode-{mode} "
-            f"unfolding of dims {dims}"
-        )
-    tensor = matrix.reshape((dims[mode],) + other, order="F")
-    return np.moveaxis(tensor, 0, mode)
 
 
 def mode_product(tensor, matrix, mode):

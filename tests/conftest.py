@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from lrsetd.kernels import toeplitz_diff
 from lrsetd.tensor import multilinear
 
 
@@ -55,11 +54,18 @@ def kron_others(factors, mode):
     return out
 
 
+def difference_matrix(n):
+    """n-by-n first-order difference matrix: ones on the diagonal, -1 on the
+    first superdiagonal, so ``(A @ v)[j] = v[j] - v[j+1]`` for j < n-1 and
+    ``v[n-1]`` at the end."""
+    return np.eye(n) - np.eye(n, k=1)
+
+
 def smoothing_matrix(cfg, dims, i):
     """Dense smoothing matrix A_i of mode i: the first-order difference
     matrix where ``cfg.resolved_toeplitz()`` flags the mode, else I."""
     if cfg.resolved_toeplitz()[i]:
-        return toeplitz_diff(dims[i])
+        return difference_matrix(dims[i])
     return np.eye(dims[i])
 
 

@@ -507,6 +507,45 @@ class TestAnyOrder:
         assert "one value per mode" in capsys.readouterr().err
 
 
+def run_python(code, env):
+    """Run `code` in a fresh interpreter that imports lrsetd from this
+    checkout, with environment `env`; returns its stdout."""
+    src = str(Path(lrsetd.__file__).resolve().parent.parent)
+    env = dict(env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=60, check=True,
+    )
+    return done.stdout
+
+
+class TestRuntimeImports:
+    def test_solve_and_cli_never_load_scipy(self):
+        # numpy's LAPACK serves every runtime solve, so a process loads one
+        # BLAS thread pool
+        probe = textwrap.dedent(
+            """
+            import json, sys
+            import numpy as np
+            import lrsetd, lrsetd.cli
+            from lrsetd import preset_config, random_mask, solve
+            f = np.random.default_rng(0).uniform(1, 2, (3, 6))
+            truth = 100 * np.einsum("i,j,k->ijk", *f)
+            mask = random_mask(truth.shape, 0.6, seed=1)
+            cfg = preset_config("image", ranks=(2, 2, 2), max_iter=2, tol=1e-300)
+            report = solve(np.where(mask.boolean(), truth, 0.0), mask, cfg)
+            print(json.dumps([report.iterations, sorted(
+                name for name in sys.modules if name.split(".")[0] == "scipy"
+            )]))
+            """
+        )
+        iterations, loaded = json.loads(run_python(probe, dict(os.environ)))
+        assert iterations == 2
+        assert loaded == []
+
+
 class TestThreadsVariable:
     def test_caps_openblas_threads(self):
         # the console script imports lrsetd.cli, and importing the package
@@ -538,15 +577,7 @@ class TestThreadsVariable:
                 "NUMEXPR_NUM_THREADS")
         env = {k: v for k, v in os.environ.items() if k not in blas}
         env["LRSETD_THREADS"] = "1"
-        src = str(Path(lrsetd.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True,
-            text=True, timeout=60, check=True,
-        )
-        counts = json.loads(done.stdout)
+        counts = json.loads(run_python(probe, env))
         if not counts:
             pytest.skip("numpy ships no OpenBLAS to ask")
         assert counts == [1] * len(counts)
