@@ -23,7 +23,6 @@ from .solver import (
     preset_config,
     solve,
 )
-from .tensor import ObservationMask
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

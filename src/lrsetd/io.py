@@ -4,8 +4,8 @@ traffic-matrix CSVs and their tensorizations.
 The LRT1 tensor format is: magic ``b"LRT1"``, uint32 order N, N uint32
 dimensions, then the float64 payload in mode-1 lexicographic order (first
 index fastest), everything little-endian. The LRM1 mask format replaces the
-payload with a uint64 count followed by that many uint64 flat indices in the
-same lexicographic order.
+payload with a uint64 count and that many ascending uint64 flat indices in
+the same order, the ``ObservationMask.fortran_positions()`` of the mask.
 """
 
 import math
@@ -100,22 +100,21 @@ def read_mask(path):
             )
         flat = np.frombuffer(
             _read_exact(f, 8 * int(count), "indices"), dtype="<u8"
-        ).astype(np.int64)
+        )
         if f.read(1):
             raise FileFormatError("trailing bytes after indices")
     if flat.size and flat.max() >= total:
         raise FileFormatError("mask index out of range")
-    idx = np.column_stack(np.unravel_index(flat, dims, order="F"))
-    return ObservationMask(dims, idx)
+    return ObservationMask.from_fortran_positions(dims, flat)
 
 
 def write_mask(path, mask):
     """Write an LRM1 observation-mask file."""
-    flat = np.ravel_multi_index(mask.indices.T, mask.dims, order="F")
+    flat = mask.fortran_positions()
     with open(path, "wb") as f:
         _write_header(f, MASK_MAGIC, mask.dims)
         f.write(np.asarray([flat.size], dtype="<u8").tobytes())
-        f.write(np.sort(flat).astype("<u8").tobytes())
+        f.write(flat.astype("<u8").tobytes())
 
 
 def _read_pnm_header(f):

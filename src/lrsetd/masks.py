@@ -110,8 +110,7 @@ def random_mask(dims, ratio, seed=0):
     total = int(np.prod(dims, dtype=np.int64))
     k = int(round(ratio * total))
     flat = _rng(seed).permutation(total)[:k]
-    idx = np.column_stack(np.unravel_index(flat, dims, order="F"))
-    return ObservationMask(dims, idx)
+    return ObservationMask.from_fortran_positions(dims, flat)
 
 
 def _structural_drop(dims, spec):
@@ -182,11 +181,7 @@ def structured_mask(dims, spec):
         flat_keep = np.flatnonzero(keep.ravel(order="F"))
         k = int(round(ratio * flat_keep.size))
         chosen = flat_keep[_rng(spec.seed).permutation(flat_keep.size)[:k]]
-        observed = np.zeros(int(np.prod(dims, dtype=np.int64)), dtype=bool)
-        observed[chosen] = True
-        return ObservationMask.from_boolean(
-            observed.reshape(dims, order="F")
-        )
+        return ObservationMask.from_fortran_positions(dims, chosen)
     return ObservationMask.from_boolean(_structural_drop(dims, spec))
 
 

@@ -274,16 +274,17 @@ def init_state(m, mask, cfg):
     dims = m.shape
     ranks = _resolve_ranks(cfg, dims)
 
-    z0 = np.zeros(dims)
-    sel = mask.boolean()
-    z0[sel] = m[sel]
+    index = mask.c_flat_index()
+    observed = np.take(m, index)
     # values off the mask are ignored, so only observed ones are checked
-    if not np.all(np.isfinite(z0)):
+    if not np.all(np.isfinite(observed)):
         raise ValueError("observed entries must be finite, found NaN or inf")
-    if not math.isfinite(inner(z0, z0)):
+    if not math.isfinite(inner(observed, observed)):
         raise ValueError(
             "observed entries too large: their squared norm overflows float64"
         )
+    z0 = np.zeros(dims)
+    z0.reshape(-1)[index] = observed
 
     if cfg.init == "hosvd":
         model = hosvd(z0, ranks)

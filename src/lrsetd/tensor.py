@@ -1,4 +1,4 @@
-"""Dense tensor primitives: unfolding, mode products, masks.
+"""Dense tensor primitives: unfolding, mode products, observation masks.
 
 Tensors are plain ``numpy.ndarray`` objects of dtype float64 and may have
 any memory layout. :func:`mode_product`, and so :func:`multilinear`, returns
@@ -27,7 +27,8 @@ layout: the first remaining index varies fastest, i.e. column
 so that ``unfold(multilinear(s, [X1, ..., XN]), n)`` equals
 ``Xn @ unfold(s, n) @ kron(XN, ..., X_{n+1}, X_{n-1}, ..., X1).T``.
 
-Modes are 0-based throughout, matching numpy axis numbering.
+Modes are 0-based throughout, matching numpy axis numbering. An
+:class:`ObservationMask` stores its observed set once, as a boolean array.
 """
 
 import math
@@ -137,45 +138,60 @@ def frobenius(a):
     return float(np.linalg.norm(np.asarray(a).ravel()))
 
 
-class ObservationMask:
-    """Set of observed multi-indices over a fixed dimension vector.
+def _indices(values, upper):
+    """`values` as int64 in [0, upper); rejects booleans and floats."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"mask indices must be integers, got {values.dtype}")
+    values = values.astype(np.int64, copy=False)
+    if not ((values >= 0) & (values < upper)).all():
+        raise ValueError("mask index out of range")
+    return values
 
-    Stores explicit index tuples (a ``(k, N)`` int array) and caches a dense
-    boolean view and a flat C-order index for inner-loop use. Immutable
-    after construction.
-    """
+
+class ObservationMask:
+    """Set of observed multi-indices over a fixed dimension vector, stored
+    as one C-contiguous, read-only boolean array (True = observed): 1 byte
+    per entry, an eighth of the float64 tensor that every solve and metrics
+    call already holds. :meth:`c_flat_index` is its one lazy cache. Index
+    tuples and LRM1 files use ascending Fortran-order flat positions (first
+    index fastest), which only :meth:`from_fortran_positions` and
+    :meth:`fortran_positions` convert."""
 
     def __init__(self, dims, indices):
-        self.dims = tuple(int(d) for d in dims)
-        if any(d < 1 for d in self.dims):
-            raise ValueError(f"all dims must be >= 1, got {self.dims}")
-        idx = np.asarray(indices, dtype=np.int64)
+        dims = tuple(int(d) for d in dims)
+        idx = np.asarray(indices)
         if idx.size == 0:
-            idx = idx.reshape(0, len(self.dims))
-        if idx.ndim != 2 or idx.shape[1] != len(self.dims):
-            raise ValueError(
-                f"indices must be (k, {len(self.dims)}), got {idx.shape}"
-            )
-        if idx.shape[0]:
-            if idx.min() < 0 or (idx >= np.array(self.dims)).any():
-                raise ValueError("mask index out of range")
-        # canonical order + uniqueness via flat (Fortran) position
-        flat = np.ravel_multi_index(idx.T, self.dims, order="F")
-        flat = np.unique(flat)
-        self._flat = flat
-        self.indices = np.column_stack(
-            np.unravel_index(flat, self.dims, order="F")
-        ).astype(np.int64)
-        self._boolean = None
+            idx = idx.reshape(0, len(dims))
+        if idx.ndim != 2 or idx.shape[1] != len(dims):
+            raise ValueError(f"indices must be (k, {len(dims)}), got {idx.shape}")
+        idx = _indices(idx, np.array(dims))
+        observed = np.zeros(dims, dtype=bool)
+        observed[tuple(idx.T)] = True
+        self._own(observed)
+
+    def _own(self, observed):
+        if any(d < 1 for d in observed.shape):
+            raise ValueError(f"all dims must be >= 1, got {observed.shape}")
+        observed.flags.writeable = False
+        self.dims = observed.shape
+        self._observed = observed
+        self._n_observed = int(np.count_nonzero(observed))
         self._c_flat = None
 
     @classmethod
     def from_boolean(cls, observed):
-        observed = np.asarray(observed, dtype=bool)
-        idx = np.argwhere(observed)
-        mask = cls(observed.shape, idx)
-        mask._boolean = observed.copy()
+        """Mask of the True entries of `observed`, which is copied."""
+        mask = cls.__new__(cls)
+        mask._own(np.array(observed, dtype=bool, order="C"))
         return mask
+
+    @classmethod
+    def from_fortran_positions(cls, dims, positions):
+        """Mask of the Fortran-order flat positions, in any order."""
+        observed = np.zeros(math.prod(int(d) for d in dims), dtype=bool)
+        observed[_indices(positions, observed.size)] = True
+        return cls.from_boolean(observed.reshape(dims, order="F"))
 
     @classmethod
     def full(cls, dims):
@@ -183,48 +199,46 @@ class ObservationMask:
 
     @classmethod
     def empty(cls, dims):
-        return cls(dims, np.empty((0, len(tuple(dims))), dtype=np.int64))
+        return cls.from_boolean(np.zeros(dims, dtype=bool))
 
     @property
     def n_observed(self):
-        return int(self._flat.size)
+        return self._n_observed
 
     @property
     def n_missing(self):
-        return int(np.prod(self.dims, dtype=np.int64)) - self.n_observed
+        return self._observed.size - self._n_observed
+
+    @property
+    def indices(self):
+        """``(k, N)`` index tuples in ascending Fortran-order position."""
+        flat = self.fortran_positions()
+        return np.column_stack(np.unravel_index(flat, self.dims, order="F"))
+
+    def fortran_positions(self):
+        """Ascending Fortran-order flat positions of the observed entries."""
+        return np.flatnonzero(self._observed.T)
 
     def boolean(self):
-        """Dense boolean view (True = observed). Cached; treat as read-only."""
-        if self._boolean is None:
-            b = np.zeros(self.dims, dtype=bool)
-            if self.indices.shape[0]:
-                b[tuple(self.indices.T)] = True
-            self._boolean = b
-        return self._boolean
+        """The dense boolean array (True = observed); read-only."""
+        return self._observed
 
     def c_flat_index(self):
-        """Ascending C-order flat positions of the observed entries, so that
-        ``np.take(a, index)`` are the observed values of `a` and, for a
-        C-contiguous `a`, ``a.reshape(-1)[index] = values`` writes them
-        back. Cached; treat as read-only."""
+        """Ascending C-order flat positions of the observed entries (cached,
+        read-only): ``np.take(a, index)`` gathers them from any `a`."""
         if self._c_flat is None:
-            flat = np.ravel_multi_index(self.indices.T, self.dims)
-            self._c_flat = np.sort(flat)
+            self._c_flat = np.flatnonzero(self._observed)
+            self._c_flat.flags.writeable = False
         return self._c_flat
 
     def contains(self, index):
-        return bool(self.boolean()[tuple(index)])
+        return bool(self._observed[tuple(index)])
 
     def __eq__(self, other):
         if not isinstance(other, ObservationMask):
             return NotImplemented
-        return self.dims == other.dims and np.array_equal(
-            self._flat, other._flat
-        )
+        return np.array_equal(self._observed, other._observed)
 
     def __repr__(self):
-        return (
-            f"ObservationMask(dims={self.dims}, "
-            f"observed={self.n_observed}/{int(np.prod(self.dims))})"
-        )
-
+        observed = f"{self.n_observed}/{self._observed.size}"
+        return f"ObservationMask(dims={self.dims}, observed={observed})"

@@ -1,8 +1,14 @@
+import itertools
 import math
+import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lrsetd.io import read_mask, write_mask
 from lrsetd.masks import (
     MissingSpec,
     nmae,
@@ -135,6 +141,32 @@ class TestStructuredMask:
         b = structured_mask((6, 8, 4), spec).boolean()
         np.testing.assert_array_equal(a, b)
 
+    def test_traffic_mask_keeps_one_boolean_and_one_index(self):
+        # a traffic-shaped mask holds its boolean array (1 byte per entry)
+        # and the int64 C-order index, and no other copy of the set
+        spec = MissingSpec(
+            kind="composite",
+            mode=2,
+            params={
+                "structural": {"kind": "whole_slices",
+                               "params": {"slices": [3]}},
+                "ratio": 0.6,
+            },
+            seed=8,
+        )
+        dims = (121, 288, 7)
+        structured_mask((2, 2, 7), spec)  # imports numpy.random lazily
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mask = structured_mask(dims, spec)
+            mask.boolean()
+            mask.c_flat_index()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= math.prod(dims) + 8 * mask.n_observed + 16 * 1024
+
     @pytest.mark.parametrize(
         "kind,params",
         [
@@ -153,6 +185,141 @@ class TestStructuredMask:
         spec = MissingSpec(kind="whole_slices", mode=3, params={"slices": [0]})
         with pytest.raises(ValueError, match="mode"):
             structured_mask((3, 3, 3), spec)
+
+
+def philox_permutation(n, seed):
+    return np.random.Generator(np.random.Philox(seed)).permutation(n)
+
+
+def fortran_order_tuples(dims):
+    """Every index tuple over `dims`, first index fastest."""
+    ranges = [range(d) for d in reversed(dims)]
+    return [t[::-1] for t in itertools.product(*ranges)]
+
+
+def structural_keeps(kind, params, i):
+    """Whether the structural pattern keeps slice `i` of its mode."""
+    if kind == "drop_every_kth_slice":
+        return i % params["k"] != params["phase"]
+    if kind == "time_window":
+        offset = i % params["period"] - params["start"]
+        return not 0 <= offset < params["length"]
+    return i not in params["slices"]
+
+
+def oracle_tuples(dims, kind, mode, params, seed):
+    """Observed index tuples of a spec, chosen tuple by tuple."""
+    if kind == "random":
+        total = math.prod(dims)
+        k = round(params["ratio"] * total)
+        flat = philox_permutation(total, seed)[:k]
+        return list(zip(*np.unravel_index(flat, dims, order="F")))
+    if kind == "composite":
+        inner = params["structural"]
+        kept = [
+            t
+            for t in fortran_order_tuples(dims)
+            if structural_keeps(inner["kind"], inner["params"], t[mode])
+        ]
+        k = round(params["ratio"] * len(kept))
+        return [kept[j] for j in philox_permutation(len(kept), seed)[:k]]
+    return [
+        t
+        for t in fortran_order_tuples(dims)
+        if structural_keeps(kind, params, t[mode])
+    ]
+
+
+@st.composite
+def structural_params(draw, kind, size):
+    if kind == "drop_every_kth_slice":
+        k = draw(st.integers(1, 4))
+        return {"k": k, "phase": draw(st.integers(0, k - 1))}
+    if kind == "time_window":
+        period = draw(st.integers(1, 4))
+        return {
+            "period": period,
+            "start": draw(st.integers(0, period - 1)),
+            "length": draw(st.integers(0, 4)),
+        }
+    slices = st.lists(st.integers(0, size - 1), unique=True, max_size=size)
+    return {"slices": draw(slices)}
+
+
+class TestSelectionOracle:
+    """Every generator and the LRM1 round trip observe the index tuples an
+    oracle picks from the same Philox draws, one tuple at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+        kind=st.sampled_from(
+            ["random", "drop_every_kth_slice", "time_window",
+             "whole_slices", "composite"]
+        ),
+        ratio=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_observed_set_and_file_bytes(self, dims, kind, ratio, seed, data):
+        dims = tuple(dims)
+        mode = data.draw(st.integers(0, len(dims) - 1), label="mode")
+        if kind == "random":
+            params = {"ratio": ratio}
+        elif kind == "composite":
+            inner = data.draw(
+                st.sampled_from(
+                    ["drop_every_kth_slice", "time_window", "whole_slices"]
+                ),
+                label="structural",
+            )
+            inner_params = data.draw(
+                structural_params(inner, dims[mode]), label="params"
+            )
+            params = {
+                "structural": {"kind": inner, "params": inner_params},
+                "ratio": ratio,
+            }
+        else:
+            params = data.draw(
+                structural_params(kind, dims[mode]), label="params"
+            )
+        spec = MissingSpec(kind=kind, mode=mode, params=params, seed=seed)
+        mask = structured_mask(dims, spec)
+        if kind == "random":
+            assert random_mask(dims, ratio, seed) == mask
+
+        expected = np.array(
+            oracle_tuples(dims, kind, mode, params, seed), dtype=np.int64
+        ).reshape(-1, len(dims))
+        assert len({tuple(t) for t in expected}) == len(expected)
+        observed = np.zeros(dims, dtype=bool)
+        observed[tuple(expected.T)] = True
+        np.testing.assert_array_equal(mask.boolean(), observed)
+        assert mask.n_observed == len(expected)
+        np.testing.assert_array_equal(
+            mask.c_flat_index(), np.flatnonzero(observed)
+        )
+
+        # `indices`: the same set, ascending in Fortran-order position
+        indices = mask.indices
+        assert indices.dtype == np.int64
+        assert indices.shape == expected.shape
+        flat = np.ravel_multi_index(indices.T, dims, order="F")
+        assert np.all(np.diff(flat) > 0)
+        oracle_flat = np.sort(np.ravel_multi_index(expected.T, dims, order="F"))
+        np.testing.assert_array_equal(flat, oracle_flat)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.lrm")
+            write_mask(path, mask)
+            with open(path, "rb") as f:
+                raw = f.read()
+            back = read_mask(path)
+        header = 4 + 4 + 4 * len(dims) + 8
+        assert raw[header:] == oracle_flat.astype("<u8").tobytes()
+        assert back == mask
+        np.testing.assert_array_equal(back.indices, indices)
 
 
 class TestNmae:

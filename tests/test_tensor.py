@@ -236,10 +236,48 @@ class TestObservationMask:
     def test_duplicates_collapse(self):
         mask = ObservationMask((2, 2, 2), [(0, 0, 0), (0, 0, 0)])
         assert mask.n_observed == 1
+        again = ObservationMask.from_fortran_positions((2, 2, 2), [6, 1, 6])
+        assert again.n_observed == 2
+        np.testing.assert_array_equal(again.indices, [(1, 0, 0), (0, 1, 1)])
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             ObservationMask((2, 2, 2), [(0, 0, 2)])
+        with pytest.raises(ValueError, match="out of range"):
+            ObservationMask((2, 2, 2), [(0, -1, 0)])
+        for position in (8, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                ObservationMask.from_fortran_positions((2, 2, 2), [position])
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[(1.7, 2.2)], [(1.0, 2.0)], [(True, False)], np.ones((1, 2), bool)],
+    )
+    def test_non_integer_indices_rejected(self, indices):
+        # (1.7, 2.2) used to be truncated to (1, 2), booleans read as 0/1
+        with pytest.raises(ValueError, match="integers"):
+            ObservationMask((3, 3), indices)
+        with pytest.raises(ValueError, match="integers"):
+            ObservationMask.from_fortran_positions((3, 3), np.ravel(indices))
+
+    def test_stored_arrays_are_read_only(self):
+        mask = ObservationMask.full((2, 2))
+        index = mask.c_flat_index()
+        with pytest.raises(ValueError, match="read-only"):
+            mask.boolean()[0, 0] = False
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 1
+        # every view of the set still agrees
+        assert mask.n_observed == 4 and mask.boolean().sum() == 4
+        np.testing.assert_array_equal(mask.c_flat_index(), [0, 1, 2, 3])
+
+    def test_from_boolean_copies_its_argument(self):
+        observed = np.ones((2, 3), dtype=bool)
+        mask = ObservationMask.from_boolean(observed)
+        observed[0, 0] = False
+        assert observed.flags.writeable
+        assert mask.n_observed == 6 and mask.boolean().all()
+        assert not np.shares_memory(mask.boolean(), observed)
 
     def test_boolean_and_contains(self):
         mask = ObservationMask((2, 2, 2), [(1, 0, 1)])
@@ -251,8 +289,12 @@ class TestObservationMask:
     def test_full_and_empty(self):
         assert ObservationMask.full((2, 3, 2)).n_missing == 0
         assert ObservationMask.empty((2, 3, 2)).n_observed == 0
+        assert ObservationMask((2, 3, 2), []) == ObservationMask.empty((2, 3, 2))
 
-    @pytest.mark.parametrize("kind", ["indices", "fortran-boolean", "full", "empty"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["indices", "fortran-boolean", "fortran-positions", "full", "empty"],
+    )
     def test_c_flat_index(self, kind, rng):
         dims = (4, 3, 5)
         observed = rng.random(dims) < 0.5
@@ -261,9 +303,14 @@ class TestObservationMask:
             "fortran-boolean": lambda: ObservationMask.from_boolean(
                 np.asfortranarray(observed)
             ),
+            "fortran-positions": lambda: ObservationMask.from_fortran_positions(
+                dims, np.flatnonzero(observed.ravel(order="F"))[::-1]
+            ),
             "full": lambda: ObservationMask.full(dims),
             "empty": lambda: ObservationMask.empty(dims),
         }[kind]()
+        if kind not in ("full", "empty"):
+            np.testing.assert_array_equal(mask.boolean(), observed)
         index = mask.c_flat_index()
         np.testing.assert_array_equal(index, np.flatnonzero(mask.boolean()))
         a = rng.standard_normal(dims)
