@@ -18,11 +18,7 @@ if "LRSETD_THREADS" in os.environ:
         os.environ.setdefault(_var, os.environ["LRSETD_THREADS"])
 
 from .hosvd import TuckerModel, hosvd, reconstruction_snr, truncate_core
-from .kernels import (
-    soft_shrink,
-    spd_solve,
-    svd_shrink,
-)
+from .kernels import soft_shrink, svd_shrink
 from .masks import MissingSpec, nmae, psnr, random_mask, rse, structured_mask
 from .solver import (
     CompletionReport,

@@ -64,14 +64,12 @@ def _nonzero_block(core):
     return tuple(block)
 
 
-def _exponent(a):
-    """Binary exponent e of max|a|, so that ``np.ldexp(a, -e)`` peaks in
-    [0.5, 1); 0 for an all-zero or empty `a`. Scaling by a power of two is
-    exact, and keeps sums of squared entries from overflowing or
-    underflowing."""
-    if not a.size:
-        return 0
-    return math.frexp(max(a.max(), -a.min()))[1]
+def _exponent(lo, hi):
+    """Binary exponent e of max(-lo, hi), so that ``np.ldexp(a, -e)`` peaks
+    in [0.5, 1) for an `a` with minimum `lo` and maximum `hi`; 0 when both
+    are 0. Scaling by a power of two is exact, and keeps sums of squared
+    entries from overflowing or underflowing."""
+    return math.frexp(max(hi, -lo))[1]
 
 
 def _left_singular_vectors(mat, r):
@@ -97,8 +95,10 @@ def hosvd(t, ranks):
     Raises ValueError when `t` holds NaN or inf.
     """
     t = np.asarray(t, dtype=np.float64)
-    # min and max carry any NaN or inf, without a full-size boolean mask
-    if t.size and not (np.isfinite(t.min()) and np.isfinite(t.max())):
+    # min and max carry any NaN or inf, without a full-size boolean mask,
+    # and give the power-of-two prescale below
+    lo, hi = (t.min(), t.max()) if t.size else (0.0, 0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("hosvd input must be finite, found NaN or inf")
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != t.ndim:
@@ -108,7 +108,7 @@ def hosvd(t, ranks):
             raise ValueError(f"rank {r} out of range [1, {d}]")
     # the singular vectors of a tensor scaled by a power of two are those of
     # the tensor, and its Grams stay finite for any finite input
-    scaled = np.ldexp(t, -_exponent(t))
+    scaled = np.ldexp(t, -_exponent(lo, hi))
     factors = [
         _left_singular_vectors(unfold(scaled, n), ranks[n])
         for n in range(t.ndim)
@@ -124,10 +124,13 @@ def truncate_core(model, tn):
     Returns the truncated model and the fraction of zero entries in the new
     core.
     """
-    if tn < 0:
-        raise ValueError(f"tn must be nonnegative, got {tn}")
-    core = np.where(np.abs(model.core) < tn, 0.0, model.core)
-    sparsity = float(np.count_nonzero(core == 0.0)) / core.size
+    if not tn >= 0:  # NaN included
+        raise ValueError(f"tn must be a nonnegative number, got {tn}")
+    small = np.abs(model.core) < tn
+    core = np.where(small, 0.0, model.core)
+    # a positive tn also catches every entry that was zero already
+    zeros = np.count_nonzero(small if tn > 0 else core == 0.0)
+    sparsity = float(zeros) / core.size
     return TuckerModel(core=core, factors=model.factors), sparsity
 
 
@@ -159,7 +162,7 @@ def _norm(a):
     of two when its sum of squares may have overflowed or underflowed."""
     with np.errstate(over="ignore", under="ignore"):
         n = frobenius(a)
-    if _NORM_FLOOR < n < math.inf:
+    if _NORM_FLOOR < n < math.inf or not a.size:
         return n
-    e = _exponent(a)
+    e = _exponent(a.min(), a.max())
     return math.ldexp(frobenius(np.ldexp(a, -e)), e)

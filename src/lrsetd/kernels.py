@@ -1,15 +1,14 @@
 """Matrix kernels used by the ADMM updates.
 
-Singular value shrinkage, elementwise soft thresholding, SPD solves and an
-O(n) solve with a symmetric positive definite tridiagonal matrix along one
-tensor axis.
+Singular value shrinkage, elementwise soft thresholding and an O(n) solve
+with a symmetric positive definite tridiagonal matrix along one tensor
+axis.
 
-The ADMM calls :func:`spd_solve` and :func:`tridiag_solve` on small
-operands every iteration, so their Python-level cost counts as much as
-their arithmetic. Both run on numpy alone, so a process loads one LAPACK
-and one BLAS thread pool. :func:`spd_solve` makes its shape and finiteness
-checks itself, once. :func:`tridiag_solve` sweeps with two ufunc calls per
-step into a preallocated row.
+The ADMM calls :func:`tridiag_solve` on small operands every iteration, so
+its Python-level cost counts as much as its arithmetic: it sweeps with two
+ufunc calls per step into a preallocated row. The factor step's r x r
+solve is one ``np.linalg.solve`` call in the solver. Everything here runs
+on numpy alone, so a process loads one LAPACK and one BLAS thread pool.
 """
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 __all__ = [
     "svd_shrink",
     "soft_shrink",
-    "spd_solve",
     "tridiag_ldl",
     "tridiag_solve",
 ]
@@ -26,20 +24,21 @@ __all__ = [
 def svd_shrink(m, tau):
     """Singular value shrinkage: prox of ``tau * ||.||_*`` at `m`.
 
-    Unique minimizer of ``tau*||Y||_* + 0.5*||Y - m||_F^2``.
+    Unique minimizer of ``tau*||Y||_* + 0.5*||Y - m||_F^2``. Raises
+    ValueError when `m` holds NaN or inf.
     """
-    return _svd_shrink(m, tau)[0]
-
-
-def _svd_shrink(m, tau):
-    """:func:`svd_shrink` of `m` and the nuclear norm of the result, which
-    is the sum of the shrunk singular values, so it needs no second SVD.
-    Raises ValueError when `m` holds NaN or inf."""
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     m = np.asarray(m, dtype=np.float64)
     if not np.all(np.isfinite(m)):
         raise ValueError("svd_shrink: input has non-finite entries")
+    return _svd_shrink(m, tau)[0]
+
+
+def _svd_shrink(m, tau):
+    """:func:`svd_shrink` of a finite float64 `m` at ``tau >= 0``, unchecked,
+    and the nuclear norm of the result, which is the sum of the shrunk
+    singular values, so it needs no second SVD."""
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     s = np.maximum(s - tau, 0.0)
     keep = s > 0
@@ -57,28 +56,6 @@ def soft_shrink(m, tau):
         raise ValueError(f"tau must be nonnegative, got {tau}")
     m = np.asarray(m, dtype=np.float64)
     return np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
-
-
-def spd_solve(a, b):
-    """Solve ``a @ x = b`` for symmetric positive definite `a`.
-
-    `a` must be symmetric. `b` is a vector or a matrix of right-hand sides,
-    and the result has its shape. Raises ValueError when `a` or `b` holds
-    NaN or inf, and ``np.linalg.LinAlgError`` when `a` is not SPD.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if (
-        a.ndim != 2
-        or a.shape[0] != a.shape[1]
-        or b.ndim not in (1, 2)
-        or b.shape[0] != a.shape[0]
-    ):
-        raise ValueError(f"spd_solve: shapes {a.shape} and {b.shape} differ")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("spd_solve: input has non-finite entries")
-    np.linalg.cholesky(a)  # raises LinAlgError when a is not SPD
-    return np.linalg.solve(a, b)
 
 
 def tridiag_ldl(diag, off):

@@ -70,11 +70,18 @@ class MissingSpec:
     def from_json(cls, text):
         doc = _object(json.loads(text), "missing spec")
         return cls(
-            kind=doc["kind"],
+            kind=_required(doc, "kind", "missing spec"),
             mode=_integer(doc.get("mode", 0), "mode"),
             params=dict(_object(doc.get("params", {}), "params")),
             seed=_integer(doc.get("seed", 0), "seed"),
         )
+
+
+def _required(params, key, what):
+    """``params[key]``, or a ValueError that names `what` and the key."""
+    if key not in params:
+        raise ValueError(f"{what} lacks required key {key!r}")
+    return params[key]
 
 
 # Type checks for spec values, which arrive from JSON: null, booleans,
@@ -122,16 +129,17 @@ def _structural_drop(dims, spec):
     size = dims[mode]
     sl = [slice(None)] * len(dims)
     if spec.kind == "drop_every_kth_slice":
-        k = _integer(spec.params["k"], "k")
+        k = _integer(_required(spec.params, "k", f"{spec.kind} spec"), "k")
         phase = _integer(spec.params.get("phase", 0), "phase")
         if k < 1 or not 0 <= phase < k:
             raise ValueError(f"invalid k={k}, phase={phase}")
         sl[mode] = slice(phase, size, k)
         keep[tuple(sl)] = False
     elif spec.kind == "time_window":
-        period = _integer(spec.params["period"], "period")
-        start = _integer(spec.params["start"], "start")
-        length = _integer(spec.params["length"], "length")
+        period, start, length = (
+            _integer(_required(spec.params, key, f"{spec.kind} spec"), key)
+            for key in ("period", "start", "length")
+        )
         if period < 1 or length < 0 or not 0 <= start < period:
             raise ValueError(
                 f"invalid window period={period}, start={start}, "
@@ -163,18 +171,20 @@ def structured_mask(dims, spec):
     """
     dims = tuple(int(d) for d in dims)
     if spec.kind == "random":
-        ratio = _real(spec.params["ratio"], "ratio")
+        ratio = _real(_required(spec.params, "ratio", "random spec"), "ratio")
         return random_mask(dims, ratio, spec.seed)
     if spec.kind == "composite":
-        structural = _object(spec.params["structural"], "structural")
+        structural = _object(
+            _required(spec.params, "structural", "composite spec"), "structural"
+        )
         inner = MissingSpec(
-            kind=structural["kind"],
+            kind=_required(structural, "kind", "composite structural spec"),
             mode=structural.get("mode", spec.mode),
             params=dict(_object(structural.get("params", {}), "params")),
             seed=spec.seed,
         )
         keep = _structural_drop(dims, inner)
-        ratio = _real(spec.params["ratio"], "ratio")
+        ratio = _real(_required(spec.params, "ratio", "composite spec"), "ratio")
         if not 0.0 <= ratio <= 1.0:
             raise ValueError(f"ratio must be in [0, 1], got {ratio}")
         # uniform retention on the structurally surviving part only

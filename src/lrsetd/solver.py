@@ -53,7 +53,6 @@ from .hosvd import hosvd
 from .kernels import (
     _svd_shrink,
     soft_shrink,
-    spd_solve,
     tridiag_ldl,
     tridiag_solve,
 )
@@ -383,8 +382,8 @@ def update_factors(state, cfg):
         ) @ s_i.T
         lhs = 0.5 * (lhs + lhs.T)
         _require_finite(state, f"X_{i} subproblem", lhs, rhs)
-        # X @ lhs = rhs with lhs SPD
-        x[i] = spd_solve(lhs, rhs.T).T
+        # X @ lhs = rhs; lhs >= beta*I is SPD by construction, so no check
+        x[i] = np.linalg.solve(lhs, rhs.T).T
         grams[i] = x[i].T @ x[i]
     return z_others, grams
 

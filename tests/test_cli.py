@@ -339,6 +339,8 @@ BAD_INPUTS = {
     "hosvd-demo-1e200": (
         _huge_noise, "hosvd-demo", 0, "out", "tn,sparsity,snr"
     ),
+    # a NaN threshold would print a row equal to the tn = 0 row
+    "hosvd-demo-tn-nan": (_as_is, "hosvd-demo", 2, "err", "got nan"),
     "metrics-nan-truth": (_nan_off_mask, "metrics", 0, "out", '"psnr": null'),
     "metrics-all-zero-truth": (
         _all_zero, "metrics", 0, "out", '"rse": null'
@@ -380,6 +382,7 @@ BAD_CONFIGS = {
 BAD_FLAGS = {
     "ranks-empty-field": ["--ranks", "2,,2,2"],
     "dims-trailing-comma": ["--dims", "4,3,2,"],
+    "hosvd-demo-tn-nan": ["--tn-grid", "0,nan"],
 }
 # --missing-spec file contents for the mask-gen cases
 BAD_SPECS = {
@@ -475,6 +478,32 @@ class TestBadInput:
             metrics = strict_json(report.read_text())["metrics"]
             summary = strict_json(captured.out.splitlines()[-1])
             assert metrics.items() <= summary.items()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ('{"kind": "random"}', "random spec lacks required key 'ratio'"),
+            ('{"kind": "drop_every_kth_slice"}',
+             "drop_every_kth_slice spec lacks required key 'k'"),
+            ('{"kind": "time_window", "params": {"period": 4, "length": 1}}',
+             "time_window spec lacks required key 'start'"),
+            ('{"kind": "composite", "params": {"ratio": 0.5}}',
+             "composite spec lacks required key 'structural'"),
+            ('{"kind": "composite", "params": {"ratio": 0.5,'
+             ' "structural": {"params": {"slices": [1]}}}}',
+             "composite structural spec lacks required key 'kind'"),
+        ],
+        ids=["random", "kth-slice", "time-window", "composite",
+             "structural-part"],
+    )
+    def test_spec_without_required_key_names_it(
+        self, spec, message, tmp_path, capsys
+    ):
+        code = main(["mask-gen", "--dims", "4,4,4", "--missing-spec", spec,
+                     "--out", str(tmp_path / "m.lrm")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "m.lrm").exists()
 
 
 class TestAnyOrder:

@@ -255,6 +255,13 @@ class TestTruncateCore:
         with pytest.raises(ValueError, match="nonnegative"):
             truncate_core(model, -0.1)
 
+    def test_nan_threshold(self, rng):
+        # NaN < tn is False for every entry, so a NaN threshold would keep
+        # the whole core and pass as tn = 0
+        model = hosvd(rng.standard_normal((3, 3, 3)), (2, 2, 2))
+        with pytest.raises(ValueError, match="nonnegative"):
+            truncate_core(model, np.nan)
+
     def test_factors_shared(self, rng):
         model = hosvd(rng.standard_normal((3, 3, 3)), (2, 2, 2))
         out, _ = truncate_core(model, 0.3)

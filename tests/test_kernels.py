@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import difference_matrix, tridiag_solve_reference
 from lrsetd.kernels import (
     _svd_shrink,
     soft_shrink,
-    spd_solve,
     svd_shrink,
     tridiag_ldl,
     tridiag_solve,
@@ -104,96 +102,6 @@ class TestSoftShrink:
     def test_tensor_input(self, rng):
         t = rng.standard_normal((2, 3, 2))
         assert soft_shrink(t, 0.5).shape == t.shape
-
-
-class TestSpdSolve:
-    def test_identity(self, rng):
-        b = rng.standard_normal((3, 2))
-        np.testing.assert_allclose(spd_solve(np.eye(3), b), b, atol=1e-12)
-
-    def test_diagonal(self):
-        x = spd_solve(np.diag([2.0, 4.0]), np.array([[2.0], [8.0]]))
-        np.testing.assert_allclose(x, [[1.0], [2.0]], atol=1e-12)
-
-    def test_residual_on_random_spd(self, rng):
-        g = rng.standard_normal((6, 6))
-        a = g @ g.T + np.eye(6)
-        b = rng.standard_normal((6, 3))
-        x = spd_solve(a, b)
-        res = np.linalg.norm(a @ x - b)
-        assert res <= 1e-8 * (1.0 + np.linalg.norm(b))
-
-    def test_round_trip_up_to_50(self, rng):
-        for n in (10, 30, 50):
-            g = rng.standard_normal((n, n))
-            a = g @ g.T + n * np.eye(n)
-            x = rng.standard_normal((n, 2))
-            back = spd_solve(a, a @ x)
-            assert np.linalg.norm(back - x) <= 1e-8 * max(1, np.linalg.norm(x))
-
-    def test_non_spd_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            spd_solve(np.diag([1.0, -1.0]), np.ones((2, 1)))
-
-    def test_repeated_solves(self, rng):
-        a = np.diag([2.0, 3.0])
-        for _ in range(3):
-            b = rng.standard_normal((2, 4))
-            np.testing.assert_allclose(a @ spd_solve(a, b), b, atol=1e-12)
-
-    @pytest.mark.parametrize(
-        "value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
-    )
-    @pytest.mark.parametrize("where", ["a", "b"])
-    def test_non_finite_rejected_before_lapack(self, where, value, monkeypatch):
-        def lapack(*args, **kwargs):
-            raise AssertionError("LAPACK called on non-finite input")
-
-        monkeypatch.setattr(np.linalg, "cholesky", lapack)
-        monkeypatch.setattr(np.linalg, "solve", lapack)
-        a, b = np.diag([2.0, 3.0]), np.ones((2, 3))
-        # a[0, 1] is in the triangle that the Cholesky factorization never
-        # reads
-        {"a": a, "b": b}[where][0, 1] = value
-        with pytest.raises(ValueError, match="non-finite"):
-            spd_solve(a, b)
-
-    def test_vector_right_hand_side_keeps_its_shape(self, rng):
-        g = rng.standard_normal((4, 4))
-        a = g @ g.T + np.eye(4)
-        b = rng.standard_normal(4)
-        x = spd_solve(a, b)
-        assert x.shape == (4,)
-        np.testing.assert_allclose(a @ x, b, atol=1e-12)
-        with pytest.raises(np.linalg.LinAlgError):
-            spd_solve(np.diag([1.0, -1.0]), np.ones(2))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shapes"):
-            spd_solve(np.eye(3), np.ones((2, 1)))
-        with pytest.raises(ValueError, match="shapes"):
-            spd_solve(np.ones((2, 3)), np.ones((2, 1)))
-        with pytest.raises(ValueError, match="shapes"):
-            spd_solve(np.eye(2), np.ones((2, 2, 1)))
-
-    @pytest.mark.parametrize("rhs", ["vector", "C", "F", "transposed"])
-    @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
-    def test_bitwise_equal_to_scipy_cho_solve(self, n, rhs):
-        # scipy's Cholesky solve is an independent oracle; the factor step
-        # passes rhs.T, a transposed C-ordered matrix
-        rng = np.random.default_rng([n, len(rhs)])
-        g = rng.standard_normal((n, n))
-        a = g @ g.T + 0.1 * np.eye(n)
-        b = {
-            "vector": lambda: rng.standard_normal(n),
-            "C": lambda: rng.standard_normal((n, 3)),
-            "F": lambda: np.asfortranarray(rng.standard_normal((n, 3))),
-            "transposed": lambda: rng.standard_normal((4, n)).T,
-        }[rhs]()
-        expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b)
-        got = spd_solve(a, b)
-        assert got.shape == b.shape
-        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestToeplitzDiff:

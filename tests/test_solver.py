@@ -989,6 +989,34 @@ class TestSolve:
         assert report.iterations == 3
         assert calls == 0
 
+    def test_factor_step_is_one_solve_per_mode(self, monkeypatch):
+        # lhs = beta*I + lam*(...) is SPD by construction, so each X_i
+        # subproblem is one LU solve, with no Cholesky factorization as a
+        # check in front of it
+        calls = {"cholesky": 0, "solve": 0}
+
+        def spy(name):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        spy("cholesky")
+        spy("solve")
+        truth, _, _ = synthetic_tucker(seed=2, dims=(20, 20, 20))
+        mask = ObservationMask.from_boolean(
+            np.random.default_rng(3).random(truth.shape) < 0.6
+        )
+        cfg = preset_config(
+            "image", ranks=(2, 2, 2), beta=1.0, max_iter=3, tol=1e-300
+        )
+        report = solve(np.where(mask.boolean(), truth, 0.0), mask, cfg)
+        assert report.iterations == 3
+        assert calls == {"cholesky": 0, "solve": 3 * 3}
+
     def test_fortran_ordered_input_made_c_contiguous_once(self, monkeypatch):
         # update_z gathers observed values by C-order flat index, which
         # copies a non-C-contiguous `m` in full on every call
