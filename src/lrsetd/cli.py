@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tio
-from .hosvd import hosvd, reconstruction_snr, truncate_core
+from .hosvd import _check_threshold, hosvd, reconstruction_snr, truncate_core
 from .masks import MissingSpec, nmae, psnr, random_mask, rse, structured_mask
 from .solver import (
     PRESETS,
@@ -30,13 +30,13 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 
-def _parse_ints(text, name):
-    """Comma-separated integers, one per mode; the count sets the order, so
-    an empty field is an error, not a value to skip."""
+def _parse_list(text, name, kind=int):
+    """Comma-separated values of type `kind`; an empty field is an error,
+    not a value to skip, since a count of modes may set the order."""
     parts = text.replace(" ", "").split(",")
     if not all(parts):
         raise ValueError(f"{name} has an empty field: {text!r}")
-    return tuple(int(p) for p in parts)
+    return tuple(kind(p) for p in parts)
 
 
 def _load_input(path, fmt, tensorize_arg):
@@ -69,7 +69,7 @@ def _parse_tensorize(text):
         raise ValueError(
             f"--tensorize must look like 'otd:121,288,7', got {text!r}"
         )
-    return (kind, *_parse_ints(dims, "--tensorize dims"))
+    return (kind, *_parse_list(dims, "--tensorize dims"))
 
 
 def _build_mask(args, dims):
@@ -138,7 +138,7 @@ def _solver_config(args):
         if value is not None:
             fields[key] = value
     if isinstance(fields.get("ranks"), str):
-        fields["ranks"] = _parse_ints(fields["ranks"], "--ranks")
+        fields["ranks"] = _parse_list(fields["ranks"], "--ranks")
     preset = fields.pop("preset", None)
     if preset is None:
         return SolverConfig(**fields)
@@ -175,9 +175,9 @@ def cmd_complete(args):
     truth = _load_input(args.input, args.format, args.tensorize)
     mask = _build_mask(args, truth.shape)
     cfg = _solver_config(args)
-    observed = np.where(mask.boolean(), truth, 0.0)
     z_true = truth if cfg.stop_denominator == "oracle" else None
-    report = solve(observed, mask, cfg, z_true=z_true)
+    # solve reads only the observed entries of its input, so no copy
+    report = solve(truth, mask, cfg, z_true=z_true)
 
     metrics = {}
     if mask.n_missing and not args.skip_metrics:
@@ -236,21 +236,21 @@ def cmd_hosvd_demo(args):
     data = _load_input(args.input, args.format, None)
     if args.scale:
         data = data / args.scale
-    ranks = _parse_ints(args.ranks, "--ranks") if args.ranks else data.shape
+    ranks = _parse_list(args.ranks, "--ranks") if args.ranks else data.shape
+    # the whole grid is checked before any truncation writes an image
+    grid = _parse_list(args.tn_grid, "--tn-grid", float)
+    for tn in grid:
+        _check_threshold(tn)
     model = hosvd(data, ranks)
-    grid = [float(v) for v in args.tn_grid.replace(" ", "").split(",") if v]
-    rows = []
+    lines = ["tn,sparsity,snr"]
     for tn in grid:
         truncated, sparsity = truncate_core(model, tn)
         approx = truncated.reconstruct()
         snr = reconstruction_snr(data, approx)
-        rows.append((tn, sparsity, snr))
+        lines.append(f"{tn!r},{sparsity!r},{snr!r}")
         if args.images_out:
             out = Path(f"{args.images_out}_tn{tn:g}.ppm")
             tio.write_image(out, approx * (args.scale or 1.0))
-    lines = ["tn,sparsity,snr"]
-    for tn, sparsity, snr in rows:
-        lines.append(f"{tn!r},{sparsity!r},{'inf' if snr == float('inf') else repr(snr)}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -260,7 +260,7 @@ def cmd_hosvd_demo(args):
 
 
 def cmd_mask_gen(args):
-    dims = _parse_ints(args.dims, "--dims")
+    dims = _parse_list(args.dims, "--dims")
     if (args.missing_spec is None) == (args.ratio is None):
         raise ValueError("exactly one of --missing-spec, --ratio required")
     if args.missing_spec is not None:

@@ -1,7 +1,8 @@
 """HOSVD, core truncation and reconstruction SNR.
 
 Supports the motivation study: how sparse a truncated Tucker core can get
-before the reconstruction quality degrades.
+before the reconstruction quality degrades. Both take any finite input: the
+Grams and the SNR norms are formed after an exact power-of-two rescale.
 """
 
 import math
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import frobenius, multilinear, unfold
+from .tensor import _exponent, frobenius, multilinear, unfold
 
 __all__ = ["TuckerModel", "hosvd", "truncate_core", "reconstruction_snr"]
 
@@ -64,14 +65,6 @@ def _nonzero_block(core):
     return tuple(block)
 
 
-def _exponent(lo, hi):
-    """Binary exponent e of max(-lo, hi), so that ``np.ldexp(a, -e)`` peaks
-    in [0.5, 1) for an `a` with minimum `lo` and maximum `hi`; 0 when both
-    are 0. Scaling by a power of two is exact, and keeps sums of squared
-    entries from overflowing or underflowing."""
-    return math.frexp(max(hi, -lo))[1]
-
-
 def _left_singular_vectors(mat, r):
     # Gram eigenproblem: cheaper than an economy SVD when the unfolding is
     # short and wide, which is the common case here
@@ -118,14 +111,18 @@ def hosvd(t, ranks):
     return TuckerModel(core=core, factors=factors)
 
 
+def _check_threshold(tn):
+    if not tn >= 0:  # NaN included
+        raise ValueError(f"tn must be a nonnegative number, got {tn}")
+
+
 def truncate_core(model, tn):
     """Zero all core entries with magnitude strictly below `tn`.
 
     Returns the truncated model and the fraction of zero entries in the new
     core.
     """
-    if not tn >= 0:  # NaN included
-        raise ValueError(f"tn must be a nonnegative number, got {tn}")
+    _check_threshold(tn)
     small = np.abs(model.core) < tn
     core = np.where(small, 0.0, model.core)
     # a positive tn also catches every entry that was zero already
@@ -143,26 +140,10 @@ def reconstruction_snr(truth, approx):
     approx = np.asarray(approx, dtype=np.float64)
     if truth.shape != approx.shape:
         raise ValueError(f"shape mismatch: {truth.shape} vs {approx.shape}")
-    ref = _norm(truth)
+    ref = frobenius(truth)
     if ref == 0.0:
         raise ValueError("SNR undefined for an all-zero reference tensor")
-    err = _norm(approx - truth)
+    err = frobenius(approx - truth)
     if err == 0.0:
         return math.inf
     return 20.0 * math.log10(ref / err)
-
-
-# Entries below 2**-511 square to subnormals or zero; a norm above this
-# bound is accurate all the same, since what they lose is below its ulp.
-_NORM_FLOOR = 2.0**-400
-
-
-def _norm(a):
-    """Frobenius norm of a finite `a`, recomputed on `a` scaled by a power
-    of two when its sum of squares may have overflowed or underflowed."""
-    with np.errstate(over="ignore", under="ignore"):
-        n = frobenius(a)
-    if _NORM_FLOOR < n < math.inf or not a.size:
-        return n
-    e = _exponent(a.min(), a.max())
-    return math.ldexp(frobenius(np.ldexp(a, -e)), e)

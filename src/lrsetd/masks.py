@@ -224,19 +224,20 @@ def psnr(truth, recovered, mask, max_value=None, full_tensor=False):
     By default the squared error is averaged over the unobserved entries
     only; ``full_tensor=True`` switches to the whole-tensor error divided by
     the complement size, for cross-checking against published figures.
-    `max_value` defaults to the maximum entry of `truth`.
+    `max_value` defaults to the maximum entry of `truth`. The figure is a
+    sum of logarithms, so no square is formed and any finite scale works.
     """
     t, r = _complement(truth, recovered, mask)
     peak = float(np.max(truth) if max_value is None else max_value)
     if peak <= 0.0:
         raise ValueError(f"peak value must be positive, got {peak}")
+    n = t.size
     if full_tensor:
-        err = frobenius(np.asarray(recovered) - np.asarray(truth)) ** 2
-    else:
-        err = float(np.sum((t - r) ** 2))
+        t, r = np.asarray(truth), np.asarray(recovered)
+    err = frobenius(r - t)
     if err == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak**2 / (err / t.size))
+    return 20 * math.log10(peak) + 10 * math.log10(n) - 20 * math.log10(err)
 
 
 def rse(truth, recovered):

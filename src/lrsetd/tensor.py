@@ -27,6 +27,9 @@ layout: the first remaining index varies fastest, i.e. column
 so that ``unfold(multilinear(s, [X1, ..., XN]), n)`` equals
 ``Xn @ unfold(s, n) @ kron(XN, ..., X_{n+1}, X_{n-1}, ..., X1).T``.
 
+:func:`frobenius`, the norm of every quality figure and of the solver's
+stopping rule, is accurate for finite data at any scale, 1e200 or 1e-310.
+
 Modes are 0-based throughout, matching numpy axis numbering. An
 :class:`ObservationMask` stores its observed set once, as a boolean array.
 """
@@ -133,9 +136,24 @@ def inner(a, b):
     return float(np.vdot(a, b))
 
 
+def _exponent(lo, hi):
+    """Binary exponent e of max(-lo, hi), so that ``np.ldexp(a, -e)`` peaks
+    in [0.5, 1) for an `a` with minimum `lo` and maximum `hi` (0 when both
+    are 0): an exact rescale whose squares neither overflow nor underflow."""
+    return math.frexp(max(hi, -lo))[1]
+
+
 def frobenius(a):
-    """Frobenius norm, ``sqrt(inner(a, a))``."""
-    return float(np.linalg.norm(np.asarray(a).ravel()))
+    """Frobenius norm, ``sqrt(inner(a, a))``: numpy's norm when that lies in
+    (2**-400, inf), else the norm of `a` rescaled by ``_exponent``; entries
+    below 2**-511 lose their squares only below the ulp of such a norm."""
+    a = np.asarray(a)
+    with np.errstate(over="ignore", under="ignore"):
+        n = float(np.linalg.norm(a.ravel()))
+    if 2.0**-400 < n < math.inf or not a.size:
+        return n
+    e = _exponent(a.min(), a.max())
+    return math.ldexp(float(np.linalg.norm(np.ldexp(a, -e).ravel())), e)
 
 
 def _indices(values, upper):

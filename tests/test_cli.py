@@ -53,6 +53,20 @@ class TestCompleteCommand:
         summary = json.loads(capsys.readouterr().out)
         assert {"iterations", "termination", "rse", "nmae", "psnr"} <= set(summary)
 
+    def test_values_off_the_mask_are_never_read(self, problem, tmp_path):
+        # the input goes to the solver as it is, with no zero-filled copy
+        truth, mask, tensor_path, mask_path = problem
+        outs = []
+        for fill in (np.nan, 0.0):
+            write_tensor(tensor_path, np.where(mask.boolean(), truth, fill))
+            out_path = tmp_path / f"rec_{fill}.lrt"
+            code = main(["complete", "--input", str(tensor_path),
+                         "--mask", str(mask_path), "--ranks", "2,2,2",
+                         "--max-iter", "5", "--out", str(out_path)])
+            assert code == 0
+            outs.append(out_path.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_preset_and_flag_precedence(self, problem, tmp_path):
         _, _, tensor_path, mask_path = problem
         report_path = tmp_path / "rep.json"
@@ -306,6 +320,11 @@ def _as_is(truth, observed):
 HUGE = 1e200
 
 
+def _one_percent_error(truth, observed):
+    noise = np.random.default_rng(1).standard_normal(truth.shape)
+    return truth * (1.0 + 0.01 * noise)
+
+
 def _huge_noise(truth, observed):
     # full spectrum, so a truncated HOSVD's SNR is set by the dropped
     # energy, not by rounding; squaring these entries overflows float64
@@ -314,7 +333,7 @@ def _huge_noise(truth, observed):
 
 # input -> (command, exit code, stream, expected substring); the input edits
 # the truth tensor (or is CSV text, or None for `mask-gen`), which `metrics`
-# compares with the unedited truth
+# compares with the unedited truth unless BAD_RECOVERED edits that too
 BAD_INPUTS = {
     "nan-observed": (
         _first_observed(np.nan), "complete", 2, "err", "must be finite"
@@ -341,10 +360,22 @@ BAD_INPUTS = {
     ),
     # a NaN threshold would print a row equal to the tn = 0 row
     "hosvd-demo-tn-nan": (_as_is, "hosvd-demo", 2, "err", "got nan"),
+    # an image-shaped input: a bad last threshold must fail before the
+    # first threshold's image is written
+    "hosvd-demo-tn-nan-last": (
+        lambda t, o: t[:, :, :3], "hosvd-demo", 2, "err", "got nan"
+    ),
+    "hosvd-demo-tn-negative": (_as_is, "hosvd-demo", 2, "err", "got -0.05"),
+    "hosvd-demo-tn-empty-field": (
+        _as_is, "hosvd-demo", 2, "err", "empty field"
+    ),
     "metrics-nan-truth": (_nan_off_mask, "metrics", 0, "out", '"psnr": null'),
     "metrics-all-zero-truth": (
         _all_zero, "metrics", 0, "out", '"rse": null'
     ),
+    # finite data whose squares, or the peak's square, overflow float64
+    "metrics-1e200": (lambda t, o: t * HUGE, "metrics", 0, "out", '"psnr": '),
+    "metrics-max-value-1e200": (_as_is, "metrics", 0, "out", '"psnr": '),
     # finite input whose first factor subproblem overflows under BAD_CONFIGS
     "lam-1e300": (
         lambda t, o: t * 1e10, "complete", 4, "err", "at iteration 1"
@@ -383,6 +414,17 @@ BAD_FLAGS = {
     "ranks-empty-field": ["--ranks", "2,,2,2"],
     "dims-trailing-comma": ["--dims", "4,3,2,"],
     "hosvd-demo-tn-nan": ["--tn-grid", "0,nan"],
+    "hosvd-demo-tn-nan-last": [
+        "--tn-grid", "0,0.05,nan", "--images-out", "img"
+    ],
+    "hosvd-demo-tn-negative": ["--tn-grid", "0,-0.05"],
+    "hosvd-demo-tn-empty-field": ["--tn-grid", "0,,0.05"],
+    "metrics-max-value-1e200": ["--max-value", "1e200"],
+}
+# --recovered edits for the `metrics` cases that need them
+BAD_RECOVERED = {
+    "metrics-1e200": lambda t, o: _one_percent_error(t, o) * HUGE,
+    "metrics-max-value-1e200": _one_percent_error,
 }
 # --missing-spec file contents for the mask-gen cases
 BAD_SPECS = {
@@ -410,8 +452,12 @@ def strict_json(text):
 
 class TestBadInput:
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-    def test_exit_code_and_message(self, case, problem, tmp_path, capsys):
+    def test_exit_code_and_message(
+        self, case, problem, tmp_path, capsys, monkeypatch
+    ):
         truth, mask, tensor_path, mask_path = problem
+        # relative paths in BAD_FLAGS land in tmp_path
+        monkeypatch.chdir(tmp_path)
         make, command, code, stream, text = BAD_INPUTS[case]
         if isinstance(make, str):
             csv = tmp_path / "t.csv"
@@ -441,7 +487,8 @@ class TestBadInput:
                     "--ranks", "3,3,3", "--tn-grid", "0"]
         else:
             recovered = tmp_path / "recovered.lrt"
-            write_tensor(recovered, truth)
+            edit = BAD_RECOVERED.get(case, _as_is)
+            write_tensor(recovered, edit(truth, mask.boolean()))
             argv = ["metrics", "--truth", str(tensor_path),
                     "--recovered", str(recovered), "--mask", str(mask_path)]
         argv += BAD_FLAGS.get(case, [])
@@ -459,7 +506,14 @@ class TestBadInput:
             assert captured.err.startswith("error: ")
             assert captured.err.count("\n") == 1
         if command == "metrics" and code == 0:
-            assert all(v is None for v in strict_json(captured.out).values())
+            doc = strict_json(captured.out)
+            if case in BAD_RECOVERED:
+                # finite data has finite figures at any scale
+                assert all(isinstance(v, float) for v in doc.values())
+            else:
+                assert all(v is None for v in doc.values())
+        if command == "hosvd-demo" and code != 0:
+            assert list(tmp_path.glob("*.ppm")) == []
         if command == "hosvd-demo" and code == 0:
             write_tensor(tensor_path, make(truth, mask.boolean()) / HUGE)
             assert main(argv) == 0

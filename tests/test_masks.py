@@ -356,6 +356,15 @@ class TestNmae:
             nmae(truth, truth, mask)
 
 
+# scales at which a sum of squared entries overflows or underflows float64
+EXTREME_SCALES = [1e200, 1e-200, 2.0**1000, 1e-310]
+
+
+def one_percent_error(rng):
+    truth = rng.standard_normal((6, 5, 4))
+    return truth, truth * (1.0 + 0.01 * rng.standard_normal(truth.shape))
+
+
 class TestPsnr:
     def test_perfect_is_inf(self, rng):
         truth = np.abs(rng.standard_normal((3, 3, 3))) + 1.0
@@ -397,6 +406,24 @@ class TestPsnr:
         with pytest.raises(ValueError, match="peak"):
             psnr(truth, truth + 1.0, mask)
 
+    @pytest.mark.parametrize("full_tensor", [False, True])
+    @pytest.mark.parametrize("scale", EXTREME_SCALES)
+    def test_extreme_scale(self, rng, scale, full_tensor):
+        truth, rec = one_percent_error(rng)
+        mask = random_mask(truth.shape, 0.5, seed=2)
+        expected = psnr(truth, rec, mask, full_tensor=full_tensor)
+        got = psnr(truth * scale, rec * scale, mask, full_tensor=full_tensor)
+        assert got == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("full_tensor", [False, True])
+    def test_huge_peak(self, rng, full_tensor):
+        # the peak's square overflows float64; its logarithm does not
+        truth, rec = one_percent_error(rng)
+        mask = random_mask(truth.shape, 0.5, seed=2)
+        unit = psnr(truth, rec, mask, max_value=1.0, full_tensor=full_tensor)
+        got = psnr(truth, rec, mask, max_value=1e200, full_tensor=full_tensor)
+        assert got == pytest.approx(unit + 4000.0, rel=1e-12)
+
 
 class TestRse:
     def test_perfect(self, rng):
@@ -414,3 +441,10 @@ class TestRse:
     def test_zero_truth_rejected(self):
         with pytest.raises(ValueError, match="all-zero"):
             rse(np.zeros((2, 2)), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("scale", EXTREME_SCALES)
+    def test_extreme_scale(self, rng, scale):
+        # squaring the entries overflows, or underflows, in float64
+        truth, rec = one_percent_error(rng)
+        got = rse(truth * scale, rec * scale)
+        assert got == pytest.approx(rse(truth, rec), rel=1e-9)

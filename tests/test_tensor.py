@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,6 +227,38 @@ class TestInnerFrobenius:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             inner(np.zeros((2, 2)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 2.0**-395, 1e150])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_in_range_norm_is_numpys_bit_for_bit(self, rng, scale, layout):
+        # the solver's stopping rule reads this norm every iteration, so its
+        # value there must not move by a single ulp
+        a = rng.standard_normal((6, 5, 4)) * scale
+        a = {"C": a, "F": np.asfortranarray(a), "strided": a[::2, :, ::-1]}[
+            layout
+        ]
+        expected = float(np.linalg.norm(a.ravel()))
+        assert 2.0**-400 < expected < np.inf
+        assert frobenius(a) == expected
+
+    @pytest.mark.parametrize("power", [600, 1000, -600, -1060])
+    def test_out_of_range_norm_is_exactly_rescaled(self, rng, power):
+        # a power of two scales every square and so the norm exactly, while
+        # the direct sum of squares overflows or underflows; at 2**-1060
+        # the entries are subnormal, so only the order of magnitude holds
+        a = rng.standard_normal((6, 5, 4))
+        got = frobenius(np.ldexp(a, power))
+        expected = math.ldexp(frobenius(a), power)
+        if power > -1022:
+            assert got == expected
+        else:
+            assert got == pytest.approx(expected, rel=1e-3, abs=0.0)
+
+    def test_zero_empty_and_nonfinite(self):
+        assert frobenius(np.zeros((3, 2))) == 0.0
+        assert frobenius(np.zeros((0, 2))) == 0.0
+        assert frobenius(np.array([1.0, np.inf])) == np.inf
+        assert np.isnan(frobenius(np.array([1.0, np.nan])))
 
 
 class TestObservationMask:
