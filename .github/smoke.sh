@@ -1,0 +1,64 @@
+#!/usr/bin/env bash
+# End-to-end smoke test of the installed `lrsetd` console script: every
+# subcommand on tiny inputs, metrics at extreme scales, a fourth-order
+# tensor, and a rejected config. Runs in a fresh temporary directory.
+#
+#   bash .github/smoke.sh
+set -eu
+
+cd "$(mktemp -d "${RUNNER_TEMP:-${TMPDIR:-/tmp}}/lrsetd-smoke.XXXXXX")"
+
+echo "hosvd-demo"
+python -c "import numpy as np; from lrsetd.io import write_image; write_image('tiny.ppm', np.random.default_rng(0).uniform(0, 255, (8, 6, 3)))"
+lrsetd hosvd-demo --input tiny.ppm --scale 255 --tn-grid 0,0.05 --images-out tiny > sweep.csv
+head -n 1 sweep.csv | grep -qx 'tn,sparsity,snr'
+test "$(wc -l < sweep.csv)" -eq 3
+test -s tiny_tn0.05.ppm
+
+echo "mask-gen, complete and metrics"
+python -c "import numpy as np; from lrsetd.io import write_tensor; f = np.random.default_rng(0).uniform(1, 2, (3, 6)); write_tensor('tiny.lrt', 100 * np.einsum('i,j,k->ijk', *f))"
+lrsetd mask-gen --dims 6,6,6 --ratio 0.6 --seed 1 --out tiny.lrm
+for run in a b; do
+  lrsetd complete --input tiny.lrt --mask tiny.lrm --preset traffic-wholeday --ranks 2,2,2 --max-iter 20 --deterministic-report --report "report_$run.json" --out "recovered_$run.lrt" > /dev/null
+done
+cmp report_a.json report_b.json
+lrsetd metrics --truth tiny.lrt --recovered recovered_a.lrt --mask tiny.lrm | grep -q '"rse"'
+# composite mask: slice 3 of mode 2 dropped, round(0.5 * 180) of the rest
+# kept, a count that does not depend on the random stream
+lrsetd mask-gen --dims 6,6,6 --missing-spec '{"kind": "composite", "mode": 2, "params": {"structural": {"kind": "whole_slices", "params": {"slices": [3]}}, "ratio": 0.5}, "seed": 4}' --out composite.lrm | grep -q '"observed": 90}'
+lrsetd complete --input tiny.lrt --mask composite.lrm --preset traffic-wholeday --ranks 2,2,2 --max-iter 20 --out composite.lrt > /dev/null
+lrsetd metrics --truth tiny.lrt --recovered composite.lrt --mask composite.lrm | grep -q '"rse"'
+
+echo "a config file that sets toeplitz_modes"
+# every smoothed mode uses the difference matrix; the former per-mode
+# switch is an unknown field: exit 2 and one error line naming it
+echo '{"toeplitz_modes": [1, 0, 1]}' > toeplitz.json
+status=0
+lrsetd complete --input tiny.lrt --mask tiny.lrm --config toeplitz.json 2> toeplitz.err > /dev/null || status=$?
+test "$status" -eq 2
+test "$(wc -l < toeplitz.err)" -eq 1
+grep -q "^error: unknown config fields: \['toeplitz_modes'\]$" toeplitz.err
+
+echo "metrics at extreme scales"
+# the sums of squared entries overflow at 1e200 and underflow at 1e-200;
+# every figure must still be a number
+lrsetd mask-gen --dims 6,5,4 --ratio 0.5 --seed 1 --out scale.lrm
+for s in 1e200 1e-200; do
+  python -c "import sys, numpy as np; from lrsetd.io import write_tensor; s = float(sys.argv[1]); rng = np.random.default_rng(0); t = rng.uniform(1, 2, (6, 5, 4)); write_tensor('t_' + sys.argv[1] + '.lrt', s * t); write_tensor('r_' + sys.argv[1] + '.lrt', s * t * (1 + 0.01 * rng.standard_normal(t.shape)))" "$s"
+  lrsetd metrics --truth "t_$s.lrt" --recovered "r_$s.lrt" --mask scale.lrm > "metrics_$s.json"
+  grep -Eq '"psnr": -?[0-9]' "metrics_$s.json"
+  grep -Eq '"rse": [0-9]' "metrics_$s.json"
+done
+
+echo "fourth order"
+python -c "import numpy as np; from lrsetd.io import write_tensor; f = np.random.default_rng(0).uniform(1, 2, 14); write_tensor('four.lrt', 100 * np.einsum('i,j,k,l->ijkl', f[:5], f[5:9], f[9:12], f[12:]))"
+lrsetd mask-gen --dims 5,4,3,2 --ratio 0.6 --seed 1 --out four.lrm
+echo '{"alpha": [0.25, 0.25, 0.25, 0.25], "omega": [0.0, 1.0, 1.0, 0.0]}' > four.json
+for run in a b; do
+  lrsetd complete --input four.lrt --mask four.lrm --config four.json --ranks 2,2,2,2 --max-iter 20 --deterministic-report --report "four_$run.json" > /dev/null
+done
+cmp four_a.json four_b.json
+lrsetd hosvd-demo --input four.lrt --tn-grid 0,0.05 > four_sweep.csv
+test "$(wc -l < four_sweep.csv)" -eq 3
+
+echo "smoke test passed"

@@ -89,22 +89,25 @@ def _build_mask(args, dims):
                 f"mask dims {mask.dims} do not match data dims {tuple(dims)}"
             )
         return mask
-    if args.missing_spec is not None:
-        spec = _load_missing_spec(args.missing_spec, args.seed)
-        return structured_mask(dims, spec)
-    return random_mask(dims, args.sample_ratio, seed=args.seed or 0)
+    return _generate_mask(
+        dims, args.missing_spec, args.sample_ratio, args.seed
+    )
 
 
-def _load_missing_spec(arg, seed_flag):
-    text = arg
-    if not arg.lstrip().startswith("{"):
-        text = Path(arg).read_text(encoding="utf-8")
+def _generate_mask(dims, spec_arg, ratio, seed):
+    """Mask from a `--missing-spec` (inline JSON or a path) when given, else
+    a uniform draw at `ratio`; a `--seed` overrides the spec's seed."""
+    if spec_arg is None:
+        return random_mask(dims, ratio, seed=seed or 0)
+    text = spec_arg
+    if not spec_arg.lstrip().startswith("{"):
+        text = Path(spec_arg).read_text(encoding="utf-8")
     spec = MissingSpec.from_json(text)
-    if seed_flag is not None:
+    if seed is not None:
         spec = MissingSpec(
-            kind=spec.kind, mode=spec.mode, params=spec.params, seed=seed_flag
+            kind=spec.kind, mode=spec.mode, params=spec.params, seed=seed
         )
-    return spec
+    return structured_mask(dims, spec)
 
 
 def _solver_config(args):
@@ -120,7 +123,7 @@ def _solver_config(args):
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        for key in ("ranks", "alpha", "omega", "toeplitz_modes"):
+        for key in ("ranks", "alpha", "omega"):
             if isinstance(doc.get(key), list):
                 doc[key] = tuple(doc[key])
         fields.update(doc)
@@ -146,12 +149,10 @@ def _solver_config(args):
 
 
 def _config_echo(cfg):
-    doc = {
+    return {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in cfg.__dict__.items()
     }
-    doc["toeplitz_modes"] = list(cfg.resolved_toeplitz())
-    return doc
 
 
 def _write_report(path, doc):
@@ -263,11 +264,7 @@ def cmd_mask_gen(args):
     dims = _parse_list(args.dims, "--dims")
     if (args.missing_spec is None) == (args.ratio is None):
         raise ValueError("exactly one of --missing-spec, --ratio required")
-    if args.missing_spec is not None:
-        spec = _load_missing_spec(args.missing_spec, args.seed)
-        mask = structured_mask(dims, spec)
-    else:
-        mask = random_mask(dims, args.ratio, seed=args.seed or 0)
+    mask = _generate_mask(dims, args.missing_spec, args.ratio, args.seed)
     tio.write_mask(args.out, mask)
     print(
         json.dumps(

@@ -108,16 +108,22 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _draw(n, ratio, seed):
+    """round(ratio * n) distinct positions in [0, n): the prefix of one
+    seeded Philox permutation."""
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError(f"ratio must be in [0, 1], got {ratio}")
+    return _rng(seed).permutation(n)[: int(round(ratio * n))]
+
+
 def random_mask(dims, ratio, seed=0):
     """Uniform random mask observing exactly round(ratio * prod(dims))
     entries, deterministic per seed."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"ratio must be in [0, 1], got {ratio}")
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims, dtype=np.int64))
-    k = int(round(ratio * total))
-    flat = _rng(seed).permutation(total)[:k]
-    return ObservationMask.from_fortran_positions(dims, flat)
+    return ObservationMask.from_fortran_positions(
+        dims, _draw(total, ratio, seed)
+    )
 
 
 def _structural_drop(dims, spec):
@@ -134,7 +140,6 @@ def _structural_drop(dims, spec):
         if k < 1 or not 0 <= phase < k:
             raise ValueError(f"invalid k={k}, phase={phase}")
         sl[mode] = slice(phase, size, k)
-        keep[tuple(sl)] = False
     elif spec.kind == "time_window":
         period, start, length = (
             _integer(_required(spec.params, key, f"{spec.kind} spec"), key)
@@ -148,7 +153,6 @@ def _structural_drop(dims, spec):
         t = np.arange(size)
         dropped = (t % period >= start) & (t % period < start + length)
         sl[mode] = dropped
-        keep[tuple(sl)] = False
     elif spec.kind == "whole_slices":
         slices = spec.params.get("slices", [])
         if not isinstance(slices, (list, tuple)):
@@ -157,9 +161,9 @@ def _structural_drop(dims, spec):
         if any(not 0 <= s < size for s in slices):
             raise ValueError(f"slice index out of range for mode size {size}")
         sl[mode] = slices
-        keep[tuple(sl)] = False
     else:
         raise ValueError(f"not a structural kind: {spec.kind!r}")
+    keep[tuple(sl)] = False
     return keep
 
 
@@ -185,28 +189,33 @@ def structured_mask(dims, spec):
         )
         keep = _structural_drop(dims, inner)
         ratio = _real(_required(spec.params, "ratio", "composite spec"), "ratio")
-        if not 0.0 <= ratio <= 1.0:
-            raise ValueError(f"ratio must be in [0, 1], got {ratio}")
         # uniform retention on the structurally surviving part only
         flat_keep = np.flatnonzero(keep.ravel(order="F"))
-        k = int(round(ratio * flat_keep.size))
-        chosen = flat_keep[_rng(spec.seed).permutation(flat_keep.size)[:k]]
+        chosen = flat_keep[_draw(flat_keep.size, ratio, spec.seed)]
         return ObservationMask.from_fortran_positions(dims, chosen)
     return ObservationMask.from_boolean(_structural_drop(dims, spec))
 
 
-def _complement(truth, recovered, mask):
-    truth = np.asarray(truth, dtype=np.float64)
-    recovered = np.asarray(recovered, dtype=np.float64)
-    if truth.shape != recovered.shape or truth.shape != mask.dims:
+def _check(truth, recovered, mask):
+    """Raise ValueError unless `truth` and `recovered` have the mask's shape
+    and the mask leaves some entry unobserved."""
+    if np.shape(truth) != np.shape(recovered) or np.shape(truth) != mask.dims:
         raise ValueError(
-            f"shape mismatch: truth {truth.shape}, recovered "
-            f"{recovered.shape}, mask {mask.dims}"
+            f"shape mismatch: truth {np.shape(truth)}, recovered "
+            f"{np.shape(recovered)}, mask {mask.dims}"
         )
-    miss = ~mask.boolean()
-    if not miss.any():
+    if not mask.n_missing:
         raise ValueError("metric undefined: mask has an empty complement")
-    return truth[miss], recovered[miss]
+
+
+def _complement(truth, recovered, mask):
+    """The float64 entries of `truth` and `recovered` off the mask."""
+    _check(truth, recovered, mask)
+    miss = ~mask.boolean()
+    return (
+        np.asarray(truth, dtype=np.float64)[miss],
+        np.asarray(recovered, dtype=np.float64)[miss],
+    )
 
 
 def nmae(truth, recovered, mask):
@@ -227,16 +236,18 @@ def psnr(truth, recovered, mask, max_value=None, full_tensor=False):
     `max_value` defaults to the maximum entry of `truth`. The figure is a
     sum of logarithms, so no square is formed and any finite scale works.
     """
-    t, r = _complement(truth, recovered, mask)
+    if full_tensor:
+        _check(truth, recovered, mask)
+        t, r = np.asarray(truth), np.asarray(recovered)
+    else:
+        t, r = _complement(truth, recovered, mask)
     peak = float(np.max(truth) if max_value is None else max_value)
     if peak <= 0.0:
         raise ValueError(f"peak value must be positive, got {peak}")
-    n = t.size
-    if full_tensor:
-        t, r = np.asarray(truth), np.asarray(recovered)
     err = frobenius(r - t)
     if err == 0.0:
         return math.inf
+    n = mask.n_missing
     return 20 * math.log10(peak) + 10 * math.log10(n) - 20 * math.log10(err)
 
 

@@ -18,10 +18,10 @@ subproblem. For a mode with omega_i = 0 the W and dual steps force W_i = Z
 and U_i = 0 after every iteration, so the solver keeps W_i and U_i only for
 the smoothed modes (omega_i > 0) and lets Z stand in for the others.
 
-A_i is the first-order difference matrix (or I when the mode's Toeplitz
-flag is off) and is never stored: the penalty applies it as differences
-along axis i, and the W subproblem matrix [beta*I + 2*omega_i*A_i^T A_i] is
-tridiagonal, so W_i comes from an O(n) sweep along that axis.
+A_i is always the first-order difference matrix of mode i and is never
+stored: the penalty applies it as differences along axis i, and the W
+subproblem matrix [beta*I + 2*omega_i*A_i^T A_i] is tridiagonal, so W_i
+comes from an O(n) sweep along that axis.
 
 Each block is one public function, ``update_factors``, ``update_y``,
 ``update_core``, ``update_z``, ``update_w`` and ``update_duals``, and
@@ -84,8 +84,8 @@ class NumericalError(RuntimeError):
     """Raised when the iteration produces non-finite values."""
 
 
-# Parameter presets used throughout the reference experiments. Toeplitz
-# difference regularizers are attached to every mode carrying omega_i > 0.
+# Parameter presets used throughout the reference experiments. Every mode
+# carrying omega_i > 0 is smoothed by its first-order difference matrix.
 PRESETS = {
     "traffic-random": dict(omega=(0.0, 1.0, 2e-3)),
     "traffic-wholeday": dict(omega=(0.0, 1.0, 1.0)),
@@ -106,8 +106,9 @@ def _shape(value):
 class SolverConfig:
     """All scalars of the model plus run policy.
 
-    `alpha`, `omega`, `toeplitz_modes` and `ranks` hold one value per mode
-    of the tensor; the defaults and :data:`PRESETS` are third-order.
+    `alpha`, `omega` and `ranks` hold one value per mode of the tensor;
+    the defaults and :data:`PRESETS` are third-order. Each mode with
+    omega_i > 0 is smoothed by its first-order difference matrix A_i.
     `stop_denominator` selects the normalization of the relative-change
     stopping test: "oracle" uses ||Z_true||_F (ground truth must be passed to
     :func:`solve`), "blind" uses max(||Z_k||_F, 1).
@@ -119,7 +120,6 @@ class SolverConfig:
     lam: float = 1e-2
     beta: float = 0.1
     omega: tuple = (0.0, 0.0, 0.0)
-    toeplitz_modes: tuple | None = None
     tol: float = 1e-5
     max_iter: int = 250
     stop_denominator: str = "blind"
@@ -130,9 +130,9 @@ class SolverConfig:
     def __post_init__(self):
         # alpha counts the modes; the other per-mode fields must match it
         modes = _shape(self.alpha)
-        for name in ("alpha", "omega", "toeplitz_modes", "ranks"):
+        for name in ("alpha", "omega", "ranks"):
             value = getattr(self, name)
-            if value is None and name in ("toeplitz_modes", "ranks"):
+            if value is None and name == "ranks":
                 continue
             if (
                 modes is None
@@ -141,8 +141,8 @@ class SolverConfig:
                 or _shape(value) != modes
             ):
                 raise ValueError(
-                    "alpha, omega, toeplitz_modes and ranks need one value "
-                    f"per mode, as many as alpha has; got {name}={value!r}"
+                    "alpha, omega and ranks need one value per mode, as "
+                    f"many as alpha has; got {name}={value!r}"
                 )
         integers = (self.max_iter, self.seed, *(self.ranks or ()))
         if not all(
@@ -150,14 +150,6 @@ class SolverConfig:
             for v in integers
         ):
             raise ValueError("ranks, max_iter and seed must be integers")
-        if self.toeplitz_modes is not None and not all(
-            isinstance(t, (numbers.Integral, np.bool_)) and t in (0, 1)
-            for t in self.toeplitz_modes
-        ):
-            raise ValueError(
-                "toeplitz_modes must hold booleans or 0/1, "
-                f"got {self.toeplitz_modes!r}"
-            )
         reals = (self.lam, self.beta, self.sigma, self.tol, *self.alpha)
         if not all(
             isinstance(v, numbers.Real)
@@ -192,13 +184,6 @@ class SolverConfig:
         smoothing term."""
         return tuple(i for i, w in enumerate(self.omega) if w > 0)
 
-    def resolved_toeplitz(self):
-        """Per-mode Toeplitz flags; default puts the regularizer on every
-        smoothed mode. A flag has no effect on a mode with omega_i = 0."""
-        if self.toeplitz_modes is not None:
-            return tuple(bool(t) for t in self.toeplitz_modes)
-        smoothed = self.smoothed_modes()
-        return tuple(i in smoothed for i in range(len(self.omega)))
 
 def preset_config(name, **overrides):
     """Build a :class:`SolverConfig` from a named preset."""
@@ -296,20 +281,16 @@ def init_state(m, mask, cfg):
             x0.append(q)
         s0 = multilinear(z0, [f.T for f in x0])
 
-    toep = cfg.resolved_toeplitz()
     w, u, w_ldl = [None] * m.ndim, [None] * m.ndim, [None] * m.ndim
     for i in cfg.smoothed_modes():
         w[i] = z0.copy()
         u[i] = np.zeros(dims)
-        # A_i^T A_i is tridiag(-1, (1, 2, ..., 2), -1) for the difference
-        # matrix and I otherwise; the shifted matrix is factored once
+        # A_i^T A_i is tridiag(-1, (1, 2, ..., 2), -1); the shifted matrix
+        # is factored once
         two_omega = 2.0 * cfg.omega[i]
         diag = np.full(dims[i], cfg.beta + two_omega)
-        off = np.zeros(dims[i] - 1)
-        if toep[i]:
-            diag[1:] += two_omega
-            off -= two_omega
-        w_ldl[i] = tridiag_ldl(diag, off)
+        diag[1:] += two_omega
+        w_ldl[i] = tridiag_ldl(diag, np.full(dims[i] - 1, -two_omega))
 
     return SolverState(
         x=x0,
@@ -502,13 +483,11 @@ def update_duals(state, cfg):
     return val
 
 
-def _smoothing_parts(t, axis, toeplitz):
+def _smoothing_parts(t, axis):
     """A_i applied along `axis` of `t`, split into pieces whose squared
     norms sum to ||A_i T_(i)||_F^2 (and, for a matrix along axis 0, whose
     Grams sum to (A_i t)^T (A_i t)): the differences of neighbouring slices
-    and the last slice for the difference matrix, `t` itself for I."""
-    if not toeplitz:
-        return (t,)
+    and the last slice."""
     # basic slicing is what np.diff does, without its per-call axis
     # handling; the last slice is a view
     head = (slice(None),) * axis
@@ -520,10 +499,9 @@ def _lagrangian(state, cfg, nuclear, penalties, fit):
     """The augmented Lagrangian from the Y, dual and Z blocks' terms plus
     the smoothness and sparsity terms read off W and S."""
     val = nuclear + penalties + fit + cfg.sigma * np.abs(state.s).sum()
-    toep = cfg.resolved_toeplitz()
     for i in cfg.smoothed_modes():
         val += cfg.omega[i] * sum(
-            inner(p, p) for p in _smoothing_parts(state.w[i], i, toep[i])
+            inner(p, p) for p in _smoothing_parts(state.w[i], i)
         )
     return float(val)
 
@@ -554,12 +532,11 @@ def objective_value(state, cfg):
     at core size as <S, S x_j G_j> with G_j = X_j^T X_j and
     G_i = (A_i X_i)^T (A_i X_i)."""
     val = cfg.sigma * np.abs(state.s).sum()
-    toep = cfg.resolved_toeplitz()
     grams = [f.T @ f for f in state.x]
     for a, x in zip(cfg.alpha, state.x):
         val += a * np.linalg.svd(x, compute_uv=False).sum()
     for i in cfg.smoothed_modes():
-        parts = _smoothing_parts(state.x[i], 0, toep[i])
+        parts = _smoothing_parts(state.x[i], 0)
         g = list(grams)
         g[i] = sum(p.T @ p for p in parts)
         val += cfg.omega[i] * inner(state.s, multilinear(state.s, g))

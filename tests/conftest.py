@@ -63,10 +63,9 @@ def difference_matrix(n):
 
 def smoothing_matrix(cfg, dims, i):
     """Dense smoothing matrix A_i of mode i: the first-order difference
-    matrix where ``cfg.resolved_toeplitz()`` flags the mode, else I."""
-    if cfg.resolved_toeplitz()[i]:
-        return difference_matrix(dims[i])
-    return np.eye(dims[i])
+    matrix of size ``dims[i]`` on every mode. `cfg` is not read; it stays in
+    the signature the block oracles call."""
+    return difference_matrix(dims[i])
 
 
 def reference_admm(m, observed, cfg, n_iter):

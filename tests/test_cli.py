@@ -380,8 +380,14 @@ BAD_INPUTS = {
     "lam-1e300": (
         lambda t, o: t * 1e10, "complete", 4, "err", "at iteration 1"
     ),
+    # every smoothed mode uses the difference matrix: the former per-mode
+    # switch is an unknown field, whatever value it holds
     "config-toeplitz-null-str": (
-        _as_is, "complete", 2, "err", "toeplitz_modes must hold booleans"
+        _as_is, "complete", 2, "err", "unknown config fields"
+    ),
+    "config-toeplitz-flags": (
+        _as_is, "complete", 2, "err",
+        "unknown config fields: ['toeplitz_modes']",
     ),
     "config-max-iter-true": (_as_is, "complete", 2, "err", "integers"),
     "config-ranks-bool": (_as_is, "complete", 2, "err", "integers"),
@@ -402,6 +408,7 @@ BAD_INPUTS = {
 BAD_CONFIGS = {
     "lam-1e300": {"lam": 1e300},
     "config-toeplitz-null-str": {"toeplitz_modes": [None, 1, "x"]},
+    "config-toeplitz-flags": {"toeplitz_modes": [1, 0, 1]},
     "config-max-iter-true": {"max_iter": True},
     "config-ranks-bool": {"ranks": [True, 2, 2]},
     "config-seed-false": {"seed": False},

@@ -127,6 +127,17 @@ class TestStructuredMask:
         # 100 structurally surviving entries, 80% retained
         assert mask.n_observed == 80
 
+    @pytest.mark.parametrize("ratio", [1.5, -0.1, float("nan")])
+    def test_composite_invalid_ratio(self, ratio):
+        spec = MissingSpec(
+            kind="composite",
+            params={"structural": {"kind": "whole_slices",
+                                   "params": {"slices": [0]}},
+                    "ratio": ratio},
+        )
+        with pytest.raises(ValueError, match="ratio must be in"):
+            structured_mask((3, 3, 3), spec)
+
     def test_composite_determinism(self):
         spec = MissingSpec(
             kind="composite",
@@ -405,6 +416,26 @@ class TestPsnr:
         mask = ObservationMask.empty((2, 2, 2))
         with pytest.raises(ValueError, match="peak"):
             psnr(truth, truth + 1.0, mask)
+
+    @pytest.mark.parametrize("full_tensor", [False, True])
+    def test_undefined_cases_rejected(self, rng, full_tensor):
+        t = rng.standard_normal((2, 2, 2))
+        with pytest.raises(ValueError, match="empty complement"):
+            psnr(t, t, ObservationMask.full((2, 2, 2)), full_tensor=full_tensor)
+        mask = random_mask((2, 2, 2), 0.5)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            psnr(t, t[:1], mask, full_tensor=full_tensor)
+
+    def test_full_tensor_gathers_no_complement(self, rng, monkeypatch):
+        truth, rec = one_percent_error(rng)
+        mask = random_mask(truth.shape, 0.5, seed=2)
+        expected = psnr(truth, rec, mask, full_tensor=True)
+
+        def no_gather():
+            raise AssertionError("full_tensor=True read the mask's entries")
+
+        monkeypatch.setattr(mask, "boolean", no_gather)
+        assert psnr(truth, rec, mask, full_tensor=True) == expected
 
     @pytest.mark.parametrize("full_tensor", [False, True])
     @pytest.mark.parametrize("scale", EXTREME_SCALES)

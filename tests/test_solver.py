@@ -146,8 +146,8 @@ ORACLE_SHAPES = pytest.mark.parametrize(
 )
 
 
-# the three-way W_i/U_i layouts: two smoothed modes of two kinds, and
-# none; and a four-way one that smooths a difference and an identity mode
+# the three-way W_i/U_i layouts: two smoothed modes in two positions, and
+# none; and a four-way one that smooths two modes with unequal weights
 SOLVE_CONFIGS = pytest.mark.parametrize(
     "cfg",
     [
@@ -160,7 +160,6 @@ SOLVE_CONFIGS = pytest.mark.parametrize(
             ranks=(3, 3, 2, 2),
             alpha=(0.25,) * 4,
             omega=(1.0, 0.0, 0.5, 0.0),
-            toeplitz_modes=(1, 0, 0, 0),
             max_iter=30,
             tol=1e-300,
         ),
@@ -197,7 +196,6 @@ class TestSolverConfig:
             dict(omega=(1.0, 1.0)),
             dict(omega=1.0),
             dict(alpha=(0.5, 0.5, 0.5, 0.5)),
-            dict(toeplitz_modes=(1, 0)),
             dict(ranks=(2, 2)),
             dict(ranks=(2.7, 2, 2)),
             dict(max_iter=2.5),
@@ -205,9 +203,6 @@ class TestSolverConfig:
             dict(max_iter=True),
             dict(seed=False),
             dict(ranks=(True, 2, 2)),
-            dict(toeplitz_modes=(None, 1, "x")),
-            dict(toeplitz_modes=(2, 0, 1)),
-            dict(toeplitz_modes=(1.0, 0, 1)),
             dict(lam=float("inf")),
             dict(beta=float("nan")),
             dict(sigma=float("nan")),
@@ -224,12 +219,25 @@ class TestSolverConfig:
             dict(omega=((1, 2), 3, 4)),
             dict(alpha=((0.5, 0.5), 0.5, 0.5)),
             dict(ranks=((2, 2), 2, 2)),
-            dict(toeplitz_modes=([1, 0], 1, 0)),
+            # JSON strings and null where a config file needs numbers
+            dict(lam="0.1"),
+            dict(omega=(0.0, "1", 0.0)),
+            dict(max_iter="30"),
+            dict(seed=None),
+            dict(alpha=0.5),
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_toeplitz_modes_is_not_a_field(self):
+        # every smoothed mode uses the difference matrix; there is no switch
+        with pytest.raises(TypeError, match="toeplitz_modes"):
+            SolverConfig(omega=(0.0, 1.0, 1.0), toeplitz_modes=(1, 0, 1))
+        with pytest.raises(TypeError, match="toeplitz_modes"):
+            preset_config("traffic-wholeday", toeplitz_modes=None)
+        assert "toeplitz_modes" not in SolverConfig.__dataclass_fields__
 
     @pytest.mark.parametrize("name", ["alpha", "omega", "ranks"])
     def test_ragged_value_names_the_field(self, name):
@@ -246,24 +254,12 @@ class TestSolverConfig:
         assert cfg.max_iter == 250
         assert cfg.stop_denominator == "blind"
 
-    def test_resolved_toeplitz_follows_omega(self):
-        cfg = SolverConfig(omega=(0.0, 1.0, 2e-3))
-        assert cfg.smoothed_modes() == (1, 2)
-        assert cfg.resolved_toeplitz() == (False, True, True)
-
     def test_order_follows_per_mode_fields(self):
         cfg = SolverConfig(alpha=(0.5,) * 4, omega=(0.0, 1.0, 0.0, 2.0))
         assert cfg.smoothed_modes() == (1, 3)
-        assert cfg.resolved_toeplitz() == (False, True, False, True)
         cfg = SolverConfig(alpha=(0.5,), omega=(1.0,), ranks=(2,))
-        assert cfg.resolved_toeplitz() == (True,)
-
-    def test_resolved_toeplitz_override(self):
-        cfg = SolverConfig(omega=(0.0, 1.0, 1.0), toeplitz_modes=(1, 0, 1))
-        assert cfg.resolved_toeplitz() == (True, False, True)
-        flags = (True, np.bool_(False), np.int64(1))
-        cfg = SolverConfig(omega=(0.0, 1.0, 1.0), toeplitz_modes=flags)
-        assert cfg.resolved_toeplitz() == (True, False, True)
+        assert cfg.smoothed_modes() == (0,)
+        assert SolverConfig(omega=(0.0, 1.0, 2e-3)).smoothed_modes() == (1, 2)
 
 
 class TestPresets:
@@ -334,27 +330,22 @@ class TestInitState:
 
     def test_toeplitz_attachment(self):
         # the kept LDL^T coefficients rebuild [beta*I + 2*omega_i*A_i^T A_i]
-        # with A_i the difference matrix or I as toeplitz_modes resolves
+        # with A_i the difference matrix
         m, mask, _ = small_problem()
-        for toeplitz_modes in (None, (1, 0, 1)):
-            cfg = SolverConfig(
-                ranks=(2, 2, 2),
-                omega=(0.0, 1.0, 0.2),
-                toeplitz_modes=toeplitz_modes,
+        cfg = SolverConfig(ranks=(2, 2, 2), omega=(0.0, 1.0, 0.2))
+        state = init_state(m, mask, cfg)
+        # omega = (0, 1, 0.2): mode 0 is unsmoothed and gets no W solve
+        assert state.w_ldl[0] is None
+        for i in cfg.smoothed_modes():
+            n = m.shape[i]
+            assert [c.shape for c in state.w_ldl[i]] == [(n - 1,), (n,)]
+            a = smoothing_matrix(cfg, m.shape, i)
+            np.testing.assert_allclose(
+                ldl_matrix(state.w_ldl[i]),
+                cfg.beta * np.eye(n) + 2.0 * cfg.omega[i] * a.T @ a,
+                rtol=1e-14,
+                atol=1e-14,
             )
-            state = init_state(m, mask, cfg)
-            # omega = (0, 1, 0.2): mode 0 is unsmoothed and gets no W solve
-            assert state.w_ldl[0] is None
-            for i in cfg.smoothed_modes():
-                n = m.shape[i]
-                assert [c.shape for c in state.w_ldl[i]] == [(n - 1,), (n,)]
-                a = smoothing_matrix(cfg, m.shape, i)
-                np.testing.assert_allclose(
-                    ldl_matrix(state.w_ldl[i]),
-                    cfg.beta * np.eye(n) + 2.0 * cfg.omega[i] * a.T @ a,
-                    rtol=1e-14,
-                    atol=1e-14,
-                )
 
     def test_rejects_bad_order(self):
         # the order is the config's number of modes; the defaults are
@@ -505,9 +496,9 @@ class TestBlockMemory:
 class TestRandomShapeSweep:
     @pytest.mark.parametrize("seed", range(16))
     def test_block_oracles(self, seed):
-        # seeded random order (1..5), dims (1..6), ranks, scalars,
-        # smoothed modes and Toeplitz flags through the explicit-Kronecker
-        # and dense-A_i oracles
+        # seeded random order (1..5), dims (1..6), ranks, scalars and
+        # smoothed modes through the explicit-Kronecker and dense-A_i
+        # oracles
         rng = np.random.default_rng(1000 + seed)
         order = int(rng.integers(1, 6))
         dims = tuple(int(d) for d in rng.integers(1, 7, size=order))
@@ -521,9 +512,6 @@ class TestRandomShapeSweep:
             omega=tuple(
                 float(w) * (rng.random() < 0.7)
                 for w in rng.uniform(0, 2, order)
-            ),
-            toeplitz_modes=tuple(
-                int(t) for t in rng.integers(0, 2, size=order)
             ),
         )
         m = rng.standard_normal(dims)
@@ -892,15 +880,6 @@ class TestSolve:
         solve(m, mask, cfg, callback=cb)
         assert len(worst) == 10
         assert max(worst) == 0.0
-
-    def test_omega_zero_toeplitz_invariant(self):
-        # with no smoothing weight, attaching difference matrices must not
-        # change the iterates at all
-        m, mask, _ = small_problem(seed=4)
-        base = dict(ranks=(2, 2, 2), omega=(0.0, 0.0, 0.0), max_iter=6, tol=1e-300)
-        a = solve(m, mask, SolverConfig(**base, toeplitz_modes=(0, 0, 0)))
-        b = solve(m, mask, SolverConfig(**base, toeplitz_modes=(1, 1, 1)))
-        np.testing.assert_allclose(a.recovered, b.recovered, atol=1e-12)
 
     def test_oracle_stop_requires_truth(self):
         m, mask, _ = small_problem()
