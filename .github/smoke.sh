@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the installed `lrsetd` console script: every
 # subcommand on tiny inputs, metrics at extreme scales, a fourth-order
-# tensor, and a rejected config. Runs in a fresh temporary directory.
+# tensor, and rejected configs. Runs in a fresh temporary directory.
+# Every check reads a file, never the far end of a pipe, so under pipefail
+# no step depends on which end of a pipe exits first.
 #
 #   bash .github/smoke.sh
-set -eu
+set -euo pipefail
 
 cd "$(mktemp -d "${RUNNER_TEMP:-${TMPDIR:-/tmp}}/lrsetd-smoke.XXXXXX")"
 
 echo "hosvd-demo"
 python -c "import numpy as np; from lrsetd.io import write_image; write_image('tiny.ppm', np.random.default_rng(0).uniform(0, 255, (8, 6, 3)))"
 lrsetd hosvd-demo --input tiny.ppm --scale 255 --tn-grid 0,0.05 --images-out tiny > sweep.csv
-head -n 1 sweep.csv | grep -qx 'tn,sparsity,snr'
+head -n 1 sweep.csv > sweep_head.csv
+grep -qx 'tn,sparsity,snr' sweep_head.csv
 test "$(wc -l < sweep.csv)" -eq 3
 test -s tiny_tn0.05.ppm
 
@@ -22,22 +25,29 @@ for run in a b; do
   lrsetd complete --input tiny.lrt --mask tiny.lrm --preset traffic-wholeday --ranks 2,2,2 --max-iter 20 --deterministic-report --report "report_$run.json" --out "recovered_$run.lrt" > /dev/null
 done
 cmp report_a.json report_b.json
-lrsetd metrics --truth tiny.lrt --recovered recovered_a.lrt --mask tiny.lrm | grep -q '"rse"'
+lrsetd metrics --truth tiny.lrt --recovered recovered_a.lrt --mask tiny.lrm > metrics_a.json
+grep -q '"rse"' metrics_a.json
 # composite mask: slice 3 of mode 2 dropped, round(0.5 * 180) of the rest
 # kept, a count that does not depend on the random stream
-lrsetd mask-gen --dims 6,6,6 --missing-spec '{"kind": "composite", "mode": 2, "params": {"structural": {"kind": "whole_slices", "params": {"slices": [3]}}, "ratio": 0.5}, "seed": 4}' --out composite.lrm | grep -q '"observed": 90}'
+lrsetd mask-gen --dims 6,6,6 --missing-spec '{"kind": "composite", "mode": 2, "params": {"structural": {"kind": "whole_slices", "params": {"slices": [3]}}, "ratio": 0.5}, "seed": 4}' --out composite.lrm > composite.json
+grep -q '"observed": 90}' composite.json
 lrsetd complete --input tiny.lrt --mask composite.lrm --preset traffic-wholeday --ranks 2,2,2 --max-iter 20 --out composite.lrt > /dev/null
-lrsetd metrics --truth tiny.lrt --recovered composite.lrt --mask composite.lrm | grep -q '"rse"'
+lrsetd metrics --truth tiny.lrt --recovered composite.lrt --mask composite.lrm > metrics_composite.json
+grep -q '"rse"' metrics_composite.json
 
-echo "a config file that sets toeplitz_modes"
-# every smoothed mode uses the difference matrix; the former per-mode
-# switch is an unknown field: exit 2 and one error line naming it
-echo '{"toeplitz_modes": [1, 0, 1]}' > toeplitz.json
-status=0
-lrsetd complete --input tiny.lrt --mask tiny.lrm --config toeplitz.json 2> toeplitz.err > /dev/null || status=$?
-test "$status" -eq 2
-test "$(wc -l < toeplitz.err)" -eq 1
-grep -q "^error: unknown config fields: \['toeplitz_modes'\]$" toeplitz.err
+echo "config files that set removed fields"
+# every smoothed mode uses the difference matrix, and every run stops on
+# the relative change over max(||Z||, 1); the former switches are unknown
+# fields: exit 2 and one error line naming each
+echo '{"toeplitz_modes": [1, 0, 1]}' > toeplitz_modes.json
+echo '{"stop_denominator": "blind"}' > stop_denominator.json
+for key in toeplitz_modes stop_denominator; do
+  status=0
+  lrsetd complete --input tiny.lrt --mask tiny.lrm --config "$key.json" 2> "$key.err" > /dev/null || status=$?
+  test "$status" -eq 2
+  test "$(wc -l < "$key.err")" -eq 1
+  grep -q "^error: unknown config fields: \['$key'\]$" "$key.err"
+done
 
 echo "metrics at extreme scales"
 # the sums of squared entries overflow at 1e200 and underflow at 1e-200;

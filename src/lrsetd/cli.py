@@ -1,13 +1,14 @@
 """Command-line runner: complete / hosvd-demo / mask-gen / metrics.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-failure. Setting LRSETD_THREADS caps the BLAS thread pools (see the
-package docstring).
+failure, 141 (128 + SIGPIPE) when the reader of stdout has quit. Setting
+LRSETD_THREADS caps the BLAS thread pools (see the package docstring).
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
+EXIT_BROKEN_PIPE = 141  # what a shell reports for `yes` once its reader quits
 
 
 def _parse_list(text, name, kind=int):
@@ -135,7 +137,6 @@ def _solver_config(args):
         "seed",
         "beta",
         "init",
-        "stop_denominator",
     ):
         value = getattr(args, key)
         if value is not None:
@@ -176,9 +177,8 @@ def cmd_complete(args):
     truth = _load_input(args.input, args.format, args.tensorize)
     mask = _build_mask(args, truth.shape)
     cfg = _solver_config(args)
-    z_true = truth if cfg.stop_denominator == "oracle" else None
     # solve reads only the observed entries of its input, so no copy
-    report = solve(truth, mask, cfg, z_true=z_true)
+    report = solve(truth, mask, cfg)
 
     metrics = {}
     if mask.n_missing and not args.skip_metrics:
@@ -326,11 +326,6 @@ def build_parser():
     p.add_argument("--max-iter", dest="max_iter", type=int)
     p.add_argument("--beta", type=float)
     p.add_argument("--init", choices=("hosvd", "random"))
-    p.add_argument(
-        "--stop-denominator",
-        dest="stop_denominator",
-        choices=("oracle", "blind"),
-    )
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="recovered tensor (.lrt/.ppm/.pgm)")
     p.add_argument("--report", help="JSON report path")
@@ -387,7 +382,17 @@ def main(argv=None):
         # failures are caught by explicit checks and reported below, so
         # numpy's floating-point warnings would only repeat them as noise
         with np.errstate(all="ignore"):
-            return args.func(args)
+            status = args.func(args)
+        # a summary still in the buffer meets a closed pipe here, not at exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has quit, which is no error of the input; stdout goes
+        # to the null device so the flush at interpreter exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (tio.FileFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO

@@ -24,7 +24,6 @@ __all__ = [
     "write_image",
     "read_traffic_csv",
     "tensorize",
-    "flatten_tensorized",
 ]
 
 TENSOR_MAGIC = b"LRT1"
@@ -248,24 +247,4 @@ def tensorize(matrix, directive):
                 f"({sources},{dests},{intervals})"
             )
         return matrix.reshape((sources, dests, intervals), order="F").copy()
-    raise ValueError(f"unknown tensorization kind {kind!r}")
-
-
-def flatten_tensorized(tensor, directive):
-    """Exact inverse of :func:`tensorize`."""
-    tensor = np.asarray(tensor, dtype=np.float64)
-    kind, *shape = directive
-    shape = tuple(int(v) for v in shape)
-    if tensor.shape != shape:
-        raise ValueError(
-            f"tensor {tensor.shape} does not match directive {directive}"
-        )
-    if kind == "otd":
-        pairs, intervals, days = shape
-        return np.transpose(tensor, (0, 2, 1)).reshape(
-            pairs, days * intervals
-        )
-    if kind == "oot":
-        sources, dests, intervals = shape
-        return tensor.reshape((sources * dests, intervals), order="F")
     raise ValueError(f"unknown tensorization kind {kind!r}")

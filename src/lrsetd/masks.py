@@ -238,7 +238,8 @@ def psnr(truth, recovered, mask, max_value=None, full_tensor=False):
     """
     if full_tensor:
         _check(truth, recovered, mask)
-        t, r = np.asarray(truth), np.asarray(recovered)
+        t = np.asarray(truth, dtype=np.float64)
+        r = np.asarray(recovered, dtype=np.float64)
     else:
         t, r = _complement(truth, recovered, mask)
     peak = float(np.max(truth) if max_value is None else max_value)

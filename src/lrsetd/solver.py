@@ -109,9 +109,9 @@ class SolverConfig:
     `alpha`, `omega` and `ranks` hold one value per mode of the tensor;
     the defaults and :data:`PRESETS` are third-order. Each mode with
     omega_i > 0 is smoothed by its first-order difference matrix A_i.
-    `stop_denominator` selects the normalization of the relative-change
-    stopping test: "oracle" uses ||Z_true||_F (ground truth must be passed to
-    :func:`solve`), "blind" uses max(||Z_k||_F, 1).
+    A run stops after iteration k when
+    ||Z_k - Z_{k-1}||_F / max(||Z_k||_F, 1) <= tol, or after max_iter
+    iterations.
     """
 
     ranks: tuple | None = None
@@ -122,7 +122,6 @@ class SolverConfig:
     omega: tuple = (0.0, 0.0, 0.0)
     tol: float = 1e-5
     max_iter: int = 250
-    stop_denominator: str = "blind"
     init: str = "hosvd"
     seed: int = 0
     preset: str | None = None
@@ -172,10 +171,6 @@ class SolverConfig:
             w < 0 for w in self.omega
         ):
             raise ValueError("sigma, alpha and omega must be nonnegative")
-        if self.stop_denominator not in ("oracle", "blind"):
-            raise ValueError(
-                f"unknown stop_denominator {self.stop_denominator!r}"
-            )
         if self.init not in ("hosvd", "random"):
             raise ValueError(f"unknown init {self.init!r}")
 
@@ -563,17 +558,20 @@ class CompletionReport:
     total_seconds: float
 
 
-def solve(m, mask, cfg, z_true=None, callback=None):
+def solve(m, mask, cfg, callback=None):
     """Run the full ADMM to completion.
+
+    The run stops after iteration k when the relative change
+    ||Z_k - Z_{k-1}||_F / max(||Z_k||_F, 1) is at most ``cfg.tol``, with
+    Z_0 the zero-filled observations, or after ``cfg.max_iter``
+    iterations.
 
     Parameters
     ----------
     m : ndarray
-        Observed tensor (values off the mask are ignored).
+        Observed tensor; only its entries on the mask are read.
     mask : ObservationMask
     cfg : SolverConfig
-    z_true : ndarray, optional
-        Ground truth; required when ``cfg.stop_denominator == "oracle"``.
     callback : callable, optional
         Called as ``callback(state)`` after every full iteration; intended
         for diagnostics.
@@ -590,14 +588,6 @@ def solve(m, mask, cfg, z_true=None, callback=None):
     # C order once, so update_z's flat gather of observed values never
     # copies `m`
     m = np.ascontiguousarray(m, dtype=np.float64)
-    if cfg.stop_denominator == "oracle":
-        if z_true is None:
-            raise ValueError("oracle stopping requires z_true")
-        denom = frobenius(z_true)
-        if not math.isfinite(denom):
-            raise ValueError("oracle stopping requires a finite z_true")
-        denom = max(denom, np.finfo(float).tiny)
-
     start = time.perf_counter()
     state = init_state(m, mask, cfg)
     trace = []
@@ -615,9 +605,7 @@ def solve(m, mask, cfg, z_true=None, callback=None):
         penalties = update_duals(state, cfg)
         state.iteration = k
 
-        if cfg.stop_denominator == "blind":
-            denom = max(frobenius(state.z), 1.0)
-        rel_change = frobenius(state.z - z_prev) / denom
+        rel_change = frobenius(state.z - z_prev) / max(frobenius(state.z), 1.0)
         lagrangian = _lagrangian(state, cfg, nuclear, penalties, fit)
         # every state array enters the Lagrangian's terms or, for Z, the
         # relative change, so NaN or inf anywhere in the state shows here

@@ -249,9 +249,6 @@ class ObservationMask:
             self._c_flat.flags.writeable = False
         return self._c_flat
 
-    def contains(self, index):
-        return bool(self._observed[tuple(index)])
-
     def __eq__(self, other):
         if not isinstance(other, ObservationMask):
             return NotImplemented

@@ -248,23 +248,14 @@ class TestCompleteCommand:
         assert code == 2
         assert "one value per mode" in capsys.readouterr().err
 
-    def test_oracle_stop_needs_known_truth(self, problem, tmp_path, capsys):
-        # NaN off the mask leaves the oracle denominator undefined
-        truth, mask, tensor_path, mask_path = problem
-        write_tensor(tensor_path, np.where(mask.boolean(), truth, np.nan))
-        report = tmp_path / "report.json"
-        code = main(
-            [
-                "complete",
-                "--input", str(tensor_path),
-                "--mask", str(mask_path),
-                "--stop-denominator", "oracle",
-                "--report", str(report),
-            ]
-        )
-        assert code == 2
-        assert "finite z_true" in capsys.readouterr().err
-        assert not report.exists()
+    def test_stop_denominator_flag_is_a_usage_error(self, problem, capsys):
+        # one stopping rule: the former switch is an unknown flag
+        _, _, tensor_path, mask_path = problem
+        with pytest.raises(SystemExit) as exc:
+            main(["complete", "--input", str(tensor_path),
+                  "--mask", str(mask_path), "--stop-denominator", "oracle"])
+        assert exc.value.code == 2
+        assert "--stop-denominator" in capsys.readouterr().err
 
     def test_csv_requires_tensorize(self, tmp_path):
         csv = tmp_path / "t.csv"
@@ -389,6 +380,12 @@ BAD_INPUTS = {
         _as_is, "complete", 2, "err",
         "unknown config fields: ['toeplitz_modes']",
     ),
+    # every run stops on the relative change normalized by max(||Z||, 1):
+    # the former normalization switch is an unknown field
+    "config-stop-denominator": (
+        _as_is, "complete", 2, "err",
+        "unknown config fields: ['stop_denominator']",
+    ),
     "config-max-iter-true": (_as_is, "complete", 2, "err", "integers"),
     "config-ranks-bool": (_as_is, "complete", 2, "err", "integers"),
     "config-seed-false": (_as_is, "complete", 2, "err", "integers"),
@@ -409,6 +406,7 @@ BAD_CONFIGS = {
     "lam-1e300": {"lam": 1e300},
     "config-toeplitz-null-str": {"toeplitz_modes": [None, 1, "x"]},
     "config-toeplitz-flags": {"toeplitz_modes": [1, 0, 1]},
+    "config-stop-denominator": {"stop_denominator": "blind"},
     "config-max-iter-true": {"max_iter": True},
     "config-ranks-bool": {"ranks": [True, 2, 2]},
     "config-seed-false": {"seed": False},
@@ -597,18 +595,43 @@ class TestAnyOrder:
         assert "one value per mode" in capsys.readouterr().err
 
 
+def checkout_env(env):
+    """`env` with this checkout's lrsetd first on PYTHONPATH."""
+    src = str(Path(lrsetd.__file__).resolve().parent.parent)
+    return dict(env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    ))
+
+
 def run_python(code, env):
     """Run `code` in a fresh interpreter that imports lrsetd from this
     checkout, with environment `env`; returns its stdout."""
-    src = str(Path(lrsetd.__file__).resolve().parent.parent)
-    env = dict(env, PYTHONPATH=os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    ))
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True,
-        text=True, timeout=60, check=True,
+        [sys.executable, "-c", code], env=checkout_env(env),
+        capture_output=True, text=True, timeout=60, check=True,
     )
     return done.stdout
+
+
+class TestClosedStdout:
+    def test_metrics_exits_141_and_prints_nothing(self, problem):
+        # the reader of stdout has quit before the figures are written, as
+        # in `lrsetd metrics ... | head -c 0`: that is not an I/O error
+        _, _, tensor_path, mask_path = problem
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "lrsetd.cli", "metrics",
+                 "--truth", str(tensor_path), "--recovered", str(tensor_path),
+                 "--mask", str(mask_path)],
+                env=checkout_env(dict(os.environ)), stdout=write_end,
+                stderr=subprocess.PIPE, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141
+        assert done.stderr == b""
 
 
 class TestRuntimeImports:

@@ -5,7 +5,6 @@ import pytest
 
 from lrsetd.io import (
     FileFormatError,
-    flatten_tensorized,
     read_image,
     read_mask,
     read_tensor,
@@ -292,22 +291,9 @@ class TestTensorize:
                 for tt in range(4):
                     assert t[s, d, tt] == matrix[d * 2 + s, tt]
 
-    @pytest.mark.parametrize(
-        "directive", [("otd", 3, 4, 5), ("oot", 2, 3, 6)]
-    )
-    def test_flatten_inverse(self, directive, rng):
-        if directive[0] == "otd":
-            matrix = rng.standard_normal((directive[1], directive[2] * directive[3]))
-        else:
-            matrix = rng.standard_normal((directive[1] * directive[2], directive[3]))
-        t = tensorize(matrix, directive)
-        np.testing.assert_array_equal(flatten_tensorized(t, directive), matrix)
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             tensorize(np.zeros((2, 5)), ("otd", 2, 3, 2))
-        with pytest.raises(ValueError, match="does not match"):
-            flatten_tensorized(np.zeros((2, 3, 3)), ("oot", 2, 3, 4))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

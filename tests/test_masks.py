@@ -437,6 +437,23 @@ class TestPsnr:
         monkeypatch.setattr(mask, "boolean", no_gather)
         assert psnr(truth, rec, mask, full_tensor=True) == expected
 
+    @pytest.mark.parametrize(
+        "dtype, shift", [(np.float32, 0), (np.uint8, -5), (np.uint8, 5)]
+    )
+    def test_full_tensor_computes_in_float64(self, rng, dtype, shift):
+        # a uint8 difference would wrap around where recovered < truth
+        truth = rng.integers(10, 246, (4, 6, 3)).astype(dtype)
+        if shift:
+            rec = (truth.astype(np.int64) + shift).astype(dtype)
+        else:
+            rec = truth + rng.standard_normal(truth.shape).astype(dtype)
+        mask = random_mask(truth.shape, 0.5, seed=2)
+        expected = psnr(
+            truth.astype(np.float64), rec.astype(np.float64), mask,
+            full_tensor=True,
+        )
+        assert psnr(truth, rec, mask, full_tensor=True) == expected
+
     @pytest.mark.parametrize("full_tensor", [False, True])
     @pytest.mark.parametrize("scale", EXTREME_SCALES)
     def test_extreme_scale(self, rng, scale, full_tensor):

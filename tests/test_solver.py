@@ -191,7 +191,6 @@ class TestSolverConfig:
             dict(sigma=-0.5),
             dict(alpha=(0.5, -0.1, 0.5)),
             dict(omega=(-1.0, 0.0, 0.0)),
-            dict(stop_denominator="magic"),
             dict(init="zeros"),
             dict(omega=(1.0, 1.0)),
             dict(omega=1.0),
@@ -225,6 +224,7 @@ class TestSolverConfig:
             dict(max_iter="30"),
             dict(seed=None),
             dict(alpha=0.5),
+            dict(init=None),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -239,6 +239,14 @@ class TestSolverConfig:
             preset_config("traffic-wholeday", toeplitz_modes=None)
         assert "toeplitz_modes" not in SolverConfig.__dataclass_fields__
 
+    def test_stop_denominator_is_not_a_field(self):
+        # one stopping rule, normalized by max(||Z_k||_F, 1); no switch
+        with pytest.raises(TypeError, match="stop_denominator"):
+            SolverConfig(stop_denominator="blind")
+        with pytest.raises(TypeError, match="stop_denominator"):
+            preset_config("image", stop_denominator="oracle")
+        assert "stop_denominator" not in SolverConfig.__dataclass_fields__
+
     @pytest.mark.parametrize("name", ["alpha", "omega", "ranks"])
     def test_ragged_value_names_the_field(self, name):
         # numpy's own "inhomogeneous shape" error names no field
@@ -252,7 +260,6 @@ class TestSolverConfig:
         assert cfg.alpha == (1 / 3, 1 / 3, 1 / 3)
         assert cfg.tol == pytest.approx(1e-5)
         assert cfg.max_iter == 250
-        assert cfg.stop_denominator == "blind"
 
     def test_order_follows_per_mode_fields(self):
         cfg = SolverConfig(alpha=(0.5,) * 4, omega=(0.0, 1.0, 0.0, 2.0))
@@ -866,6 +873,28 @@ class TestSolve:
         assert report.iterations == 4
         assert report.termination == "max_iter"
 
+    @pytest.mark.parametrize("scale, floored", [(1e-3, True), (10.0, False)])
+    def test_rel_change_is_the_one_stopping_rule(self, scale, floored):
+        # ||Z_k - Z_{k-1}||_F / max(||Z_k||_F, 1), bitwise, with Z_0 the
+        # zero-filled observations; at scale 1e-3 the floor of 1 applies
+        m, mask, _ = small_problem(seed=4)
+        m = scale * m
+        cfg = SolverConfig(
+            ranks=(2, 2, 2),
+            sigma=0.0,
+            lam=1.0,
+            omega=(0.0, 1.0, 0.2),
+            max_iter=6,
+            tol=1e-300,
+        )
+        zs = [np.where(mask.boolean(), m, 0.0)]
+        report = solve(m, mask, cfg, callback=lambda st: zs.append(st.z.copy()))
+        assert report.iterations == len(zs) - 1 == 6
+        for rec, prev, z in zip(report.trace, zs, zs[1:]):
+            assert (frobenius(z) < 1.0) == floored
+            expected = frobenius(z - prev) / max(frobenius(z), 1.0)
+            assert rec.rel_change == expected
+
     def test_projection_exact_every_iteration(self):
         m, mask, _ = small_problem(seed=8)
         cfg = SolverConfig(
@@ -880,30 +909,6 @@ class TestSolve:
         solve(m, mask, cfg, callback=cb)
         assert len(worst) == 10
         assert max(worst) == 0.0
-
-    def test_oracle_stop_requires_truth(self):
-        m, mask, _ = small_problem()
-        cfg = SolverConfig(ranks=(2, 2, 2), stop_denominator="oracle")
-        with pytest.raises(ValueError, match="z_true"):
-            solve(m, mask, cfg)
-
-    def test_oracle_stop_requires_finite_truth(self):
-        m, mask, _ = small_problem()
-        cfg = SolverConfig(ranks=(2, 2, 2), stop_denominator="oracle")
-        truth = np.where(mask.boolean(), m, np.nan)
-        with pytest.raises(ValueError, match="finite z_true"):
-            solve(m, mask, cfg, z_true=truth)
-
-    def test_oracle_denominator_used(self):
-        truth, _, _ = synthetic_tucker(seed=3, dims=(6, 6, 6))
-        rng = np.random.default_rng(5)
-        mask = ObservationMask.from_boolean(rng.random((6, 6, 6)) < 0.7)
-        cfg = SolverConfig(
-            ranks=(2, 2, 2), stop_denominator="oracle", max_iter=3, tol=1e-300
-        )
-        report = solve(truth, mask, cfg, z_true=truth)
-        assert report.iterations == 3
-        assert all(np.isfinite(r.rel_change) for r in report.trace)
 
     def test_calls_each_public_block_once_per_iteration(self, monkeypatch):
         # a tracer or profiler that wraps the public block functions must
