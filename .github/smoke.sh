@@ -36,18 +36,31 @@ lrsetd metrics --truth tiny.lrt --recovered composite.lrt --mask composite.lrm >
 grep -q '"rse"' metrics_composite.json
 
 echo "config files that set removed fields"
-# every smoothed mode uses the difference matrix, and every run stops on
-# the relative change over max(||Z||, 1); the former switches are unknown
-# fields: exit 2 and one error line naming each
+# every smoothed mode uses the difference matrix, every run stops on the
+# relative change over max(||Z||, 1) and every solve starts from one fixed
+# draw; the former switches are unknown fields: exit 2 and one error line
+# naming each
 echo '{"toeplitz_modes": [1, 0, 1]}' > toeplitz_modes.json
 echo '{"stop_denominator": "blind"}' > stop_denominator.json
-for key in toeplitz_modes stop_denominator; do
+echo '{"init": "hosvd"}' > init.json
+echo '{"seed": 3}' > seed.json
+for key in toeplitz_modes stop_denominator init seed; do
   status=0
   lrsetd complete --input tiny.lrt --mask tiny.lrm --config "$key.json" 2> "$key.err" > /dev/null || status=$?
   test "$status" -eq 2
   test "$(wc -l < "$key.err")" -eq 1
   grep -q "^error: unknown config fields: \['$key'\]$" "$key.err"
 done
+
+echo "header that declares more payload than the file holds"
+# 2^18 x 2^18 doubles declared, 64 bytes present: an I/O error (exit 3) on
+# one line, with no traceback
+python -c "import numpy as np; open('oversized.lrt', 'wb').write(b'LRT1' + np.asarray([2, 2**18, 2**18], dtype='<u4').tobytes() + bytes(64))"
+status=0
+lrsetd metrics --truth oversized.lrt --recovered tiny.lrt --mask tiny.lrm 2> oversized.err > /dev/null || status=$?
+test "$status" -eq 3
+test "$(wc -l < oversized.err)" -eq 1
+grep -q '^error: truncated file while reading payload$' oversized.err
 
 echo "metrics at extreme scales"
 # the sums of squared entries overflow at 1e200 and underflow at 1e-200;

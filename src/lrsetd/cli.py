@@ -85,6 +85,11 @@ def _build_mask(args, dims):
             "exactly one of --mask, --missing-spec, --sample-ratio required"
         )
     if args.mask is not None:
+        if args.seed is not None:
+            raise ValueError(
+                "--seed seeds a generated mask (--sample-ratio or "
+                "--missing-spec) only, not a --mask file"
+            )
         mask = tio.read_mask(args.mask)
         if mask.dims != tuple(dims):
             raise ValueError(
@@ -115,13 +120,13 @@ def _generate_mask(dims, spec_arg, ratio, seed):
 def _solver_config(args):
     """Assemble the solver configuration: flags > config file > preset >
     defaults. The preset comes from --preset or else the file's "preset"
-    key."""
+    key. Returns the config and the name of the preset applied, or None."""
     fields = {}
     if args.config:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
             raise ValueError("config file must hold a JSON object")
-        known = set(SolverConfig.__dataclass_fields__)
+        known = {"preset", *SolverConfig.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -129,15 +134,7 @@ def _solver_config(args):
             if isinstance(doc.get(key), list):
                 doc[key] = tuple(doc[key])
         fields.update(doc)
-    for key in (
-        "preset",
-        "ranks",
-        "tol",
-        "max_iter",
-        "seed",
-        "beta",
-        "init",
-    ):
+    for key in ("preset", "ranks", "tol", "max_iter", "beta"):
         value = getattr(args, key)
         if value is not None:
             fields[key] = value
@@ -145,15 +142,19 @@ def _solver_config(args):
         fields["ranks"] = _parse_list(fields["ranks"], "--ranks")
     preset = fields.pop("preset", None)
     if preset is None:
-        return SolverConfig(**fields)
-    return preset_config(preset, **fields)
+        return SolverConfig(**fields), None
+    return preset_config(preset, **fields), preset
 
 
-def _config_echo(cfg):
-    return {
+def _config_echo(cfg, preset):
+    """The config's fields plus the preset applied, so the echo used as a
+    --config file reproduces the run."""
+    echo = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in cfg.__dict__.items()
     }
+    echo["preset"] = preset
+    return echo
 
 
 def _write_report(path, doc):
@@ -176,7 +177,7 @@ def _write_trace_csv(path, trace):
 def cmd_complete(args):
     truth = _load_input(args.input, args.format, args.tensorize)
     mask = _build_mask(args, truth.shape)
-    cfg = _solver_config(args)
+    cfg, preset = _solver_config(args)
     # solve reads only the observed entries of its input, so no copy
     report = solve(truth, mask, cfg)
 
@@ -194,7 +195,7 @@ def cmd_complete(args):
     if args.report:
         deterministic = args.deterministic_report
         doc = {
-            "config": _config_echo(cfg),
+            "config": _config_echo(cfg, preset),
             "dims": list(truth.shape),
             "observed": mask.n_observed,
             "metrics": metrics,
@@ -325,8 +326,12 @@ def build_parser():
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", dest="max_iter", type=int)
     p.add_argument("--beta", type=float)
-    p.add_argument("--init", choices=("hosvd", "random"))
-    p.add_argument("--seed", type=int)
+    p.add_argument(
+        "--seed",
+        type=int,
+        help="seed of the mask drawn by --sample-ratio or --missing-spec "
+        "(overrides the spec's seed); not allowed with --mask",
+    )
     p.add_argument("--out", help="recovered tensor (.lrt/.ppm/.pgm)")
     p.add_argument("--report", help="JSON report path")
     p.add_argument("--trace-csv", dest="trace_csv")

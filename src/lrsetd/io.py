@@ -9,6 +9,8 @@ the same order, the ``ObservationMask.fortran_positions()`` of the mask.
 """
 
 import math
+import os
+import stat
 
 import numpy as np
 
@@ -36,6 +38,12 @@ class FileFormatError(ValueError):
 
 
 def _read_exact(f, n, what):
+    """`n` bytes from `f`. A regular file's remaining size is checked
+    first, so a header that declares more payload than the file holds is a
+    FileFormatError before any buffer of that size is allocated."""
+    st = os.fstat(f.fileno())
+    if stat.S_ISREG(st.st_mode) and n > st.st_size - f.tell():
+        raise FileFormatError(f"truncated file while reading {what}")
     buf = f.read(n)
     if len(buf) != n:
         raise FileFormatError(f"truncated file while reading {what}")

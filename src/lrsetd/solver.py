@@ -40,6 +40,11 @@ relative change, which are checked as scalars.
 
 The order N is the tensor's: every block loops over its modes, and the
 per-mode fields of :class:`SolverConfig` must have one value per mode.
+
+Every solve starts from the same point: Z is the zero-filled observation,
+each factor X_i is the orthonormal Q of a fixed-seed Gaussian draw, and the
+core is the multilinear compression of Z. That start costs O(tensor) at any
+mode length, where a truncated HOSVD of Z would form I_i x I_i Grams.
 """
 
 import math
@@ -49,7 +54,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hosvd import hosvd
 from .kernels import (
     _svd_shrink,
     soft_shrink,
@@ -122,9 +126,6 @@ class SolverConfig:
     omega: tuple = (0.0, 0.0, 0.0)
     tol: float = 1e-5
     max_iter: int = 250
-    init: str = "hosvd"
-    seed: int = 0
-    preset: str | None = None
 
     def __post_init__(self):
         # alpha counts the modes; the other per-mode fields must match it
@@ -143,12 +144,12 @@ class SolverConfig:
                     "alpha, omega and ranks need one value per mode, as "
                     f"many as alpha has; got {name}={value!r}"
                 )
-        integers = (self.max_iter, self.seed, *(self.ranks or ()))
+        integers = (self.max_iter, *(self.ranks or ()))
         if not all(
             isinstance(v, numbers.Integral) and not isinstance(v, bool)
             for v in integers
         ):
-            raise ValueError("ranks, max_iter and seed must be integers")
+            raise ValueError("ranks and max_iter must be integers")
         reals = (self.lam, self.beta, self.sigma, self.tol, *self.alpha)
         if not all(
             isinstance(v, numbers.Real)
@@ -171,8 +172,6 @@ class SolverConfig:
             w < 0 for w in self.omega
         ):
             raise ValueError("sigma, alpha and omega must be nonnegative")
-        if self.init not in ("hosvd", "random"):
-            raise ValueError(f"unknown init {self.init!r}")
 
     def smoothed_modes(self):
         """Modes with omega_i > 0: the only ones that carry W_i, U_i and a
@@ -181,14 +180,15 @@ class SolverConfig:
 
 
 def preset_config(name, **overrides):
-    """Build a :class:`SolverConfig` from a named preset."""
+    """Build a :class:`SolverConfig` from the fields of ``PRESETS[name]``
+    plus `overrides`."""
     if not isinstance(name, str) or name not in PRESETS:
         raise ValueError(
             f"unknown preset {name!r}; choose from {sorted(PRESETS)}"
         )
     fields = dict(PRESETS[name])
     fields.update(overrides)
-    return SolverConfig(preset=name, **fields)
+    return SolverConfig(**fields)
 
 
 def default_ranks(dims):
@@ -236,10 +236,11 @@ def _resolve_ranks(cfg, dims):
 def init_state(m, mask, cfg):
     """Build the starting point for :func:`solve`.
 
-    Z starts as the zero-filled observation; the factors come from a
-    truncated HOSVD of Z (default) or a seeded random orthonormal draw; the
-    core is the multilinear compression of Z; W_i copy Z on the smoothed
-    modes; all duals are zero. Raises ValueError when the tensor's order is
+    Z starts as the zero-filled observation; the factors are orthonormal
+    draws from ``np.random.default_rng(0)``, one QR of an I_i x r_i Gaussian
+    matrix per mode in mode order, so every solve starts alike; the core is
+    the multilinear compression of Z; W_i copy Z on the smoothed modes; all
+    duals are zero. Raises ValueError when the tensor's order is
     not the config's number of modes, an observed entry is not finite or
     the observed data's squared Frobenius norm overflows.
     """
@@ -265,16 +266,12 @@ def init_state(m, mask, cfg):
     z0 = np.zeros(dims)
     z0.reshape(-1)[index] = observed
 
-    if cfg.init == "hosvd":
-        model = hosvd(z0, ranks)
-        x0, s0 = model.factors, model.core
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        x0 = []
-        for d, r in zip(dims, ranks):
-            q, _ = np.linalg.qr(rng.standard_normal((d, r)))
-            x0.append(q)
-        s0 = multilinear(z0, [f.T for f in x0])
+    rng = np.random.default_rng(0)
+    x0 = []
+    for d, r in zip(dims, ranks):
+        q, _ = np.linalg.qr(rng.standard_normal((d, r)))
+        x0.append(q)
+    s0 = multilinear(z0, [f.T for f in x0])
 
     w, u, w_ldl = [None] * m.ndim, [None] * m.ndim, [None] * m.ndim
     for i in cfg.smoothed_modes():

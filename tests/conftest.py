@@ -74,19 +74,16 @@ def reference_admm(m, observed, cfg, n_iter):
 
     Every block is written out in matrix form: unfoldings by the index
     formula, each X_i from its normal equations with the explicit
-    :func:`kron_others` factor, the HOSVD start from a plain SVD. Returns Z
-    after `n_iter` iterations.
+    :func:`kron_others` factor. The start is the solver's fixed draw, the
+    orthonormal Q of one seed-0 Gaussian I_n x r_n matrix per mode in mode
+    order. Returns Z after `n_iter` iterations.
     """
     dims, ranks, modes = m.shape, cfg.ranks, range(m.ndim)
     beta, lam = cfg.beta, cfg.lam
     unf, fld = unfold_by_index_formula, fold_by_index_formula
     z = np.where(observed, m, 0.0)
-    x = []
-    for n in modes:
-        u = np.linalg.svd(unf(z, n), full_matrices=False)[0][:, : ranks[n]]
-        # sign convention: largest-magnitude entry of each column nonnegative
-        flip = u[np.abs(u).argmax(axis=0), np.arange(ranks[n])] < 0
-        x.append(np.where(flip, -u, u))
+    rng = np.random.default_rng(0)
+    x = [np.linalg.qr(rng.standard_normal((dims[n], ranks[n])))[0] for n in modes]
     s = fld(x[0].T @ unf(z, 0) @ kron_others(x, 0), 0, ranks)
     y = [f.copy() for f in x]
     t = [np.zeros_like(f) for f in x]

@@ -257,6 +257,42 @@ class TestCompleteCommand:
         assert exc.value.code == 2
         assert "--stop-denominator" in capsys.readouterr().err
 
+    def test_init_flag_is_a_usage_error(self, problem, capsys):
+        # every solve starts from one fixed draw: the former switch is an
+        # unknown flag
+        _, _, tensor_path, mask_path = problem
+        with pytest.raises(SystemExit) as exc:
+            main(["complete", "--input", str(tensor_path),
+                  "--mask", str(mask_path), "--init", "random"])
+        assert exc.value.code == 2
+        assert "--init" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", ["image", None])
+    def test_report_echo_reproduces_the_run(self, problem, tmp_path, preset):
+        # the echo names the preset applied, or null, and as a --config
+        # file gives the same config and the same recovered tensor
+        _, _, tensor_path, mask_path = problem
+        base = ["complete", "--input", str(tensor_path),
+                "--mask", str(mask_path), "--deterministic-report"]
+        first = base + ["--ranks", "2,2,2", "--max-iter", "4"]
+        if preset is not None:
+            first += ["--preset", preset]
+        assert main(first + ["--out", str(tmp_path / "a.lrt"),
+                             "--report", str(tmp_path / "a.json")]) == 0
+        doc = json.loads((tmp_path / "a.json").read_text())
+        assert doc["config"]["preset"] == preset
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(doc["config"]))
+        assert main(base + ["--config", str(echo),
+                            "--out", str(tmp_path / "b.lrt"),
+                            "--report", str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (
+            tmp_path / "b.json"
+        ).read_bytes()
+        assert (tmp_path / "a.lrt").read_bytes() == (
+            tmp_path / "b.lrt"
+        ).read_bytes()
+
     def test_csv_requires_tensorize(self, tmp_path):
         csv = tmp_path / "t.csv"
         csv.write_text("1,2\n3,4\n")
@@ -323,8 +359,9 @@ def _huge_noise(truth, observed):
 
 
 # input -> (command, exit code, stream, expected substring); the input edits
-# the truth tensor (or is CSV text, or None for `mask-gen`), which `metrics`
-# compares with the unedited truth unless BAD_RECOVERED edits that too
+# the truth tensor (or is CSV text, the raw bytes of the truth file, or None
+# for `mask-gen`), which `metrics` compares with the unedited truth unless
+# BAD_RECOVERED edits that too
 BAD_INPUTS = {
     "nan-observed": (
         _first_observed(np.nan), "complete", 2, "err", "must be finite"
@@ -388,7 +425,26 @@ BAD_INPUTS = {
     ),
     "config-max-iter-true": (_as_is, "complete", 2, "err", "integers"),
     "config-ranks-bool": (_as_is, "complete", 2, "err", "integers"),
-    "config-seed-false": (_as_is, "complete", 2, "err", "integers"),
+    # every solve starts from one fixed draw: the former start switch and
+    # its seed are unknown fields, whatever value they hold
+    "config-seed-false": (
+        _as_is, "complete", 2, "err", "unknown config fields: ['seed']"
+    ),
+    "config-init-hosvd": (
+        _as_is, "complete", 2, "err", "unknown config fields: ['init']"
+    ),
+    # --seed draws a generated mask, so it has nothing to seed with --mask
+    "seed-with-mask": (
+        _as_is, "complete", 2, "err",
+        "--seed seeds a generated mask (--sample-ratio or --missing-spec) "
+        "only",
+    ),
+    # a header that declares more payload than the file holds
+    "metrics-oversized-header": (
+        b"LRT1" + np.asarray([2, 2**18, 2**18], dtype="<u4").tobytes()
+        + bytes(64),
+        "metrics", 3, "err", "truncated file while reading payload",
+    ),
     "config-lam-true": (_as_is, "complete", 2, "err", "finite numbers"),
     "config-omega-ragged": (_as_is, "complete", 2, "err", "got omega="),
     # the count of --ranks/--dims fields is the order, so none may be empty
@@ -410,6 +466,7 @@ BAD_CONFIGS = {
     "config-max-iter-true": {"max_iter": True},
     "config-ranks-bool": {"ranks": [True, 2, 2]},
     "config-seed-false": {"seed": False},
+    "config-init-hosvd": {"init": "hosvd"},
     "config-lam-true": {"lam": True},
     "config-omega-ragged": {"omega": [[1, 2], 3, 4]},
 }
@@ -417,6 +474,7 @@ BAD_CONFIGS = {
 # repeated flag overrides the earlier one
 BAD_FLAGS = {
     "ranks-empty-field": ["--ranks", "2,,2,2"],
+    "seed-with-mask": ["--seed", "3"],
     "dims-trailing-comma": ["--dims", "4,3,2,"],
     "hosvd-demo-tn-nan": ["--tn-grid", "0,nan"],
     "hosvd-demo-tn-nan-last": [
@@ -464,7 +522,9 @@ class TestBadInput:
         # relative paths in BAD_FLAGS land in tmp_path
         monkeypatch.chdir(tmp_path)
         make, command, code, stream, text = BAD_INPUTS[case]
-        if isinstance(make, str):
+        if isinstance(make, bytes):
+            tensor_path.write_bytes(make)
+        elif isinstance(make, str):
             csv = tmp_path / "t.csv"
             csv.write_text(make)
             source = ["--input", str(csv), "--tensorize", "otd:2,3,2",

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,22 @@ from lrsetd.io import (
 )
 from lrsetd.masks import random_mask
 from lrsetd.tensor import ObservationMask
+
+
+def read_oversized(reader, path, what):
+    """`reader(path)` on a file whose header declares far more payload than
+    the file holds: a FileFormatError naming `what`, raised before any
+    buffer of the declared size is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            FileFormatError, match=f"truncated file while reading {what}$"
+        ):
+            reader(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 class TestTensorFormat:
@@ -68,6 +85,14 @@ class TestTensorFormat:
         path.write_bytes(raw[:-8])
         with pytest.raises(FileFormatError, match="truncated"):
             read_tensor(path)
+
+    def test_header_larger_than_file(self, tmp_path):
+        # 2^18 x 2^18 doubles declared, 512 GiB, with a 64-byte body
+        path = tmp_path / "t.lrt"
+        path.write_bytes(
+            b"LRT1" + struct.pack("<3I", 2, 2**18, 2**18) + bytes(64)
+        )
+        read_oversized(read_tensor, path, "payload")
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "t.lrt"
@@ -132,6 +157,17 @@ class TestMaskFormat:
         )
         with pytest.raises(FileFormatError, match="count"):
             read_mask(path)
+
+    def test_count_larger_than_file(self, tmp_path):
+        # 2^38 indices declared, 2 TiB, with a 16-byte body
+        path = tmp_path / "m.lrm"
+        path.write_bytes(
+            b"LRM1"
+            + struct.pack("<3I", 2, 2**20, 2**20)
+            + struct.pack("<Q", 2**38)
+            + bytes(16)
+        )
+        read_oversized(read_mask, path, "indices")
 
     def test_index_out_of_range(self, tmp_path):
         path = tmp_path / "m.lrm"
@@ -225,6 +261,12 @@ class TestImages:
         path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 5)
         with pytest.raises(FileFormatError, match="truncated"):
             read_image(path)
+
+    def test_size_larger_than_file(self, tmp_path):
+        # 200000 x 200000 RGB pixels declared, 120 GB, with a 30-byte body
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"P6 200000 200000 255\n" + bytes(30))
+        read_oversized(read_image, path, "pixel data")
 
     def test_write_bad_channels(self, tmp_path):
         with pytest.raises(ValueError, match="H x W"):

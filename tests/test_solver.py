@@ -191,16 +191,16 @@ class TestSolverConfig:
             dict(sigma=-0.5),
             dict(alpha=(0.5, -0.1, 0.5)),
             dict(omega=(-1.0, 0.0, 0.0)),
-            dict(init="zeros"),
+            dict(ranks=(2.0, 2, 2)),
             dict(omega=(1.0, 1.0)),
             dict(omega=1.0),
             dict(alpha=(0.5, 0.5, 0.5, 0.5)),
             dict(ranks=(2, 2)),
             dict(ranks=(2.7, 2, 2)),
             dict(max_iter=2.5),
-            dict(seed=2.5),
+            dict(max_iter=30.0),
             dict(max_iter=True),
-            dict(seed=False),
+            dict(ranks=(2, False, 2)),
             dict(ranks=(True, 2, 2)),
             dict(lam=float("inf")),
             dict(beta=float("nan")),
@@ -222,9 +222,9 @@ class TestSolverConfig:
             dict(lam="0.1"),
             dict(omega=(0.0, "1", 0.0)),
             dict(max_iter="30"),
-            dict(seed=None),
+            dict(max_iter=None),
             dict(alpha=0.5),
-            dict(init=None),
+            dict(tol=None),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -246,6 +246,24 @@ class TestSolverConfig:
         with pytest.raises(TypeError, match="stop_denominator"):
             preset_config("image", stop_denominator="oracle")
         assert "stop_denominator" not in SolverConfig.__dataclass_fields__
+
+    @pytest.mark.parametrize(
+        "name, value", [("init", "hosvd"), ("seed", 3), ("preset", "image")]
+    )
+    def test_init_seed_and_preset_are_not_fields(self, name, value):
+        # every solve starts from one fixed draw, and a preset is applied by
+        # preset_config, not carried as a label; no switch is left
+        with pytest.raises(TypeError, match=name):
+            SolverConfig(**{name: value})
+        with pytest.raises(TypeError, match=name):
+            preset_config("image", **{name: value})
+        assert name not in SolverConfig.__dataclass_fields__
+
+    def test_field_count(self):
+        assert list(SolverConfig.__dataclass_fields__) == [
+            "ranks", "alpha", "sigma", "lam", "beta", "omega", "tol",
+            "max_iter",
+        ]
 
     @pytest.mark.parametrize("name", ["alpha", "omega", "ranks"])
     def test_ragged_value_names_the_field(self, name):
@@ -284,7 +302,13 @@ class TestPresets:
             assert cfg.sigma == 1.0
             assert cfg.lam == pytest.approx(1e-2)
             assert cfg.alpha == (1 / 3, 1 / 3, 1 / 3)
-            assert cfg.preset == name
+
+    def test_preset_applies_its_fields(self):
+        for name, fields in PRESETS.items():
+            assert preset_config(name) == SolverConfig(**fields)
+        assert preset_config("image", omega=(0.0, 0.0, 1.0)) == SolverConfig(
+            omega=(0.0, 0.0, 1.0)
+        )
 
     def test_override(self):
         cfg = preset_config("image", beta=2.0, ranks=(3, 3, 3))
@@ -328,12 +352,16 @@ class TestInitState:
         )
 
     def test_random_init_is_seeded(self):
-        m, mask, _ = small_problem()
-        cfg = SolverConfig(ranks=(2, 2, 2), init="random", seed=9)
+        # every start is the same written-out draw: one seed-0 QR per mode
+        # in mode order, whatever the data
+        m, mask, cfg = small_problem()
         a = init_state(m, mask, cfg)
-        b = init_state(m, mask, cfg)
+        b = init_state(2.0 * m, mask, cfg)
+        rng = np.random.default_rng(0)
         for i in range(3):
-            np.testing.assert_array_equal(a.x[i], b.x[i])
+            q = np.linalg.qr(rng.standard_normal((m.shape[i], 2)))[0]
+            np.testing.assert_array_equal(a.x[i], q)
+            np.testing.assert_array_equal(b.x[i], q)
 
     def test_toeplitz_attachment(self):
         # the kept LDL^T coefficients rebuild [beta*I + 2*omega_i*A_i^T A_i]
@@ -376,13 +404,12 @@ class TestInitState:
         with pytest.raises(ValueError, match="rank"):
             init_state(m, mask, SolverConfig(ranks=(5, 2, 2)))
 
-    @pytest.mark.parametrize("init", ["hosvd", "random"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_observation(self, bad, init):
-        m, mask, _ = small_problem()
+    def test_rejects_non_finite_observation(self, bad):
+        m, mask, cfg = small_problem()
         m[tuple(mask.indices[0])] = bad
         with pytest.raises(ValueError, match="must be finite"):
-            init_state(m, mask, SolverConfig(ranks=(2, 2, 2), init=init))
+            init_state(m, mask, cfg)
 
     def test_rejects_overflowing_observation(self):
         m, mask, cfg = small_problem()
@@ -467,8 +494,7 @@ class TestBlockMemory:
         rng = np.random.default_rng(0)
         m = rng.standard_normal(dims)
         mask = ObservationMask.from_boolean(rng.random(dims) < 0.5)
-        # the random start skips the HOSVD, whose mode-0 Gram is 2000 x 2000
-        cfg = SolverConfig(ranks=(2, 2, 2), omega=(1.0, 0.0, 0.0), init="random")
+        cfg = SolverConfig(ranks=(2, 2, 2), omega=(1.0, 0.0, 0.0))
         tracemalloc.start()
         try:
             state = init_state(m, mask, cfg)
@@ -478,6 +504,23 @@ class TestBlockMemory:
             tracemalloc.stop()
         assert peak < 4e6
 
+    def test_start_is_linear_in_the_tensor(self):
+        # a start that formed an I_n x I_n Gram, such as a truncated HOSVD,
+        # would need 813 MB for mode 0 here; Z, W_0, U_0, the observed
+        # values and their index, the draw and the core compression peak
+        # at about 7x the tensor's 5.2 MB
+        dims = (10_080, 16, 4)
+        rng = np.random.default_rng(0)
+        m = rng.standard_normal(dims)
+        mask = ObservationMask.from_boolean(rng.random(dims) < 0.5)
+        cfg = SolverConfig(ranks=(64, 4, 1), omega=(1.0, 0.0, 0.0))
+        tracemalloc.start()
+        try:
+            init_state(m, mask, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * m.nbytes
 
     def test_solve_iteration_keeps_no_extra_full_size_tensor(self):
         # with the Lagrangian recomputed from scratch every iteration the
