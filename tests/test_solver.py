@@ -404,8 +404,10 @@ class TestInitState:
         with pytest.raises(ValueError, match="rank"):
             init_state(m, mask, SolverConfig(ranks=(5, 2, 2)))
 
+    # "random" names the one start, the seeded draw every solve begins from
+    @pytest.mark.parametrize("start", ["random"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_observation(self, bad):
+    def test_rejects_non_finite_observation(self, bad, start):
         m, mask, cfg = small_problem()
         m[tuple(mask.indices[0])] = bad
         with pytest.raises(ValueError, match="must be finite"):
