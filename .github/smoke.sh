@@ -52,6 +52,16 @@ for key in toeplitz_modes stop_denominator init seed; do
   grep -q "^error: unknown config fields: \['$key'\]$" "$key.err"
 done
 
+echo "removed --trace-csv flag"
+# the --report JSON holds the trace: the former CSV writer is a usage error
+# (exit 2) with one error line after the usage text
+status=0
+lrsetd complete --input tiny.lrt --mask tiny.lrm --trace-csv x 2> trace_csv.err > /dev/null || status=$?
+test "$status" -eq 2
+test "$(grep -c 'error' trace_csv.err)" -eq 1
+grep -q '^lrsetd: error: unrecognized arguments: --trace-csv x$' trace_csv.err
+test ! -e x
+
 echo "header that declares more payload than the file holds"
 # 2^18 x 2^18 doubles declared, 64 bytes present: an I/O error (exit 3) on
 # one line, with no traceback

@@ -1,8 +1,9 @@
 """Command-line runner: complete / hosvd-demo / mask-gen / metrics.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-failure, 141 (128 + SIGPIPE) when the reader of stdout has quit. Setting
-LRSETD_THREADS caps the BLAS thread pools (see the package docstring).
+failure, 141 (128 + SIGPIPE) when the reader of stdout has quit. The
+--report JSON of `complete` echoes the config and holds the per-iteration
+trace, one object per `IterationRecord` with the record's fields.
 """
 
 import argparse
@@ -10,6 +11,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -134,27 +136,17 @@ def _solver_config(args):
             if isinstance(doc.get(key), list):
                 doc[key] = tuple(doc[key])
         fields.update(doc)
-    for key in ("preset", "ranks", "tol", "max_iter", "beta"):
+    for key in ("preset", "tol", "max_iter", "beta"):
         value = getattr(args, key)
         if value is not None:
             fields[key] = value
-    if isinstance(fields.get("ranks"), str):
-        fields["ranks"] = _parse_list(fields["ranks"], "--ranks")
+    # only the flag is a comma string; a config file's ranks is a list
+    if args.ranks is not None:
+        fields["ranks"] = _parse_list(args.ranks, "--ranks")
     preset = fields.pop("preset", None)
     if preset is None:
         return SolverConfig(**fields), None
     return preset_config(preset, **fields), preset
-
-
-def _config_echo(cfg, preset):
-    """The config's fields plus the preset applied, so the echo used as a
-    --config file reproduces the run."""
-    echo = {
-        k: (list(v) if isinstance(v, tuple) else v)
-        for k, v in cfg.__dict__.items()
-    }
-    echo["preset"] = preset
-    return echo
 
 
 def _write_report(path, doc):
@@ -162,16 +154,6 @@ def _write_report(path, doc):
         json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n",
         encoding="utf-8",
     )
-
-
-def _write_trace_csv(path, trace):
-    lines = ["iteration,rel_change,lagrangian,objective,seconds"]
-    for rec in trace:
-        lines.append(
-            f"{rec.iteration},{rec.rel_change!r},{rec.lagrangian!r},"
-            f"{rec.objective!r},{rec.seconds!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_complete(args):
@@ -195,20 +177,16 @@ def cmd_complete(args):
     if args.report:
         deterministic = args.deterministic_report
         doc = {
-            "config": _config_echo(cfg, preset),
+            # the config's fields plus the preset applied, so the echo used
+            # as a --config file reproduces the run
+            "config": {**asdict(cfg), "preset": preset},
             "dims": list(truth.shape),
             "observed": mask.n_observed,
             "metrics": metrics,
             "iterations": report.iterations,
             "termination": report.termination,
             "trace": [
-                {
-                    "iteration": r.iteration,
-                    "rel_change": r.rel_change,
-                    "lagrangian": r.lagrangian,
-                    "objective": r.objective,
-                    "seconds": 0.0 if deterministic else r.seconds,
-                }
+                asdict(replace(r, seconds=0.0) if deterministic else r)
                 for r in report.trace
             ],
             "timings": {
@@ -216,8 +194,6 @@ def cmd_complete(args):
             },
         }
         _write_report(args.report, doc)
-    if args.trace_csv:
-        _write_trace_csv(args.trace_csv, report.trace)
     summary = {"iterations": report.iterations, "termination": report.termination}
     summary.update(metrics)
     print(json.dumps(summary, sort_keys=True, allow_nan=False))
@@ -334,7 +310,6 @@ def build_parser():
     )
     p.add_argument("--out", help="recovered tensor (.lrt/.ppm/.pgm)")
     p.add_argument("--report", help="JSON report path")
-    p.add_argument("--trace-csv", dest="trace_csv")
     p.add_argument("--skip-metrics", action="store_true")
     p.add_argument(
         "--deterministic-report",

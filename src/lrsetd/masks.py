@@ -193,7 +193,7 @@ def structured_mask(dims, spec):
         flat_keep = np.flatnonzero(keep.ravel(order="F"))
         chosen = flat_keep[_draw(flat_keep.size, ratio, spec.seed)]
         return ObservationMask.from_fortran_positions(dims, chosen)
-    return ObservationMask.from_boolean(_structural_drop(dims, spec))
+    return ObservationMask(_structural_drop(dims, spec))
 
 
 def _check(truth, recovered, mask):
@@ -208,19 +208,12 @@ def _check(truth, recovered, mask):
         raise ValueError("metric undefined: mask has an empty complement")
 
 
-def _complement(truth, recovered, mask):
-    """The float64 entries of `truth` and `recovered` off the mask."""
-    _check(truth, recovered, mask)
-    miss = ~mask.boolean()
-    return (
-        np.asarray(truth, dtype=np.float64)[miss],
-        np.asarray(recovered, dtype=np.float64)[miss],
-    )
-
-
 def nmae(truth, recovered, mask):
     """Normalized mean absolute error over the unobserved entries."""
-    t, r = _complement(truth, recovered, mask)
+    _check(truth, recovered, mask)
+    miss = ~mask.boolean()
+    t = np.asarray(truth, dtype=np.float64)[miss]
+    r = np.asarray(recovered, dtype=np.float64)[miss]
     denom = np.abs(t).sum()
     if denom == 0.0:
         raise ValueError("NMAE undefined: truth vanishes off the mask")
@@ -235,17 +228,20 @@ def psnr(truth, recovered, mask, max_value=None, full_tensor=False):
     the complement size, for cross-checking against published figures.
     `max_value` defaults to the maximum entry of `truth`. The figure is a
     sum of logarithms, so no square is formed and any finite scale works.
+    The error is taken over the whole tensor with the observed entries set
+    to zero, so no complement is gathered.
     """
-    if full_tensor:
-        _check(truth, recovered, mask)
-        t = np.asarray(truth, dtype=np.float64)
-        r = np.asarray(recovered, dtype=np.float64)
-    else:
-        t, r = _complement(truth, recovered, mask)
+    _check(truth, recovered, mask)
     peak = float(np.max(truth) if max_value is None else max_value)
     if peak <= 0.0:
         raise ValueError(f"peak value must be positive, got {peak}")
-    err = frobenius(r - t)
+    diff = np.asarray(recovered, dtype=np.float64) - np.asarray(
+        truth, dtype=np.float64
+    )
+    if not full_tensor:
+        # put indexes in C order whatever the layout of `diff`
+        diff.put(mask.c_flat_index(), 0.0)
+    err = frobenius(diff)
     if err == 0.0:
         return math.inf
     n = mask.n_missing

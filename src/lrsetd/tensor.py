@@ -171,24 +171,14 @@ class ObservationMask:
     """Set of observed multi-indices over a fixed dimension vector, stored
     as one C-contiguous, read-only boolean array (True = observed): 1 byte
     per entry, an eighth of the float64 tensor that every solve and metrics
-    call already holds. :meth:`c_flat_index` is its one lazy cache. Index
-    tuples and LRM1 files use ascending Fortran-order flat positions (first
-    index fastest), which only :meth:`from_fortran_positions` and
-    :meth:`fortran_positions` convert."""
+    call already holds. :meth:`c_flat_index` is its one lazy cache. LRM1
+    files use ascending Fortran-order flat positions (first index fastest),
+    which only :meth:`from_fortran_positions` and :meth:`fortran_positions`
+    convert."""
 
-    def __init__(self, dims, indices):
-        dims = tuple(int(d) for d in dims)
-        idx = np.asarray(indices)
-        if idx.size == 0:
-            idx = idx.reshape(0, len(dims))
-        if idx.ndim != 2 or idx.shape[1] != len(dims):
-            raise ValueError(f"indices must be (k, {len(dims)}), got {idx.shape}")
-        idx = _indices(idx, np.array(dims))
-        observed = np.zeros(dims, dtype=bool)
-        observed[tuple(idx.T)] = True
-        self._own(observed)
-
-    def _own(self, observed):
+    def __init__(self, observed):
+        """Mask of the True entries of `observed`, which is copied."""
+        observed = np.array(observed, dtype=bool, order="C")
         if any(d < 1 for d in observed.shape):
             raise ValueError(f"all dims must be >= 1, got {observed.shape}")
         observed.flags.writeable = False
@@ -199,25 +189,23 @@ class ObservationMask:
 
     @classmethod
     def from_boolean(cls, observed):
-        """Mask of the True entries of `observed`, which is copied."""
-        mask = cls.__new__(cls)
-        mask._own(np.array(observed, dtype=bool, order="C"))
-        return mask
+        """``ObservationMask(observed)``."""
+        return cls(observed)
 
     @classmethod
     def from_fortran_positions(cls, dims, positions):
         """Mask of the Fortran-order flat positions, in any order."""
         observed = np.zeros(math.prod(int(d) for d in dims), dtype=bool)
         observed[_indices(positions, observed.size)] = True
-        return cls.from_boolean(observed.reshape(dims, order="F"))
+        return cls(observed.reshape(dims, order="F"))
 
     @classmethod
     def full(cls, dims):
-        return cls.from_boolean(np.ones(dims, dtype=bool))
+        return cls(np.ones(dims, dtype=bool))
 
     @classmethod
     def empty(cls, dims):
-        return cls.from_boolean(np.zeros(dims, dtype=bool))
+        return cls(np.zeros(dims, dtype=bool))
 
     @property
     def n_observed(self):
@@ -226,12 +214,6 @@ class ObservationMask:
     @property
     def n_missing(self):
         return self._observed.size - self._n_observed
-
-    @property
-    def indices(self):
-        """``(k, N)`` index tuples in ascending Fortran-order position."""
-        flat = self.fortran_positions()
-        return np.column_stack(np.unravel_index(flat, self.dims, order="F"))
 
     def fortran_positions(self):
         """Ascending Fortran-order flat positions of the observed entries."""

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from lrsetd.tensor import multilinear
+from lrsetd.tensor import ObservationMask, multilinear
+
+
+def mask_at(dims, *entries):
+    """ObservationMask that observes exactly the index tuples `entries`."""
+    observed = np.zeros(dims, dtype=bool)
+    for entry in entries:
+        observed[entry] = True
+    return ObservationMask.from_boolean(observed)
 
 
 def unfold_by_index_formula(tensor, mode):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import lrsetd
 from lrsetd.cli import main
 from lrsetd.io import read_mask, read_tensor, write_mask, write_tensor
 from lrsetd.masks import random_mask
-from lrsetd.solver import SolverConfig, preset_config, solve
+from lrsetd.solver import IterationRecord, SolverConfig, preset_config, solve
 from lrsetd.tensor import frobenius
 
 from conftest import synthetic_tucker
@@ -120,7 +121,7 @@ class TestCompleteCommand:
 
     def test_sample_ratio_and_trace(self, problem, tmp_path):
         _, _, tensor_path, _ = problem
-        trace_path = tmp_path / "trace.csv"
+        report = tmp_path / "report.json"
         code = main(
             [
                 "complete",
@@ -130,13 +131,16 @@ class TestCompleteCommand:
                 "--ranks", "2,2,2",
                 "--max-iter", "3",
                 "--tol", "1e-300",
-                "--trace-csv", str(trace_path),
+                "--report", str(report),
             ]
         )
         assert code == 0
-        lines = trace_path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,rel_change,lagrangian,objective,seconds"
-        assert len(lines) == 4
+        trace = json.loads(report.read_text())["trace"]
+        assert len(trace) == 3
+        # one trace object per IterationRecord, with its fields
+        names = {f.name for f in fields(IterationRecord)}
+        assert all(set(row) == names for row in trace)
+        assert [row["iteration"] for row in trace] == [1, 2, 3]
 
     def test_missing_spec_inline(self, problem, tmp_path, capsys):
         _, _, tensor_path, _ = problem
@@ -266,6 +270,16 @@ class TestCompleteCommand:
                   "--mask", str(mask_path), "--init", "random"])
         assert exc.value.code == 2
         assert "--init" in capsys.readouterr().err
+
+    def test_trace_csv_flag_is_a_usage_error(self, problem, capsys):
+        # the --report JSON holds the trace: the former CSV writer is an
+        # unknown flag
+        _, _, tensor_path, mask_path = problem
+        with pytest.raises(SystemExit) as exc:
+            main(["complete", "--input", str(tensor_path),
+                  "--mask", str(mask_path), "--trace-csv", "trace.csv"])
+        assert exc.value.code == 2
+        assert "--trace-csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("preset", ["image", None])
     def test_report_echo_reproduces_the_run(self, problem, tmp_path, preset):
@@ -447,6 +461,8 @@ BAD_INPUTS = {
     ),
     "config-lam-true": (_as_is, "complete", 2, "err", "finite numbers"),
     "config-omega-ragged": (_as_is, "complete", 2, "err", "got omega="),
+    # a comma string is the --ranks flag's syntax; a config file gives a list
+    "config-ranks-str": (_as_is, "complete", 2, "err", "got ranks='2,2,2'"),
     # the count of --ranks/--dims fields is the order, so none may be empty
     "ranks-empty-field": (_as_is, "complete", 2, "err", "empty field"),
     "dims-trailing-comma": (None, "mask-gen", 2, "err", "empty field"),
@@ -469,6 +485,7 @@ BAD_CONFIGS = {
     "config-init-hosvd": {"init": "hosvd"},
     "config-lam-true": {"lam": True},
     "config-omega-ragged": {"omega": [[1, 2], 3, 4]},
+    "config-ranks-str": {"ranks": "2,2,2"},
 }
 # command-line flags appended for the BAD_INPUTS cases that need them; a
 # repeated flag overrides the earlier one
@@ -720,40 +737,22 @@ class TestRuntimeImports:
 
 
 class TestThreadsVariable:
-    def test_caps_openblas_threads(self):
-        # the console script imports lrsetd.cli, and importing the package
-        # loads numpy, whose OpenBLAS reads its thread count once, at load
+    def test_import_leaves_environment_unchanged(self):
+        # BLAS thread caps are the standard variables, which numpy's BLAS
+        # reads once, at load; the former LRSETD_THREADS is ignored
         probe = textwrap.dedent(
             """
-            import ctypes, glob, json, os
+            import json, os
+            before = set(os.environ.items())
             import lrsetd.cli
-            import numpy
-            counts = []
-            libdir = os.path.dirname(numpy.__file__) + ".libs"
-            for path in sorted(glob.glob(os.path.join(libdir, "*openblas*.so*"))):
-                lib = ctypes.CDLL(path)
-                for symbol in (
-                    "scipy_openblas_get_num_threads64_",
-                    "openblas_get_num_threads64_",
-                    "openblas_get_num_threads",
-                ):
-                    fn = getattr(lib, symbol, None)
-                    if fn is not None:
-                        fn.argtypes = []
-                        fn.restype = ctypes.c_int
-                        counts.append(fn())
-                        break
-            print(json.dumps(counts))
+            print(json.dumps(sorted(before ^ set(os.environ.items()))))
             """
         )
         blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
         env = {k: v for k, v in os.environ.items() if k not in blas}
         env["LRSETD_THREADS"] = "1"
-        counts = json.loads(run_python(probe, env))
-        if not counts:
-            pytest.skip("numpy ships no OpenBLAS to ask")
-        assert counts == [1] * len(counts)
+        assert json.loads(run_python(probe, env)) == []
 
 
 class TestMaskGen:

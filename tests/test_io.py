@@ -18,6 +18,8 @@ from lrsetd.io import (
 from lrsetd.masks import random_mask
 from lrsetd.tensor import ObservationMask
 
+from conftest import mask_at
+
 
 def read_oversized(reader, path, what):
     """`reader(path)` on a file whose header declares far more payload than
@@ -135,7 +137,7 @@ class TestMaskFormat:
             np.testing.assert_array_equal(back.boolean(), mask.boolean())
 
     def test_header_layout(self, tmp_path):
-        mask = ObservationMask((2, 2, 2), [(1, 0, 0), (0, 1, 1)])
+        mask = mask_at((2, 2, 2), (1, 0, 0), (0, 1, 1))
         path = tmp_path / "m.lrm"
         write_mask(path, mask)
         raw = path.read_bytes()
@@ -182,7 +184,7 @@ class TestMaskFormat:
             read_mask(path)
 
     def test_trailing_bytes(self, tmp_path):
-        mask = ObservationMask((2, 2, 2), [(0, 0, 0)])
+        mask = mask_at((2, 2, 2), (0, 0, 0))
         path = tmp_path / "m.lrm"
         write_mask(path, mask)
         path.write_bytes(path.read_bytes() + b"z")

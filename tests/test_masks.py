@@ -19,6 +19,8 @@ from lrsetd.masks import (
 )
 from lrsetd.tensor import ObservationMask
 
+from conftest import mask_at
+
 
 class TestMissingSpec:
     def test_json_round_trip(self):
@@ -312,11 +314,9 @@ class TestSelectionOracle:
             mask.c_flat_index(), np.flatnonzero(observed)
         )
 
-        # `indices`: the same set, ascending in Fortran-order position
-        indices = mask.indices
-        assert indices.dtype == np.int64
-        assert indices.shape == expected.shape
-        flat = np.ravel_multi_index(indices.T, dims, order="F")
+        # `fortran_positions`: the same set, ascending
+        flat = mask.fortran_positions()
+        assert flat.dtype == np.int64
         assert np.all(np.diff(flat) > 0)
         oracle_flat = np.sort(np.ravel_multi_index(expected.T, dims, order="F"))
         np.testing.assert_array_equal(flat, oracle_flat)
@@ -330,7 +330,7 @@ class TestSelectionOracle:
         header = 4 + 4 + 4 * len(dims) + 8
         assert raw[header:] == oracle_flat.astype("<u8").tobytes()
         assert back == mask
-        np.testing.assert_array_equal(back.indices, indices)
+        np.testing.assert_array_equal(back.fortran_positions(), flat)
 
 
 class TestNmae:
@@ -342,7 +342,7 @@ class TestNmae:
     def test_hand_computed(self):
         truth = np.arange(1.0, 9.0).reshape((2, 2, 2), order="F")
         rec = truth.copy()
-        mask = ObservationMask((2, 2, 2), [(0, 0, 0)])
+        mask = mask_at((2, 2, 2), (0, 0, 0))
         rec[1, 1, 1] += 3.0  # unobserved entry 8 -> 11
         # complement truth sums to 2+...+8 = 35, abs error 3
         assert nmae(truth, rec, mask) == pytest.approx(3.0 / 35.0)
@@ -362,7 +362,7 @@ class TestNmae:
     def test_zero_truth_complement_undefined(self):
         truth = np.zeros((2, 2, 2))
         truth[0, 0, 0] = 5.0
-        mask = ObservationMask((2, 2, 2), [(0, 0, 0)])
+        mask = mask_at((2, 2, 2), (0, 0, 0))
         with pytest.raises(ValueError, match="vanishes"):
             nmae(truth, truth, mask)
 
@@ -385,7 +385,7 @@ class TestPsnr:
     def test_hand_computed(self):
         truth = np.full((2, 2, 2), 100.0)
         rec = truth.copy()
-        mask = ObservationMask((2, 2, 2), [(0, 0, 0)])
+        mask = mask_at((2, 2, 2), (0, 0, 0))
         rec[~mask.boolean()] += 10.0
         # MSE over the 7 unobserved entries is 100, peak is 100
         assert psnr(truth, rec, mask) == pytest.approx(
@@ -430,12 +430,19 @@ class TestPsnr:
         truth, rec = one_percent_error(rng)
         mask = random_mask(truth.shape, 0.5, seed=2)
         expected = psnr(truth, rec, mask, full_tensor=True)
+        # the default error, from the complement the oracle gathers
+        miss = ~mask.boolean()
+        sse = float(np.sum((rec - truth)[miss] ** 2))
+        oracle = 10.0 * math.log10(truth.max() ** 2 * miss.sum() / sse)
 
         def no_gather():
-            raise AssertionError("full_tensor=True read the mask's entries")
+            raise AssertionError("psnr gathered the mask's complement")
 
         monkeypatch.setattr(mask, "boolean", no_gather)
         assert psnr(truth, rec, mask, full_tensor=True) == expected
+        # the default zeroes the observed entries through the cached index
+        # and reads the mask no other way
+        assert psnr(truth, rec, mask) == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize(
         "dtype, shift", [(np.float32, 0), (np.uint8, -5), (np.uint8, 5)]

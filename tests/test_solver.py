@@ -409,7 +409,7 @@ class TestInitState:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_observation(self, bad, start):
         m, mask, cfg = small_problem()
-        m[tuple(mask.indices[0])] = bad
+        m.flat[mask.c_flat_index()[0]] = bad
         with pytest.raises(ValueError, match="must be finite"):
             init_state(m, mask, cfg)
 

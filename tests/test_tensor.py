@@ -13,7 +13,12 @@ from lrsetd.tensor import (
     unfold,
 )
 
-from conftest import fold_by_index_formula, kron_others, unfold_by_index_formula
+from conftest import (
+    fold_by_index_formula,
+    kron_others,
+    mask_at,
+    unfold_by_index_formula,
+)
 
 
 def lex_tensor(dims):
@@ -263,22 +268,23 @@ class TestInnerFrobenius:
 
 class TestObservationMask:
     def test_counts(self):
-        mask = ObservationMask((2, 3, 2), [(0, 0, 0), (1, 2, 1)])
+        mask = mask_at((2, 3, 2), (0, 0, 0), (1, 2, 1))
         assert mask.n_observed == 2
         assert mask.n_missing == 10
 
     def test_duplicates_collapse(self):
-        mask = ObservationMask((2, 2, 2), [(0, 0, 0), (0, 0, 0)])
-        assert mask.n_observed == 1
-        again = ObservationMask.from_fortran_positions((2, 2, 2), [6, 1, 6])
-        assert again.n_observed == 2
-        np.testing.assert_array_equal(again.indices, [(1, 0, 0), (0, 1, 1)])
+        mask = ObservationMask.from_fortran_positions((2, 2, 2), [6, 1, 6])
+        assert mask.n_observed == 2
+        np.testing.assert_array_equal(mask.fortran_positions(), [1, 6])
+        assert mask == mask_at((2, 2, 2), (1, 0, 0), (0, 1, 1))
+
+    def test_index_tuples_are_no_constructor(self):
+        # a mask is built from its boolean array or from flat positions
+        with pytest.raises(TypeError):
+            ObservationMask((2, 2), [(0, 0)])
+        assert not hasattr(ObservationMask, "indices")
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            ObservationMask((2, 2, 2), [(0, 0, 2)])
-        with pytest.raises(ValueError, match="out of range"):
-            ObservationMask((2, 2, 2), [(0, -1, 0)])
         for position in (8, -1):
             with pytest.raises(ValueError, match="out of range"):
                 ObservationMask.from_fortran_positions((2, 2, 2), [position])
@@ -288,9 +294,7 @@ class TestObservationMask:
         [[(1.7, 2.2)], [(1.0, 2.0)], [(True, False)], np.ones((1, 2), bool)],
     )
     def test_non_integer_indices_rejected(self, indices):
-        # (1.7, 2.2) used to be truncated to (1, 2), booleans read as 0/1
-        with pytest.raises(ValueError, match="integers"):
-            ObservationMask((3, 3), indices)
+        # 1.7 used to be truncated to 1, booleans read as 0/1
         with pytest.raises(ValueError, match="integers"):
             ObservationMask.from_fortran_positions((3, 3), np.ravel(indices))
 
@@ -314,7 +318,7 @@ class TestObservationMask:
         assert not np.shares_memory(mask.boolean(), observed)
 
     def test_boolean_and_contains(self):
-        mask = ObservationMask((2, 2, 2), [(1, 0, 1)])
+        mask = mask_at((2, 2, 2), (1, 0, 1))
         b = mask.boolean()
         assert b[1, 0, 1] and b.sum() == 1
         assert not b[0, 0, 0]
@@ -322,17 +326,20 @@ class TestObservationMask:
     def test_full_and_empty(self):
         assert ObservationMask.full((2, 3, 2)).n_missing == 0
         assert ObservationMask.empty((2, 3, 2)).n_observed == 0
-        assert ObservationMask((2, 3, 2), []) == ObservationMask.empty((2, 3, 2))
+        assert mask_at((2, 3, 2)) == ObservationMask.empty((2, 3, 2))
+        assert ObservationMask.from_fortran_positions(
+            (2, 3, 2), []
+        ) == ObservationMask.empty((2, 3, 2))
 
     @pytest.mark.parametrize(
         "kind",
-        ["indices", "fortran-boolean", "fortran-positions", "full", "empty"],
+        ["c-boolean", "fortran-boolean", "fortran-positions", "full", "empty"],
     )
     def test_c_flat_index(self, kind, rng):
         dims = (4, 3, 5)
         observed = rng.random(dims) < 0.5
         mask = {
-            "indices": lambda: ObservationMask(dims, np.argwhere(observed)),
+            "c-boolean": lambda: ObservationMask(observed),
             "fortran-boolean": lambda: ObservationMask.from_boolean(
                 np.asfortranarray(observed)
             ),
