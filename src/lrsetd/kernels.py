@@ -4,6 +4,12 @@ Singular value shrinkage, elementwise soft thresholding and an O(n) solve
 with a symmetric positive definite tridiagonal matrix along one tensor
 axis.
 
+The solver's factors are tall I x r matrices with r much smaller than I,
+so their singular values come from the eigenvalues of the r x r Gram
+A^T A, a fraction of the cost of LAPACK's SVD of A, wherever
+:func:`_gram_resolves` trusts them (a condition number up to 1e4 for A),
+and from ``np.linalg.svd`` otherwise.
+
 The ADMM calls :func:`tridiag_solve` on small operands every iteration, so
 its Python-level cost counts as much as its arithmetic: it sweeps with two
 ufunc calls per step into a preallocated row. The factor step's r x r
@@ -25,11 +31,13 @@ def svd_shrink(m, tau):
     """Singular value shrinkage: prox of ``tau * ||.||_*`` at `m`.
 
     Unique minimizer of ``tau*||Y||_* + 0.5*||Y - m||_F^2``. Raises
-    ValueError when `m` holds NaN or inf.
+    ValueError when `m` is not 2-D or holds NaN or inf.
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"svd_shrink: need a matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("svd_shrink: input has non-finite entries")
     return _svd_shrink(m, tau)[0]
@@ -38,13 +46,75 @@ def svd_shrink(m, tau):
 def _svd_shrink(m, tau):
     """:func:`svd_shrink` of a finite float64 `m` at ``tau >= 0``, unchecked,
     and the nuclear norm of the result, which is the sum of the shrunk
-    singular values, so it needs no second SVD."""
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    s = np.maximum(s - tau, 0.0)
-    keep = s > 0
+    singular values, so it needs no second SVD.
+
+    Singular value thresholding keeps the values above tau and their right
+    vectors V_k only: Y = (A V_k) diag(1 - tau/s_k) V_k^T for the tall
+    orientation A of `m`, transposed back for a wide `m`.
+    """
+    wide = m.shape[0] < m.shape[1]
+    a = m.T if wide else m
+    s, v = _tall_svd(a, tau)
+    keep = s > tau
     if not keep.any():
         return np.zeros_like(m), 0.0
-    return (u[:, keep] * s[keep]) @ vt[keep], float(s.sum())
+    s, v = s[keep], v[:, keep]
+    shrunk = s - tau
+    y = ((a @ v) * (shrunk / s)) @ v.T
+    return (y.T if wide else y), float(shrunk.sum())
+
+
+# largest lambda_max / lambda_min of a Gram whose eigenvalues are used: a
+# condition number of 1e4 for the matrix itself
+_GRAM_COND = 1e8
+
+
+def _gram_resolves(lam, tau=0.0):
+    """Whether the ascending eigenvalues `lam` of a Gram a^T a give the
+    singular values of `a` that matter to working accuracy.
+
+    The Gram squares the condition number and rounds its eigenvalues to
+    about eps * lambda_max, so they are used only when the singular values
+    above `tau`, and `tau` itself when some value falls at or below it, are
+    all within a factor 1e4 of the largest:
+    lambda_max <= 1e8 * max(lambda_min, tau^2). For a nuclear norm
+    (tau = 0) that is every singular value.
+    """
+    # dividing, and squaring a Python float, cannot warn on overflow
+    tau = float(tau)
+    return lam[-1] / _GRAM_COND <= max(lam[0], tau * tau)
+
+
+def _tall_svd(a, tau):
+    """Singular values of a tall float64 `a` (rows >= columns) and its
+    right singular vectors as columns, ``(s, v)``, for singular value
+    thresholding at `tau`.
+
+    They come from ``eigh`` of the r x r Gram a^T a, a fraction of the cost
+    of LAPACK's SVD of a factor-sized matrix, when :func:`_gram_resolves`
+    trusts its eigenvalues; otherwise, or when the Gram overflows, from
+    ``np.linalg.svd``.
+    """
+    # a Gram that overflows is sent to the SVD below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a.T @ a
+    # an empty Gram has no eigenvalues to compare
+    if gram.size and np.isfinite(gram).all():
+        lam, v = np.linalg.eigh(gram)
+        if _gram_resolves(lam, tau):
+            # rounding may leave tiny eigenvalues negative
+            return np.sqrt(np.maximum(lam, 0.0)), v
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
+    return s, vt.T
+
+
+def _nuclear_norm(a, lam):
+    """||a||_* of a tall float64 `a` from the ascending eigenvalues `lam` of
+    its Gram a^T a, or from ``np.linalg.svd`` of `a` when
+    :func:`_gram_resolves` does not trust them."""
+    if _gram_resolves(lam):
+        return float(np.sqrt(np.maximum(lam, 0.0)).sum())
+    return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
 def soft_shrink(m, tau):

@@ -25,15 +25,20 @@ comes from an O(n) sweep along that axis.
 
 Each block is one public function, ``update_factors``, ``update_y``,
 ``update_core``, ``update_z``, ``update_w`` and ``update_duals``, and
-:func:`solve` calls exactly these, once each per iteration. Each full-size
-product is built once and reduced to a scalar in the block that builds it,
-and a block returns its Lagrangian term: ``update_y`` the nuclear norms,
-``update_z`` the fit term from the only reconstruction [[S; X]], and
-``update_duals`` the penalty terms; the sparsity and smoothness terms are
-read off S and W_i. ``update_factors`` forms each Gram X_i^T X_i once,
-after X_i changes, and returns the Grams with its partial contraction of
-Z, which ``update_core`` takes. :func:`augmented_lagrangian` computes the
-same value from scratch through the same term functions. No full-size
+:func:`solve` calls exactly these, once each per iteration. Each
+full-size product is built once and reduced to a scalar in the block that
+builds it, and a block returns its Lagrangian term: ``update_y`` the
+nuclear norms, ``update_z`` the fit term from the only reconstruction
+[[S; X]], and ``update_duals`` the penalty terms; the sparsity term is
+read off S and each smoothness term omega_i*||A_i W_i||_F^2 as
+<W_i, U_i>/2, since the W and dual steps leave U_i = 2*omega_i*A_i^T A_i W_i.
+``update_factors`` forms each Gram X_i^T X_i once, after X_i changes,
+and returns the Grams with its partial contraction of Z, which
+``update_core`` takes. :func:`augmented_lagrangian` computes the same
+value from scratch, the smoothness terms from differences along each
+axis. The nuclear norms of ``update_y`` and :func:`objective_value` come
+from the eigenvalues of the r_i x r_i Grams, with an SVD only where a
+Gram is too ill-conditioned (see :mod:`lrsetd.kernels`). No full-size
 array is scanned for NaN or inf: the factor-sized subproblem inputs are
 checked, and every state array enters the trace Lagrangian or the
 relative change, which are checked as scalars.
@@ -55,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
+    _nuclear_norm,
     _svd_shrink,
     soft_shrink,
     tridiag_ldl,
@@ -172,11 +178,18 @@ class SolverConfig:
             w < 0 for w in self.omega
         ):
             raise ValueError("sigma, alpha and omega must be nonnegative")
+        # every block reads it each iteration; an attribute, not a field, so
+        # fields(), asdict() and equality see the eight fields alone
+        object.__setattr__(
+            self,
+            "_smoothed",
+            tuple(i for i, w in enumerate(self.omega) if w > 0),
+        )
 
     def smoothed_modes(self):
         """Modes with omega_i > 0: the only ones that carry W_i, U_i and a
         smoothing term."""
-        return tuple(i for i, w in enumerate(self.omega) if w > 0)
+        return self._smoothed
 
 
 def preset_config(name, **overrides):
@@ -384,7 +397,9 @@ def update_core(state, cfg, z01=None, grams=None):
 
     `z01` = Z x_j X_j^T over j < N-1 and the Grams are what
     :func:`update_factors` returns; pass both or neither, in which case
-    they are built from the current factors.
+    they are built from the current factors. Returns the ascending
+    eigenvalues of each Gram, which :func:`objective_value` takes for the
+    nuclear norms of the same factors.
     """
     x = state.x
     if z01 is None:
@@ -392,12 +407,14 @@ def update_core(state, cfg, z01=None, grams=None):
         for j in range(len(x) - 1):
             z01 = mode_product(z01, x[j].T, j)
         grams = [f.T @ f for f in x]
+    spectra = [np.linalg.eigvalsh(g) for g in grams]
     # the spectral norm of a Gram is its largest eigenvalue
-    zeta = math.prod(np.linalg.eigvalsh(g)[-1] for g in grams)
+    zeta = math.prod(lam[-1] for lam in spectra)
     if zeta == 0.0:
-        return
+        return spectra
     grad = multilinear(state.s, grams) - mode_product(z01, x[-1].T, len(x) - 1)
     state.s = soft_shrink(state.s - grad / zeta, cfg.sigma / (cfg.lam * zeta))
+    return spectra
 
 
 def _fit_term(recon, z, cfg):
@@ -442,8 +459,7 @@ def update_w(state, cfg):
     """Smoothness-regularized W update (in place) on each smoothed mode:
     W_(i) = [beta*I + 2*omega_i*A_i^T A_i]^{-1} [beta*Z_(i) + U_(i)],
     solved by a tridiagonal sweep along axis i of beta*Z + U_i, so W_i is
-    a fresh C-contiguous tensor. The smoothness term is read off W_i by
-    the Lagrangian."""
+    a fresh C-contiguous tensor."""
     for i in cfg.smoothed_modes():
         rhs = cfg.beta * state.z
         rhs += state.u[i]
@@ -488,45 +504,66 @@ def _smoothing_parts(t, axis):
 
 
 def _lagrangian(state, cfg, nuclear, penalties, fit):
-    """The augmented Lagrangian from the Y, dual and Z blocks' terms plus
-    the smoothness and sparsity terms read off W and S."""
+    """The augmented Lagrangian of a state that the W and dual steps just
+    left, from the Y, dual and Z blocks' terms plus the sparsity term read
+    off S and the smoothness terms read off W_i and U_i.
+
+    The W step solves [beta*I + 2*omega_i*A_i^T A_i] W_i = beta*Z + U_i and
+    the dual step adds beta*(Z - W_i) to U_i, so the new dual is
+    U_i = 2*omega_i*A_i^T A_i W_i (ADMM's dual feasibility for the W_i
+    block) and omega_i*||A_i W_i||_F^2 = <W_i, U_i>/2, one inner product.
+    """
     val = nuclear + penalties + fit + cfg.sigma * np.abs(state.s).sum()
     for i in cfg.smoothed_modes():
-        val += cfg.omega[i] * sum(
-            inner(p, p) for p in _smoothing_parts(state.w[i], i)
-        )
+        val += 0.5 * inner(state.w[i], state.u[i])
     return float(val)
 
 
 def augmented_lagrangian(state, cfg):
     """Value of the augmented Lagrangian at the current state, computed
-    from scratch. :func:`solve` sums the same terms from its blocks."""
+    from scratch, the smoothness terms from differences along each axis.
+    :func:`solve` sums the same terms from its blocks."""
+    smoothed = cfg.smoothed_modes()
     nuclear = sum(
         a * np.linalg.svd(y, compute_uv=False).sum()
         for a, y in zip(cfg.alpha, state.y)
     )
     penalties = sum(
-        _penalty(state.u[i], state.z - state.w[i], cfg.beta)
-        for i in cfg.smoothed_modes()
+        _penalty(state.u[i], state.z - state.w[i], cfg.beta) for i in smoothed
     ) + sum(
         _penalty(t, x - y, cfg.beta)
         for t, x, y in zip(state.t, state.x, state.y)
     )
     fit = _fit_term(multilinear(state.s, state.x), state.z, cfg)
-    return _lagrangian(state, cfg, nuclear, penalties, fit)
+    smoothness = sum(
+        cfg.omega[i] * inner(p, p)
+        for i in smoothed
+        for p in _smoothing_parts(state.w[i], i)
+    )
+    sparsity = cfg.sigma * np.abs(state.s).sum()
+    return float(nuclear + penalties + fit + smoothness + sparsity)
 
 
-def objective_value(state, cfg):
+def objective_value(state, cfg, grams=None, spectra=None):
     """Value of the relaxed model objective at (X, S):
     Psi(X, S) + sum_i alpha_i*||X_i||_* + sigma*||S||_1.
 
     Each smoothness term ||S x_i (A_i X_i) x_{j!=i} X_j||_F^2 is evaluated
     at core size as <S, S x_j G_j> with G_j = X_j^T X_j and
-    G_i = (A_i X_i)^T (A_i X_i)."""
+    G_i = (A_i X_i)^T (A_i X_i). The nuclear norms come from the
+    eigenvalues of the same Grams G_j, or from an SVD of X_j when G_j is
+    too ill-conditioned (see :mod:`lrsetd.kernels`).
+
+    `grams` and `spectra` are the Grams G_j and their ascending
+    eigenvalues as :func:`update_factors` and :func:`update_core` return
+    them; pass both or neither, in which case they are built from the
+    current factors."""
     val = cfg.sigma * np.abs(state.s).sum()
-    grams = [f.T @ f for f in state.x]
-    for a, x in zip(cfg.alpha, state.x):
-        val += a * np.linalg.svd(x, compute_uv=False).sum()
+    if grams is None:
+        grams = [f.T @ f for f in state.x]
+        spectra = [np.linalg.eigvalsh(g) for g in grams]
+    for a, x, lam in zip(cfg.alpha, state.x, spectra):
+        val += a * _nuclear_norm(x, lam)
     for i in cfg.smoothed_modes():
         parts = _smoothing_parts(state.x[i], 0)
         g = list(grams)
@@ -596,7 +633,7 @@ def solve(m, mask, cfg, callback=None):
         # inside the block that built it; the Lagrangian sums those scalars
         z01, grams = update_factors(state, cfg)
         nuclear = update_y(state, cfg)
-        update_core(state, cfg, z01, grams)
+        spectra = update_core(state, cfg, z01, grams)
         fit = update_z(state, cfg, m, mask)
         update_w(state, cfg)
         penalties = update_duals(state, cfg)
@@ -615,7 +652,7 @@ def solve(m, mask, cfg, callback=None):
                 iteration=k,
                 rel_change=rel_change,
                 lagrangian=lagrangian,
-                objective=objective_value(state, cfg),
+                objective=objective_value(state, cfg, grams, spectra),
                 seconds=time.perf_counter() - it_start,
             )
         )

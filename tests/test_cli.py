@@ -252,34 +252,25 @@ class TestCompleteCommand:
         assert code == 2
         assert "one value per mode" in capsys.readouterr().err
 
-    def test_stop_denominator_flag_is_a_usage_error(self, problem, capsys):
-        # one stopping rule: the former switch is an unknown flag
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            # one stopping rule: the former switch of its denominator
+            ("--stop-denominator", "oracle"),
+            # every solve starts from one fixed draw: the former start switch
+            ("--init", "random"),
+            # the --report JSON holds the trace: the former CSV writer
+            ("--trace-csv", "trace.csv"),
+        ],
+        ids=["stop-denominator", "init", "trace-csv"],
+    )
+    def test_removed_flag_is_a_usage_error(self, problem, capsys, flag, value):
         _, _, tensor_path, mask_path = problem
         with pytest.raises(SystemExit) as exc:
             main(["complete", "--input", str(tensor_path),
-                  "--mask", str(mask_path), "--stop-denominator", "oracle"])
+                  "--mask", str(mask_path), flag, value])
         assert exc.value.code == 2
-        assert "--stop-denominator" in capsys.readouterr().err
-
-    def test_init_flag_is_a_usage_error(self, problem, capsys):
-        # every solve starts from one fixed draw: the former switch is an
-        # unknown flag
-        _, _, tensor_path, mask_path = problem
-        with pytest.raises(SystemExit) as exc:
-            main(["complete", "--input", str(tensor_path),
-                  "--mask", str(mask_path), "--init", "random"])
-        assert exc.value.code == 2
-        assert "--init" in capsys.readouterr().err
-
-    def test_trace_csv_flag_is_a_usage_error(self, problem, capsys):
-        # the --report JSON holds the trace: the former CSV writer is an
-        # unknown flag
-        _, _, tensor_path, mask_path = problem
-        with pytest.raises(SystemExit) as exc:
-            main(["complete", "--input", str(tensor_path),
-                  "--mask", str(mask_path), "--trace-csv", "trace.csv"])
-        assert exc.value.code == 2
-        assert "--trace-csv" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("preset", ["image", None])
     def test_report_echo_reproduces_the_run(self, problem, tmp_path, preset):

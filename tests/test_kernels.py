@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import difference_matrix, tridiag_solve_reference
 from lrsetd.kernels import (
+    _gram_resolves,
+    _nuclear_norm,
     _svd_shrink,
     soft_shrink,
     svd_shrink,
@@ -14,6 +18,39 @@ from lrsetd.kernels import (
 
 def nuclear_norm(m):
     return np.linalg.svd(m, compute_uv=False).sum()
+
+
+def svt_reference(m, tau):
+    """Singular value thresholding through LAPACK's SVD of `m` itself, and
+    the nuclear norm of the result."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    s = np.maximum(s - tau, 0.0)
+    return (u * s) @ vt, s.sum()
+
+
+def planted(shape, singular_values, seed=0):
+    """A matrix with the given singular values and random singular
+    vectors."""
+    rng = np.random.default_rng(seed)
+    k = len(singular_values)
+    u, _ = np.linalg.qr(rng.standard_normal((shape[0], k)))
+    v, _ = np.linalg.qr(rng.standard_normal((shape[1], k)))
+    return (u * np.asarray(singular_values, dtype=float)) @ v.T
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts the calls of ``np.linalg.svd`` made through the module
+    attribute."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
 
 
 class TestSvdShrink:
@@ -33,6 +70,16 @@ class TestSvdShrink:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             svd_shrink(np.array([[1.0, np.nan]]), 0.5)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="need a matrix"):
+            svd_shrink(np.ones(shape), 0.5)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_matrix(self, shape):
+        m = np.ones(shape)
+        np.testing.assert_array_equal(svd_shrink(m, 0.5), m)
 
     def test_local_optimality_probe(self, rng):
         m = rng.standard_normal((4, 3))
@@ -69,6 +116,111 @@ class TestSvdShrink:
         y, norm = _svd_shrink(m, tau)
         np.testing.assert_array_equal(y, svd_shrink(m, tau))
         assert norm == pytest.approx(nuclear_norm(y), rel=1e-12, abs=1e-300)
+
+
+class TestGramRoute:
+    # the prox and the nuclear norm come from the eigensolve of the r x r
+    # Gram, which must agree with LAPACK's SVD at 1e-12, and hand over to
+    # that SVD when the Gram squares a condition number above 1e4
+    @pytest.mark.parametrize(
+        "shape", [(9, 4), (4, 9), (6, 6)], ids=["tall", "wide", "square"]
+    )
+    @pytest.mark.parametrize(
+        "level", [0.0, 0.5, 2.0], ids=["zero", "mid", "all"]
+    )
+    def test_shrink_matches_svd_reference(self, shape, level, svd_calls):
+        # tau at 0, between the singular values, and above the largest one
+        rng = np.random.default_rng([*shape, int(10 * level)])
+        m = rng.standard_normal(shape)
+        sigma = np.linalg.svd(m, compute_uv=False)
+        tau = level * np.median(sigma) if level < 2.0 else 1.01 * sigma[0]
+        expected, expected_norm = svt_reference(m, tau)
+        svd_calls.clear()
+        y, norm = _svd_shrink(m, tau)
+        assert svd_calls == []
+        assert y.shape == m.shape
+        if level == 2.0:
+            np.testing.assert_array_equal(y, np.zeros(shape))
+            assert norm == 0.0
+        else:
+            gap = np.linalg.norm(y - expected)
+            assert gap <= 1e-12 * np.linalg.norm(expected)
+            assert norm == pytest.approx(expected_norm, rel=1e-12)
+        np.testing.assert_array_equal(svd_shrink(m, tau), y)
+
+    def test_zero_input_gives_zeros_without_svd(self, svd_calls):
+        y, norm = _svd_shrink(np.zeros((5, 3)), 0.0)
+        np.testing.assert_array_equal(y, np.zeros((5, 3)))
+        assert norm == 0.0
+        assert svd_calls == []
+
+    @pytest.mark.parametrize("shape", [(8, 5), (5, 8)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_ill_conditioned_input_takes_the_svd(self, shape, tau, svd_calls):
+        # singular values 1e8 ... 1e-2: the Gram's spectrum spans 1e20, far
+        # past the 1e8 that its eigenvalues resolve, so LAPACK's SVD runs
+        m = planted(shape, [1e8, 1e5, 1e2, 1.0, 1e-2])
+        expected, expected_norm = svt_reference(m, tau)
+        svd_calls.clear()
+        y, norm = _svd_shrink(m, tau)
+        assert svd_calls == [True]
+        assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert norm == pytest.approx(expected_norm, rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-9])
+    def test_rank_deficient_input_at_small_tau_takes_the_svd(
+        self, tau, svd_calls
+    ):
+        # a zero singular value below a tiny tau cannot be told from the
+        # Gram's rounding, so the kept values are taken from the SVD
+        m = planted((7, 4), [3.0, 2.0, 1.0])
+        expected, _ = svt_reference(m, tau)
+        svd_calls.clear()
+        y, _ = _svd_shrink(m, tau)
+        assert svd_calls == [True]
+        assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize(
+        "smallest, resolved", [(2e-4, True), (5e-5, False)]
+    )
+    def test_condition_bound_is_1e4(self, smallest, resolved):
+        # singular values 1 and 2e-4 are read off the Gram; 1 and 5e-5 are
+        # not, at tau = 0 or at a tau below the small value, while a tau
+        # that cuts the small value away leaves only the large one
+        a = planted((6, 2), [1.0, smallest])
+        lam = np.linalg.eigvalsh(a.T @ a)
+        assert _gram_resolves(lam) == resolved
+        assert _gram_resolves(lam, 0.5 * smallest) == resolved
+        assert _gram_resolves(lam, 0.5)
+
+    def test_overflowing_gram_takes_the_svd(self, svd_calls):
+        # entries near 1e200 square past float64 in the Gram; the prox
+        # must not warn and must match the SVD
+        m = 1e200 * np.random.default_rng(3).standard_normal((6, 3))
+        expected, expected_norm = svt_reference(m, 1e199)
+        svd_calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, norm = _svd_shrink(m, 1e199)
+        assert svd_calls == [True]
+        # compared at unit scale, where the norms do not overflow
+        gap = np.linalg.norm((y - expected) / 1e200)
+        assert gap <= 1e-12 * np.linalg.norm(expected / 1e200)
+        assert norm == pytest.approx(expected_norm, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "singular_values, uses_svd",
+        [([3.0, 2.0, 0.5], False), ([1e8, 1.0, 1e-2], True)],
+        ids=["well-conditioned", "ill-conditioned"],
+    )
+    def test_nuclear_norm(self, singular_values, uses_svd, svd_calls):
+        a = planted((9, 3), singular_values, seed=1)
+        expected = nuclear_norm(a)
+        lam = np.linalg.eigvalsh(a.T @ a)
+        svd_calls.clear()
+        got = _nuclear_norm(a, lam)
+        assert svd_calls == ([False] if uses_svd else [])
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestSoftShrink:

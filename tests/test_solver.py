@@ -1,5 +1,6 @@
 import copy
 import tracemalloc
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -285,6 +286,16 @@ class TestSolverConfig:
         cfg = SolverConfig(alpha=(0.5,), omega=(1.0,), ranks=(2,))
         assert cfg.smoothed_modes() == (0,)
         assert SolverConfig(omega=(0.0, 1.0, 2e-3)).smoothed_modes() == (1, 2)
+
+    def test_smoothed_modes_built_once_per_config(self):
+        # every block reads it each iteration; it is computed with the
+        # config, is not a field, and follows a replaced omega
+        cfg = SolverConfig(omega=(0.0, 1.0, 2e-3))
+        assert cfg.smoothed_modes() is cfg.smoothed_modes()
+        assert "_smoothed" not in asdict(cfg)
+        assert cfg == SolverConfig(omega=(0.0, 1.0, 2e-3))
+        assert replace(cfg, omega=(1.0, 0.0, 0.0)).smoothed_modes() == (0,)
+        assert copy.deepcopy(cfg).smoothed_modes() == (1, 2)
 
 
 class TestPresets:
@@ -818,6 +829,55 @@ class TestUpdateDuals:
         assert delta == pytest.approx(cfg.beta * gap, rel=1e-9, abs=1e-9)
 
 
+def dual_identity_error(state, cfg):
+    """Largest relative gap between U_i and 2*omega_i*A_i^T A_i W_i over the
+    smoothed modes, with the dense A_i."""
+    worst = 0.0
+    for i in cfg.smoothed_modes():
+        a = smoothing_matrix(cfg, state.dims, i)
+        expected = 2.0 * cfg.omega[i] * a.T @ a @ unfold(state.w[i], i)
+        gap = np.linalg.norm(unfold(state.u[i], i) - expected)
+        worst = max(worst, gap / np.linalg.norm(expected))
+    return worst
+
+
+class TestDualIdentity:
+    # solve's trace Lagrangian takes each smoothness term as <W_i, U_i>/2,
+    # which holds because the W and dual steps leave
+    # U_i = 2*omega_i*A_i^T A_i W_i after every iteration
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_holds_after_every_iteration(self, order, seed):
+        rng = np.random.default_rng([order, seed])
+        dims = tuple(int(d) for d in rng.integers(2, 7, order))
+        smoothed = rng.random(order) < 0.6
+        smoothed[rng.integers(order)] = True
+        omega = tuple(
+            float(w) if on else 0.0
+            for w, on in zip(rng.uniform(0.01, 3.0, order), smoothed)
+        )
+        cfg = SolverConfig(
+            ranks=tuple(min(2, d) for d in dims),
+            alpha=(0.3,) * order,
+            omega=omega,
+            beta=float(rng.uniform(0.1, 2.0)),
+            sigma=0.1,
+            lam=1.0,
+            max_iter=12,
+            tol=1e-300,
+        )
+        m = 10.0 * rng.standard_normal(dims)
+        mask = ObservationMask.from_boolean(rng.random(dims) < 0.7)
+        errors = []
+        report = solve(
+            m, mask, cfg, callback=lambda st: errors.append(
+                dual_identity_error(st, cfg)
+            )
+        )
+        assert len(errors) == report.iterations == 12
+        assert max(errors) <= 1e-12
+
+
 class TestLagrangianAndObjective:
     def test_zero_state_values(self):
         dims, ranks = (3, 3, 3), (2, 2, 2)
@@ -870,6 +930,39 @@ class TestLagrangianAndObjective:
                 prev = cur
                 update_duals(state, cfg)
                 prev = augmented_lagrangian(state, cfg)
+
+    @pytest.mark.parametrize(
+        "singular_values, uses_svd",
+        [((5.0, 2.0), False), ((1e8, 1e-2), True)],
+        ids=["gram", "svd"],
+    )
+    def test_objective_nuclear_norms(
+        self, singular_values, uses_svd, monkeypatch
+    ):
+        # ||X_i||_* from the eigenvalues of X_i^T X_i, or from the SVD of
+        # X_i when that Gram's condition number passes 1e8
+        dims, ranks = (6, 5, 4), (2, 2, 2)
+        m, mask, cfg = small_problem(dims=dims, ranks=ranks)
+        cfg = replace(cfg, sigma=0.0, omega=(0.0, 0.0, 0.0))
+        state = randomized_state(61, dims, ranks, cfg, m, mask)
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal((dims[1], 2)))
+        state.x[1] = q * np.array(singular_values)
+        expected = sum(
+            a * np.linalg.svd(x, compute_uv=False).sum()
+            for a, x in zip(cfg.alpha, state.x)
+        )
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        got = objective_value(state, cfg)
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert calls == ([(dims[1], 2)] if uses_svd else [])
 
     def test_objective_smoothness_term(self):
         dims, ranks = (4, 3, 2), (2, 2, 2)
@@ -1045,6 +1138,32 @@ class TestSolve:
         report = solve(np.where(mask.boolean(), truth, 0.0), mask, cfg)
         assert report.iterations == 3
         assert calls == {"cholesky": 0, "solve": 3 * 3}
+
+    def test_spectra_come_from_the_grams(self, monkeypatch):
+        # the Y-step prox takes one eigh of each r x r Gram and no SVD; the
+        # core step's spectral norms take one eigvalsh of each factor Gram,
+        # and the objective's nuclear norms reuse those eigenvalues
+        calls = {"svd": 0, "eigh": 0, "eigvalsh": 0}
+
+        def spy(name):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        for name in calls:
+            spy(name)
+        truth, _, _ = synthetic_tucker(seed=2, dims=(20, 20, 20))
+        mask = ObservationMask.from_boolean(
+            np.random.default_rng(3).random(truth.shape) < 0.6
+        )
+        cfg = preset_config("image", ranks=(2, 2, 2), beta=1.0, max_iter=1)
+        report = solve(np.where(mask.boolean(), truth, 0.0), mask, cfg)
+        assert report.iterations == 1
+        assert calls == {"svd": 0, "eigh": 3, "eigvalsh": 3}
 
     def test_fortran_ordered_input_made_c_contiguous_once(self, monkeypatch):
         # update_z gathers observed values by C-order flat index, which
