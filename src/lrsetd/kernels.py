@@ -155,13 +155,15 @@ def tridiag_ldl(diag, off):
     return lower, 1.0 / d
 
 
-def tridiag_solve(ldl, b, axis):
+def tridiag_solve(ldl, b, axis, scratch=None):
     """Solve ``T x = b`` along `axis` of `b` in place and return `b`.
 
     `ldl` is :func:`tridiag_ldl` of T; every 1-D line of `b` along `axis`
     is one right-hand side. One forward sweep over the slices of `b` normal
     to `axis`, one multiply by D^{-1} and one backward sweep, O(n) work per
-    line.
+    line. A `b` whose slices are strided is swept in a C-contiguous copy,
+    which goes into `scratch` when given: a C-contiguous array of `b`'s
+    dtype and size. The result is bitwise the same either way.
     """
     lower, inv_d = ldl
     front = [axis, *range(axis), *range(axis + 1, b.ndim)]
@@ -169,9 +171,24 @@ def tridiag_solve(ldl, b, axis):
     n = inv_d.size
     if lines.shape[0] != n:
         raise ValueError(f"axis {axis} of b has length {lines.shape[0]}, T {n}")
+    if scratch is not None and (
+        scratch.size != b.size
+        or scratch.dtype != b.dtype
+        or not scratch.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"scratch must be a C-contiguous {b.dtype} array of {b.size} "
+            f"entries, got {scratch.dtype} {scratch.shape}"
+        )
     # each sweep step is one ufunc call over a whole slice, several times
     # faster on contiguous memory, so strided slices are swept in a copy
-    x = np.ascontiguousarray(lines)
+    x = lines
+    if not lines.flags.c_contiguous:
+        if scratch is None:
+            x = np.empty(lines.shape, dtype=b.dtype)
+        else:
+            x = scratch.reshape(lines.shape)  # a view
+        np.copyto(x, lines)
     rows = x.reshape(n, -1)
     row = list(rows)  # views, built once
     lower = lower.tolist()

@@ -209,15 +209,21 @@ def _check(truth, recovered, mask):
 
 
 def nmae(truth, recovered, mask):
-    """Normalized mean absolute error over the unobserved entries."""
+    """Normalized mean absolute error over the unobserved entries.
+
+    Both sums run over the whole tensor with the observed entries set to
+    zero, so no complement is gathered."""
     _check(truth, recovered, mask)
-    miss = ~mask.boolean()
-    t = np.asarray(truth, dtype=np.float64)[miss]
-    r = np.asarray(recovered, dtype=np.float64)[miss]
-    denom = np.abs(t).sum()
+    index = mask.c_flat_index()
+    t = np.array(truth, dtype=np.float64)  # a copy, zeroed below
+    err = np.asarray(recovered, dtype=np.float64) - t
+    # put indexes in C order whatever the layout of `t` and `err`
+    t.put(index, 0.0)
+    err.put(index, 0.0)
+    denom = np.abs(t, out=t).sum()
     if denom == 0.0:
         raise ValueError("NMAE undefined: truth vanishes off the mask")
-    return float(np.abs(t - r).sum() / denom)
+    return float(np.abs(err, out=err).sum() / denom)
 
 
 def psnr(truth, recovered, mask, max_value=None, full_tensor=False):

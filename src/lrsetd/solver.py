@@ -43,6 +43,20 @@ array is scanned for NaN or inf: the factor-sized subproblem inputs are
 checked, and every state array enters the trace Lagrangian or the
 relative change, which are checked as scalars.
 
+Memory plan: :func:`solve` allocates the state and, once, a workspace
+of two full-size buffers, the spare and the scratch, plus the observed
+values of M; an iteration then allocates nothing full-size. The Z step
+writes the new Z into the spare, which takes the previous Z in
+exchange, so the stopping test's difference Z_k - Z_{k-1} overwrites
+it. The W and dual steps write W_i and U_i in place; the dual step forms
+each gap Z - W_i in the scratch, which also holds the W sweep's copy of a
+strided axis and the reconstruction [[S; X]]. The factor sweep's mode
+products of Z, and the reconstruction's smaller ones, go into pieces of
+buffers that are dead at that point. What an iteration still allocates
+is factor- or core-sized, or the matrix product inside a middle-mode
+product. A block called without a workspace allocates what it needs,
+with bitwise the same result.
+
 The order N is the tensor's: every block loops over its modes, and the
 per-mode fields of :class:`SolverConfig` must have one value per mode.
 
@@ -321,6 +335,41 @@ def _contract_others(t, mats, i):
     return unfold(t, i)
 
 
+class _Workspace:
+    """The memory that one solve allocates once and reuses in every
+    iteration: the observed values of `m` and two full-size buffers."""
+
+    def __init__(self, m, mask):
+        self.observed = np.take(m, mask.c_flat_index())
+        # the next Z, then Z_k - Z_{k-1}; in between, the factor sweep's
+        # and the reconstruction's mode products
+        self.spare = np.empty(mask.dims)
+        # the reconstruction, the W sweep's copy and the dual gap, each
+        # dead before the next begins
+        self.scratch = np.empty(mask.dims)
+
+
+class _Pool:
+    """Mode products written into consecutive C-contiguous pieces of the
+    given buffers, handed out in order and never taken back: the products
+    of one block, which all live until the block ends. A product that no
+    buffer has room for is allocated."""
+
+    def __init__(self, *buffers):
+        self._free = [b.reshape(-1) for b in buffers]  # views: C order
+
+    def product(self, t, matrix, mode):
+        """``mode_product(t, matrix, mode)`` in the next piece that fits."""
+        shape = (*t.shape[:mode], matrix.shape[0], *t.shape[mode + 1 :])
+        size, out = math.prod(shape), None
+        for k, free in enumerate(self._free):
+            if free.size >= size:
+                self._free[k] = free[size:]
+                out = free[:size].reshape(shape)
+                break
+        return mode_product(t, matrix, mode, out=out)
+
+
 def _require_finite(state, what, *arrays):
     """Raise NumericalError when a factor-sized array of the iteration in
     progress holds NaN or inf. Non-finite full-size state reaches these
@@ -332,7 +381,7 @@ def _require_finite(state, what, *arrays):
             )
 
 
-def update_factors(state, cfg):
+def update_factors(state, cfg, work=None):
     """Gauss-Seidel update X_0 -> X_1 -> ... -> X_{N-1} (in place).
 
     Each X_i is the exact minimizer of its subproblem given the current
@@ -346,20 +395,25 @@ def update_factors(state, cfg):
     full-size Z twice at any order and forms each Gram once; it returns
     the last step's Z x_j X_j^T over j < N-1 and the Grams of the new
     factors, which :func:`update_core` takes.
+
+    With a workspace `work`, the sweep's mode products of Z are written
+    into its two full-size buffers as far as they fit, so the returned
+    product lives there until :func:`update_z` overwrites them.
     """
     x, s = state.x, state.s
+    pool = _Pool() if work is None else _Pool(work.spare, work.scratch)
     grams = [None] + [f.T @ f for f in x[1:]]  # step 0 does not read G_0
     # X_j moves only at step j, so the suffix Z x_j X_j^T over j >= k,
     # built once from the last mode down, is what step k-1 needs; the
     # stack holds Z itself at the bottom and the suffix from mode 1 on top
     suffixes = [state.z]
     for k in range(len(x) - 1, 0, -1):
-        suffixes.append(mode_product(suffixes[-1], x[k].T, k))
+        suffixes.append(pool.product(suffixes[-1], x[k].T, k))
     for i in range(len(x)):
         # z_others = C_i(Z, X) before unfolding, with the new X_j, j < i
         z_others = suffixes.pop()
         for j in range(i):
-            z_others = mode_product(z_others, x[j].T, j)
+            z_others = pool.product(z_others, x[j].T, j)
         s_i = unfold(s, i)
         rhs = cfg.lam * unfold(z_others, i) @ s_i.T
         rhs += cfg.beta * state.y[i] - state.t[i]
@@ -424,46 +478,70 @@ def _fit_term(recon, z, cfg):
     return (cfg.lam / 2.0) * float(gap @ gap)
 
 
-def update_z(state, cfg, m, mask):
-    """Closed-form Z update with the observation constraint (in place).
+def update_z(state, cfg, m, mask, work=None):
+    """Closed-form Z update with the observation constraint.
 
-    Off the observed set, Z = (sum_i (beta*W_i - U_i) + lam*Zhat)/(lam+N*beta)
-    with Zhat the current Tucker reconstruction; on it, Z = M exactly. An
-    unsmoothed mode enters with W_i = Z_prev (the Z before this update) and
-    U_i = 0, the values its W and dual steps would have left. Returns the
-    fit term lam/2*||Zhat - Z||_F^2 of the new Z, so the reconstruction is
-    built once per iteration.
+    Off the observed set, with Zhat = [[S; X]] the current Tucker
+    reconstruction and k = N - (number of smoothed modes),
+
+        Z = (beta*((lam/beta)*Zhat + sum_i W_i + k*Z_prev) - sum_i U_i)
+            / (lam + N*beta),
+
+    evaluated in that order as in-place passes over one buffer, the k
+    copies of Z_prev added one at a time; on it, Z = M exactly. The sums
+    run over the smoothed modes: an unsmoothed mode enters with
+    W_i = Z_prev (the Z before this update) and U_i = 0, the values its W
+    and dual steps would have left. Returns the fit term
+    lam/2*||Zhat - Z||_F^2 of the new Z, so the reconstruction is built
+    once per iteration.
+
+    The new Z is written into the spare buffer of the workspace `work`,
+    which then takes Z_prev in exchange; the reconstruction goes into its
+    scratch. Without `work` a fresh one is made, so Z_prev is left as it
+    was.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.shape != mask.dims:
         raise ValueError(f"tensor {m.shape} vs mask {mask.dims}")
-    index = mask.c_flat_index()
+    if work is None:
+        work = _Workspace(m, mask)
     order = len(state.x)
     smoothed = cfg.smoothed_modes()
-    recon = multilinear(state.s, state.x)
-    # C order keeps Z, and the W_i and U_i built from it, in one layout
-    acc = np.multiply(cfg.lam, recon, order="C")
+    # from the last mode to the first, so the full-size product is the
+    # mode-0 one into the scratch; the smaller ones go where Z will
+    pool = _Pool(work.spare)
+    recon = state.s
+    for mode in range(order - 1, 0, -1):
+        recon = pool.product(recon, state.x[mode], mode)
+    recon = mode_product(recon, state.x[0], 0, out=work.scratch)
+    acc = np.multiply(recon, cfg.lam / cfg.beta, out=work.spare)
     for i in smoothed:
-        term = cfg.beta * state.w[i]
-        term -= state.u[i]
-        acc += term
-        del term
-    acc += (order - len(smoothed)) * cfg.beta * state.z
+        acc += state.w[i]
+    for _ in range(order - len(smoothed)):
+        acc += state.z
+    acc *= cfg.beta
+    for i in smoothed:
+        acc -= state.u[i]
     acc /= cfg.lam + order * cfg.beta
-    acc.reshape(-1)[index] = np.take(m, index)  # a view: acc is C-contiguous
-    state.z = acc
+    # a view: the spare is C-contiguous
+    acc.reshape(-1)[mask.c_flat_index()] = work.observed
+    # Z_prev becomes the spare; a Z in another layout, which a caller put
+    # in the state, is copied, so the workspace stays C-contiguous
+    work.spare, state.z = np.ascontiguousarray(state.z), acc
     return _fit_term(recon, acc, cfg)
 
 
-def update_w(state, cfg):
+def update_w(state, cfg, work=None):
     """Smoothness-regularized W update (in place) on each smoothed mode:
     W_(i) = [beta*I + 2*omega_i*A_i^T A_i]^{-1} [beta*Z_(i) + U_(i)],
-    solved by a tridiagonal sweep along axis i of beta*Z + U_i, so W_i is
-    a fresh C-contiguous tensor."""
+    with beta*Z + U_i written into W_i and solved there by a tridiagonal
+    sweep along axis i. The sweep's contiguous copy of a strided axis goes
+    into the scratch of the workspace `work` when one is given."""
+    scratch = None if work is None else work.scratch
     for i in cfg.smoothed_modes():
-        rhs = cfg.beta * state.z
-        rhs += state.u[i]
-        state.w[i] = tridiag_solve(state.w_ldl[i], rhs, i)
+        w = np.multiply(state.z, cfg.beta, out=state.w[i])
+        w += state.u[i]
+        tridiag_solve(state.w_ldl[i], w, i, scratch)
 
 
 def _penalty(dual, gap, beta):
@@ -471,19 +549,22 @@ def _penalty(dual, gap, beta):
     return inner(dual, gap) + (beta / 2.0) * inner(gap, gap)
 
 
-def update_duals(state, cfg):
+def update_duals(state, cfg, work=None):
     """Dual ascent (in place): U_i += beta*(Z - W_i) on the smoothed modes,
     T_i += beta*(X_i - Y_i) on all. Returns the penalty terms of both
     constraint families at the new duals, from the gaps the step forms
-    anyway."""
+    anyway.
+
+    Each gap Z - W_i is formed in one buffer, the scratch of the workspace
+    `work` when one is given, and its penalty at the new dual is taken
+    before the step as <U_i, gap> + 1.5*beta*||gap||^2."""
     val = 0.0
+    gap = None if work is None else work.scratch
     for i in cfg.smoothed_modes():
-        gap = state.z - state.w[i]
-        u = cfg.beta * gap
-        u += state.u[i]
-        state.u[i] = u
-        val += _penalty(u, gap, cfg.beta)
-        del gap, u  # before the next mode's full-size temporaries
+        gap = np.subtract(state.z, state.w[i], out=gap)
+        val += inner(state.u[i], gap) + 1.5 * cfg.beta * inner(gap, gap)
+        gap *= cfg.beta
+        state.u[i] += gap
     for i in range(len(state.x)):
         gap = state.x[i] - state.y[i]
         state.t[i] = state.t[i] + cfg.beta * gap
@@ -608,7 +689,8 @@ def solve(m, mask, cfg, callback=None):
     cfg : SolverConfig
     callback : callable, optional
         Called as ``callback(state)`` after every full iteration; intended
-        for diagnostics.
+        for diagnostics. Later iterations overwrite the state's full-size
+        arrays in place, so a callback copies those it keeps.
 
     Returns
     -------
@@ -619,27 +701,28 @@ def solve(m, mask, cfg, callback=None):
     NumericalError
         When an iteration produces NaN or inf, naming that iteration.
     """
-    # C order once, so update_z's flat gather of observed values never
-    # copies `m`
+    # C order once, so the flat gathers of observed values never copy `m`
     m = np.ascontiguousarray(m, dtype=np.float64)
     start = time.perf_counter()
     state = init_state(m, mask, cfg)
+    work = _Workspace(m, mask)
     trace = []
     termination = "max_iter"
     for k in range(1, cfg.max_iter + 1):
         it_start = time.perf_counter()
-        z_prev = state.z
         # each full-size product is built once and reduced to a scalar
         # inside the block that built it; the Lagrangian sums those scalars
-        z01, grams = update_factors(state, cfg)
+        z01, grams = update_factors(state, cfg, work=work)
         nuclear = update_y(state, cfg)
         spectra = update_core(state, cfg, z01, grams)
-        fit = update_z(state, cfg, m, mask)
-        update_w(state, cfg)
-        penalties = update_duals(state, cfg)
+        fit = update_z(state, cfg, m, mask, work=work)
+        update_w(state, cfg, work=work)
+        penalties = update_duals(state, cfg, work=work)
         state.iteration = k
 
-        rel_change = frobenius(state.z - z_prev) / max(frobenius(state.z), 1.0)
+        # update_z left Z_{k-1} in the spare buffer, which takes the change
+        change = np.subtract(state.z, work.spare, out=work.spare)
+        rel_change = frobenius(change) / max(frobenius(state.z), 1.0)
         lagrangian = _lagrangian(state, cfg, nuclear, penalties, fit)
         # every state array enters the Lagrangian's terms or, for Z, the
         # relative change, so NaN or inf anywhere in the state shows here

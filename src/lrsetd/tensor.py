@@ -72,7 +72,7 @@ def unfold(tensor, mode):
     return tensor.transpose(front).reshape((tensor.shape[mode], -1), order="F")
 
 
-def mode_product(tensor, matrix, mode):
+def mode_product(tensor, matrix, mode, out=None):
     """n-mode product ``tensor x_mode matrix``.
 
     `matrix` must have as many columns as ``tensor.shape[mode]``; that mode
@@ -80,6 +80,11 @@ def mode_product(tensor, matrix, mode):
     for any input layout. The product is one matrix multiply of a C-order
     reshape: the first and the last mode need no copy of a C-contiguous
     `tensor`, and a middle mode is moved last and back with one copy each.
+
+    `out`, when given, is a C-contiguous array of the result's shape and
+    dtype that receives the product and is returned, bit for bit the array
+    that would otherwise be allocated; a middle mode still allocates its
+    moved copy and the matrix product, which is then moved into `out`.
     """
     tensor = np.asarray(tensor)
     matrix = np.asarray(matrix)
@@ -90,20 +95,43 @@ def mode_product(tensor, matrix, mode):
             f"dimension {tensor.shape[mode]}"
         )
     dims = list(tensor.shape)
+    if out is not None:
+        shape = (*dims[:mode], matrix.shape[0], *dims[mode + 1 :])
+        dtype = np.result_type(tensor, matrix)
+        if (
+            out.shape != shape
+            or out.dtype != dtype
+            or not out.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"out must be a C-contiguous {dtype} array of shape {shape}, "
+                f"got {out.dtype} {out.shape}"
+            )
     if mode == 0:
-        out = matrix @ tensor.reshape(dims[0], math.prod(dims[1:]))
-        dims[0] = matrix.shape[0]
-        return out.reshape(dims)
+        rows, cols = matrix.shape[0], math.prod(dims[1:])
+        flat = None if out is None else out.reshape(rows, cols)  # a view
+        product = np.matmul(matrix, tensor.reshape(dims[0], cols), out=flat)
+        dims[0] = rows
+        return product.reshape(dims) if out is None else out
     # a batched matmul over (before, I_mode, after) blocks would re-read
     # `matrix` once per block, which is slow when `after` is small
     last = tensor.ndim - 1
     rest = dims[:mode] + dims[mode + 1 :]
     moved = tensor.transpose([*range(mode), *range(mode + 1, last + 1), mode])
-    out = moved.reshape(math.prod(rest), dims[mode]) @ matrix.T
-    out = out.reshape(rest + [matrix.shape[0]])
+    flat = None
+    if out is not None and mode == last:
+        flat = out.reshape(math.prod(rest), matrix.shape[0])  # a view
+    product = np.matmul(
+        moved.reshape(math.prod(rest), dims[mode]), matrix.T, out=flat
+    )
+    product = product.reshape(rest + [matrix.shape[0]])
     # the last axis goes back to position `mode`
-    back = [*range(mode), last, *range(mode, last)]
-    return np.ascontiguousarray(out.transpose(back))
+    back = product.transpose([*range(mode), last, *range(mode, last)])
+    if out is None:
+        return np.ascontiguousarray(back)
+    if mode != last:
+        np.copyto(out, back)
+    return out
 
 
 def multilinear(core, factors):

@@ -344,6 +344,11 @@ class TestTridiagSolve:
             untouched = big[outside]
         else:
             b = np.asarray(rng.standard_normal(dims), order=layout)
+        # the same right-hand side in the same layout, solved with scratch
+        twin = np.empty_like(big if layout == "strided" else b)
+        np.copyto(twin, big if layout == "strided" else b)
+        if layout == "strided":
+            twin = twin[(slice(None, None, 2),) * order]
         reference = tridiag_solve_reference(ldl, b, axis)
         lines = np.moveaxis(b, axis, 0)
         dense = np.moveaxis(
@@ -354,6 +359,9 @@ class TestTridiagSolve:
         got = tridiag_solve(ldl, b, axis)
         assert got is b
         np.testing.assert_array_equal(got, reference)
+        scratch = np.full(b.shape, np.nan)
+        assert tridiag_solve(ldl, twin, axis, scratch) is twin
+        np.testing.assert_array_equal(twin, got)
         assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
         if layout == "strided":
             np.testing.assert_array_equal(big[outside], untouched)
@@ -379,3 +387,18 @@ class TestTridiagSolve:
         ldl = tridiag_ldl([2.0, 2.0], [1.0])
         with pytest.raises(ValueError, match="axis 1"):
             tridiag_solve(ldl, np.zeros((2, 3)), 1)
+
+    @pytest.mark.parametrize(
+        "scratch",
+        [
+            np.empty(5),
+            np.empty(7),
+            np.empty((3, 2), dtype=np.float32),
+            np.empty((3, 2), order="F"),
+        ],
+        ids=["too-small", "too-large", "float32", "fortran"],
+    )
+    def test_scratch_of_wrong_size_dtype_or_layout_rejected(self, scratch):
+        ldl = tridiag_ldl([2.0, 2.0], [1.0])
+        with pytest.raises(ValueError, match="scratch must be"):
+            tridiag_solve(ldl, np.zeros((3, 2)), 1, scratch)

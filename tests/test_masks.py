@@ -366,6 +366,25 @@ class TestNmae:
         with pytest.raises(ValueError, match="vanishes"):
             nmae(truth, truth, mask)
 
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_gathers_no_complement(self, rng, monkeypatch, layout):
+        truth = np.asarray(rng.standard_normal((6, 5, 4)) + 3.0, order=layout)
+        rec = truth + 0.1 * rng.standard_normal(truth.shape)
+        mask = random_mask(truth.shape, 0.5, seed=2)
+        # the oracle gathers the complement
+        miss = ~mask.boolean()
+        oracle = np.abs(truth[miss] - rec[miss]).sum() / np.abs(
+            truth[miss]
+        ).sum()
+
+        def no_gather():
+            raise AssertionError("nmae gathered the mask's complement")
+
+        # both sums run over the whole tensor with the observed entries
+        # zeroed through the cached index, which reads the mask no other way
+        monkeypatch.setattr(mask, "boolean", no_gather)
+        assert nmae(truth, rec, mask) == pytest.approx(oracle, rel=1e-12)
+
 
 # scales at which a sum of squared entries overflows or underflows float64
 EXTREME_SCALES = [1e200, 1e-200, 2.0**1000, 1e-310]

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -9,6 +10,7 @@ from lrsetd.solver import (
     PRESETS,
     NumericalError,
     SolverConfig,
+    _Workspace,
     augmented_lagrangian,
     default_ranks,
     init_state,
@@ -34,6 +36,7 @@ from conftest import (
     reference_admm,
     smoothing_matrix,
     synthetic_tucker,
+    tridiag_solve_reference,
 )
 
 
@@ -131,6 +134,68 @@ def ldl_matrix(ldl):
     lower, inv_d = ldl
     unit = np.eye(inv_d.size) + np.diag(lower, -1)
     return unit @ np.diag(1.0 / inv_d) @ unit.T
+
+
+def z_step_oracle(state, cfg, m, mask):
+    """The Z step from fresh arrays, in the documented evaluation order
+    (beta*((lam/beta)*Zhat + sum_i W_i + k*Z) - sum_i U_i) / (lam + N*beta)
+    off the mask and M on it, and its fit term lam/2*||Zhat - Z||^2."""
+    zhat = multilinear(state.s, state.x)
+    acc = (cfg.lam / cfg.beta) * zhat
+    for i in cfg.smoothed_modes():
+        acc += state.w[i]
+    for _ in unsmoothed_modes(cfg):
+        acc += state.z
+    acc *= cfg.beta
+    for i in cfg.smoothed_modes():
+        acc -= state.u[i]
+    z = acc / (cfg.lam + len(state.x) * cfg.beta)
+    sel = mask.boolean()
+    z[sel] = np.asarray(m)[sel]
+    return z, (cfg.lam / 2.0) * frobenius(zhat - z) ** 2
+
+
+def w_step_oracle(state, cfg):
+    """Each smoothed W_i from fresh arrays: the reference sweep of
+    beta*Z + U_i along axis i."""
+    return {
+        i: tridiag_solve_reference(
+            state.w_ldl[i], cfg.beta * state.z + state.u[i], i
+        )
+        for i in cfg.smoothed_modes()
+    }
+
+
+def dual_step_oracle(state, cfg):
+    """The new U_i and T_i from fresh arrays, and the penalty terms at
+    them, <dual, gap> + beta/2*||gap||^2 summed over both families."""
+    u, t, val = {}, [], 0.0
+    for i in cfg.smoothed_modes():
+        gap = state.z - state.w[i]
+        u[i] = state.u[i] + cfg.beta * gap
+        val += np.vdot(u[i], gap) + cfg.beta / 2.0 * np.vdot(gap, gap)
+    for t_i, x, y in zip(state.t, state.x, state.y):
+        gap = x - y
+        t.append(t_i + cfg.beta * gap)
+        val += np.vdot(t[-1], gap) + cfg.beta / 2.0 * np.vdot(gap, gap)
+    return u, t, val
+
+
+def relayout(a, layout):
+    """A copy of `a` in C or Fortran order, or ("strided") every other
+    entry of a larger array along each axis."""
+    if layout == "strided":
+        big = np.full([2 * d for d in a.shape], np.nan)
+        view = big[(slice(None, None, 2),) * a.ndim]
+        view[...] = a
+        return view
+    return np.array(a, order=layout)
+
+
+LAYOUTS = pytest.mark.parametrize("layout", ["C", "F", "strided"])
+WITH_WORKSPACE = pytest.mark.parametrize(
+    "with_work", [False, True], ids=["alone", "workspace"]
+)
 
 
 # (dims, ranks) for the explicit-Kronecker block oracles: equal ranks,
@@ -362,6 +427,17 @@ class TestInitState:
             state.s, multilinear(state.z, [f.T for f in state.x]), atol=1e-12
         )
 
+    def test_state_arrays_share_no_memory(self):
+        # the blocks write Z, W_i and U_i in place, so no two state arrays,
+        # and none of them and the data, may be views of one another
+        m, mask, cfg = small_problem()
+        state = init_state(m, mask, cfg)
+        arrays = [m, state.s, state.z, *state.x, *state.y, *state.t]
+        arrays += [a for a in state.w + state.u if a is not None]
+        assert len(arrays) == 16
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+
     def test_random_init_is_seeded(self):
         # every start is the same written-out draw: one seed-0 QR per mode
         # in mode order, whatever the data
@@ -460,9 +536,9 @@ class TestUpdateFactors:
         reads = []
         product = solver_module.mode_product
 
-        def spy(tensor, matrix, mode):
+        def spy(tensor, matrix, mode, out=None):
             reads.append(tensor.size == state.z.size)
-            return product(tensor, matrix, mode)
+            return product(tensor, matrix, mode, out=out)
 
         monkeypatch.setattr(solver_module, "mode_product", spy)
         update_factors(state, cfg)
@@ -554,6 +630,52 @@ class TestBlockMemory:
             tracemalloc.stop()
         assert report.iterations == 2
         assert peak < 1_132_284 + 98_304
+
+
+class TestIterationMemory:
+    @pytest.mark.parametrize(
+        "dims, ranks, omega",
+        [
+            ((60, 50, 40), (6, 3, 4), (1.0, 0.0, 0.5)),
+            ((40, 12, 10, 40), (4, 2, 2, 4), (0.0, 1.0, 0.0, 0.5)),
+        ],
+        ids=["order-3", "order-4"],
+    )
+    def test_iteration_allocates_no_full_size_tensor(self, dims, ranks, omega):
+        # every full-size array of an iteration lives in the state or in
+        # the workspace that solve allocates once; each factor here is
+        # under 5 % of the tensor and the end modes shrink tenfold, so no
+        # mode product reaches a quarter of it. Before the workspace an
+        # iteration's peak rose by about two tensors here.
+        rng = np.random.default_rng(0)
+        m = 100.0 * rng.random(dims)
+        mask = ObservationMask.from_boolean(rng.random(dims) < 0.5)
+        order = len(dims)
+        cfg = SolverConfig(
+            ranks=ranks,
+            alpha=(0.3,) * order,
+            omega=omega,
+            sigma=0.1,
+            lam=1.0,
+            max_iter=6,
+            tol=1e-300,
+        )
+        rises, start = [], []
+
+        def cb(state):
+            # the peak since the last callback, above the memory then held
+            if start:
+                rises.append(tracemalloc.get_traced_memory()[1] - start[-1])
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+
+        tracemalloc.start()
+        try:
+            report = solve(m, mask, cfg, callback=cb)
+        finally:
+            tracemalloc.stop()
+        assert report.iterations == 6 and len(rises) == 5
+        assert max(rises) < m.nbytes / 4
 
 
 class TestRandomShapeSweep:
@@ -701,11 +823,7 @@ class TestUpdateZ:
         }[kind]()
         m = np.asfortranarray(m)
         state = randomized_state(41, dims, ranks, cfg, m, mask)
-        acc = cfg.lam * multilinear(state.s, state.x)
-        for i in cfg.smoothed_modes():
-            acc += cfg.beta * state.w[i] - state.u[i]
-        acc += (3 - len(cfg.smoothed_modes())) * cfg.beta * state.z
-        expected = acc / (cfg.lam + 3.0 * cfg.beta)
+        expected, _ = z_step_oracle(state, cfg, m, mask)
         update_z(state, cfg, m, mask)
         sel = mask.boolean()
         np.testing.assert_array_equal(state.z[sel], m[sel])
@@ -827,6 +945,103 @@ class TestUpdateDuals:
         # dual step raises the Lagrangian by exactly beta * sum of residuals
         delta = augmented_lagrangian(state, cfg) - lag_before
         assert delta == pytest.approx(cfg.beta * gap, rel=1e-9, abs=1e-9)
+
+
+class TestInPlaceBlocks:
+    # Z, W_i and U_i of a random state in each layout go through the
+    # blocks alone and with a workspace; the blocks write into the state's
+    # and the workspace's arrays, and give bitwise what the allocating
+    # oracles give
+
+    def problem(self, layout, seed):
+        dims, ranks = (5, 4, 3), (2, 2, 2)
+        m, mask, cfg = small_problem(dims=dims, ranks=ranks)
+        state = randomized_state(seed, dims, ranks, cfg, m, mask)
+        state.z = relayout(state.z, layout)
+        for i in cfg.smoothed_modes():
+            state.w[i] = relayout(state.w[i], layout)
+            state.u[i] = relayout(state.u[i], layout)
+        return state, m, mask, cfg
+
+    @LAYOUTS
+    def test_factor_step(self, layout):
+        state, m, mask, cfg = self.problem(layout, 71)
+        check_factor_update(state, cfg)
+        pooled = self.problem(layout, 71)[0]
+        update_factors(pooled, cfg, work=_Workspace(m, mask))
+        for got, expected in zip(pooled.x, state.x):
+            np.testing.assert_array_equal(got, expected)
+
+    @LAYOUTS
+    @WITH_WORKSPACE
+    def test_z_step(self, layout, with_work):
+        state, m, mask, cfg = self.problem(layout, 73)
+        z_prev = state.z
+        kept = z_prev.copy()
+        expected, fit = z_step_oracle(state, cfg, m, mask)
+        work = _Workspace(m, mask) if with_work else None
+        spare = work.spare if with_work else None
+        assert update_z(state, cfg, m, mask, work=work) == pytest.approx(
+            fit, rel=1e-12
+        )
+        np.testing.assert_array_equal(state.z, expected)
+        assert state.z.flags.c_contiguous
+        np.testing.assert_array_equal(z_prev, kept)
+        if with_work:
+            # the new Z took the spare buffer, which took Z_prev in C order
+            assert state.z is spare
+            np.testing.assert_array_equal(work.spare, kept)
+            assert work.spare.flags.c_contiguous
+
+    @LAYOUTS
+    @WITH_WORKSPACE
+    def test_w_step(self, layout, with_work):
+        state, m, mask, cfg = self.problem(layout, 79)
+        expected = w_step_oracle(state, cfg)
+        arrays = list(state.w)
+        update_w(state, cfg, work=_Workspace(m, mask) if with_work else None)
+        assert state.w == arrays  # the same objects, written in place
+        for i in cfg.smoothed_modes():
+            assert state.w[i] is arrays[i]
+            np.testing.assert_array_equal(state.w[i], expected[i])
+
+    @LAYOUTS
+    @WITH_WORKSPACE
+    def test_dual_step(self, layout, with_work):
+        state, m, mask, cfg = self.problem(layout, 83)
+        u, t, penalties = dual_step_oracle(state, cfg)
+        arrays = list(state.u)
+        work = _Workspace(m, mask) if with_work else None
+        got = update_duals(state, cfg, work=work)
+        assert got == pytest.approx(penalties, rel=1e-12)
+        for i in cfg.smoothed_modes():
+            assert state.u[i] is arrays[i]
+            np.testing.assert_array_equal(state.u[i], u[i])
+        for got_t, expected in zip(state.t, t):
+            np.testing.assert_array_equal(got_t, expected)
+
+    @LAYOUTS
+    def test_iterations_through_one_workspace(self, layout):
+        # every block, three times, through one workspace that Z_prev
+        # passes through, against the same blocks allocating
+        pooled, m, mask, cfg = self.problem(layout, 89)
+        alone = self.problem(layout, 89)[0]
+        work = _Workspace(m, mask)
+        for _ in range(3):
+            for state, w in ((pooled, work), (alone, None)):
+                z01, grams = update_factors(state, cfg, work=w)
+                update_y(state, cfg)
+                update_core(state, cfg, z01, grams)
+                update_z(state, cfg, m, mask, work=w)
+                update_w(state, cfg, work=w)
+                update_duals(state, cfg, work=w)
+        np.testing.assert_array_equal(pooled.z, alone.z)
+        np.testing.assert_array_equal(pooled.s, alone.s)
+        for name in ("x", "y", "t", "w", "u"):
+            for got, expected in zip(
+                getattr(pooled, name), getattr(alone, name)
+            ):
+                np.testing.assert_array_equal(got, expected)
 
 
 def dual_identity_error(state, cfg):
@@ -1177,9 +1392,9 @@ class TestSolve:
         layouts = []
         z_step = solver_module.update_z
 
-        def spy(state, cfg, m, mask):
+        def spy(state, cfg, m, mask, work=None):
             layouts.append(m.flags.c_contiguous)
-            return z_step(state, cfg, m, mask)
+            return z_step(state, cfg, m, mask, work=work)
 
         monkeypatch.setattr(solver_module, "update_z", spy)
         from_f = solve(np.asfortranarray(m), mask, cfg)
@@ -1190,6 +1405,17 @@ class TestSolve:
             assert (a.rel_change, a.lagrangian, a.objective) == (
                 b.rel_change, b.lagrangian, b.objective
             )
+
+    def test_back_to_back_solves_share_no_memory(self):
+        # each solve allocates its own workspace, whose buffer the
+        # recovered tensor is
+        m, mask, _ = small_problem(seed=5, dims=(5, 4, 3))
+        cfg = preset_config(
+            "traffic-wholeday", ranks=(2, 2, 2), max_iter=5, tol=1e-300
+        )
+        first, second = solve(m, mask, cfg), solve(m, mask, cfg)
+        assert not np.shares_memory(first.recovered, second.recovered)
+        np.testing.assert_array_equal(first.recovered, second.recovered)
 
     @SOLVE_CONFIGS
     def test_matches_reference_admm(self, cfg):

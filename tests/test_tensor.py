@@ -109,6 +109,26 @@ class TestModeProduct:
         with pytest.raises(ValueError, match="incompatible"):
             mode_product(rng.standard_normal((2, 3, 2)), np.zeros((4, 5)), 1)
 
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "buffer",
+        [
+            lambda shape: np.empty(shape[:-1] + (shape[-1] + 1,)),
+            lambda shape: np.empty(math.prod(shape)),
+            lambda shape: np.empty(shape, dtype=np.float32),
+            lambda shape: np.empty(shape, order="F"),
+        ],
+        ids=["wrong-shape", "flat", "float32", "fortran"],
+    )
+    def test_out_of_wrong_shape_dtype_or_layout_rejected(
+        self, rng, mode, buffer
+    ):
+        t = rng.standard_normal((2, 3, 4))
+        m = rng.standard_normal((5, t.shape[mode]))
+        shape = mode_product(t, m, mode).shape
+        with pytest.raises(ValueError, match="out must be"):
+            mode_product(t, m, mode, out=buffer(shape))
+
     @settings(max_examples=300, deadline=None)
     @given(
         dims=st.lists(st.integers(1, 4), min_size=1, max_size=5),
@@ -132,6 +152,10 @@ class TestModeProduct:
             t = np.asarray(rng.standard_normal(dims), order=layout)
         m = rng.standard_normal((rows, dims[mode]))
         out = mode_product(t, m, mode)
+        # written into a given buffer, the product is bit for bit the same
+        buffer = np.full(out.shape, np.nan)
+        assert mode_product(t, m, mode, out=buffer) is buffer
+        np.testing.assert_array_equal(buffer, out)
         axes = list(range(order))
         expected = np.einsum(
             m, [order, mode], t, axes, [order if a == mode else a for a in axes]
