@@ -215,11 +215,11 @@ def nmae(truth, recovered, mask):
     zero, so no complement is gathered."""
     _check(truth, recovered, mask)
     index = mask.c_flat_index()
-    t = np.array(truth, dtype=np.float64)  # a copy, zeroed below
-    err = np.asarray(recovered, dtype=np.float64) - t
-    # put indexes in C order whatever the layout of `t` and `err`
-    t.put(index, 0.0)
-    err.put(index, 0.0)
+    # both in C order, so the flat views below index them without a copy
+    t = np.array(truth, dtype=np.float64, order="C")  # zeroed below
+    err = np.subtract(recovered, t, dtype=np.float64, order="C")
+    t.reshape(-1)[index] = 0.0
+    err.reshape(-1)[index] = 0.0
     denom = np.abs(t, out=t).sum()
     if denom == 0.0:
         raise ValueError("NMAE undefined: truth vanishes off the mask")
@@ -241,12 +241,10 @@ def psnr(truth, recovered, mask, max_value=None, full_tensor=False):
     peak = float(np.max(truth) if max_value is None else max_value)
     if peak <= 0.0:
         raise ValueError(f"peak value must be positive, got {peak}")
-    diff = np.asarray(recovered, dtype=np.float64) - np.asarray(
-        truth, dtype=np.float64
-    )
+    # in C order, so the flat view below and the norm copy nothing
+    diff = np.subtract(recovered, truth, dtype=np.float64, order="C")
     if not full_tensor:
-        # put indexes in C order whatever the layout of `diff`
-        diff.put(mask.c_flat_index(), 0.0)
+        diff.reshape(-1)[mask.c_flat_index()] = 0.0
     err = frobenius(diff)
     if err == 0.0:
         return math.inf

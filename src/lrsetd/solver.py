@@ -43,19 +43,18 @@ array is scanned for NaN or inf: the factor-sized subproblem inputs are
 checked, and every state array enters the trace Lagrangian or the
 relative change, which are checked as scalars.
 
-Memory plan: :func:`solve` allocates the state and, once, a workspace
-of two full-size buffers, the spare and the scratch, plus the observed
-values of M; an iteration then allocates nothing full-size. The Z step
-writes the new Z into the spare, which takes the previous Z in
-exchange, so the stopping test's difference Z_k - Z_{k-1} overwrites
-it. The W and dual steps write W_i and U_i in place; the dual step forms
-each gap Z - W_i in the scratch, which also holds the W sweep's copy of a
-strided axis and the reconstruction [[S; X]]. The factor sweep's mode
-products of Z, and the reconstruction's smaller ones, go into pieces of
-buffers that are dead at that point. What an iteration still allocates
-is factor- or core-sized, or the matrix product inside a middle-mode
-product. A block called without a workspace allocates what it needs,
-with bitwise the same result.
+Memory plan: the state keeps the observed values of M, which
+:func:`init_state` gathers once, and two full-size buffers, the spare
+and the scratch, which the first block that needs them allocates; from
+then on an iteration allocates nothing full-size. The Z step writes the
+new Z into the spare, which takes the previous Z in exchange, so the
+stopping test's difference Z_k - Z_{k-1} overwrites it. The W and dual
+steps write W_i and U_i in place; the dual step forms each gap Z - W_i
+in the scratch, which also holds the W sweep's copy of a strided axis
+and the reconstruction [[S; X]]. The factor sweep's mode products of Z,
+and the reconstruction's smaller ones, go into pieces of buffers that
+are dead at that point. What an iteration still allocates is factor- or
+core-sized, or the matrix product inside a middle-mode product.
 
 The order N is the tensor's: every block loops over its modes, and the
 per-mode fields of :class:`SolverConfig` must have one value per mode.
@@ -225,10 +224,13 @@ def default_ranks(dims):
 
 @dataclass
 class SolverState:
-    """All block variables of one run plus the iteration-invariant W solve.
+    """All block variables of one run, the observed values, the
+    iteration-invariant W solve and the blocks' two full-size buffers.
 
     The per-mode lists `w`, `u` and `w_ldl` have one entry per mode and hold
-    None at every mode with omega_i = 0; index them by mode.
+    None at every mode with omega_i = 0; index them by mode. The blocks
+    write the full-size arrays in place, and the Z step hands the previous
+    Z to the spare buffer, so a caller copies what it keeps.
     """
 
     x: list  # factor matrices X_i, I_i x r_i
@@ -240,7 +242,11 @@ class SolverState:
     u: list  # duals for Z = W_i, smoothed modes only
     # LDL^T of the tridiagonal [beta*I + 2*omega_i*A_i^T A_i], O(n) numbers
     w_ldl: list
+    observed: np.ndarray  # the values of M at mask.c_flat_index()
     iteration: int = 0
+    # full-size buffers, None until a block needs them (see the memory plan)
+    spare: np.ndarray | None = None
+    scratch: np.ndarray | None = None
 
     @property
     def dims(self):
@@ -320,6 +326,7 @@ def init_state(m, mask, cfg):
         w=w,
         u=u,
         w_ldl=w_ldl,
+        observed=observed,
     )
 
 
@@ -335,18 +342,12 @@ def _contract_others(t, mats, i):
     return unfold(t, i)
 
 
-class _Workspace:
-    """The memory that one solve allocates once and reuses in every
-    iteration: the observed values of `m` and two full-size buffers."""
-
-    def __init__(self, m, mask):
-        self.observed = np.take(m, mask.c_flat_index())
-        # the next Z, then Z_k - Z_{k-1}; in between, the factor sweep's
-        # and the reconstruction's mode products
-        self.spare = np.empty(mask.dims)
-        # the reconstruction, the W sweep's copy and the dual gap, each
-        # dead before the next begins
-        self.scratch = np.empty(mask.dims)
+def _buffers(state):
+    """The state's spare and scratch buffers, allocated by the first block
+    that needs them, so that :func:`init_state` holds only the start."""
+    if state.spare is None:
+        state.spare, state.scratch = np.empty(state.dims), np.empty(state.dims)
+    return state.spare, state.scratch
 
 
 class _Pool:
@@ -381,7 +382,7 @@ def _require_finite(state, what, *arrays):
             )
 
 
-def update_factors(state, cfg, work=None):
+def update_factors(state, cfg):
     """Gauss-Seidel update X_0 -> X_1 -> ... -> X_{N-1} (in place).
 
     Each X_i is the exact minimizer of its subproblem given the current
@@ -396,12 +397,12 @@ def update_factors(state, cfg, work=None):
     the last step's Z x_j X_j^T over j < N-1 and the Grams of the new
     factors, which :func:`update_core` takes.
 
-    With a workspace `work`, the sweep's mode products of Z are written
-    into its two full-size buffers as far as they fit, so the returned
-    product lives there until :func:`update_z` overwrites them.
+    The sweep's mode products of Z are written into the state's two
+    full-size buffers as far as they fit, so the returned product lives
+    there until :func:`update_z` overwrites them.
     """
     x, s = state.x, state.s
-    pool = _Pool() if work is None else _Pool(work.spare, work.scratch)
+    pool = _Pool(*_buffers(state))
     grams = [None] + [f.T @ f for f in x[1:]]  # step 0 does not read G_0
     # X_j moves only at step j, so the suffix Z x_j X_j^T over j >= k,
     # built once from the last mode down, is what step k-1 needs; the
@@ -478,7 +479,7 @@ def _fit_term(recon, z, cfg):
     return (cfg.lam / 2.0) * float(gap @ gap)
 
 
-def update_z(state, cfg, m, mask, work=None):
+def update_z(state, cfg, m, mask):
     """Closed-form Z update with the observation constraint.
 
     Off the observed set, with Zhat = [[S; X]] the current Tucker
@@ -495,26 +496,29 @@ def update_z(state, cfg, m, mask, work=None):
     lam/2*||Zhat - Z||_F^2 of the new Z, so the reconstruction is built
     once per iteration.
 
-    The new Z is written into the spare buffer of the workspace `work`,
-    which then takes Z_prev in exchange; the reconstruction goes into its
-    scratch. Without `work` a fresh one is made, so Z_prev is left as it
-    was.
+    `m` and `mask` are the ones the state was built from: Z takes the
+    observed values :func:`init_state` gathered, so `m` is not read again,
+    and a shape or observed count other than the state's is a ValueError.
+    The new Z is written into the state's spare buffer, which then takes
+    Z_prev in exchange; the reconstruction goes into its scratch.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != mask.dims:
-        raise ValueError(f"tensor {m.shape} vs mask {mask.dims}")
-    if work is None:
-        work = _Workspace(m, mask)
+    dims, n = state.dims, state.observed.size
+    if (np.shape(m), mask.dims, mask.n_observed) != (dims, dims, n):
+        raise ValueError(
+            f"tensor {np.shape(m)} and {mask!r} are not those of the state, "
+            f"{dims} with {n} observed"
+        )
+    spare, scratch = _buffers(state)
     order = len(state.x)
     smoothed = cfg.smoothed_modes()
     # from the last mode to the first, so the full-size product is the
     # mode-0 one into the scratch; the smaller ones go where Z will
-    pool = _Pool(work.spare)
+    pool = _Pool(spare)
     recon = state.s
     for mode in range(order - 1, 0, -1):
         recon = pool.product(recon, state.x[mode], mode)
-    recon = mode_product(recon, state.x[0], 0, out=work.scratch)
-    acc = np.multiply(recon, cfg.lam / cfg.beta, out=work.spare)
+    recon = mode_product(recon, state.x[0], 0, out=scratch)
+    acc = np.multiply(recon, cfg.lam / cfg.beta, out=spare)
     for i in smoothed:
         acc += state.w[i]
     for _ in range(order - len(smoothed)):
@@ -524,24 +528,22 @@ def update_z(state, cfg, m, mask, work=None):
         acc -= state.u[i]
     acc /= cfg.lam + order * cfg.beta
     # a view: the spare is C-contiguous
-    acc.reshape(-1)[mask.c_flat_index()] = work.observed
+    acc.reshape(-1)[mask.c_flat_index()] = state.observed
     # Z_prev becomes the spare; a Z in another layout, which a caller put
-    # in the state, is copied, so the workspace stays C-contiguous
-    work.spare, state.z = np.ascontiguousarray(state.z), acc
+    # in the state, is copied, so the spare stays C-contiguous
+    state.spare, state.z = np.ascontiguousarray(state.z), acc
     return _fit_term(recon, acc, cfg)
 
 
-def update_w(state, cfg, work=None):
+def update_w(state, cfg):
     """Smoothness-regularized W update (in place) on each smoothed mode:
     W_(i) = [beta*I + 2*omega_i*A_i^T A_i]^{-1} [beta*Z_(i) + U_(i)],
     with beta*Z + U_i written into W_i and solved there by a tridiagonal
-    sweep along axis i. The sweep's contiguous copy of a strided axis goes
-    into the scratch of the workspace `work` when one is given."""
-    scratch = None if work is None else work.scratch
+    sweep along axis i, which copies a strided axis into the scratch."""
     for i in cfg.smoothed_modes():
         w = np.multiply(state.z, cfg.beta, out=state.w[i])
         w += state.u[i]
-        tridiag_solve(state.w_ldl[i], w, i, scratch)
+        tridiag_solve(state.w_ldl[i], w, i, _buffers(state)[1])
 
 
 def _penalty(dual, gap, beta):
@@ -549,19 +551,18 @@ def _penalty(dual, gap, beta):
     return inner(dual, gap) + (beta / 2.0) * inner(gap, gap)
 
 
-def update_duals(state, cfg, work=None):
+def update_duals(state, cfg):
     """Dual ascent (in place): U_i += beta*(Z - W_i) on the smoothed modes,
     T_i += beta*(X_i - Y_i) on all. Returns the penalty terms of both
     constraint families at the new duals, from the gaps the step forms
     anyway.
 
-    Each gap Z - W_i is formed in one buffer, the scratch of the workspace
-    `work` when one is given, and its penalty at the new dual is taken
-    before the step as <U_i, gap> + 1.5*beta*||gap||^2."""
+    Each gap Z - W_i is formed in the state's scratch buffer, and its
+    penalty at the new dual is taken before the step as
+    <U_i, gap> + 1.5*beta*||gap||^2."""
     val = 0.0
-    gap = None if work is None else work.scratch
     for i in cfg.smoothed_modes():
-        gap = np.subtract(state.z, state.w[i], out=gap)
+        gap = np.subtract(state.z, state.w[i], out=_buffers(state)[1])
         val += inner(state.u[i], gap) + 1.5 * cfg.beta * inner(gap, gap)
         gap *= cfg.beta
         state.u[i] += gap
@@ -701,27 +702,24 @@ def solve(m, mask, cfg, callback=None):
     NumericalError
         When an iteration produces NaN or inf, naming that iteration.
     """
-    # C order once, so the flat gathers of observed values never copy `m`
-    m = np.ascontiguousarray(m, dtype=np.float64)
     start = time.perf_counter()
     state = init_state(m, mask, cfg)
-    work = _Workspace(m, mask)
     trace = []
     termination = "max_iter"
     for k in range(1, cfg.max_iter + 1):
         it_start = time.perf_counter()
         # each full-size product is built once and reduced to a scalar
         # inside the block that built it; the Lagrangian sums those scalars
-        z01, grams = update_factors(state, cfg, work=work)
+        z01, grams = update_factors(state, cfg)
         nuclear = update_y(state, cfg)
         spectra = update_core(state, cfg, z01, grams)
-        fit = update_z(state, cfg, m, mask, work=work)
-        update_w(state, cfg, work=work)
-        penalties = update_duals(state, cfg, work=work)
+        fit = update_z(state, cfg, m, mask)
+        update_w(state, cfg)
+        penalties = update_duals(state, cfg)
         state.iteration = k
 
         # update_z left Z_{k-1} in the spare buffer, which takes the change
-        change = np.subtract(state.z, work.spare, out=work.spare)
+        change = np.subtract(state.z, state.spare, out=state.spare)
         rel_change = frobenius(change) / max(frobenius(state.z), 1.0)
         lagrangian = _lagrangian(state, cfg, nuclear, penalties, fit)
         # every state array enters the Lagrangian's terms or, for Z, the

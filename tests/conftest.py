@@ -154,6 +154,17 @@ def tridiag_solve_reference(ldl, b, axis):
     return np.moveaxis(x, 0, axis)
 
 
+def relayout(a, layout):
+    """A copy of `a` in C or Fortran order, or ("strided") every other
+    entry of a larger array along each axis."""
+    if layout == "strided":
+        big = np.full([2 * d for d in a.shape], np.nan)
+        view = big[(slice(None, None, 2),) * a.ndim]
+        view[...] = a
+        return view
+    return np.array(a, order=layout)
+
+
 def smooth_orthonormal_factors(dims, ranks):
     """Orthonormal factor matrices from boundary-decaying polynomial
     columns; smooth along every mode so the difference regularizer is

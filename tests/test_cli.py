@@ -1,14 +1,19 @@
+import copy
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 import textwrap
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lrsetd
 from lrsetd.cli import main
@@ -866,3 +871,276 @@ class TestHosvdDemo:
         )
         assert code == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+
+# JSON of every type, nested a little; floats include NaN, infinities and
+# 1e308, which json writes and reads back
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-5, 12)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _paths(value, prefix=()):
+    """The paths to the values nested in JSON objects and lists that are
+    no non-empty object or list themselves."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        if isinstance(item, (dict, list)) and item:
+            yield from _paths(item, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+# values of the wrong type or range for any field, and any JSON
+BAD_VALUES = (
+    st.sampled_from(
+        [None, True, "x", [], {}, -1, 0, 1.5, 10**6, math.nan, math.inf]
+    )
+    | JSON_VALUES
+)
+
+
+def _mostly(strategy, other=JSON_VALUES):
+    """`strategy` three times in four, else `other`. (``st.one_of`` would
+    fold the repeats into one branch.)"""
+    return st.sampled_from([strategy] * 3 + [other]).flatmap(lambda s: s)
+
+
+@st.composite
+def _broken(draw, objects, values=BAD_VALUES, new_keys=()):
+    """An object from `objects` with one value, at any depth, or one of
+    `new_keys`, drawn from `values` instead."""
+    obj = draw(objects)
+    paths = list(_paths(obj)) + [(key,) for key in new_keys]
+    path = draw(st.sampled_from(paths))
+    inner = obj
+    for key in path[:-1]:
+        inner[key] = copy.copy(inner[key])
+        inner = inner[key]
+    inner[path[-1]] = draw(values)
+    return obj
+
+
+def _per_mode(element):
+    return st.lists(element, min_size=3, max_size=3)
+
+
+# fields that a tiny three-way tensor accepts
+VALID_CONFIG = st.fixed_dictionaries(
+    {},
+    optional={
+        "preset": st.sampled_from(["image", "traffic-random"]),
+        "ranks": _per_mode(st.integers(1, 2)),
+        "alpha": _per_mode(st.floats(0.0, 2.0)),
+        "omega": _per_mode(st.floats(0.0, 2.0)),
+        "sigma": st.floats(0.0, 10.0),
+        "lam": st.floats(1e-3, 10.0),
+        "beta": st.floats(1e-3, 10.0),
+        "tol": st.floats(1e-8, 1.0),
+        "max_iter": st.integers(1, 3),
+    },
+)
+# config file text: a config with one bad value or the unknown key
+# "seed", other JSON, or no JSON at all
+BROKEN_CONFIG = _mostly(
+    _broken(VALID_CONFIG, new_keys=("seed",)).map(json.dumps),
+    JSON_VALUES.map(json.dumps) | st.text(max_size=12),
+)
+
+
+def _spec(kind, params):
+    return st.fixed_dictionaries(
+        {
+            "kind": st.just(kind),
+            "mode": st.integers(0, 2),
+            "params": st.fixed_dictionaries(params),
+            "seed": st.integers(0, 3),
+        }
+    )
+
+
+_STRUCTURAL_SPECS = {
+    "drop_every_kth_slice": _spec(
+        "drop_every_kth_slice", {"k": st.integers(1, 3), "phase": st.just(0)}
+    ),
+    "time_window": _spec(
+        "time_window",
+        {
+            "period": st.integers(1, 4),
+            "start": st.integers(0, 3),
+            "length": st.integers(0, 3),
+        },
+    ),
+    "whole_slices": _spec(
+        "whole_slices", {"slices": st.lists(st.integers(0, 1), max_size=2)}
+    ),
+}
+
+
+def _kind_of(specs):
+    """A spec of a kind drawn evenly from `specs`."""
+    return st.sampled_from(sorted(specs)).flatmap(specs.get)
+
+
+_RATIO = st.floats(0.0, 1.0)
+VALID_SPEC = _kind_of(
+    {
+        **_STRUCTURAL_SPECS,
+        "random": _spec("random", {"ratio": _RATIO}),
+        "composite": _spec(
+            "composite",
+            {"structural": _kind_of(_STRUCTURAL_SPECS), "ratio": _RATIO},
+        ),
+    }
+)
+BROKEN_SPEC = _mostly(_broken(VALID_SPEC))
+
+
+def _not_an_int(text):
+    """True unless argparse would read `text` as an int, such as a broken
+    --max-iter of "+9999" that would make a long run."""
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+VALID_FLAGS = st.fixed_dictionaries(
+    # always given, so that no run goes past a few iterations
+    {"--max-iter": st.sampled_from(["1", "2", "3"])},
+    optional={
+        "--ranks": st.sampled_from(["1,1,1", "2,2,1", " 1, 2 ,1"]),
+        "--tol": st.sampled_from(["1e-3", "1e-300"]),
+        "--beta": st.sampled_from(["0.5", "1e300", "1e-300"]),
+        "--preset": st.sampled_from(["image", "traffic-wholeday"]),
+        "--format": st.just("lrt"),
+    },
+)
+BROKEN_FLAGS = _broken(
+    VALID_FLAGS,
+    st.sampled_from(
+        ["", "x", "0", "-1", "2.5", "nan", "inf", "9,9,9", "1,,1", "video"]
+    )
+    | st.text(max_size=6).filter(_not_an_int),
+)
+
+# how the mask is given, as (option, --sample-ratio)
+VALID_MASK = st.sampled_from(
+    [("file", ""), ("spec", ""), ("spec-seeded", ""), ("spec-path", "")]
+    + [("ratio", r) for r in ("0.5", "0", "1")]
+)
+BROKEN_MASK = st.sampled_from(
+    [("none", ""), ("two", ""), ("file-seeded", "")]
+    + [("ratio", r) for r in ("1.5", "-0.1", "nan", "x")]
+)
+
+# XOR masks for bytes of the tensor file, and where to cut it
+BROKEN_TENSOR = st.tuples(
+    st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+        min_size=1,
+        max_size=2,
+    ),
+    st.none(),
+) | st.tuples(st.just([]), st.integers(0, 10**6))
+
+
+@st.composite
+def fuzz_cases(draw):
+    """One run's inputs, all plausible but the one `target` names."""
+    # the spec and the config have the most fields to break
+    target = draw(
+        st.sampled_from(
+            ["none", "flags", "mask", "tensor"] + ["config"] * 3 + ["spec"] * 4
+        )
+    )
+
+    def pick(name, valid, broken):
+        return draw(broken if name == target else valid)
+
+    spec = pick("spec", VALID_SPEC, BROKEN_SPEC)
+    mask = pick("mask", VALID_MASK, BROKEN_MASK)
+    if target == "spec":
+        mask = (draw(st.sampled_from(["spec", "spec-path"])), "")
+    return {
+        "flags": pick("flags", VALID_FLAGS, BROKEN_FLAGS),
+        "config": pick(
+            "config", st.none() | VALID_CONFIG.map(json.dumps), BROKEN_CONFIG
+        ),
+        "spec": json.dumps(spec),
+        "mask": mask,
+        "tensor": pick("tensor", st.just(([], None)), BROKEN_TENSOR),
+    }
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A tiny tensor's LRT1 bytes and a matching mask file."""
+    root = tmp_path_factory.mktemp("fuzz")
+    truth, _, _ = synthetic_tucker(seed=1, dims=(4, 3, 2))
+    write_tensor(root / "truth.lrt", truth)
+    write_mask(root / "mask.lrm", random_mask(truth.shape, 0.6, seed=5))
+    return root, (root / "truth.lrt").read_bytes()
+
+
+def fuzz_argv(root, clean, case):
+    """Write the case's files into `root` and return its argv."""
+    raw = bytearray(clean)
+    flips, cut = case["tensor"]
+    for position, bits in flips:
+        raw[position % len(raw)] ^= bits
+    if cut is not None:
+        raw = raw[: cut % (len(raw) + 1)]
+    (root / "input.lrt").write_bytes(bytes(raw))
+    argv = [
+        "complete",
+        f"--input={root / 'input.lrt'}",
+        f"--out={root / 'out.lrt'}",
+        f"--report={root / 'report.json'}",
+    ]
+    argv += [f"{flag}={value}" for flag, value in case["flags"].items()]
+    if case["config"] is not None:
+        (root / "config.json").write_text(case["config"], encoding="utf-8")
+        argv.append(f"--config={root / 'config.json'}")
+    spec = case["spec"]
+    (root / "spec.json").write_text(spec, encoding="utf-8")
+    mask_file = f"--mask={root / 'mask.lrm'}"
+    option, ratio = case["mask"]
+    argv += {
+        "file": [mask_file],
+        "spec": [f"--missing-spec={spec}"],
+        "spec-seeded": [f"--missing-spec={spec}", "--seed=3"],
+        "spec-path": [f"--missing-spec={root / 'spec.json'}"],
+        "ratio": [f"--sample-ratio={ratio}"],
+        "none": [],
+        "two": [mask_file, f"--missing-spec={spec}"],
+        "file-seeded": [mask_file, "--seed=3"],
+    }[option]
+    return argv
+
+
+class TestBoundaryFuzz:
+    # random config files, missing specs, flag values and corrupted tensor
+    # files through `complete`, in process: every run ends with a
+    # documented exit code, argparse's own exit being 2, and none with a
+    # traceback. Derandomized, so every run tries the same cases.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=fuzz_cases())
+    def test_complete_exits_with_a_documented_code(self, fuzz_files, case):
+        root, clean = fuzz_files
+        argv = fuzz_argv(root, clean, case)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+        assert code in (0, 2, 3, 4), (argv, code, err.getvalue())

@@ -19,7 +19,7 @@ from lrsetd.masks import (
 )
 from lrsetd.tensor import ObservationMask
 
-from conftest import mask_at
+from conftest import mask_at, relayout
 
 
 class TestMissingSpec:
@@ -333,6 +333,31 @@ class TestSelectionOracle:
         np.testing.assert_array_equal(back.fortran_positions(), flat)
 
 
+def traced(metric, *args):
+    """metric(*args) and the peak memory it allocates, with the mask's
+    observed index, which the mask caches, built beforehand."""
+    args[2].c_flat_index()
+    tracemalloc.start()
+    try:
+        value = metric(*args)
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def image_like(rng):
+    """An image-sized truth on a 0-255 scale, its estimate and a mask of
+    40 % observed entries."""
+    truth = 255.0 * rng.random((256, 256, 3))
+    rec = truth + rng.standard_normal(truth.shape)
+    return truth, rec, random_mask(truth.shape, 0.4, seed=5)
+
+
+# C, Fortran and strided views of the same values; both metrics allocate
+# their full-size arrays in C order, so no layout adds an index copy
+METRIC_LAYOUTS = pytest.mark.parametrize("layout", ["C", "F", "strided"])
+
+
 class TestNmae:
     def test_perfect_recovery(self, rng):
         truth = rng.standard_normal((4, 4, 4)) + 5.0
@@ -366,16 +391,12 @@ class TestNmae:
         with pytest.raises(ValueError, match="vanishes"):
             nmae(truth, truth, mask)
 
-    @pytest.mark.parametrize("layout", ["C", "F"])
+    @METRIC_LAYOUTS
     def test_gathers_no_complement(self, rng, monkeypatch, layout):
-        truth = np.asarray(rng.standard_normal((6, 5, 4)) + 3.0, order=layout)
-        rec = truth + 0.1 * rng.standard_normal(truth.shape)
-        mask = random_mask(truth.shape, 0.5, seed=2)
+        truth, rec, mask = image_like(rng)
         # the oracle gathers the complement
         miss = ~mask.boolean()
-        oracle = np.abs(truth[miss] - rec[miss]).sum() / np.abs(
-            truth[miss]
-        ).sum()
+        oracle = np.abs(truth[miss] - rec[miss]).sum() / truth[miss].sum()
 
         def no_gather():
             raise AssertionError("nmae gathered the mask's complement")
@@ -383,7 +404,13 @@ class TestNmae:
         # both sums run over the whole tensor with the observed entries
         # zeroed through the cached index, which reads the mask no other way
         monkeypatch.setattr(mask, "boolean", no_gather)
-        assert nmae(truth, rec, mask) == pytest.approx(oracle, rel=1e-12)
+        got, peak = traced(
+            nmae, relayout(truth, layout), relayout(rec, layout), mask
+        )
+        assert got == pytest.approx(oracle, rel=1e-12)
+        # the copy of the truth and the error, and no more than a quarter
+        # of a tensor beside them
+        assert peak < 2.25 * truth.nbytes
 
 
 # scales at which a sum of squared entries overflows or underflows float64
@@ -462,6 +489,19 @@ class TestPsnr:
         # the default zeroes the observed entries through the cached index
         # and reads the mask no other way
         assert psnr(truth, rec, mask) == pytest.approx(oracle, rel=1e-12)
+
+    @METRIC_LAYOUTS
+    def test_layouts_against_complement_oracle(self, rng, layout):
+        truth, rec, mask = image_like(rng)
+        miss = ~mask.boolean()
+        sse = float(np.sum((rec[miss] - truth[miss]) ** 2))
+        oracle = 10.0 * math.log10(255.0**2 * miss.sum() / sse)
+        got, peak = traced(
+            psnr, relayout(truth, layout), relayout(rec, layout), mask, 255.0
+        )
+        assert got == pytest.approx(oracle, rel=1e-12)
+        # the difference, and no more than a quarter of a tensor beside it
+        assert peak < 1.25 * truth.nbytes
 
     @pytest.mark.parametrize(
         "dtype, shift", [(np.float32, 0), (np.uint8, -5), (np.uint8, 5)]

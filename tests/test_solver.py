@@ -10,7 +10,6 @@ from lrsetd.solver import (
     PRESETS,
     NumericalError,
     SolverConfig,
-    _Workspace,
     augmented_lagrangian,
     default_ranks,
     init_state,
@@ -34,6 +33,7 @@ from lrsetd.tensor import (
 from conftest import (
     kron_others,
     reference_admm,
+    relayout,
     smoothing_matrix,
     synthetic_tucker,
     tridiag_solve_reference,
@@ -181,20 +181,12 @@ def dual_step_oracle(state, cfg):
     return u, t, val
 
 
-def relayout(a, layout):
-    """A copy of `a` in C or Fortran order, or ("strided") every other
-    entry of a larger array along each axis."""
-    if layout == "strided":
-        big = np.full([2 * d for d in a.shape], np.nan)
-        view = big[(slice(None, None, 2),) * a.ndim]
-        view[...] = a
-        return view
-    return np.array(a, order=layout)
-
-
 LAYOUTS = pytest.mark.parametrize("layout", ["C", "F", "strided"])
-WITH_WORKSPACE = pytest.mark.parametrize(
-    "with_work", [False, True], ids=["alone", "workspace"]
+# a block that runs first on its state and allocates the spare and scratch
+# buffers ("alone"), or one that finds them already there, holding NaN
+# where an earlier block left values it must not read ("workspace")
+BUFFERS_HELD = pytest.mark.parametrize(
+    "held", [False, True], ids=["alone", "workspace"]
 )
 
 
@@ -432,9 +424,10 @@ class TestInitState:
         # and none of them and the data, may be views of one another
         m, mask, cfg = small_problem()
         state = init_state(m, mask, cfg)
-        arrays = [m, state.s, state.z, *state.x, *state.y, *state.t]
+        arrays = [m, state.s, state.z, state.observed]
+        arrays += [*state.x, *state.y, *state.t]
         arrays += [a for a in state.w + state.u if a is not None]
-        assert len(arrays) == 16
+        assert len(arrays) == 17
         for a, b in itertools.combinations(arrays, 2):
             assert not np.shares_memory(a, b)
 
@@ -642,10 +635,10 @@ class TestIterationMemory:
         ids=["order-3", "order-4"],
     )
     def test_iteration_allocates_no_full_size_tensor(self, dims, ranks, omega):
-        # every full-size array of an iteration lives in the state or in
-        # the workspace that solve allocates once; each factor here is
+        # every full-size array of an iteration lives in the state, whose
+        # two buffers the first block allocates; each factor here is
         # under 5 % of the tensor and the end modes shrink tenfold, so no
-        # mode product reaches a quarter of it. Before the workspace an
+        # mode product reaches a quarter of it. Before those buffers an
         # iteration's peak rose by about two tensors here.
         rng = np.random.default_rng(0)
         m = 100.0 * rng.random(dims)
@@ -676,6 +669,40 @@ class TestIterationMemory:
             tracemalloc.stop()
         assert report.iterations == 6 and len(rises) == 5
         assert max(rises) < m.nbytes / 4
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            update_factors,
+            update_y,
+            update_core,
+            update_z,
+            update_w,
+            update_duals,
+        ],
+        ids=lambda block: block.__name__,
+    )
+    def test_block_called_again_allocates_no_full_size_tensor(self, block):
+        # outside solve too, the buffers that a block allocates stay with
+        # the state, so its second call allocates no full-size array; the
+        # products here are at most a tenth of the tensor
+        dims = (60, 50, 40)
+        rng = np.random.default_rng(0)
+        m = 100.0 * rng.random(dims)
+        mask = ObservationMask.from_boolean(rng.random(dims) < 0.5)
+        cfg = SolverConfig(
+            ranks=(6, 3, 4), omega=(1.0, 0.0, 0.5), sigma=0.1, lam=1.0
+        )
+        state = init_state(m, mask, cfg)
+        data = (m, mask) if block is update_z else ()
+        block(state, cfg, *data)
+        tracemalloc.start()
+        try:
+            block(state, cfg, *data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.nbytes / 4
 
 
 class TestRandomShapeSweep:
@@ -831,14 +858,16 @@ class TestUpdateZ:
 
     def test_full_mask_copies_data(self):
         dims, ranks = (3, 3, 3), (2, 2, 2)
-        m, mask, cfg = small_problem(dims=dims, ranks=ranks)
+        m, _, cfg = small_problem(dims=dims, ranks=ranks)
+        mask = ObservationMask.full(dims)
         state = randomized_state(29, dims, ranks, cfg, m, mask)
-        update_z(state, cfg, m, ObservationMask.full(dims))
+        update_z(state, cfg, m, mask)
         np.testing.assert_array_equal(state.z, m)
 
     def test_empty_mask_mean_formula(self):
         dims, ranks = (3, 3, 3), (2, 2, 2)
-        m, mask, cfg = small_problem(dims=dims, ranks=ranks)
+        m, _, cfg = small_problem(dims=dims, ranks=ranks)
+        mask = ObservationMask.empty(dims)
         state = randomized_state(31, dims, ranks, cfg, m, mask)
         zhat = multilinear(state.s, state.x)
         expected = cfg.lam * zhat
@@ -847,8 +876,31 @@ class TestUpdateZ:
         for i in unsmoothed_modes(cfg):
             expected += cfg.beta * state.z
         expected /= cfg.lam + 3.0 * cfg.beta
-        update_z(state, cfg, m, ObservationMask.empty(dims))
+        update_z(state, cfg, m, mask)
         np.testing.assert_allclose(state.z, expected, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            lambda m, mask: (m, ObservationMask.full(mask.dims)),
+            lambda m, mask: (
+                m,
+                ObservationMask.from_boolean(mask.boolean().reshape(6, 2, 2)),
+            ),
+            lambda m, mask: (m.reshape(6, 2, 2), mask),
+        ],
+        ids=["observed-count", "mask-shape", "tensor-shape"],
+    )
+    def test_rejects_data_of_another_state(self, other):
+        # Z takes the observed values the state gathered at its start, so
+        # data and a mask that could not have built the state are refused
+        dims, ranks = (4, 3, 2), (2, 2, 2)
+        m, mask, cfg = small_problem(dims=dims, ranks=ranks)
+        state = randomized_state(31, dims, ranks, cfg, m, mask)
+        z = state.z.copy()
+        with pytest.raises(ValueError, match="not those of the state"):
+            update_z(state, cfg, *other(m, mask))
+        np.testing.assert_array_equal(state.z, z)
 
 
 class TestUpdateW:
@@ -880,7 +932,8 @@ class TestUpdateW:
         # with omega = 0 everywhere there is nothing to split off: no W_i, no
         # U_i, and Z moves to (lam*Zhat + 3*beta*Z_prev) / (lam + 3*beta)
         dims, ranks = (3, 3, 3), (2, 2, 2)
-        m, mask, _ = small_problem(dims=dims, ranks=ranks)
+        m, _, _ = small_problem(dims=dims, ranks=ranks)
+        mask = ObservationMask.empty(dims)
         cfg = SolverConfig(ranks=ranks, beta=0.4, omega=(0.0, 0.0, 0.0))
         state = randomized_state(41, dims, ranks, cfg, m, mask)
         assert state.w == [None] * 3 and state.u == [None] * 3
@@ -888,7 +941,7 @@ class TestUpdateW:
         expected = (
             cfg.lam * multilinear(state.s, state.x) + 3.0 * cfg.beta * state.z
         ) / (cfg.lam + 3.0 * cfg.beta)
-        update_z(state, cfg, m, ObservationMask.empty(dims))
+        update_z(state, cfg, m, mask)
         update_w(state, cfg)
         update_duals(state, cfg)
         np.testing.assert_allclose(state.z, expected, atol=1e-13)
@@ -949,11 +1002,10 @@ class TestUpdateDuals:
 
 class TestInPlaceBlocks:
     # Z, W_i and U_i of a random state in each layout go through the
-    # blocks alone and with a workspace; the blocks write into the state's
-    # and the workspace's arrays, and give bitwise what the allocating
-    # oracles give
+    # blocks; the blocks write into the state's arrays and buffers, and
+    # give bitwise what the fresh-array oracles give
 
-    def problem(self, layout, seed):
+    def problem(self, layout, seed, held=False):
         dims, ranks = (5, 4, 3), (2, 2, 2)
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
         state = randomized_state(seed, dims, ranks, cfg, m, mask)
@@ -961,59 +1013,52 @@ class TestInPlaceBlocks:
         for i in cfg.smoothed_modes():
             state.w[i] = relayout(state.w[i], layout)
             state.u[i] = relayout(state.u[i], layout)
+        if held:
+            state.spare = np.full(dims, np.nan)
+            state.scratch = np.full(dims, np.nan)
         return state, m, mask, cfg
 
     @LAYOUTS
     def test_factor_step(self, layout):
-        state, m, mask, cfg = self.problem(layout, 71)
+        state, _, _, cfg = self.problem(layout, 71, held=True)
         check_factor_update(state, cfg)
-        pooled = self.problem(layout, 71)[0]
-        update_factors(pooled, cfg, work=_Workspace(m, mask))
-        for got, expected in zip(pooled.x, state.x):
-            np.testing.assert_array_equal(got, expected)
 
     @LAYOUTS
-    @WITH_WORKSPACE
-    def test_z_step(self, layout, with_work):
-        state, m, mask, cfg = self.problem(layout, 73)
-        z_prev = state.z
+    @BUFFERS_HELD
+    def test_z_step(self, layout, held):
+        state, m, mask, cfg = self.problem(layout, 73, held)
+        z_prev, spare = state.z, state.spare
         kept = z_prev.copy()
         expected, fit = z_step_oracle(state, cfg, m, mask)
-        work = _Workspace(m, mask) if with_work else None
-        spare = work.spare if with_work else None
-        assert update_z(state, cfg, m, mask, work=work) == pytest.approx(
-            fit, rel=1e-12
-        )
+        assert update_z(state, cfg, m, mask) == pytest.approx(fit, rel=1e-12)
         np.testing.assert_array_equal(state.z, expected)
         assert state.z.flags.c_contiguous
         np.testing.assert_array_equal(z_prev, kept)
-        if with_work:
-            # the new Z took the spare buffer, which took Z_prev in C order
+        # the new Z took the spare buffer, which took Z_prev in C order
+        if held:
             assert state.z is spare
-            np.testing.assert_array_equal(work.spare, kept)
-            assert work.spare.flags.c_contiguous
+        np.testing.assert_array_equal(state.spare, kept)
+        assert state.spare.flags.c_contiguous
 
     @LAYOUTS
-    @WITH_WORKSPACE
-    def test_w_step(self, layout, with_work):
-        state, m, mask, cfg = self.problem(layout, 79)
+    @BUFFERS_HELD
+    def test_w_step(self, layout, held):
+        state, _, _, cfg = self.problem(layout, 79, held)
         expected = w_step_oracle(state, cfg)
         arrays = list(state.w)
-        update_w(state, cfg, work=_Workspace(m, mask) if with_work else None)
+        update_w(state, cfg)
         assert state.w == arrays  # the same objects, written in place
         for i in cfg.smoothed_modes():
             assert state.w[i] is arrays[i]
             np.testing.assert_array_equal(state.w[i], expected[i])
 
     @LAYOUTS
-    @WITH_WORKSPACE
-    def test_dual_step(self, layout, with_work):
-        state, m, mask, cfg = self.problem(layout, 83)
+    @BUFFERS_HELD
+    def test_dual_step(self, layout, held):
+        state, _, _, cfg = self.problem(layout, 83, held)
         u, t, penalties = dual_step_oracle(state, cfg)
         arrays = list(state.u)
-        work = _Workspace(m, mask) if with_work else None
-        got = update_duals(state, cfg, work=work)
-        assert got == pytest.approx(penalties, rel=1e-12)
+        assert update_duals(state, cfg) == pytest.approx(penalties, rel=1e-12)
         for i in cfg.smoothed_modes():
             assert state.u[i] is arrays[i]
             np.testing.assert_array_equal(state.u[i], u[i])
@@ -1022,25 +1067,30 @@ class TestInPlaceBlocks:
 
     @LAYOUTS
     def test_iterations_through_one_workspace(self, layout):
-        # every block, three times, through one workspace that Z_prev
-        # passes through, against the same blocks allocating
-        pooled, m, mask, cfg = self.problem(layout, 89)
-        alone = self.problem(layout, 89)[0]
-        work = _Workspace(m, mask)
+        # every block, three times, on one state whose two buffers Z_prev
+        # and every step's full-size products pass through; each step
+        # gives bitwise what its oracle gives on the state it starts from
+        state, m, mask, cfg = self.problem(layout, 89)
         for _ in range(3):
-            for state, w in ((pooled, work), (alone, None)):
-                z01, grams = update_factors(state, cfg, work=w)
-                update_y(state, cfg)
-                update_core(state, cfg, z01, grams)
-                update_z(state, cfg, m, mask, work=w)
-                update_w(state, cfg, work=w)
-                update_duals(state, cfg, work=w)
-        np.testing.assert_array_equal(pooled.z, alone.z)
-        np.testing.assert_array_equal(pooled.s, alone.s)
-        for name in ("x", "y", "t", "w", "u"):
-            for got, expected in zip(
-                getattr(pooled, name), getattr(alone, name)
-            ):
+            z01, grams = update_factors(state, cfg)
+            update_y(state, cfg)
+            # the core from the sweep's products, which live in the
+            # buffers, against the core from products rebuilt afresh
+            rebuilt = copy.deepcopy(state)
+            update_core(rebuilt, cfg)
+            update_core(state, cfg, z01, grams)
+            np.testing.assert_array_equal(state.s, rebuilt.s)
+            z, _ = z_step_oracle(state, cfg, m, mask)
+            update_z(state, cfg, m, mask)
+            np.testing.assert_array_equal(state.z, z)
+            w = w_step_oracle(state, cfg)
+            update_w(state, cfg)
+            u, t, _ = dual_step_oracle(state, cfg)
+            update_duals(state, cfg)
+            for i in cfg.smoothed_modes():
+                np.testing.assert_array_equal(state.w[i], w[i])
+                np.testing.assert_array_equal(state.u[i], u[i])
+            for got, expected in zip(state.t, t):
                 np.testing.assert_array_equal(got, expected)
 
 
@@ -1380,26 +1430,17 @@ class TestSolve:
         assert report.iterations == 1
         assert calls == {"svd": 0, "eigh": 3, "eigvalsh": 3}
 
-    def test_fortran_ordered_input_made_c_contiguous_once(self, monkeypatch):
-        # update_z gathers observed values by C-order flat index, which
-        # copies a non-C-contiguous `m` in full on every call
-        import lrsetd.solver as solver_module
-
+    def test_fortran_ordered_input_made_c_contiguous_once(self):
+        # init_state gathers the observed values once, by C-order flat
+        # index, and no block reads `m` again; the layout of `m` does not
+        # reach the result
         m, mask, _ = small_problem(seed=3, dims=(5, 4, 3))
         cfg = SolverConfig(
             ranks=(2, 2, 2), sigma=0.0, lam=1.0, tol=1e-300, max_iter=6
         )
-        layouts = []
-        z_step = solver_module.update_z
-
-        def spy(state, cfg, m, mask, work=None):
-            layouts.append(m.flags.c_contiguous)
-            return z_step(state, cfg, m, mask, work=work)
-
-        monkeypatch.setattr(solver_module, "update_z", spy)
         from_f = solve(np.asfortranarray(m), mask, cfg)
-        assert layouts == [True] * 6
         from_c = solve(np.ascontiguousarray(m), mask, cfg)
+        assert from_f.iterations == from_c.iterations == 6
         np.testing.assert_array_equal(from_f.recovered, from_c.recovered)
         for a, b in zip(from_f.trace, from_c.trace):
             assert (a.rel_change, a.lagrangian, a.objective) == (
@@ -1407,7 +1448,7 @@ class TestSolve:
             )
 
     def test_back_to_back_solves_share_no_memory(self):
-        # each solve allocates its own workspace, whose buffer the
+        # each solve's state allocates its own buffers, one of which the
         # recovered tensor is
         m, mask, _ = small_problem(seed=5, dims=(5, 4, 3))
         cfg = preset_config(
