@@ -35,6 +35,27 @@ lrsetd complete --input tiny.lrt --mask composite.lrm --preset traffic-wholeday 
 lrsetd metrics --truth tiny.lrt --recovered composite.lrt --mask composite.lrm > metrics_composite.json
 grep -q '"rse"' metrics_composite.json
 
+echo "inline missing spec that is not an object"
+# inline JSON that is not an object is a bad spec (exit 2), not a path to
+# a missing file (exit 3)
+status=0
+lrsetd complete --input tiny.lrt --missing-spec null 2> spec_null.err > /dev/null || status=$?
+test "$status" -eq 2
+test "$(wc -l < spec_null.err)" -eq 1
+grep -q '^error: missing spec must be a JSON object, got None$' spec_null.err
+
+echo "traffic-shaped W solves"
+# the traffic-wholeday preset smooths modes 1 and 2: the last axis (7) is
+# solved as one matrix product by its inverse, the middle one (20) swept
+# in a copy swapped into lines; both runs must agree byte for byte
+python -c "import numpy as np; from lrsetd.io import write_tensor; f = np.random.default_rng(1).uniform(1, 2, 31); write_tensor('traffic.lrt', 100 * np.einsum('i,j,k->ijk', f[:4], f[4:24], f[24:]))"
+lrsetd mask-gen --dims 4,20,7 --ratio 0.6 --seed 2 --out traffic.lrm
+for run in a b; do
+  lrsetd complete --input traffic.lrt --mask traffic.lrm --preset traffic-wholeday --ranks 2,3,2 --max-iter 20 --deterministic-report --report "traffic_$run.json" --out "traffic_$run.lrt" > /dev/null
+done
+cmp traffic_a.json traffic_b.json
+cmp traffic_a.lrt traffic_b.lrt
+
 echo "config files that set removed fields"
 # every smoothed mode uses the difference matrix, every run stops on the
 # relative change over max(||Z||, 1) and every solve starts from one fixed

@@ -103,13 +103,24 @@ def _build_mask(args, dims):
     )
 
 
+def _inline_json(arg):
+    """Whether a `--missing-spec` value is inline JSON: it parses as JSON
+    and names no file. So ``null`` or ``[1]`` is rejected as a spec that
+    is not an object, and not looked up as a missing file."""
+    try:
+        json.loads(arg)
+    except json.JSONDecodeError:
+        return False
+    return not os.path.isfile(arg)
+
+
 def _generate_mask(dims, spec_arg, ratio, seed):
     """Mask from a `--missing-spec` (inline JSON or a path) when given, else
     a uniform draw at `ratio`; a `--seed` overrides the spec's seed."""
     if spec_arg is None:
         return random_mask(dims, ratio, seed=seed or 0)
     text = spec_arg
-    if not spec_arg.lstrip().startswith("{"):
+    if not spec_arg.lstrip().startswith("{") and not _inline_json(spec_arg):
         text = Path(spec_arg).read_text(encoding="utf-8")
     spec = MissingSpec.from_json(text)
     if seed is not None:

@@ -11,17 +11,25 @@ A^T A, a fraction of the cost of LAPACK's SVD of A, wherever
 and from ``np.linalg.svd`` otherwise.
 
 The ADMM calls :func:`tridiag_solve` on small operands every iteration, so
-its Python-level cost counts as much as its arithmetic: it sweeps with two
-ufunc calls per step into a preallocated row. The factor step's r x r
-solve is one ``np.linalg.solve`` call in the solver. Everything here runs
+its Python-level cost and its strided copies count as much as its
+arithmetic. It takes an exact route chosen from the axis length and
+position alone: a short first or last axis is one matrix product by the
+stored T^{-1}; any other axis is swept with one ufunc call per step, an
+add on rows scaled beforehand, in place on a first axis and otherwise in a
+copy made as a 2-D transpose of whole trailing blocks. The factor step's
+r x r solve is one ``np.linalg.solve`` call in the solver. Everything here runs
 on numpy alone, so a process loads one LAPACK and one BLAS thread pool.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "svd_shrink",
     "soft_shrink",
+    "TridiagLDL",
     "tridiag_ldl",
     "tridiag_solve",
 ]
@@ -128,12 +136,72 @@ def soft_shrink(m, tau):
     return np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
 
 
+# the longest first or last axis solved as one matrix product by T^{-1},
+# which caps the stored inverse at 256 numbers; the product beats the
+# sweep well past it (up to n = 96 on either end axis of a 244k-entry
+# array, at one BLAS thread on a 2-core Xeon VM)
+_SHORT = 16
+
+# the scaled sweep's running products stay within this range, so its
+# scaled rows stay finite for data up to about 1e150
+_SCALED = (1e-150, 1e150)
+
+
+@dataclass(frozen=True, eq=False)
+class TridiagLDL:
+    """LDL^T factor of a symmetric positive definite tridiagonal T, as
+    :func:`tridiag_ldl` builds it, with everything :func:`tridiag_solve`
+    reads: O(n) numbers, and T^{-1} when n <= 16.
+
+    `lower` is the subdiagonal of the unit lower bidiagonal L and `inv_d`
+    the reciprocal diagonal of D. With the multipliers m_j = -lower[j], the
+    forward substitution y_j = b_j + m_{j-1} y_{j-1} is swept on
+    y_j / P_j, where P_j is the product of the multipliers since the start
+    of j's block, so each step inside a block is one add:
+    y_j/P_j = b_j/P_j + y_{j-1}/P_{j-1}. A block starts wherever that
+    product would leave [1e-150, 1e150], and its first step is a
+    multiply-add by the carried product. The backward substitution
+    x_j = y_j/d_j + m_j x_{j+1} is swept on x_j / Q_j alike, with Q_j the
+    product of the multipliers from j to the end of its block.
+
+    `pre` (1/P), `mid` (P/(d Q)) and `post` (Q) are the three scaling
+    passes; `forward[j-1]` and `backward[j]` are the couplings of rows j in
+    the two sweeps, 1.0 inside a block.
+    """
+
+    lower: np.ndarray
+    inv_d: np.ndarray
+    inverse: np.ndarray | None
+    pre: np.ndarray
+    mid: np.ndarray
+    post: np.ndarray
+    forward: tuple
+    backward: tuple
+
+
+def _scaled_products(mult):
+    """Running products p of the multipliers `mult`, p[0] = 1 and
+    p[j+1] = p[j] * mult[j], restarted at 1 wherever they would leave
+    _SCALED, and the couplings c: the recurrence
+    v_{j+1} = b_{j+1} + mult[j] v_j becomes
+    v_{j+1}/p[j+1] = b_{j+1}/p[j+1] + c[j] v_j/p[j], with c[j] = 1.0 inside
+    a block and the carried product p[j] * mult[j] at a restart."""
+    lo, hi = _SCALED
+    p, c = np.ones(mult.size + 1), [1.0] * mult.size
+    for j, m in enumerate(mult.tolist()):
+        carried = p[j] * m
+        if lo <= abs(carried) <= hi:
+            p[j + 1] = carried
+        else:
+            c[j] = carried
+    return p, tuple(c)
+
+
 def tridiag_ldl(diag, off):
     """LDL^T factor of a symmetric positive definite tridiagonal matrix.
 
     `diag` is the main diagonal (length n) and `off` the sub- and
-    superdiagonal (length n-1). Returns ``(lower, inv_d)``: the subdiagonal
-    of the unit lower bidiagonal L and the reciprocal diagonal of D. Raises
+    superdiagonal (length n-1). Returns a :class:`TridiagLDL`. Raises
     ``np.linalg.LinAlgError`` when the matrix is not SPD.
     """
     diag = np.asarray(diag, dtype=np.float64)
@@ -152,25 +220,103 @@ def tridiag_ldl(diag, off):
         d[j + 1] -= lower[j] * off[j]
     if not np.all(d > 0):
         raise np.linalg.LinAlgError("tridiagonal matrix is not SPD")
-    return lower, 1.0 / d
+    inverse = None
+    if diag.size <= _SHORT:
+        inverse = np.linalg.inv(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        # exactly symmetric, so one C-contiguous matrix serves as T^{-1}
+        # and as its transpose, the faster operand of either product
+        inverse = 0.5 * (inverse + inverse.T)
+    p, forward = _scaled_products(-lower)
+    q, backward = _scaled_products(-lower[::-1])
+    q = q[::-1]
+    return TridiagLDL(
+        lower=lower,
+        inv_d=1.0 / d,
+        inverse=inverse,
+        pre=1.0 / p,
+        mid=p / q / d,
+        post=q,
+        forward=forward,
+        backward=backward[::-1],
+    )
 
 
-def tridiag_solve(ldl, b, axis, scratch=None):
-    """Solve ``T x = b`` along `axis` of `b` in place and return `b`.
+def _route(ldl, shape, axis):
+    """How :func:`tridiag_solve` reaches the lines along `axis` of a
+    C-contiguous array of `shape`, from the lengths alone.
+
+    - ``"inverse"``: an axis of at most 16 whose lines are the rows or the
+      columns of one matrix, as on the first and the last axis, is one
+      matrix product by T^{-1}.
+    - ``"rows"``: any other axis whose preceding axes all have length 1,
+      as the first, is swept in place: its lines are the columns of n
+      contiguous rows.
+    - ``"swap"``: every other axis is swept in a copy whose lines are
+      columns, made as a 2-D transpose of records, each the contiguous
+      block of the trailing axes.
+    """
+    before, after = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
+    if ldl.inverse is not None and 1 in (before, after):
+        return "inverse"
+    return "rows" if before == 1 else "swap"
+
+
+def _records(a, shape):
+    """A C-contiguous `a` of ``math.prod(shape)`` entries viewed as a
+    ``shape[:2]`` array of records, each ``shape[2]`` entries long."""
+    record = np.dtype((np.void, shape[2] * a.itemsize))
+    return a.reshape(shape).view(record)[..., 0]
+
+
+def _steps(steps, tmp):
+    """Row updates dst += c * src in order, for (dst, src, c) in `steps`:
+    one add when c is 1.0, as inside a block, else a multiply-add through
+    the row `tmp`. The out argument is positional, which numpy parses
+    faster."""
+    for dst, src, c in steps:
+        if c == 1.0:
+            np.add(dst, src, dst)
+        else:
+            np.multiply(src, c, tmp)
+            np.add(dst, tmp, dst)
+
+
+def _sweep(rows, ldl):
+    """The scaled forward and backward sweeps of `ldl` down the columns of
+    the C-contiguous n x m `rows`, which already hold b/P, in place."""
+    row = list(rows)  # views, built once
+    tmp = np.empty_like(row[0])
+    _steps(zip(row[1:], row, ldl.forward), tmp)
+    # backward step j reads only row j+1, which is final by then, so the
+    # middle scaling, D^{-1} with it, takes every row at once
+    rows *= ldl.mid[:, None]
+    _steps(zip(row[-2::-1], row[:0:-1], reversed(ldl.backward)), tmp)
+    rows *= ldl.post[:, None]
+
+
+def tridiag_solve(ldl, b, axis, scratch=None, out=None):
+    """Solve ``T x = b`` along `axis` of `b`, write x into `out`, or into
+    `b` when `out` is None, and return it.
 
     `ldl` is :func:`tridiag_ldl` of T; every 1-D line of `b` along `axis`
-    is one right-hand side. One forward sweep over the slices of `b` normal
-    to `axis`, one multiply by D^{-1} and one backward sweep, O(n) work per
-    line. A `b` whose slices are strided is swept in a C-contiguous copy,
-    which goes into `scratch` when given: a C-contiguous array of `b`'s
-    dtype and size. The result is bitwise the same either way.
+    is one right-hand side. `out` is `b` or an array of its shape that
+    shares no memory with it, and `b` is read only when it is not `out`.
+    :func:`_route` picks the route from the axis length and position:
+
+    - a short first or last axis is one matrix product by T^{-1}, read
+      from a copy of `b` when the solve is in place;
+    - any other axis is the scaled sweep of :class:`TridiagLDL`: one add
+      per step inside a block and three scaling passes, O(n) work per
+      line, done in `out` on a first axis and in a copy whose lines are
+      columns on every other.
+
+    A copy goes into `scratch` when given: a C-contiguous array of `b`'s
+    dtype and size that shares no memory with `b` or `out`. Each route
+    gives bitwise the same result in every layout of `b` and `out`.
     """
-    lower, inv_d = ldl
-    front = [axis, *range(axis), *range(axis + 1, b.ndim)]
-    lines = b.transpose(front)  # a view: writes land in b
-    n = inv_d.size
-    if lines.shape[0] != n:
-        raise ValueError(f"axis {axis} of b has length {lines.shape[0]}, T {n}")
+    n = ldl.inv_d.size
+    if b.shape[axis] != n:
+        raise ValueError(f"axis {axis} of b has length {b.shape[axis]}, T {n}")
     if scratch is not None and (
         scratch.size != b.size
         or scratch.dtype != b.dtype
@@ -180,28 +326,50 @@ def tridiag_solve(ldl, b, axis, scratch=None):
             f"scratch must be a C-contiguous {b.dtype} array of {b.size} "
             f"entries, got {scratch.dtype} {scratch.shape}"
         )
-    # each sweep step is one ufunc call over a whole slice, several times
-    # faster on contiguous memory, so strided slices are swept in a copy
-    x = lines
-    if not lines.flags.c_contiguous:
-        if scratch is None:
-            x = np.empty(lines.shape, dtype=b.dtype)
+    out = b if out is None else out
+    if out.shape != b.shape:
+        raise ValueError(f"out has shape {out.shape}, b {b.shape}")
+    if not b.size:
+        return out
+    route = _route(ldl, b.shape, axis)
+    before = math.prod(b.shape[:axis])
+    aligned = out.flags.c_contiguous
+    if route == "inverse":
+        # the product must not read what it writes
+        src = b
+        if out is b or not b.flags.c_contiguous:
+            src = np.empty_like(b, order="C") if scratch is None else scratch
+            np.copyto(src.reshape(b.shape), b)
+        dst = out if aligned else np.empty_like(b, order="C")
+        if before == 1:
+            np.matmul(ldl.inverse, src.reshape(n, -1), out=dst.reshape(n, -1))
         else:
-            x = scratch.reshape(lines.shape)  # a view
-        np.copyto(x, lines)
+            np.matmul(src.reshape(-1, n), ldl.inverse, out=dst.reshape(-1, n))
+        if dst is not out:
+            np.copyto(out, dst)
+        return out
+    if route == "rows" and aligned:
+        # the first scaling pass writes b/P into out
+        pre = ldl.pre.reshape((1,) * axis + (n,) + (1,) * (b.ndim - axis - 1))
+        np.multiply(b, pre, out=out)
+        _sweep(out.reshape(n, -1), ldl)
+        return out
+    # lines as columns: the (before, n, after) blocks of b swapped into an
+    # (n, before, after) copy, a byte copy of whole trailing blocks
+    x = np.empty(b.size, dtype=b.dtype) if scratch is None else scratch
+    block = (before, n, b.size // (before * n))
+    swapped = (n, before, block[2])
+    front = [axis, *range(axis), *range(axis + 1, b.ndim)]
+    lines = x.reshape([b.shape[k] for k in front])  # a view
+    if b.flags.c_contiguous:
+        np.copyto(_records(x, swapped), _records(b, block).T)
+    else:
+        np.copyto(lines, b.transpose(front))
     rows = x.reshape(n, -1)
-    row = list(rows)  # views, built once
-    lower = lower.tolist()
-    tmp = np.empty_like(row[0])
-    for j in range(1, n):
-        np.multiply(row[j - 1], lower[j - 1], out=tmp)
-        row[j] -= tmp
-    # backward step j reads only row j+1, which is final by then, so D^{-1}
-    # scales every row at once
-    rows *= inv_d[:, None]
-    for j in range(n - 2, -1, -1):
-        np.multiply(row[j + 1], lower[j], out=tmp)
-        row[j] -= tmp
-    if x is not lines:
-        lines[...] = x
-    return b
+    rows *= ldl.pre[:, None]
+    _sweep(rows, ldl)
+    if aligned:
+        np.copyto(_records(out, block), _records(x, swapped).T)
+    else:
+        np.copyto(out.transpose(front), lines)
+    return out

@@ -21,7 +21,8 @@ the smoothed modes (omega_i > 0) and lets Z stand in for the others.
 A_i is always the first-order difference matrix of mode i and is never
 stored: the penalty applies it as differences along axis i, and the W
 subproblem matrix [beta*I + 2*omega_i*A_i^T A_i] is tridiagonal, so W_i
-comes from an O(n) sweep along that axis.
+comes from an O(n) sweep along that axis, or, on a first or last axis of
+at most 16, from one matrix product by the inverse, built once.
 
 Each block is one public function, ``update_factors``, ``update_y``,
 ``update_core``, ``update_z``, ``update_w`` and ``update_duals``, and
@@ -50,8 +51,10 @@ then on an iteration allocates nothing full-size. The Z step writes the
 new Z into the spare, which takes the previous Z in exchange, so the
 stopping test's difference Z_k - Z_{k-1} overwrites it. The W and dual
 steps write W_i and U_i in place; the dual step forms each gap Z - W_i
-in the scratch, which also holds the W sweep's copy of a strided axis
-and the reconstruction [[S; X]]. The factor sweep's mode products of Z,
+in the scratch, which also holds the reconstruction [[S; X]] and, in the
+W step, either the swapped copy of a strided axis or the right side
+beta*Z + U_i, which the matrix product by T_i^{-1} or the sweep's first
+scaling pass reads into W_i. The factor sweep's mode products of Z,
 and the reconstruction's smaller ones, go into pieces of buffers that
 are dead at that point. What an iteration still allocates is factor- or
 core-sized, or the matrix product inside a middle-mode product.
@@ -74,6 +77,7 @@ import numpy as np
 
 from .kernels import (
     _nuclear_norm,
+    _route,
     _svd_shrink,
     soft_shrink,
     tridiag_ldl,
@@ -240,7 +244,8 @@ class SolverState:
     z: np.ndarray  # completed tensor estimate
     w: list  # auxiliary tensors W_i, full size, smoothed modes only
     u: list  # duals for Z = W_i, smoothed modes only
-    # LDL^T of the tridiagonal [beta*I + 2*omega_i*A_i^T A_i], O(n) numbers
+    # kernels.TridiagLDL of the tridiagonal [beta*I + 2*omega_i*A_i^T A_i]:
+    # O(n) numbers, and its inverse when n <= 16
     w_ldl: list
     observed: np.ndarray  # the values of M at mask.c_flat_index()
     iteration: int = 0
@@ -538,12 +543,18 @@ def update_z(state, cfg, m, mask):
 def update_w(state, cfg):
     """Smoothness-regularized W update (in place) on each smoothed mode:
     W_(i) = [beta*I + 2*omega_i*A_i^T A_i]^{-1} [beta*Z_(i) + U_(i)],
-    with beta*Z + U_i written into W_i and solved there by a tridiagonal
-    sweep along axis i, which copies a strided axis into the scratch."""
+    solved along axis i by :func:`lrsetd.kernels.tridiag_solve`. The right
+    side beta*Z + U_i goes into W_i when the solve sweeps a copy of the
+    axis in the scratch, and into the scratch otherwise, whence the matrix
+    product by T_i^{-1} of a short end axis or the first scaling pass of
+    axis 0 writes W_i."""
+    scratch = _buffers(state)[1]
     for i in cfg.smoothed_modes():
-        w = np.multiply(state.z, cfg.beta, out=state.w[i])
-        w += state.u[i]
-        tridiag_solve(state.w_ldl[i], w, i, _buffers(state)[1])
+        ldl, w = state.w_ldl[i], state.w[i]
+        swapped = _route(ldl, w.shape, i) == "swap"
+        rhs = np.multiply(state.z, cfg.beta, out=w if swapped else scratch)
+        rhs += state.u[i]
+        tridiag_solve(ldl, rhs, i, scratch if swapped else None, out=w)
 
 
 def _penalty(dual, gap, beta):

@@ -216,11 +216,6 @@ class ObservationMask:
         self._c_flat = None
 
     @classmethod
-    def from_boolean(cls, observed):
-        """``ObservationMask(observed)``."""
-        return cls(observed)
-
-    @classmethod
     def from_fortran_positions(cls, dims, positions):
         """Mask of the Fortran-order flat positions, in any order."""
         observed = np.zeros(math.prod(int(d) for d in dims), dtype=bool)

@@ -11,7 +11,7 @@ def mask_at(dims, *entries):
     observed = np.zeros(dims, dtype=bool)
     for entry in entries:
         observed[entry] = True
-    return ObservationMask.from_boolean(observed)
+    return ObservationMask(observed)
 
 
 def unfold_by_index_formula(tensor, mode):
@@ -140,7 +140,7 @@ def tridiag_solve_reference(ldl, b, axis):
     same forward and backward substitutions, each step written as one
     in-place row update with a temporary, D^{-1} applied row by row in the
     backward sweep. Returns a new array and leaves `b` unchanged."""
-    lower, inv_d = ldl
+    lower, inv_d = ldl.lower, ldl.inv_d
     x = np.ascontiguousarray(np.moveaxis(b, axis, 0), dtype=np.float64)
     x = x.copy() if np.shares_memory(x, b) else x
     n = inv_d.size

@@ -52,7 +52,7 @@ def random_instance(rng, max_dim=4, max_rank=2):
         int(rng.integers(1, min(max_rank, d) + 1)) for d in dims
     )
     m = rng.standard_normal(dims)
-    mask = ObservationMask.from_boolean(rng.random(dims) < 0.7)
+    mask = ObservationMask(rng.random(dims) < 0.7)
     cfg = SolverConfig(
         ranks=ranks,
         beta=float(rng.uniform(0.2, 2.0)),
@@ -141,7 +141,7 @@ def test_criterion_2_lagrangian_monotone_over_primal_blocks():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((8, 8, 8)) * 10.0
-        mask = ObservationMask.from_boolean(rng.random((8, 8, 8)) < 0.6)
+        mask = ObservationMask(rng.random((8, 8, 8)) < 0.6)
         cfg = SolverConfig(
             ranks=(3, 3, 3), beta=0.5, omega=(0.0, 1.0, 0.2)
         )
@@ -178,7 +178,7 @@ def test_criterion_3_observed_entries_exact_every_iteration():
     last bit, at every iteration of a full solve."""
     rng = np.random.default_rng(77)
     m = rng.standard_normal((10, 9, 8)) * 5.0
-    mask = ObservationMask.from_boolean(rng.random((10, 9, 8)) < 0.5)
+    mask = ObservationMask(rng.random((10, 9, 8)) < 0.5)
     sel = mask.boolean()
     worst = []
 
@@ -275,7 +275,7 @@ def test_criterion_6_smoothing_recovers_whole_missing_slices():
             seed=200 + seed,
         )
         mask = structured_mask(truth.shape, spec)
-        slice_mask = ObservationMask.from_boolean(
+        slice_mask = ObservationMask(
             ~np.isin(np.arange(truth.shape[2]), [10])[None, None, :]
             * np.ones(truth.shape, dtype=bool)
         )

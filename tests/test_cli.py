@@ -173,6 +173,24 @@ class TestCompleteCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["iterations"] == 2
 
+    @pytest.mark.parametrize("spec", ["null", "2", "[1]"])
+    def test_inline_spec_that_is_not_an_object(
+        self, spec, problem, tmp_path, capsys, monkeypatch
+    ):
+        # inline JSON that is not an object is a bad spec (exit 2), not a
+        # missing file (exit 3); a file of that name is still read
+        _, _, tensor_path, _ = problem
+        monkeypatch.chdir(tmp_path)
+        argv = ["complete", "--input", str(tensor_path), "--missing-spec", spec,
+                "--ranks", "2,2,2", "--max-iter", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: missing spec must be a JSON object, got {json.loads(spec)!r}"
+        ]
+        (tmp_path / spec).write_text('{"kind": "random", "params": {"ratio": 0.5}}')
+        assert main(argv) == 0
+
     def test_deterministic_reports_byte_identical(self, problem, tmp_path):
         _, _, tensor_path, mask_path = problem
         args = [

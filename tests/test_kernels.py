@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import difference_matrix, tridiag_solve_reference
+from conftest import difference_matrix, relayout, tridiag_solve_reference
 from lrsetd.kernels import (
+    _SHORT,
     _gram_resolves,
     _nuclear_norm,
+    _route,
     _svd_shrink,
     soft_shrink,
     svd_shrink,
@@ -358,13 +360,29 @@ class TestTridiagSolve:
         )
         got = tridiag_solve(ldl, b, axis)
         assert got is b
-        np.testing.assert_array_equal(got, reference)
+        assert np.linalg.norm(got - reference) <= 1e-12 * np.linalg.norm(
+            reference
+        )
         scratch = np.full(b.shape, np.nan)
         assert tridiag_solve(ldl, twin, axis, scratch) is twin
         np.testing.assert_array_equal(twin, got)
         assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
         if layout == "strided":
             np.testing.assert_array_equal(big[outside], untouched)
+
+    def test_out_leaves_b_unchanged(self):
+        # with out, b is read only; the result is bitwise the in-place one
+        rng = np.random.default_rng(5)
+        for shape, axis in (((9, 4), 0), ((3, 20, 2), 1), ((5, 7), 1)):
+            ldl = tridiag_ldl(np.full(shape[axis], 3.0), np.ones(shape[axis] - 1))
+            b = rng.standard_normal(shape)
+            kept = b.copy()
+            for out in (np.empty(shape), np.empty(shape, order="F")):
+                assert tridiag_solve(ldl, b, axis, out=out) is out
+                np.testing.assert_array_equal(b, kept)
+                np.testing.assert_array_equal(
+                    out, tridiag_solve(ldl, kept.copy(), axis)
+                )
 
     def test_vector_right_hand_side(self):
         t = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
@@ -402,3 +420,105 @@ class TestTridiagSolve:
         ldl = tridiag_ldl([2.0, 2.0], [1.0])
         with pytest.raises(ValueError, match="scratch must be"):
             tridiag_solve(ldl, np.zeros((3, 2)), 1, scratch)
+
+
+def w_matrix(n, beta, omega):
+    """The W subproblem matrix beta*I + 2*omega*A^T A of a mode of length
+    n: its diagonal and off-diagonal."""
+    diag = np.full(n, beta + 2.0 * omega)
+    diag[1:] += 2.0 * omega
+    return diag, np.full(n - 1, -2.0 * omega)
+
+
+def relative_error(got, expected, scale):
+    """||got - expected|| / ||expected||, taken on both divided by `scale`
+    so that squares of data near 1e-300 or 1e150 neither underflow nor
+    overflow."""
+    return np.linalg.norm((got - expected) / scale) / np.linalg.norm(
+        expected / scale
+    )
+
+
+class TestTridiagRoutes:
+    # each route of tridiag_solve, the matrix product by T^{-1} of a short
+    # end axis and the scaled sweep in place or in a swapped copy, against
+    # the per-row reference sweep and, where T fits in memory, a dense
+    # solve of the unfolding
+
+    LENGTHS = [1, 2, 3, 7, _SHORT, _SHORT + 1, 288, 10_080]
+
+    @staticmethod
+    def shape(n, order, axis):
+        # short other axes, so a 10 080-long line stays a small tensor
+        shape = [3, 2, 1, 2][: order - 1]
+        shape.insert(axis, n)
+        return shape
+
+    @staticmethod
+    def check(ldl, t, b, axis, scale):
+        n = t.shape[0] if t is not None else ldl.inv_d.size
+        reference = tridiag_solve_reference(ldl, b, axis)
+        got = tridiag_solve(ldl, b.copy(), axis)
+        assert relative_error(got, reference, scale) <= 1e-12
+        if t is not None:
+            lines = np.moveaxis(b, axis, 0)
+            dense = np.moveaxis(
+                np.linalg.solve(t, lines.reshape(n, -1)).reshape(lines.shape),
+                0,
+                axis,
+            )
+            assert relative_error(got, dense, scale) <= 1e-12
+        return got
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_every_axis_and_layout(self, n, order):
+        rng = np.random.default_rng([n, order])
+        ldl = tridiag_ldl(*w_matrix(n, 0.1, 1.0))
+        t = None
+        if n <= 288:
+            a = difference_matrix(n)
+            t = 0.1 * np.eye(n) + 2.0 * a.T @ a
+        for axis in range(order):
+            shape = self.shape(n, order, axis)
+            routes = {_route(ldl, shape, axis)}
+            b = rng.standard_normal(shape)
+            got = self.check(ldl, t, b, axis, 1.0)
+            for layout in ("F", "strided"):
+                c = relayout(b, layout)
+                kept = c.copy()
+                np.testing.assert_array_equal(tridiag_solve(ldl, c, axis), got)
+                # with out, b is left as it was
+                out = relayout(np.zeros(shape), layout)
+                tridiag_solve(ldl, kept, axis, out=out)
+                np.testing.assert_array_equal(out, got)
+            # a short first or last axis is one matrix product; a long one
+            # or a middle one is swept
+            last = axis == order - 1
+            if n <= _SHORT and (axis == 0 or last):
+                assert routes == {"inverse"}
+            elif n > _SHORT:
+                assert routes <= {"rows", "swap"}
+
+    @pytest.mark.parametrize("ratio", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])
+    @pytest.mark.parametrize("n", [7, _SHORT + 1, 288, 10_080])
+    def test_extreme_scales_and_ratios(self, n, scale, ratio):
+        # beta/omega from 1e-6 to 1e6: at 1e6 the multipliers are about
+        # 2e-6, so the scaled sweep restarts its products every ~26 rows
+        rng = np.random.default_rng([n, int(np.log10(scale)) + 400])
+        beta, omega = ratio, 1.0
+        ldl = tridiag_ldl(*w_matrix(n, beta, omega))
+        t = None
+        if n <= 288:
+            a = difference_matrix(n)
+            t = beta * np.eye(n) + 2.0 * omega * a.T @ a
+        if ratio == 1e6 and n > 30:
+            assert any(c != 1.0 for c in ldl.forward)
+            assert any(c != 1.0 for c in ldl.backward)
+        with np.errstate(over="raise", invalid="raise"):
+            for axis in range(3):
+                shape = self.shape(n, 3, axis)
+                b = scale * rng.standard_normal(shape)
+                got = self.check(ldl, t, b, axis, scale)
+                assert np.isfinite(got).all()

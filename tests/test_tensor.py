@@ -334,8 +334,9 @@ class TestObservationMask:
         np.testing.assert_array_equal(mask.c_flat_index(), [0, 1, 2, 3])
 
     def test_from_boolean_copies_its_argument(self):
+        # the one constructor from a boolean array owns a copy
         observed = np.ones((2, 3), dtype=bool)
-        mask = ObservationMask.from_boolean(observed)
+        mask = ObservationMask(observed)
         observed[0, 0] = False
         assert observed.flags.writeable
         assert mask.n_observed == 6 and mask.boolean().all()
@@ -364,7 +365,7 @@ class TestObservationMask:
         observed = rng.random(dims) < 0.5
         mask = {
             "c-boolean": lambda: ObservationMask(observed),
-            "fortran-boolean": lambda: ObservationMask.from_boolean(
+            "fortran-boolean": lambda: ObservationMask(
                 np.asfortranarray(observed)
             ),
             "fortran-positions": lambda: ObservationMask.from_fortran_positions(
