@@ -46,15 +46,29 @@ grep -q '^error: missing spec must be a JSON object, got None$' spec_null.err
 
 echo "traffic-shaped W solves"
 # the traffic-wholeday preset smooths modes 1 and 2: the last axis (7) is
-# solved as one matrix product by its inverse, the middle one (20) swept
-# in a copy swapped into lines; both runs must agree byte for byte
-python -c "import numpy as np; from lrsetd.io import write_tensor; f = np.random.default_rng(1).uniform(1, 2, 31); write_tensor('traffic.lrt', 100 * np.einsum('i,j,k->ijk', f[:4], f[4:24], f[24:]))"
-lrsetd mask-gen --dims 4,20,7 --ratio 0.6 --seed 2 --out traffic.lrm
+# solved as one matrix product by its inverse, the middle one (40, longer
+# than the 32 that a product takes) swept in a copy swapped into lines;
+# both runs must agree byte for byte
+python -c "import numpy as np; from lrsetd.io import write_tensor; f = np.random.default_rng(1).uniform(1, 2, 51); write_tensor('traffic.lrt', 100 * np.einsum('i,j,k->ijk', f[:4], f[4:44], f[44:]))"
+lrsetd mask-gen --dims 4,40,7 --ratio 0.6 --seed 2 --out traffic.lrm
 for run in a b; do
   lrsetd complete --input traffic.lrt --mask traffic.lrm --preset traffic-wholeday --ranks 2,3,2 --max-iter 20 --deterministic-report --report "traffic_$run.json" --out "traffic_$run.lrt" > /dev/null
 done
 cmp traffic_a.json traffic_b.json
 cmp traffic_a.lrt traffic_b.lrt
+
+echo "every axis short"
+# the image preset smooths modes 0 and 1: the first axis (6) is one matrix
+# product by its inverse and the middle one (10) one batched product over
+# its six 10x12 blocks, and every middle-mode product is batched; both
+# runs must agree byte for byte
+python -c "import numpy as np; from lrsetd.io import write_tensor; f = np.random.default_rng(3).uniform(1, 2, 28); write_tensor('short.lrt', 100 * np.einsum('i,j,k->ijk', f[:6], f[6:16], f[16:]))"
+lrsetd mask-gen --dims 6,10,12 --ratio 0.6 --seed 2 --out short.lrm
+for run in a b; do
+  lrsetd complete --input short.lrt --mask short.lrm --preset image --ranks 2,2,2 --max-iter 20 --deterministic-report --report "short_$run.json" --out "short_$run.lrt" > /dev/null
+done
+cmp short_a.json short_b.json
+cmp short_a.lrt short_b.lrt
 
 echo "config files that set removed fields"
 # every smoothed mode uses the difference matrix, every run stops on the

@@ -197,15 +197,24 @@ def write_image(path, tensor):
 
 
 def read_traffic_csv(path):
-    """Read a rectangular CSV of finite reals as a 2-D matrix."""
+    """Read a rectangular CSV of finite reals as a 2-D matrix.
+
+    A UTF-8 byte-order mark at the start of the file, as spreadsheet
+    exports write, is skipped. A field with an underscore is non-numeric,
+    although Python's ``float`` reads ``1_0`` as 10.0.
+    """
     rows = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
+            fields = line.split(",")
             try:
-                row = [float(v) for v in line.split(",")]
+                if "_" in line:
+                    field = next(v for v in fields if "_" in v)
+                    raise ValueError(f"digit group separator in {field!r}")
+                row = [float(v) for v in fields]
             except ValueError as e:
                 raise FileFormatError(
                     f"{path}:{lineno}: non-numeric field ({e})"

@@ -12,9 +12,10 @@ and from ``np.linalg.svd`` otherwise.
 
 The ADMM calls :func:`tridiag_solve` on small operands every iteration, so
 its Python-level cost and its strided copies count as much as its
-arithmetic. It takes an exact route chosen from the axis length and
-position alone: a short first or last axis is one matrix product by the
-stored T^{-1}; any other axis is swept with one ufunc call per step, an
+arithmetic. It takes an exact route chosen from the array's shape alone:
+a short axis is one matrix product by the stored T^{-1}, batched over the
+blocks of a middle axis wherever :func:`lrsetd.tensor._batches` batches a
+mode product; any other axis is swept with one ufunc call per step, an
 add on rows scaled beforehand, in place on a first axis and otherwise in a
 copy made as a 2-D transpose of whole trailing blocks. The factor step's
 r x r solve is one ``np.linalg.solve`` call in the solver. Everything here runs
@@ -25,6 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensor import _batches
 
 __all__ = [
     "svd_shrink",
@@ -136,11 +139,14 @@ def soft_shrink(m, tau):
     return np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
 
 
-# the longest first or last axis solved as one matrix product by T^{-1},
-# which caps the stored inverse at 256 numbers; the product beats the
-# sweep well past it (up to n = 96 on either end axis of a 244k-entry
-# array, at one BLAS thread on a 2-core Xeon VM)
-_SHORT = 16
+# the longest axis solved as a matrix product by T^{-1}, which caps the
+# stored inverse at 1 024 numbers (8 kB); the product beats the sweep well
+# past it (up to n = 96 on either end axis of a 244k-entry array, and it
+# ties the sweep on the middle axis of 64x96x64, at one BLAS thread on a
+# 2-core Xeon VM). At n <= 32, T has a condition number of at most 1 708
+# whatever beta/omega, and the product stays within 1.3e-15 of a dense
+# solve
+_SHORT = 32
 
 # the scaled sweep's running products stay within this range, so its
 # scaled rows stay finite for data up to about 1e150
@@ -151,7 +157,7 @@ _SCALED = (1e-150, 1e150)
 class TridiagLDL:
     """LDL^T factor of a symmetric positive definite tridiagonal T, as
     :func:`tridiag_ldl` builds it, with everything :func:`tridiag_solve`
-    reads: O(n) numbers, and T^{-1} when n <= 16.
+    reads: O(n) numbers, and T^{-1} when n <= 32.
 
     `lower` is the subdiagonal of the unit lower bidiagonal L and `inv_d`
     the reciprocal diagonal of D. With the multipliers m_j = -lower[j], the
@@ -245,9 +251,11 @@ def _route(ldl, shape, axis):
     """How :func:`tridiag_solve` reaches the lines along `axis` of a
     C-contiguous array of `shape`, from the lengths alone.
 
-    - ``"inverse"``: an axis of at most 16 whose lines are the rows or the
-      columns of one matrix, as on the first and the last axis, is one
-      matrix product by T^{-1}.
+    - ``"inverse"``: an axis of at most 32 is a matrix product by T^{-1}:
+      one product on a first or last axis, whose lines are the columns or
+      the rows of one matrix, and one batched matmul over the
+      (before, n, after) blocks of a middle axis that
+      :func:`lrsetd.tensor._batches` batches.
     - ``"rows"``: any other axis whose preceding axes all have length 1,
       as the first, is swept in place: its lines are the columns of n
       contiguous rows.
@@ -256,7 +264,9 @@ def _route(ldl, shape, axis):
       block of the trailing axes.
     """
     before, after = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
-    if ldl.inverse is not None and 1 in (before, after):
+    if ldl.inverse is not None and (
+        1 in (before, after) or _batches(before, after)
+    ):
         return "inverse"
     return "rows" if before == 1 else "swap"
 
@@ -301,10 +311,10 @@ def tridiag_solve(ldl, b, axis, scratch=None, out=None):
     `ldl` is :func:`tridiag_ldl` of T; every 1-D line of `b` along `axis`
     is one right-hand side. `out` is `b` or an array of its shape that
     shares no memory with it, and `b` is read only when it is not `out`.
-    :func:`_route` picks the route from the axis length and position:
+    :func:`_route` picks the route from the shape of `b`:
 
-    - a short first or last axis is one matrix product by T^{-1}, read
-      from a copy of `b` when the solve is in place;
+    - a short axis is a matrix product by T^{-1}, batched over the blocks
+      of a middle axis, read from a copy of `b` when the solve is in place;
     - any other axis is the scaled sweep of :class:`TridiagLDL`: one add
       per step inside a block and three scaling passes, O(n) work per
       line, done in `out` on a first axis and in a copy whose lines are
@@ -333,6 +343,7 @@ def tridiag_solve(ldl, b, axis, scratch=None, out=None):
         return out
     route = _route(ldl, b.shape, axis)
     before = math.prod(b.shape[:axis])
+    after = b.size // (before * n)
     aligned = out.flags.c_contiguous
     if route == "inverse":
         # the product must not read what it writes
@@ -341,10 +352,11 @@ def tridiag_solve(ldl, b, axis, scratch=None, out=None):
             src = np.empty_like(b, order="C") if scratch is None else scratch
             np.copyto(src.reshape(b.shape), b)
         dst = out if aligned else np.empty_like(b, order="C")
-        if before == 1:
-            np.matmul(ldl.inverse, src.reshape(n, -1), out=dst.reshape(n, -1))
-        else:
+        if before > 1 and after == 1:
             np.matmul(src.reshape(-1, n), ldl.inverse, out=dst.reshape(-1, n))
+        else:
+            block = (before, n, after)
+            np.matmul(ldl.inverse, src.reshape(block), out=dst.reshape(block))
         if dst is not out:
             np.copyto(out, dst)
         return out
@@ -357,8 +369,8 @@ def tridiag_solve(ldl, b, axis, scratch=None, out=None):
     # lines as columns: the (before, n, after) blocks of b swapped into an
     # (n, before, after) copy, a byte copy of whole trailing blocks
     x = np.empty(b.size, dtype=b.dtype) if scratch is None else scratch
-    block = (before, n, b.size // (before * n))
-    swapped = (n, before, block[2])
+    block = (before, n, after)
+    swapped = (n, before, after)
     front = [axis, *range(axis), *range(axis + 1, b.ndim)]
     lines = x.reshape([b.shape[k] for k in front])  # a view
     if b.flags.c_contiguous:

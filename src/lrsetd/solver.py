@@ -21,8 +21,9 @@ the smoothed modes (omega_i > 0) and lets Z stand in for the others.
 A_i is always the first-order difference matrix of mode i and is never
 stored: the penalty applies it as differences along axis i, and the W
 subproblem matrix [beta*I + 2*omega_i*A_i^T A_i] is tridiagonal, so W_i
-comes from an O(n) sweep along that axis, or, on a first or last axis of
-at most 16, from one matrix product by the inverse, built once.
+comes from an O(n) sweep along that axis, or, on an axis of at most 32,
+from a matrix product by the inverse, built once (on a middle axis, one
+batched product where :func:`lrsetd.tensor.mode_product` would batch).
 
 Each block is one public function, ``update_factors``, ``update_y``,
 ``update_core``, ``update_z``, ``update_w`` and ``update_duals``, and
@@ -57,7 +58,8 @@ beta*Z + U_i, which the matrix product by T_i^{-1} or the sweep's first
 scaling pass reads into W_i. The factor sweep's mode products of Z,
 and the reconstruction's smaller ones, go into pieces of buffers that
 are dead at that point. What an iteration still allocates is factor- or
-core-sized, or the matrix product inside a middle-mode product.
+core-sized, or the moved copy and matrix product of a middle-mode product
+that is not batched.
 
 The order N is the tensor's: every block loops over its modes, and the
 per-mode fields of :class:`SolverConfig` must have one value per mode.
@@ -245,7 +247,7 @@ class SolverState:
     w: list  # auxiliary tensors W_i, full size, smoothed modes only
     u: list  # duals for Z = W_i, smoothed modes only
     # kernels.TridiagLDL of the tridiagonal [beta*I + 2*omega_i*A_i^T A_i]:
-    # O(n) numbers, and its inverse when n <= 16
+    # O(n) numbers, and its inverse when n <= 32
     w_ldl: list
     observed: np.ndarray  # the values of M at mask.c_flat_index()
     iteration: int = 0
@@ -546,8 +548,8 @@ def update_w(state, cfg):
     solved along axis i by :func:`lrsetd.kernels.tridiag_solve`. The right
     side beta*Z + U_i goes into W_i when the solve sweeps a copy of the
     axis in the scratch, and into the scratch otherwise, whence the matrix
-    product by T_i^{-1} of a short end axis or the first scaling pass of
-    axis 0 writes W_i."""
+    product by T_i^{-1} of a short axis, batched on a middle one, or the
+    first scaling pass of axis 0 writes W_i."""
     scratch = _buffers(state)[1]
     for i in cfg.smoothed_modes():
         ldl, w = state.w_ldl[i], state.w[i]

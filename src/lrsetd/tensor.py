@@ -3,7 +3,9 @@
 Tensors are plain ``numpy.ndarray`` objects of dtype float64 and may have
 any memory layout. :func:`mode_product`, and so :func:`multilinear`, returns
 a C-contiguous array (last index varies fastest) for any input; each mode
-product is one matrix multiply of a C-order reshape.
+product is one matrix multiply of a C-order reshape, batched over the
+blocks of a middle mode where :func:`_batches` finds that cheaper than
+moving the mode last, from the tensor's shape alone.
 
 Mode products on distinct modes commute, so :func:`multilinear` picks their
 order. A chain whose output is larger than its input (a Tucker
@@ -72,19 +74,37 @@ def unfold(tensor, mode):
     return tensor.transpose(front).reshape((tensor.shape[mode], -1), order="F")
 
 
+# A product along a middle axis of a (before, I, after) reshape runs as one
+# batched ``np.matmul`` over the blocks when this is True: it copies
+# nothing but re-reads the matrix once per block, which pays when the
+# blocks are wide enough for BLAS or few enough that a moved copy and its
+# return cost more. Otherwise the axis is moved last for one large matrix
+# product. At one BLAS thread on a 2-core Xeon VM, batching never lost by
+# more than 2 % at a trailing size of 4 or more, and lost at sizes 2-3 with
+# 192 or more blocks (64x64x3 by 256x64, 64x256x3, 121x288x2) and with a
+# 256-long matrix side at fewer; the table is in BENCH_4.json.
+def _batches(before, after):
+    """Whether the middle-axis product over `before` leading and `after`
+    trailing entries (both > 1) runs as one batched matmul."""
+    return after >= 4 or before * after <= 64
+
+
 def mode_product(tensor, matrix, mode, out=None):
     """n-mode product ``tensor x_mode matrix``.
 
     `matrix` must have as many columns as ``tensor.shape[mode]``; that mode
     is replaced by ``matrix.shape[0]`` in the result, which is C-contiguous
-    for any input layout. The product is one matrix multiply of a C-order
-    reshape: the first and the last mode need no copy of a C-contiguous
-    `tensor`, and a middle mode is moved last and back with one copy each.
+    for any input layout. With the leading and trailing sizes ``before``
+    and ``after`` of a C-order reshape ``(before, I, after)``, the product
+    needs no copy of a C-contiguous `tensor` when ``before == 1`` (one
+    ``M @ T``), when ``after == 1`` (one ``T @ M.T``), or when
+    :func:`_batches` picks one batched matmul over the blocks; any other
+    axis is moved last and back with one copy each.
 
     `out`, when given, is a C-contiguous array of the result's shape and
     dtype that receives the product and is returned, bit for bit the array
-    that would otherwise be allocated; a middle mode still allocates its
-    moved copy and the matrix product, which is then moved into `out`.
+    that would otherwise be allocated; only a moved axis still allocates
+    its moved copy and the matrix product, which is then moved into `out`.
     """
     tensor = np.asarray(tensor)
     matrix = np.asarray(matrix)
@@ -95,8 +115,9 @@ def mode_product(tensor, matrix, mode, out=None):
             f"dimension {tensor.shape[mode]}"
         )
     dims = list(tensor.shape)
+    rows = matrix.shape[0]
+    shape = (*dims[:mode], rows, *dims[mode + 1 :])
     if out is not None:
-        shape = (*dims[:mode], matrix.shape[0], *dims[mode + 1 :])
         dtype = np.result_type(tensor, matrix)
         if (
             out.shape != shape
@@ -107,30 +128,29 @@ def mode_product(tensor, matrix, mode, out=None):
                 f"out must be a C-contiguous {dtype} array of shape {shape}, "
                 f"got {out.dtype} {out.shape}"
             )
-    if mode == 0:
-        rows, cols = matrix.shape[0], math.prod(dims[1:])
-        flat = None if out is None else out.reshape(rows, cols)  # a view
-        product = np.matmul(matrix, tensor.reshape(dims[0], cols), out=flat)
-        dims[0] = rows
-        return product.reshape(dims) if out is None else out
-    # a batched matmul over (before, I_mode, after) blocks would re-read
-    # `matrix` once per block, which is slow when `after` is small
+    before, after = math.prod(dims[:mode]), math.prod(dims[mode + 1 :])
+    if before > 1 and after == 1:
+        # the lines along `mode` are rows
+        flat = None if out is None else out.reshape(before, rows)  # a view
+        product = np.matmul(
+            tensor.reshape(before, dims[mode]), matrix.T, out=flat
+        )
+        return product.reshape(shape) if out is None else out
+    if before == 1 or _batches(before, after):
+        blocks = (before, dims[mode], after)
+        flat = None if out is None else out.reshape(before, rows, after)
+        product = np.matmul(matrix, tensor.reshape(blocks), out=flat)
+        return product.reshape(shape) if out is None else out
     last = tensor.ndim - 1
     rest = dims[:mode] + dims[mode + 1 :]
     moved = tensor.transpose([*range(mode), *range(mode + 1, last + 1), mode])
-    flat = None
-    if out is not None and mode == last:
-        flat = out.reshape(math.prod(rest), matrix.shape[0])  # a view
-    product = np.matmul(
-        moved.reshape(math.prod(rest), dims[mode]), matrix.T, out=flat
-    )
-    product = product.reshape(rest + [matrix.shape[0]])
+    product = np.matmul(moved.reshape(before * after, dims[mode]), matrix.T)
+    product = product.reshape(rest + [rows])
     # the last axis goes back to position `mode`
     back = product.transpose([*range(mode), last, *range(mode, last)])
     if out is None:
         return np.ascontiguousarray(back)
-    if mode != last:
-        np.copyto(out, back)
+    np.copyto(out, back)
     return out
 
 

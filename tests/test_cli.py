@@ -403,6 +403,16 @@ BAD_INPUTS = {
     "csv-nan": (
         "1,2,3,4,5,6\n7,8,nan,1,2,3\n", "complete", 3, "err", "non-finite"
     ),
+    # a spreadsheet's UTF-8 export starts with a byte-order mark
+    "csv-bom": (
+        "\ufeff1,2,3,4,5,6\n7,8,9,1,2,3\n", "complete", 0, "out",
+        '"termination"',
+    ),
+    # Python's float() reads 1_0 as 10.0
+    "csv-underscore": (
+        "1,2,3,4,5,6\n7,8,1_0,1,2,3\n", "complete", 3, "err",
+        "t.csv:2: non-numeric field",
+    ),
     "all-zero": (_all_zero, "complete", 0, "out", '"rse": null'),
     # the truth is unknown off the mask, so no metric is defined
     "nan-off-mask": (_nan_off_mask, "complete", 0, "out", '"rse": null'),

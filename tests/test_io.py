@@ -300,6 +300,20 @@ class TestTrafficCsv:
         with pytest.raises(FileFormatError, match="non-numeric"):
             read_traffic_csv(path)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # the UTF-8 "CSV" export of a spreadsheet starts with a BOM
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2.5\n3,4\n")
+        np.testing.assert_array_equal(read_traffic_csv(path), [[1, 2.5], [3, 4]])
+
+    @pytest.mark.parametrize("field", ["1_0", "1_000.5", "2e1_0"])
+    def test_digit_group_underscore(self, tmp_path, field):
+        # float() reads 1_0 as 10.0; np.loadtxt rejects it, and so does this
+        path = tmp_path / "t.csv"
+        path.write_text(f"1,2\n3,{field}\n")
+        with pytest.raises(FileFormatError, match=r"t\.csv:2: non-numeric"):
+            read_traffic_csv(path)
+
     def test_empty(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("\n\n")

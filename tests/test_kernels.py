@@ -16,6 +16,7 @@ from lrsetd.kernels import (
     tridiag_ldl,
     tridiag_solve,
 )
+from lrsetd.tensor import _batches
 
 
 def nuclear_norm(m):
@@ -441,11 +442,11 @@ def relative_error(got, expected, scale):
 
 class TestTridiagRoutes:
     # each route of tridiag_solve, the matrix product by T^{-1} of a short
-    # end axis and the scaled sweep in place or in a swapped copy, against
-    # the per-row reference sweep and, where T fits in memory, a dense
-    # solve of the unfolding
+    # axis and the scaled sweep in place or in a swapped copy, against the
+    # per-row reference sweep and, where T fits in memory, a dense solve of
+    # the unfolding
 
-    LENGTHS = [1, 2, 3, 7, _SHORT, _SHORT + 1, 288, 10_080]
+    LENGTHS = [1, 2, 3, 7, 16, 17, _SHORT, _SHORT + 1, 288, 10_080]
 
     @staticmethod
     def shape(n, order, axis):
@@ -492,17 +493,46 @@ class TestTridiagRoutes:
                 tridiag_solve(ldl, kept, axis, out=out)
                 np.testing.assert_array_equal(out, got)
                 np.testing.assert_array_equal(kept, b)
-            # a short first or last axis is one matrix product; a long one
-            # is swept
+            # a short axis is a matrix product in any position of these
+            # shapes, whose middle axes have at most 12 blocks, which the
+            # mode-product rule batches; a long one is swept
             route = _route(ldl, shape, axis)
-            if n <= _SHORT and axis in (0, order - 1):
+            if n <= _SHORT:
                 assert route == "inverse"
-            elif n > _SHORT:
+            else:
                 assert route in ("rows", "swap")
+
+    @pytest.mark.parametrize("n", [2, 7, _SHORT])
+    @pytest.mark.parametrize(
+        "before, after",
+        [(32, 2), (21, 3), (3, 20), (500, 4), (33, 2), (22, 3), (1000, 2)],
+    )
+    def test_short_middle_axis(self, n, before, after):
+        # a short middle axis is one batched product by T^{-1} wherever
+        # tensor._batches batches a mode product: a trailing size of 4 or
+        # more, or at most 64 blocks; otherwise, as with a trailing size of
+        # 2 and 2 000 blocks, it stays on the swapped sweep
+        shape = (before, n, after)
+        ldl = tridiag_ldl(*w_matrix(n, 0.1, 1.0))
+        a = difference_matrix(n)
+        t = 0.1 * np.eye(n) + 2.0 * a.T @ a
+        route = "inverse" if _batches(before, after) else "swap"
+        assert _route(ldl, shape, 1) == route
+        b = np.random.default_rng([n, before, after]).standard_normal(shape)
+        got = self.check(ldl, t, b, 1, 1.0)
+        for layout in ("F", "strided"):
+            c = relayout(b, layout)
+            out = relayout(np.zeros(shape), layout)
+            tridiag_solve(ldl, c, 1, out=out)
+            np.testing.assert_array_equal(out, got)
+            np.testing.assert_array_equal(tridiag_solve(ldl, c, 1), got)
+        out = np.empty(shape)
+        tridiag_solve(ldl, b, 1, np.empty(b.size), out=out)
+        np.testing.assert_array_equal(out, got)
 
     @pytest.mark.parametrize("ratio", [1e-6, 1.0, 1e6])
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])
-    @pytest.mark.parametrize("n", [7, _SHORT + 1, 288, 10_080])
+    @pytest.mark.parametrize("n", [7, 17, _SHORT + 1, 288, 10_080])
     def test_extreme_scales_and_ratios(self, n, scale, ratio):
         # beta/omega from 1e-6 to 1e6: at 1e6 the multipliers are about
         # 2e-6, so the scaled sweep restarts its products every ~26 rows

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lrsetd.tensor import (
     ObservationMask,
+    _batches,
     frobenius,
     inner,
     mode_product,
@@ -17,6 +19,7 @@ from conftest import (
     fold_by_index_formula,
     kron_others,
     mask_at,
+    relayout,
     unfold_by_index_formula,
 )
 
@@ -128,6 +131,50 @@ class TestModeProduct:
         shape = mode_product(t, m, mode).shape
         with pytest.raises(ValueError, match="out must be"):
             mode_product(t, m, mode, out=buffer(shape))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("after", [1, 2, 3, 4, 7])
+    def test_middle_mode_either_side_of_batching(self, rng, after, layout):
+        # block counts before*after on both sides of the rule's 64, and a
+        # fourth-order tensor whose leading size is split over two axes
+        shapes = []
+        for before in (4, 64 // after, 64 // after + 1, 40):
+            shapes += [((before, 9, after), 1), ((2, before, 9, after), 2)]
+        sides = {_batches(math.prod(s[:k]), after) for s, k in shapes}
+        assert sides == ({True} if after >= 4 else {True, False})
+        for shape, mode in shapes:
+            t = relayout(rng.standard_normal(shape), layout)
+            m = rng.standard_normal((5, 9))
+            expected = np.einsum(m, [9, mode], t, range(t.ndim),
+                                 [9 if a == mode else a for a in range(t.ndim)])
+            got = mode_product(t, m, mode)
+            assert got.flags.c_contiguous
+            err = np.linalg.norm(got - expected)
+            assert err <= 1e-13 * np.linalg.norm(expected)
+            out = np.full(got.shape, np.nan)
+            assert mode_product(t, m, mode, out=out) is out
+            np.testing.assert_array_equal(out, got)
+
+    @pytest.mark.parametrize(
+        "shape, rows",
+        [((31, 72, 7), 288), ((31, 72, 2), 72), ((20, 20, 20), 2)],
+    )
+    def test_batched_product_into_out_allocates_nothing(self, rng, shape, rows):
+        # the batched middle-mode product writes into `out` with no moved
+        # copy of the input and no product to move back
+        t = rng.standard_normal(shape)
+        m = rng.standard_normal((rows, shape[1]))
+        assert _batches(shape[0], shape[2])
+        out = np.empty((shape[0], rows, shape[2]))
+        mode_product(t, m, 1, out=out)
+        tracemalloc.start()
+        try:
+            mode_product(t, m, 1, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+        np.testing.assert_array_equal(out, mode_product(t, m, 1))
 
     @settings(max_examples=300, deadline=None)
     @given(
