@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure, 141 (128 + SIGPIPE) when the reader of stdout has quit. The
 --report JSON of `complete` echoes the config and holds the per-iteration
-trace, one object per `IterationRecord` with the record's fields.
+trace, one object per `IterationRecord` with the record's fields. A
+`complete` whose final core is all zero (termination "collapsed") exits 0
+with one `warning:` line on stderr naming sigma, lam and the observed RMS.
 """
 
 import argparse
@@ -26,6 +28,7 @@ from .solver import (
     preset_config,
     solve,
 )
+from .tensor import frobenius
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -173,6 +176,16 @@ def cmd_complete(args):
     cfg, preset = _solver_config(args)
     # solve reads only the observed entries of its input, so no copy
     report = solve(truth, mask, cfg)
+    if report.termination == "collapsed":
+        observed = np.take(truth, mask.c_flat_index())
+        rms = frobenius(observed) / math.sqrt(max(observed.size, 1))
+        print(
+            f"warning: the core collapsed to zero (sigma={cfg.sigma:g}, "
+            f"lam={cfg.lam:g}, observed RMS {rms:.6g}), so the entries off "
+            "the mask are the smoothed zero fill; a smaller sigma or a "
+            "larger lam keeps the core",
+            file=sys.stderr,
+        )
 
     metrics = {}
     if mask.n_missing and not args.skip_metrics:

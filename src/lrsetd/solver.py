@@ -85,7 +85,7 @@ from .kernels import (
     tridiag_ldl,
     tridiag_solve,
 )
-from .tensor import frobenius, inner, mode_product, multilinear, unfold
+from .tensor import _batches, frobenius, inner, mode_product, multilinear
 
 __all__ = [
     "SolverConfig",
@@ -250,6 +250,8 @@ class SolverState:
     # O(n) numbers, and its inverse when n <= 32
     w_ldl: list
     observed: np.ndarray  # the values of M at mask.c_flat_index()
+    # update_factors' side per step, True for the core's: _factor_plan
+    plan: tuple
     iteration: int = 0
     # full-size buffers, None until a block needs them (see the memory plan)
     spare: np.ndarray | None = None
@@ -334,19 +336,8 @@ def init_state(m, mask, cfg):
         u=u,
         w_ldl=w_ldl,
         observed=observed,
+        plan=_factor_plan(dims, ranks),
     )
-
-
-def _contract_others(t, mats, i):
-    """unfold(t x_j mats[j]^T for every j != i, mode i).
-
-    With the symmetric Grams X_j^T X_j this is T_(i) @ kron(G_hi, G_lo),
-    and the Kronecker matrix is never materialized.
-    """
-    for j in range(len(mats)):
-        if j != i:
-            t = mode_product(t, mats[j].T, j)
-    return unfold(t, i)
 
 
 def _buffers(state):
@@ -358,24 +349,44 @@ def _buffers(state):
 
 
 class _Pool:
-    """Mode products written into consecutive C-contiguous pieces of the
-    given buffers, handed out in order and never taken back: the products
-    of one block, which all live until the block ends. A product that no
-    buffer has room for is allocated."""
+    """Products written into consecutive C-contiguous pieces of the given
+    buffers, handed out in order and never taken back: the products of one
+    block, which all live until the block ends. A product that no buffer
+    has room for is allocated."""
 
     def __init__(self, *buffers):
         self._free = [b.reshape(-1) for b in buffers]  # views: C order
 
-    def product(self, t, matrix, mode):
-        """``mode_product(t, matrix, mode)`` in the next piece that fits."""
-        shape = (*t.shape[:mode], matrix.shape[0], *t.shape[mode + 1 :])
-        size, out = math.prod(shape), None
+    def piece(self, shape):
+        """An uninitialized C-contiguous float64 array of `shape`, in the
+        next piece that fits."""
+        size = math.prod(shape)
         for k, free in enumerate(self._free):
             if free.size >= size:
                 self._free[k] = free[size:]
-                out = free[:size].reshape(shape)
-                break
-        return mode_product(t, matrix, mode, out=out)
+                return free[:size].reshape(shape)
+        return np.empty(shape)
+
+    def product(self, t, matrix, mode):
+        """``mode_product(t, matrix, mode)`` in the next piece that fits."""
+        shape = (*t.shape[:mode], matrix.shape[0], *t.shape[mode + 1 :])
+        return mode_product(t, matrix, mode, out=self.piece(shape))
+
+    def lead(self, t, matrix):
+        """`t` times `matrix` along its first axis, the new axis placed
+        last: one matmul of C-order reshapes, ``t_(0)^T @ matrix^T``."""
+        out = self.piece((*t.shape[1:], matrix.shape[0]))
+        rows = t.reshape(t.shape[0], -1)
+        np.matmul(rows.T, matrix.T, out=out.reshape(-1, matrix.shape[0]))
+        return out
+
+    def trail(self, t, matrix):
+        """`t` times `matrix` along its last axis, the new axis placed
+        first: one matmul of C-order reshapes, ``matrix @ t_(last)^T``."""
+        out = self.piece((matrix.shape[0], *t.shape[:-1]))
+        rows = t.reshape(-1, t.shape[-1])
+        np.matmul(matrix, rows.T, out=out.reshape(matrix.shape[0], -1))
+        return out
 
 
 def _require_finite(state, what, *arrays):
@@ -389,6 +400,101 @@ def _require_finite(state, what, *arrays):
             )
 
 
+# what a byte read or written costs in flops in :func:`_factor_plan`: at
+# one BLAS thread on a 2-core Xeon VM a large matmul ran at 46 GFLOP/s and
+# a copy moved 14-24 GB/s, and with 8 the plan was the fastest of the
+# possible ones, or within 5 % of it, at 15 shapes of orders 3 to 5
+_FLOPS_PER_BYTE = 8
+
+
+def _factor_plan(dims, ranks):
+    """Which side each step of :func:`update_factors` builds its right
+    side C_i(Z, X)*S_(i)^T from, chosen from `dims` and `ranks` alone:
+    True for the core's side, False for Z's side, one entry per step.
+
+    Step i contracts the prefix P_i = Z x_j X_j^T over j < i, which the
+    steps share, with the factors X_j of the modes j > i and with S. The
+    core's side forms K_i = S x_j X_j over j > i and multiplies it into
+    P_i with one matmul; the K_i are a chain that starts at K_{N-1} = S,
+    so a step on the core's side needs every K_j with j > i. Z's side
+    contracts P_i with each X_j^T first and then with S. For the last
+    step both sides are P_{N-1} against S, listed as True.
+
+    A side costs its flops plus the bytes it reads and writes, weighted
+    by _FLOPS_PER_BYTE, those of the moved copy of a middle-mode product
+    that does not batch (see :func:`lrsetd.tensor._batches`) and of a
+    rotated copy of S included. The plan is the cheapest over the first
+    step on the core's side, with each later step on its cheaper side.
+    """
+    order = len(dims)
+    core = math.prod(ranks)
+    # the sizes of P_i and K_i
+    prefix = [math.prod((*ranks[:i], *dims[i:])) for i in range(order)]
+    suffix = [
+        math.prod((*ranks[: i + 1], *dims[i + 1 :])) for i in range(order)
+    ]
+
+    def cost(flops, entries):
+        return flops + _FLOPS_PER_BYTE * 8 * entries  # float64 entries
+
+    def core_side(i):
+        entries = prefix[i] + suffix[i] + dims[i] * ranks[i]
+        return cost(2 * prefix[i] * ranks[i], entries)
+
+    def chain(i):  # K_i from K_{i+1}
+        return cost(2 * suffix[i] * ranks[i + 1], suffix[i + 1] + suffix[i])
+
+    def z_side(i):
+        shape, total = [*dims[i:], *ranks[:i]], 0  # P_i, mode i first
+        for j in range(order - 1, i, -1):
+            size, p = math.prod(shape), j - i
+            out = size // dims[j] * ranks[j]
+            total += cost(2 * out * dims[j], size + out)
+            before, after = math.prod(shape[:p]), math.prod(shape[p + 1 :])
+            # step 0 takes its last axis each time, which never moves
+            if i and not (1 in (before, after) or _batches(before, after)):
+                total += cost(0, 2 * (size + out))
+            shape[p] = ranks[j]
+        total += cost(2 * out * ranks[i], out + core + dims[i] * ranks[i])
+        # S rotated so that mode i comes last, a copy on a middle mode
+        return total + (cost(0, 2 * core) if i else 0)
+
+    best = None
+    for first in range(order):
+        sides = [False] * first + [
+            i == first or core_side(i) <= z_side(i)
+            for i in range(first, order - 1)
+        ]
+        total = sum(
+            core_side(i) if side else z_side(i) for i, side in enumerate(sides)
+        ) + sum(chain(i) for i in range(first, order - 1))
+        if best is None or total < best[0]:
+            best = total, (*sides, True)
+    return best[1]
+
+
+def _z_side(pool, prefix, x, s, i):
+    """C_i(Z, X)*S_(i)^T from Z's side: the prefix P_i, in the layout with
+    mode i first (see :func:`update_factors`), times X_j^T for each j > i,
+    then against S. Step 0 takes its last axis each time and ends with
+    mode 0 last; a later step takes middle axes."""
+    order, rank = len(x), s.shape[i]
+    if i == 0:
+        for j in range(order - 1, 0, -1):
+            prefix = pool.trail(prefix, x[j].T)
+        # modes 1, ..., N-1, then 0
+        rows = prefix.reshape(-1, x[0].shape[0]).T
+        return np.matmul(rows, s.reshape(rank, -1).T)
+    for j in range(order - 1, i, -1):
+        prefix = pool.product(prefix, x[j].T, j - i)
+    # S with modes i+1, ..., N-1, then 0, ..., i-1, then i
+    before = math.prod(s.shape[:i])
+    rotated = pool.piece((s.size // (before * rank), before, rank))
+    np.copyto(rotated, s.reshape(before, rank, -1).transpose(2, 0, 1))
+    rows = prefix.reshape(x[i].shape[0], -1)
+    return np.matmul(rows, rotated.reshape(-1, rank))
+
+
 def update_factors(state, cfg):
     """Gauss-Seidel update X_0 -> X_1 -> ... -> X_{N-1} (in place).
 
@@ -399,41 +505,67 @@ def update_factors(state, cfg):
               [beta*I + lam*C_i(S, G)*S_(i)^T]^{-1}
 
     with C_i(T, M) = unfold(T x_j M_j^T for j != i, i) and G_j = X_j^T X_j
-    taken from the factors as they stand at step i. The sweep reads the
-    full-size Z twice at any order and forms each Gram once; it returns
-    the last step's Z x_j X_j^T over j < N-1 and the Grams of the new
-    factors, which :func:`update_core` takes.
+    taken from the factors as they stand at step i: the new ones for
+    j < i, the old ones for j > i.
 
-    The sweep's mode products of Z are written into the state's two
-    full-size buffers as far as they fit, so the returned product lives
-    there until :func:`update_z` overwrites them.
+    Every contraction is a matmul of C-order reshapes, with no unfolding
+    and no copy of Z. Each intermediate keeps its modes in cyclic order,
+    mode k first, then k+1, ..., N-1, 0, ..., k-1: a product on the first
+    axis that places its new axis last moves k on by one (the prefix
+    P_i = Z x_j X_j^T over j < i, which starts as Z and is shared by the
+    steps), and a product on the last axis that places it first moves k
+    back by one (the suffix chains of S from K_{N-1} = S down, with the
+    old factors or Grams of the modes j > i). So at step i the prefix has
+    mode i first, the suffix has it last and the other modes in the same
+    order between them, and C_i(Z, X)*S_(i)^T is one matmul of the two,
+    as is C_i(S, G)*S_(i)^T of the Gram prefix and suffix of S. Which
+    side forms the right side of each step, Z's or the core's, is the
+    state's `plan`, which :func:`_factor_plan` picks from the shape. The
+    sweep reads the full-size Z twice, once for step 0 and once for P_1,
+    and forms each Gram once; it returns P_{N-1}, a view in the mode order
+    of Z that :func:`update_core` takes, and the Grams of the new factors.
+
+    The sweep's intermediates are written into the state's two full-size
+    buffers as far as they fit, so the returned product lives there until
+    :func:`update_z` overwrites them.
     """
-    x, s = state.x, state.s
+    x, s, plan = state.x, state.s, state.plan
+    order, ranks = len(x), s.shape
     pool = _Pool(*_buffers(state))
     grams = [None] + [f.T @ f for f in x[1:]]  # step 0 does not read G_0
-    # X_j moves only at step j, so the suffix Z x_j X_j^T over j >= k,
-    # built once from the last mode down, is what step k-1 needs; the
-    # stack holds Z itself at the bottom and the suffix from mode 1 on top
-    suffixes = [state.z]
-    for k in range(len(x) - 1, 0, -1):
-        suffixes.append(pool.product(suffixes[-1], x[k].T, k))
-    for i in range(len(x)):
-        # z_others = C_i(Z, X) before unfolding, with the new X_j, j < i
-        z_others = suffixes.pop()
-        for j in range(i):
-            z_others = pool.product(z_others, x[j].T, j)
-        s_i = unfold(s, i)
-        rhs = cfg.lam * unfold(z_others, i) @ s_i.T
+    # suffixes S x_j G_j and, from the first step on the core's side on,
+    # K_i = S x_j X_j over j > i, each with mode i last
+    gram_suffix, suffix = [s] * order, [s] * order
+    for i in range(order - 2, -1, -1):
+        gram_suffix[i] = pool.trail(gram_suffix[i + 1], grams[i + 1])
+        if any(plan[: i + 1]):
+            suffix[i] = pool.trail(suffix[i + 1], x[i + 1])
+    # P_i and S x_j G_j over j < i, each with mode i first
+    prefix, gram_prefix = state.z, s
+    for i in range(order):
+        if plan[i]:
+            rows = prefix.reshape(x[i].shape[0], -1)
+            rhs = np.matmul(rows, suffix[i].reshape(-1, ranks[i]))
+        else:
+            rhs = _z_side(pool, prefix, x, s, i)
+        rhs *= cfg.lam
         rhs += cfg.beta * state.y[i] - state.t[i]
-        lhs = cfg.beta * np.eye(s_i.shape[0]) + cfg.lam * _contract_others(
-            s, grams, i
-        ) @ s_i.T
+        lhs = gram_prefix.reshape(ranks[i], -1) @ gram_suffix[i].reshape(
+            -1, ranks[i]
+        )
+        lhs *= cfg.lam
+        lhs += cfg.beta * np.eye(ranks[i])
         lhs = 0.5 * (lhs + lhs.T)
         _require_finite(state, f"X_{i} subproblem", lhs, rhs)
         # X @ lhs = rhs; lhs >= beta*I is SPD by construction, so no check
         x[i] = np.linalg.solve(lhs, rhs.T).T
         grams[i] = x[i].T @ x[i]
-    return z_others, grams
+        if i < order - 1:
+            prefix = pool.lead(prefix, x[i].T)
+            gram_prefix = pool.lead(gram_prefix, grams[i])
+    # mode N-1 first: its transpose is Z x_j X_j^T over j < N-1
+    z01 = prefix.reshape(x[-1].shape[0], -1).T.reshape(*ranks[:-1], -1)
+    return z01, grams
 
 
 def update_y(state, cfg):
@@ -518,13 +650,15 @@ def update_z(state, cfg, m, mask):
     spare, scratch = _buffers(state)
     order = len(state.x)
     smoothed = cfg.smoothed_modes()
-    # from the last mode to the first, so the full-size product is the
-    # mode-0 one into the scratch; the smaller ones go where Z will
+    # from the last mode to the first, each product on the last axis
+    # placing its new one first, so the full-size product, the mode-0
+    # one into the scratch, leaves the modes in order; the smaller ones
+    # go where Z will
     pool = _Pool(spare)
     recon = state.s
     for mode in range(order - 1, 0, -1):
-        recon = pool.product(recon, state.x[mode], mode)
-    recon = mode_product(recon, state.x[0], 0, out=scratch)
+        recon = pool.trail(recon, state.x[mode])
+    recon = _Pool(scratch).trail(recon, state.x[0])
     acc = np.multiply(recon, cfg.lam / cfg.beta, out=spare)
     for i in smoothed:
         acc += state.w[i]
@@ -683,7 +817,7 @@ class CompletionReport:
     recovered: np.ndarray
     trace: list
     iterations: int
-    termination: str  # "tol" or "max_iter"
+    termination: str  # "tol", "max_iter" or "collapsed"
     total_seconds: float
 
 
@@ -693,7 +827,11 @@ def solve(m, mask, cfg, callback=None):
     The run stops after iteration k when the relative change
     ||Z_k - Z_{k-1}||_F / max(||Z_k||_F, 1) is at most ``cfg.tol``, with
     Z_0 the zero-filled observations, or after ``cfg.max_iter``
-    iterations.
+    iterations. Its termination is ``"tol"`` or ``"max_iter"``
+    accordingly, or ``"collapsed"`` when the final core is all zero: the
+    sparsity threshold sigma/(lam*zeta) of the core step then exceeded
+    every core entry, and the tensor off the mask is the smoothing of the
+    zero fill, not a Tucker fit.
 
     Parameters
     ----------
@@ -755,6 +893,8 @@ def solve(m, mask, cfg, callback=None):
         if rel_change <= cfg.tol:
             termination = "tol"
             break
+    if not state.s.any():
+        termination = "collapsed"
 
     return CompletionReport(
         recovered=state.z,

@@ -346,9 +346,35 @@ class TestCompleteCommand:
             ]
         )
         assert code == 0
+        # these values, 1 to 9, are thresholded to a zero core
         assert json.loads(capsys.readouterr().out)["termination"] in (
-            "tol", "max_iter"
+            "tol", "max_iter", "collapsed"
         )
+
+    def test_collapsed_core_warns(self, tmp_path, capsys):
+        # a dense rank-(2, 2, 2) tensor at unit RMS, half observed: the
+        # default sigma and lam zero the core, which exits 0 with one
+        # warning line that names both and the data's scale
+        truth = synthetic_tucker(1, density=1.0)[0]
+        truth /= np.sqrt(np.mean(truth**2))
+        tensor = tmp_path / "t.lrt"
+        write_tensor(tensor, truth)
+        report = tmp_path / "report.json"
+        argv = ["complete", "--input", str(tensor), "--sample-ratio", "0.5",
+                "--seed", "1", "--ranks", "2,2,2", "--report", str(report)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["termination"] == "collapsed"
+        assert json.loads(report.read_text())["termination"] == "collapsed"
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("warning: the core collapsed to zero ")
+        assert "sigma=1, lam=0.01, observed RMS 0.9" in captured.err
+        # ten times the data keeps the core: no warning
+        write_tensor(tensor, 10.0 * truth)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["termination"] != "collapsed"
+        assert captured.err == ""
 
 
 def _first_observed(value):
@@ -606,7 +632,11 @@ class TestBadInput:
         assert text in (captured.out if stream == "out" else captured.err)
         # a failure is one "error:" line, with no numpy warnings before it
         assert [str(w.message) for w in caught] == []
-        if code == 0:
+        if code == 0 and '"termination": "collapsed"' in captured.out:
+            # a solve whose core is all zero exits 0 with one warning line
+            assert captured.err.startswith("warning: ")
+            assert captured.err.count("\n") == 1
+        elif code == 0:
             assert captured.err == ""
         else:
             assert captured.err.startswith("error: ")

@@ -9,6 +9,7 @@ import pytest
 from lrsetd.kernels import tridiag_solve
 from lrsetd.solver import (
     PRESETS,
+    _factor_plan,
     NumericalError,
     SolverConfig,
     augmented_lagrangian,
@@ -38,6 +39,7 @@ from conftest import (
     smoothing_matrix,
     synthetic_tucker,
     tridiag_solve_reference,
+    unfold_by_index_formula,
 )
 
 
@@ -537,27 +539,29 @@ class TestUpdateFactors:
         check_factor_update(state, cfg)
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5])
-    def test_sweep_reads_z_twice(self, order, monkeypatch):
-        # the suffix products Z x_j X_j^T over j >= k are shared by the
-        # steps below k, so only the first suffix and the last step's
-        # chain take the full-size Z, at any order; ranks below every
-        # dimension keep all other products smaller than Z
-        import lrsetd.solver as solver_module
-
+    @pytest.mark.parametrize("side", ["plan", "core", "z"])
+    def test_sweep_reads_z_twice(self, order, side, monkeypatch):
+        # the prefix Z x_j X_j^T over j < i is shared by the steps after
+        # i, so only step 0, from either side, and the prefix's first
+        # product take the full-size Z, at any order; ranks below every
+        # dimension keep all other operands smaller than Z. Every read is
+        # a matmul, in a mode product or straight in the sweep
         dims, ranks = (5, 4, 3, 3, 2)[:order], (2, 2, 2, 2, 1)[:order]
         cfg = SolverConfig(
             ranks=ranks, alpha=(0.5,) * order, omega=(0.0,) * order
         )
         m = np.zeros(dims)
         state = randomized_state(2, dims, ranks, cfg, m, ObservationMask.full(dims))
+        if side != "plan":
+            state.plan = (side == "core",) * (order - 1) + (True,)
         reads = []
-        product = solver_module.mode_product
+        matmul = np.matmul
 
-        def spy(tensor, matrix, mode, out=None):
-            reads.append(tensor.size == state.z.size)
-            return product(tensor, matrix, mode, out=out)
+        def spy(a, b, *args, **kwargs):
+            reads.append(state.z.size in (np.size(a), np.size(b)))
+            return matmul(a, b, *args, **kwargs)
 
-        monkeypatch.setattr(solver_module, "mode_product", spy)
+        monkeypatch.setattr(np, "matmul", spy)
         update_factors(state, cfg)
         assert sum(reads) == 2
 
@@ -571,6 +575,138 @@ class TestUpdateFactors:
         update_factors(state, cfg)
         for i in range(3):
             np.testing.assert_allclose(state.x[i], expected[i], atol=1e-10)
+
+
+def every_plan(order):
+    """Every side per step that :func:`lrsetd.solver._factor_plan` can
+    pick: any choice for steps 0 to N-2, and the core's for the last."""
+    return [
+        (*sides, True) for sides in itertools.product((False, True), repeat=order - 1)
+    ]
+
+
+class TestFactorPlan:
+    # orders 2 to 5, with r_i = I_i on the first, a middle or the last
+    # mode, where a product on that mode keeps the size of its input
+    SHAPES = pytest.mark.parametrize(
+        "dims, ranks",
+        [
+            ((5, 4), (2, 3)),
+            ((3, 6), (3, 2)),
+            ((5, 4, 3), (2, 2, 3)),
+            ((3, 5, 4), (3, 2, 2)),
+            ((6, 3, 5), (2, 3, 2)),
+            ((4, 3, 2, 5), (2, 3, 1, 2)),
+            ((3, 4, 2, 3), (3, 2, 2, 1)),
+            ((4, 3, 3, 2, 3), (2, 2, 3, 1, 2)),
+        ],
+        ids=lambda v: "x".join(map(str, v)),
+    )
+
+    @SHAPES
+    def test_every_plan_matches_kronecker_oracle(self, dims, ranks, monkeypatch):
+        # each step's right side lam*Z_(i) B_i S_(i)^T + beta*Y_i - T_i and
+        # left side beta*I + lam*S_(i) B_i^T B_i S_(i)^T, with B_i the
+        # explicit Kronecker product of the factors as step i sees them,
+        # and the returned Z x_j X_j^T over j < N-1, by the index formula
+        order = len(dims)
+        cfg = SolverConfig(
+            ranks=ranks, alpha=(0.5,) * order, omega=(0.0,) * order,
+            lam=0.7, beta=0.3,
+        )
+        m = np.zeros(dims)
+        mask = ObservationMask.full(dims)
+        for plan in every_plan(order):
+            state = randomized_state(7, dims, ranks, cfg, m, mask)
+            state.plan = plan
+            x_old = [f.copy() for f in state.x]
+            systems = []
+            solve_system = np.linalg.solve
+
+            def spy(lhs, rhs):
+                systems.append((lhs.copy(), rhs.T.copy()))
+                return solve_system(lhs, rhs)
+
+            monkeypatch.setattr(np.linalg, "solve", spy)
+            z01, grams = update_factors(state, cfg)
+            monkeypatch.undo()
+            assert len(systems) == order
+            for i, (lhs, rhs) in enumerate(systems):
+                mix = [state.x[j] if j < i else x_old[j] for j in range(order)]
+                b = kron_others(mix, i)
+                s_i = unfold_by_index_formula(state.s, i)
+                z_i = unfold_by_index_formula(state.z, i)
+                want = (
+                    cfg.lam * z_i @ b @ s_i.T
+                    + cfg.beta * state.y[i]
+                    - state.t[i]
+                )
+                np.testing.assert_allclose(
+                    rhs, want, rtol=0, atol=1e-12 * np.linalg.norm(want)
+                )
+                want = cfg.beta * np.eye(ranks[i]) + cfg.lam * s_i @ b.T @ b @ s_i.T
+                np.testing.assert_allclose(
+                    lhs, want, rtol=0, atol=1e-12 * np.linalg.norm(want)
+                )
+            last = order - 1
+            want = unfold_by_index_formula(state.z, last) @ kron_others(
+                state.x, last
+            )
+            assert z01.shape == (*ranks[:-1], dims[-1])
+            np.testing.assert_allclose(
+                unfold_by_index_formula(z01, last),
+                want,
+                rtol=0,
+                atol=1e-12 * np.linalg.norm(want),
+            )
+            for g, f in zip(grams, state.x):
+                np.testing.assert_array_equal(g, f.T @ f)
+
+    @SHAPES
+    def test_plans_agree_with_update_core(self, dims, ranks):
+        # update_core takes the returned product in place of the one it
+        # would build from the new factors
+        order = len(dims)
+        cfg = SolverConfig(
+            ranks=ranks, alpha=(0.5,) * order, omega=(0.0,) * order,
+            sigma=0.0,
+        )
+        m = np.zeros(dims)
+        mask = ObservationMask.full(dims)
+        for plan in every_plan(order):
+            state = randomized_state(8, dims, ranks, cfg, m, mask)
+            state.plan = plan
+            z01, grams = update_factors(state, cfg)
+            rebuilt = copy.deepcopy(state)
+            update_core(state, cfg, z01, grams)
+            update_core(rebuilt, cfg)
+            assert rebuilt.s.all()
+            np.testing.assert_allclose(
+                state.s, rebuilt.s, rtol=0, atol=1e-12 * frobenius(rebuilt.s)
+            )
+
+    @pytest.mark.parametrize(
+        "dims, ranks, plan",
+        [
+            # image-256: step 0 from the core's side reads Z once, with no
+            # full-size product; Z x_2 X_2^T would be full size (r_2 = I_2)
+            ((256, 256, 3), (64, 64, 3), (True, True, True)),
+            # traffic-wholeday: Z x_2 X_2^T shrinks Z 3.5-fold first
+            ((121, 288, 7), (31, 72, 2), (False, False, True)),
+            # synth-batch
+            ((20, 20, 20), (2, 2, 2), (True, True, True)),
+        ],
+        ids=["image-256", "traffic-wholeday", "synth-batch"],
+    )
+    def test_plan_at_benchmark_shapes(self, dims, ranks, plan):
+        assert _factor_plan(dims, ranks) == plan
+
+    def test_state_holds_the_plan_of_its_shape(self):
+        dims, ranks = (12, 12, 3), (4, 4, 3)
+        m, mask, _ = small_problem(dims=dims, ranks=ranks)
+        cfg = preset_config("image", ranks=ranks)
+        assert init_state(m, mask, cfg).plan == _factor_plan(dims, ranks)
+        assert _factor_plan((7,), (3,)) == (True,)
 
 
 class TestBlockMemory:
@@ -651,19 +787,28 @@ class TestBlockMemory:
 
 class TestIterationMemory:
     @pytest.mark.parametrize(
-        "dims, ranks, omega",
+        "dims, ranks, omega, bound",
         [
-            ((60, 50, 40), (6, 3, 4), (1.0, 0.0, 0.5)),
-            ((40, 12, 10, 40), (4, 2, 2, 4), (0.0, 1.0, 0.0, 0.5)),
+            ((60, 50, 40), (6, 3, 4), (1.0, 0.0, 0.5), 0.25),
+            ((40, 12, 10, 40), (4, 2, 2, 4), (0.0, 1.0, 0.0, 0.5), 0.25),
+            # image-shaped, r_2 = I_2: the sweep's and the reconstruction's
+            # products go into the buffers, with no moved copy; the core
+            # is a quarter and each factor a sixth of the tensor here, so
+            # the core step's core-sized temporaries set the peak, 1.27
+            # tensors (124 536 bytes). With the sweep's suffixes from the
+            # last mode down it was 1.95, a moved copy of Z x_2 X_2^T
+            ((64, 64, 3), (32, 32, 3), (1.0, 1.0, 0.0), 1.5),
         ],
-        ids=["order-3", "order-4"],
+        ids=["order-3", "order-4", "image-r2-full"],
     )
-    def test_iteration_allocates_no_full_size_tensor(self, dims, ranks, omega):
+    def test_iteration_allocates_no_full_size_tensor(
+        self, dims, ranks, omega, bound
+    ):
         # every full-size array of an iteration lives in the state, whose
-        # two buffers the first block allocates; each factor here is
-        # under 5 % of the tensor and the end modes shrink tenfold, so no
-        # mode product reaches a quarter of it. Before those buffers an
-        # iteration's peak rose by about two tensors here.
+        # two buffers the first block allocates; in the first two shapes
+        # each factor is under 5 % of the tensor and the end modes shrink
+        # tenfold, so no mode product reaches a quarter of it. Before
+        # those buffers an iteration's peak rose by about two tensors.
         rng = np.random.default_rng(0)
         m = 100.0 * rng.random(dims)
         mask = ObservationMask(rng.random(dims) < 0.5)
@@ -692,7 +837,7 @@ class TestIterationMemory:
         finally:
             tracemalloc.stop()
         assert report.iterations == 6 and len(rises) == 5
-        assert max(rises) < m.nbytes / 4
+        assert max(rises) < bound * m.nbytes
 
     @pytest.mark.parametrize(
         "block",
@@ -1317,11 +1462,38 @@ class TestSolve:
         report = solve(m, ObservationMask.full(m.shape), cfg)
         np.testing.assert_array_equal(report.recovered, m)
         assert report.iterations <= 2
-        assert report.termination == "tol"
+        # the default sigma and lam zero the core of unit-scale data,
+        # which the termination reports although Z is exact here
+        assert report.termination == "collapsed"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_zero_core_reports_collapsed(self, seed):
+        # a dense rank-(2, 2, 2) tensor at unit RMS, half observed: the
+        # first core step thresholds at sigma/(lam*zeta), above every core
+        # entry, so Z stays the zero fill and the relative change stops
+        # the run after one iteration, at RSE ~0.7
+        truth = synthetic_tucker(seed, density=1.0)[0]
+        truth /= np.sqrt(np.mean(truth**2))
+        mask = ObservationMask(np.random.default_rng(seed).random(truth.shape) < 0.5)
+        report = solve(truth, mask, SolverConfig(ranks=(2, 2, 2)))
+        assert report.termination == "collapsed"
+        assert report.iterations == 1
+        assert 0.6 < frobenius(report.recovered - truth) / frobenius(truth) < 0.8
+
+    def test_surviving_core_keeps_its_termination(self):
+        # such a tensor at RMS 10 keeps its core
+        truth = synthetic_tucker(0, density=1.0)[0]
+        truth *= 10.0 / np.sqrt(np.mean(truth**2))
+        mask = ObservationMask(np.random.default_rng(0).random(truth.shape) < 0.5)
+        cfg = SolverConfig(ranks=(2, 2, 2), max_iter=40)
+        report = solve(truth, mask, cfg)
+        assert report.termination in ("tol", "max_iter")
 
     def test_huge_tol_one_iteration(self):
         m, mask, _ = small_problem()
-        cfg = SolverConfig(ranks=(2, 2, 2), tol=1e9)
+        # sigma = 0 keeps the core, so the relative change is the one
+        # reason to stop
+        cfg = SolverConfig(ranks=(2, 2, 2), sigma=0.0, tol=1e9)
         report = solve(m, mask, cfg)
         assert report.iterations == 1
         assert report.termination == "tol"
