@@ -70,6 +70,18 @@ done
 cmp short_a.json short_b.json
 cmp short_a.lrt short_b.lrt
 
+echo "a rank equal to its mode length"
+# image-shaped with r_2 = I_2 = 3: every step of the factor sweep takes
+# its right side from the core's side, and step 0 multiplies Z by the
+# core's chain with no product of Z; both runs must agree byte for byte
+python -c "import numpy as np; from lrsetd.io import write_tensor; f = np.random.default_rng(4).uniform(1, 2, 27); write_tensor('rankfull.lrt', 100 * np.einsum('i,j,k->ijk', f[:12], f[12:24], f[24:]))"
+lrsetd mask-gen --dims 12,12,3 --ratio 0.6 --seed 3 --out rankfull.lrm
+for run in a b; do
+  lrsetd complete --input rankfull.lrt --mask rankfull.lrm --preset image --ranks 4,4,3 --max-iter 20 --deterministic-report --report "rankfull_$run.json" --out "rankfull_$run.lrt" > /dev/null
+done
+cmp rankfull_a.json rankfull_b.json
+cmp rankfull_a.lrt rankfull_b.lrt
+
 echo "config files that set removed fields"
 # every smoothed mode uses the difference matrix, every run stops on the
 # relative change over max(||Z||, 1) and every solve starts from one fixed

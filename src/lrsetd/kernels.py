@@ -14,8 +14,8 @@ The ADMM calls :func:`tridiag_solve` on small operands every iteration, so
 its Python-level cost and its strided copies count as much as its
 arithmetic. It takes an exact route chosen from the array's shape alone:
 a short axis is one matrix product by the stored T^{-1}, batched over the
-blocks of a middle axis wherever :func:`lrsetd.tensor._batches` batches a
-mode product; any other axis is swept with one ufunc call per step, an
+blocks of a middle axis unless they are many and short (see
+:func:`_route`); any other axis is swept with one ufunc call per step, an
 add on rows scaled beforehand, in place on a first axis and otherwise in a
 copy made as a 2-D transpose of whole trailing blocks. The factor step's
 r x r solve is one ``np.linalg.solve`` call in the solver. Everything here runs
@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .tensor import _batches
 
 __all__ = [
     "svd_shrink",
@@ -148,6 +146,14 @@ def soft_shrink(m, tau):
 # solve
 _SHORT = 32
 
+# the most (before, n, after) blocks of a middle axis with a trailing size
+# of 2 or 3 that the product by T^{-1} takes, batched; any count with 4 or
+# more. Interleaved at one BLAS thread on a 2-core Xeon VM, the product
+# took 0.16-0.87 of the swapped sweep's time up to 1 024 blocks at
+# n = 2-32; with a trailing size of 2 the sweep won from 2 048 blocks at
+# n = 2, from 4 096 at n = 4 and at 8 192 at n = 8 and 20 (BENCH_5.json)
+_BLOCKS = 1024
+
 # the scaled sweep's running products stay within this range, so its
 # scaled rows stay finite for data up to about 1e150
 _SCALED = (1e-150, 1e150)
@@ -254,8 +260,8 @@ def _route(ldl, shape, axis):
     - ``"inverse"``: an axis of at most 32 is a matrix product by T^{-1}:
       one product on a first or last axis, whose lines are the columns or
       the rows of one matrix, and one batched matmul over the
-      (before, n, after) blocks of a middle axis that
-      :func:`lrsetd.tensor._batches` batches.
+      (before, n, after) blocks of a middle axis whose trailing size is at
+      least 4 or whose blocks number at most 1 024.
     - ``"rows"``: any other axis whose preceding axes all have length 1,
       as the first, is swept in place: its lines are the columns of n
       contiguous rows.
@@ -265,7 +271,7 @@ def _route(ldl, shape, axis):
     """
     before, after = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
     if ldl.inverse is not None and (
-        1 in (before, after) or _batches(before, after)
+        1 in (before, after) or after >= 4 or before * after <= _BLOCKS
     ):
         return "inverse"
     return "rows" if before == 1 else "swap"

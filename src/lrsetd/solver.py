@@ -23,7 +23,8 @@ stored: the penalty applies it as differences along axis i, and the W
 subproblem matrix [beta*I + 2*omega_i*A_i^T A_i] is tridiagonal, so W_i
 comes from an O(n) sweep along that axis, or, on an axis of at most 32,
 from a matrix product by the inverse, built once (on a middle axis, one
-batched product where :func:`lrsetd.tensor.mode_product` would batch).
+batched product unless its blocks are many and short; see
+:func:`lrsetd.kernels._route`).
 
 Each block is one public function, ``update_factors``, ``update_y``,
 ``update_core``, ``update_z``, ``update_w`` and ``update_duals``, and
@@ -55,11 +56,14 @@ steps write W_i and U_i in place; the dual step forms each gap Z - W_i
 in the scratch, which also holds the reconstruction [[S; X]] and, in the
 W step, either the swapped copy of a strided axis or the right side
 beta*Z + U_i, which the matrix product by T_i^{-1} or the sweep's first
-scaling pass reads into W_i. The factor sweep's mode products of Z,
-and the reconstruction's smaller ones, go into pieces of buffers that
-are dead at that point. What an iteration still allocates is factor- or
-core-sized, or the moved copy and matrix product of a middle-mode product
-that is not batched.
+scaling pass reads into W_i. The factor sweep's intermediates (the
+prefixes of Z, the chains of S and the products on Z's side) and the
+reconstruction's smaller products go into pieces of buffers that are dead
+at that point. Each of them is one matmul of C-order reshapes on a first
+or last axis, with no moved copy, except on Z's side of a step past the
+first, whose products on middle axes of a prefix move a copy when they do
+not batch. What an iteration still allocates is factor- or core-sized, or
+such a moved copy and its product.
 
 The order N is the tensor's: every block loops over its modes, and the
 per-mode fields of :class:`SolverConfig` must have one value per mode.

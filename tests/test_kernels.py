@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import difference_matrix, relayout, tridiag_solve_reference
 from lrsetd.kernels import (
+    _BLOCKS,
     _SHORT,
     _gram_resolves,
     _nuclear_norm,
@@ -16,7 +17,6 @@ from lrsetd.kernels import (
     tridiag_ldl,
     tridiag_solve,
 )
-from lrsetd.tensor import _batches
 
 
 def nuclear_norm(m):
@@ -494,8 +494,8 @@ class TestTridiagRoutes:
                 np.testing.assert_array_equal(out, got)
                 np.testing.assert_array_equal(kept, b)
             # a short axis is a matrix product in any position of these
-            # shapes, whose middle axes have at most 12 blocks, which the
-            # mode-product rule batches; a long one is swept
+            # shapes, whose middle axes have at most 12 blocks; a long one
+            # is swept
             route = _route(ldl, shape, axis)
             if n <= _SHORT:
                 assert route == "inverse"
@@ -505,19 +505,24 @@ class TestTridiagRoutes:
     @pytest.mark.parametrize("n", [2, 7, _SHORT])
     @pytest.mark.parametrize(
         "before, after",
-        [(32, 2), (21, 3), (3, 20), (500, 4), (33, 2), (22, 3), (1000, 2)],
+        [
+            (32, 2), (21, 3), (3, 20), (500, 4), (33, 2), (22, 3),
+            (1000, 2), (512, 2), (513, 2), (341, 3), (342, 3),
+        ],
     )
     def test_short_middle_axis(self, n, before, after):
-        # a short middle axis is one batched product by T^{-1} wherever
-        # tensor._batches batches a mode product: a trailing size of 4 or
-        # more, or at most 64 blocks; otherwise, as with a trailing size of
-        # 2 and 2 000 blocks, it stays on the swapped sweep
+        # a short middle axis is one batched product by T^{-1} when its
+        # trailing size is 4 or more or its blocks number at most 1 024,
+        # which the mode-product rule would not batch from 65 blocks on
+        # at a trailing size of 2-3; past that, as with a trailing size
+        # of 2 and 2 000 blocks, it stays on the swapped sweep
         shape = (before, n, after)
         ldl = tridiag_ldl(*w_matrix(n, 0.1, 1.0))
         a = difference_matrix(n)
         t = 0.1 * np.eye(n) + 2.0 * a.T @ a
-        route = "inverse" if _batches(before, after) else "swap"
-        assert _route(ldl, shape, 1) == route
+        short = after >= 4 or before * after <= _BLOCKS
+        assert _route(ldl, shape, 1) == ("inverse" if short else "swap")
+        assert _BLOCKS == 1024  # which the pairs above straddle
         b = np.random.default_rng([n, before, after]).standard_normal(shape)
         got = self.check(ldl, t, b, 1, 1.0)
         for layout in ("F", "strided"):
