@@ -669,29 +669,6 @@ class TestFactorPlan:
             for g, f in zip(grams, state.x):
                 np.testing.assert_array_equal(g, f.T @ f)
 
-    @SHAPES
-    def test_plans_agree_with_update_core(self, dims, ranks):
-        # update_core takes the returned product in place of the one it
-        # would build from the new factors
-        order = len(dims)
-        cfg = SolverConfig(
-            ranks=ranks, alpha=(0.5,) * order, omega=(0.0,) * order,
-            sigma=0.0,
-        )
-        m = np.zeros(dims)
-        mask = ObservationMask.full(dims)
-        for plan in every_plan(order):
-            state = randomized_state(8, dims, ranks, cfg, m, mask)
-            state.plan = plan
-            z01, grams = update_factors(state, cfg)
-            rebuilt = copy.deepcopy(state)
-            update_core(state, cfg, z01, grams)
-            update_core(rebuilt, cfg)
-            assert rebuilt.s.all()
-            np.testing.assert_allclose(
-                state.s, rebuilt.s, rtol=0, atol=1e-12 * frobenius(rebuilt.s)
-            )
-
     @pytest.mark.parametrize(
         "dims, ranks, plan",
         [
