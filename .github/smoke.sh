@@ -27,6 +27,18 @@ done
 cmp report_a.json report_b.json
 lrsetd metrics --truth tiny.lrt --recovered recovered_a.lrt --mask tiny.lrm > metrics_a.json
 grep -q '"rse"' metrics_a.json
+# the trace rows carry exactly the fields of IterationRecord, and the final
+# Lagrangian and objective sit at the top level as finite numbers
+python -c "
+import dataclasses, json, math, sys
+from lrsetd.solver import IterationRecord
+doc = json.load(open('report_a.json'))
+names = {f.name for f in dataclasses.fields(IterationRecord)}
+if not doc['trace'] or any(set(row) != names for row in doc['trace']):
+    sys.exit(f'trace rows are not IterationRecord: {doc[\"trace\"][:1]}')
+if not all(math.isfinite(doc[key]) for key in ('lagrangian', 'objective')):
+    sys.exit('final lagrangian or objective is not finite')
+"
 # composite mask: slice 3 of mode 2 dropped, round(0.5 * 180) of the rest
 # kept, a count that does not depend on the random stream
 lrsetd mask-gen --dims 6,6,6 --missing-spec '{"kind": "composite", "mode": 2, "params": {"structural": {"kind": "whole_slices", "params": {"slices": [3]}}, "ratio": 0.5}, "seed": 4}' --out composite.lrm > composite.json

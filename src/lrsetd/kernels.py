@@ -54,8 +54,7 @@ def svd_shrink(m, tau):
 
 def _svd_shrink(m, tau):
     """:func:`svd_shrink` of a finite float64 `m` at ``tau >= 0``, unchecked,
-    and the nuclear norm of the result, which is the sum of the shrunk
-    singular values, so it needs no second SVD.
+    and the rank of the result: the number of singular values above tau.
 
     Singular value thresholding keeps the values above tau and their right
     vectors V_k only: Y = (A V_k) diag(1 - tau/s_k) V_k^T for the tall
@@ -65,12 +64,12 @@ def _svd_shrink(m, tau):
     a = m.T if wide else m
     s, v = _tall_svd(a, tau)
     keep = s > tau
-    if not keep.any():
-        return np.zeros_like(m), 0.0
+    kept = int(np.count_nonzero(keep))
+    if not kept:
+        return np.zeros_like(m), 0
     s, v = s[keep], v[:, keep]
-    shrunk = s - tau
-    y = ((a @ v) * (shrunk / s)) @ v.T
-    return (y.T if wide else y), float(shrunk.sum())
+    y = ((a @ v) * ((s - tau) / s)) @ v.T
+    return (y.T if wide else y), kept
 
 
 # largest lambda_max / lambda_min of a Gram whose eigenvalues are used: a
@@ -133,8 +132,19 @@ def soft_shrink(m, tau):
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    m = np.asarray(m, dtype=np.float64)
-    return np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
+    # [()] gives a scalar for a scalar input, as a ufunc does
+    return _soft_shrink(np.array(m, dtype=np.float64), tau)[()]
+
+
+def _soft_shrink(m, tau):
+    """:func:`soft_shrink` of a float64 `m` at ``tau >= 0``, unchecked,
+    written into `m` and returned: sign(m)*max(|m| - tau, 0), bit for bit,
+    with one boolean temporary."""
+    negative = m < 0
+    np.abs(m, out=m)
+    m -= tau
+    np.maximum(m, 0.0, out=m)
+    return np.negative(m, out=m, where=negative)
 
 
 # the longest axis solved as a matrix product by T^{-1}, which caps the

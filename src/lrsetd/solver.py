@@ -28,23 +28,19 @@ batched product unless its blocks are many and short; see
 
 Each block is one public function, ``update_factors``, ``update_y``,
 ``update_core``, ``update_z``, ``update_w`` and ``update_duals``, and
-:func:`solve` calls exactly these, once each per iteration. Each
-full-size product is built once and reduced to a scalar in the block that
-builds it, and a block returns its Lagrangian term: ``update_y`` the
-nuclear norms, ``update_z`` the fit term from the only reconstruction
-[[S; X]], and ``update_duals`` the penalty terms; the sparsity term is
-read off S and each smoothness term omega_i*||A_i W_i||_F^2 as
-<W_i, U_i>/2, since the W and dual steps leave U_i = 2*omega_i*A_i^T A_i W_i.
-``update_factors`` forms each Gram X_i^T X_i once, after X_i changes,
-and returns the Grams with its partial contraction of Z, which
-``update_core`` takes. :func:`augmented_lagrangian` computes the same
-value from scratch, the smoothness terms from differences along each
-axis. The nuclear norms of ``update_y`` and :func:`objective_value` come
-from the eigenvalues of the r_i x r_i Grams, with an SVD only where a
-Gram is too ill-conditioned (see :mod:`lrsetd.kernels`). No full-size
-array is scanned for NaN or inf: the factor-sized subproblem inputs are
-checked, and every state array enters the trace Lagrangian or the
-relative change, which are checked as scalars.
+:func:`solve` calls exactly these, once each per iteration. A block
+returns only what it forms anyway: ``update_factors`` its partial
+contraction of Z and the Grams X_i^T X_i, each formed once, which
+``update_core`` takes; ``update_y`` the rank each prox keeps; and
+``update_duals`` the primal residuals max_i ||Z - W_i||_F and
+max_i ||X_i - Y_i||_F of the gaps its ascent adds. No block forms a term
+of the Lagrangian or the objective: :func:`solve` calls
+:func:`augmented_lagrangian` and :func:`objective_value`, which compute
+them from scratch, once, at the final iterate. No full-size array is
+scanned for NaN or inf: the factor-sized subproblem inputs, the core and
+the T_i are checked whole, every other state array reaches the relative
+change of Z or a primal residual, which are checked as scalars, and the
+U_i ascent raises on overflow.
 
 Memory plan: the state keeps the observed values of M, which
 :func:`init_state` gathers once, and two full-size buffers, the spare
@@ -84,8 +80,8 @@ import numpy as np
 from .kernels import (
     _nuclear_norm,
     _route,
+    _soft_shrink,
     _svd_shrink,
-    soft_shrink,
     tridiag_ldl,
     tridiag_solve,
 )
@@ -574,15 +570,14 @@ def update_factors(state, cfg):
 
 def update_y(state, cfg):
     """Nuclear-norm prox on each auxiliary factor (in place):
-    Y_i = svd_shrink(X_i + T_i/beta, alpha_i/beta). Returns
-    sum_i alpha_i*||Y_i||_* of the new Y."""
-    val = 0.0
+    Y_i = svd_shrink(X_i + T_i/beta, alpha_i/beta). Returns the rank of
+    each new Y_i, the number of singular values above alpha_i/beta."""
+    ranks = [0] * len(state.x)
     for i in range(len(state.x)):
         point = state.x[i] + state.t[i] / cfg.beta
         _require_finite(state, f"Y_{i} prox input", point)
-        state.y[i], nuclear = _svd_shrink(point, cfg.alpha[i] / cfg.beta)
-        val += cfg.alpha[i] * nuclear
-    return val
+        state.y[i], ranks[i] = _svd_shrink(point, cfg.alpha[i] / cfg.beta)
+    return tuple(ranks)
 
 
 def update_core(state, cfg, z01=None, grams=None):
@@ -590,14 +585,14 @@ def update_core(state, cfg, z01=None, grams=None):
 
     The smooth part is phi(S) = 0.5*||[[S; X]] - Z||_F^2 with
     gradient S x_j G_j - Z x_j X_j^T over all modes, G_j = X_j^T X_j, and
-    Lipschitz constant the product of the Grams' spectral norms. A zero
-    Lipschitz constant (all-zero factors) skips the step.
+    Lipschitz constant zeta, the product of the Grams' spectral norms. A
+    zero Lipschitz constant (all-zero factors) skips the step.
 
     `z01` = Z x_j X_j^T over j < N-1 and the Grams are what
     :func:`update_factors` returns; pass both or neither, in which case
-    they are built from the current factors. Returns the ascending
-    eigenvalues of each Gram, which :func:`objective_value` takes for the
-    nuclear norms of the same factors.
+    they are built from the current factors. The gradient, the step
+    S - grad/zeta and its soft threshold at sigma/(lam*zeta) share one
+    core-sized array, which becomes the new S.
     """
     x = state.x
     if z01 is None:
@@ -605,21 +600,15 @@ def update_core(state, cfg, z01=None, grams=None):
         for j in range(len(x) - 1):
             z01 = mode_product(z01, x[j].T, j)
         grams = [f.T @ f for f in x]
-    spectra = [np.linalg.eigvalsh(g) for g in grams]
     # the spectral norm of a Gram is its largest eigenvalue
-    zeta = math.prod(lam[-1] for lam in spectra)
+    zeta = math.prod(np.linalg.eigvalsh(g)[-1] for g in grams)
     if zeta == 0.0:
-        return spectra
-    grad = multilinear(state.s, grams) - mode_product(z01, x[-1].T, len(x) - 1)
-    state.s = soft_shrink(state.s - grad / zeta, cfg.sigma / (cfg.lam * zeta))
-    return spectra
-
-
-def _fit_term(recon, z, cfg):
-    """lam/2 * ||recon - Z||_F^2 for the reconstruction [[S; X]], which is
-    overwritten by the difference."""
-    gap = np.subtract(recon, z, out=recon).ravel(order="K")  # no copy
-    return (cfg.lam / 2.0) * float(gap @ gap)
+        return
+    step = multilinear(state.s, grams)
+    step -= mode_product(z01, x[-1].T, len(x) - 1)
+    step /= zeta
+    np.subtract(state.s, step, out=step)
+    state.s = _soft_shrink(step, cfg.sigma / (cfg.lam * zeta))
 
 
 def update_z(state, cfg, m, mask):
@@ -635,9 +624,7 @@ def update_z(state, cfg, m, mask):
     copies of Z_prev added one at a time; on it, Z = M exactly. The sums
     run over the smoothed modes: an unsmoothed mode enters with
     W_i = Z_prev (the Z before this update) and U_i = 0, the values its W
-    and dual steps would have left. Returns the fit term
-    lam/2*||Zhat - Z||_F^2 of the new Z, so the reconstruction is built
-    once per iteration.
+    and dual steps would have left.
 
     `m` and `mask` are the ones the state was built from: Z takes the
     observed values :func:`init_state` gathered, so `m` is not read again,
@@ -677,7 +664,6 @@ def update_z(state, cfg, m, mask):
     # Z_prev becomes the spare; a Z in another layout, which a caller put
     # in the state, is copied, so the spare stays C-contiguous
     state.spare, state.z = np.ascontiguousarray(state.z), acc
-    return _fit_term(recon, acc, cfg)
 
 
 def update_w(state, cfg):
@@ -704,24 +690,29 @@ def _penalty(dual, gap, beta):
 
 def update_duals(state, cfg):
     """Dual ascent (in place): U_i += beta*(Z - W_i) on the smoothed modes,
-    T_i += beta*(X_i - Y_i) on all. Returns the penalty terms of both
-    constraint families at the new duals, from the gaps the step forms
-    anyway.
-
-    Each gap Z - W_i is formed in the state's scratch buffer, and its
-    penalty at the new dual is taken before the step as
-    <U_i, gap> + 1.5*beta*||gap||^2."""
-    val = 0.0
+    T_i += beta*(X_i - Y_i) on all. Returns the primal residuals
+    ``(max_i ||Z - W_i||_F, max_i ||X_i - Y_i||_F)``, the first 0.0 with no
+    smoothed mode, or NaN for a NaN gap. Each gap Z - W_i is formed in the
+    state's scratch buffer; an overflow in the U_i ascent, or an inf - inf,
+    raises NumericalError."""
+    w_gaps, y_gaps = [0.0], [0.0]
     for i in cfg.smoothed_modes():
         gap = np.subtract(state.z, state.w[i], out=_buffers(state)[1])
-        val += inner(state.u[i], gap) + 1.5 * cfg.beta * inner(gap, gap)
-        gap *= cfg.beta
-        state.u[i] += gap
+        w_gaps.append(frobenius(gap))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                gap *= cfg.beta
+                state.u[i] += gap
+        except FloatingPointError:
+            raise NumericalError(
+                f"non-finite U_{i} at iteration {state.iteration + 1}"
+            ) from None
     for i in range(len(state.x)):
         gap = state.x[i] - state.y[i]
         state.t[i] = state.t[i] + cfg.beta * gap
-        val += _penalty(state.t[i], gap, cfg.beta)
-    return val
+        y_gaps.append(frobenius(gap))
+    # np.max, unlike max, keeps a NaN
+    return float(np.max(w_gaps)), float(np.max(y_gaps))
 
 
 def _smoothing_parts(t, axis):
@@ -736,26 +727,11 @@ def _smoothing_parts(t, axis):
     return after - before, t[head + (slice(-1, None),)]
 
 
-def _lagrangian(state, cfg, nuclear, penalties, fit):
-    """The augmented Lagrangian of a state that the W and dual steps just
-    left, from the Y, dual and Z blocks' terms plus the sparsity term read
-    off S and the smoothness terms read off W_i and U_i.
-
-    The W step solves [beta*I + 2*omega_i*A_i^T A_i] W_i = beta*Z + U_i and
-    the dual step adds beta*(Z - W_i) to U_i, so the new dual is
-    U_i = 2*omega_i*A_i^T A_i W_i (ADMM's dual feasibility for the W_i
-    block) and omega_i*||A_i W_i||_F^2 = <W_i, U_i>/2, one inner product.
-    """
-    val = nuclear + penalties + fit + cfg.sigma * np.abs(state.s).sum()
-    for i in cfg.smoothed_modes():
-        val += 0.5 * inner(state.w[i], state.u[i])
-    return float(val)
-
-
 def augmented_lagrangian(state, cfg):
     """Value of the augmented Lagrangian at the current state, computed
     from scratch, the smoothness terms from differences along each axis.
-    :func:`solve` sums the same terms from its blocks."""
+    :func:`solve` reports it once, at the final iterate; a caller that
+    wants it every iteration calls it from the solve's callback."""
     smoothed = cfg.smoothed_modes()
     nuclear = sum(
         a * np.linalg.svd(y, compute_uv=False).sum()
@@ -767,17 +743,20 @@ def augmented_lagrangian(state, cfg):
         _penalty(t, x - y, cfg.beta)
         for t, x, y in zip(state.t, state.x, state.y)
     )
-    fit = _fit_term(multilinear(state.s, state.x), state.z, cfg)
     smoothness = sum(
         cfg.omega[i] * inner(p, p)
         for i in smoothed
         for p in _smoothing_parts(state.w[i], i)
     )
     sparsity = cfg.sigma * np.abs(state.s).sum()
+    # last, so that no other term's arrays are held beside it
+    gap = multilinear(state.s, state.x)
+    gap -= state.z
+    fit = (cfg.lam / 2.0) * inner(gap, gap)
     return float(nuclear + penalties + fit + smoothness + sparsity)
 
 
-def objective_value(state, cfg, grams=None, spectra=None):
+def objective_value(state, cfg):
     """Value of the relaxed model objective at (X, S):
     Psi(X, S) + sum_i alpha_i*||X_i||_* + sigma*||S||_1.
 
@@ -785,18 +764,12 @@ def objective_value(state, cfg, grams=None, spectra=None):
     at core size as <S, S x_j G_j> with G_j = X_j^T X_j and
     G_i = (A_i X_i)^T (A_i X_i). The nuclear norms come from the
     eigenvalues of the same Grams G_j, or from an SVD of X_j when G_j is
-    too ill-conditioned (see :mod:`lrsetd.kernels`).
-
-    `grams` and `spectra` are the Grams G_j and their ascending
-    eigenvalues as :func:`update_factors` and :func:`update_core` return
-    them; pass both or neither, in which case they are built from the
-    current factors."""
+    too ill-conditioned (see :mod:`lrsetd.kernels`). :func:`solve`
+    reports it once, at the final iterate."""
     val = cfg.sigma * np.abs(state.s).sum()
-    if grams is None:
-        grams = [f.T @ f for f in state.x]
-        spectra = [np.linalg.eigvalsh(g) for g in grams]
-    for a, x, lam in zip(cfg.alpha, state.x, spectra):
-        val += a * _nuclear_norm(x, lam)
+    grams = [f.T @ f for f in state.x]
+    for a, x, g in zip(cfg.alpha, state.x, grams):
+        val += a * _nuclear_norm(x, np.linalg.eigvalsh(g))
     for i in cfg.smoothed_modes():
         parts = _smoothing_parts(state.x[i], 0)
         g = list(grams)
@@ -807,21 +780,34 @@ def objective_value(state, cfg, grams=None, spectra=None):
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """What one iteration of :func:`solve` formed: the relative change of
+    Z, the primal residuals max_i ||Z - W_i||_F over the smoothed modes
+    (0.0 when none is) and max_i ||X_i - Y_i||_F, the dual residual
+    beta*||Z_k - Z_{k-1}||_F, the rank of each Y_i, the share of nonzero
+    core entries and the iteration's wall time."""
+
     iteration: int
     rel_change: float
-    lagrangian: float
-    objective: float
+    w_residual: float
+    y_residual: float
+    dual_residual: float
+    y_ranks: tuple
+    core_density: float
     seconds: float
 
 
 @dataclass
 class CompletionReport:
-    """Result of one :func:`solve` run."""
+    """Result of one :func:`solve` run; `lagrangian` and `objective` are
+    :func:`augmented_lagrangian` and :func:`objective_value` at the final
+    iterate."""
 
     recovered: np.ndarray
     trace: list
     iterations: int
     termination: str  # "tol", "max_iter" or "collapsed"
+    lagrangian: float
+    objective: float
     total_seconds: float
 
 
@@ -855,7 +841,8 @@ def solve(m, mask, cfg, callback=None):
     Raises
     ------
     NumericalError
-        When an iteration produces NaN or inf, naming that iteration.
+        When an iteration produces NaN or inf, naming that iteration, or
+        when the final Lagrangian or objective is not finite.
     """
     start = time.perf_counter()
     state = init_state(m, mask, cfg)
@@ -863,23 +850,21 @@ def solve(m, mask, cfg, callback=None):
     termination = "max_iter"
     for k in range(1, cfg.max_iter + 1):
         it_start = time.perf_counter()
-        # each full-size product is built once and reduced to a scalar
-        # inside the block that built it; the Lagrangian sums those scalars
         z01, grams = update_factors(state, cfg)
-        nuclear = update_y(state, cfg)
-        spectra = update_core(state, cfg, z01, grams)
-        fit = update_z(state, cfg, m, mask)
+        y_ranks = update_y(state, cfg)
+        update_core(state, cfg, z01, grams)
+        update_z(state, cfg, m, mask)
         update_w(state, cfg)
-        penalties = update_duals(state, cfg)
+        w_residual, y_residual = update_duals(state, cfg)
+        _require_finite(state, "core or dual T", state.s, *state.t)
         state.iteration = k
 
         # update_z left Z_{k-1} in the spare buffer, which takes the change
-        change = np.subtract(state.z, state.spare, out=state.spare)
-        rel_change = frobenius(change) / max(frobenius(state.z), 1.0)
-        lagrangian = _lagrangian(state, cfg, nuclear, penalties, fit)
-        # every state array enters the Lagrangian's terms or, for Z, the
-        # relative change, so NaN or inf anywhere in the state shows here
-        if not (math.isfinite(lagrangian) and math.isfinite(rel_change)):
+        change = frobenius(np.subtract(state.z, state.spare, out=state.spare))
+        rel_change = change / max(frobenius(state.z), 1.0)
+        # every other state array reaches Z or a primal residual, so NaN
+        # or inf anywhere in the state shows here
+        if not all(map(math.isfinite, (rel_change, w_residual, y_residual))):
             raise NumericalError(
                 f"non-finite values in solver state at iteration {k}"
             )
@@ -887,8 +872,11 @@ def solve(m, mask, cfg, callback=None):
             IterationRecord(
                 iteration=k,
                 rel_change=rel_change,
-                lagrangian=lagrangian,
-                objective=objective_value(state, cfg, grams, spectra),
+                w_residual=w_residual,
+                y_residual=y_residual,
+                dual_residual=cfg.beta * change,
+                y_ranks=y_ranks,
+                core_density=np.count_nonzero(state.s) / state.s.size,
                 seconds=time.perf_counter() - it_start,
             )
         )
@@ -899,11 +887,22 @@ def solve(m, mask, cfg, callback=None):
             break
     if not state.s.any():
         termination = "collapsed"
+    # the buffers are dead after the last iteration: released, their memory
+    # serves the from-scratch evaluation
+    state.spare = state.scratch = None
+    lagrangian = augmented_lagrangian(state, cfg)
+    objective = objective_value(state, cfg)
+    if not (math.isfinite(lagrangian) and math.isfinite(objective)):
+        raise NumericalError(
+            f"non-finite Lagrangian or objective at iteration {state.iteration}"
+        )
 
     return CompletionReport(
         recovered=state.z,
         trace=trace,
         iterations=len(trace),
         termination=termination,
+        lagrangian=lagrangian,
+        objective=objective,
         total_seconds=time.perf_counter() - start,
     )

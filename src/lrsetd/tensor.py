@@ -193,15 +193,22 @@ def _exponent(lo, hi):
 
 def frobenius(a):
     """Frobenius norm, ``sqrt(inner(a, a))``: numpy's norm when that lies in
-    (2**-400, inf), else the norm of `a` rescaled by ``_exponent``; entries
-    below 2**-511 lose their squares only below the ulp of such a norm."""
+    (2**-400, inf), else the norm of `a` rescaled by ``_exponent``, or inf
+    when the norm of finite entries passes float64's range; entries below
+    2**-511 lose their squares only below the ulp of such a norm."""
     a = np.asarray(a)
     with np.errstate(over="ignore", under="ignore"):
         n = float(np.linalg.norm(a.ravel()))
     if 2.0**-400 < n < math.inf or not a.size:
         return n
-    e = _exponent(a.min(), a.max())
-    return math.ldexp(float(np.linalg.norm(np.ldexp(a, -e).ravel())), e)
+    lo, hi = a.min(), a.max()
+    if not (lo or hi):  # all zero, with no rescaled copy
+        return 0.0
+    e = _exponent(lo, hi)
+    try:
+        return math.ldexp(float(np.linalg.norm(np.ldexp(a, -e).ravel())), e)
+    except OverflowError:  # the norm itself is past float64's largest
+        return math.inf
 
 
 def _indices(values, upper):

@@ -140,12 +140,16 @@ class TestCompleteCommand:
             ]
         )
         assert code == 0
-        trace = json.loads(report.read_text())["trace"]
+        doc = json.loads(report.read_text())
+        trace = doc["trace"]
         assert len(trace) == 3
         # one trace object per IterationRecord, with its fields
         names = {f.name for f in fields(IterationRecord)}
         assert all(set(row) == names for row in trace)
         assert [row["iteration"] for row in trace] == [1, 2, 3]
+        assert all(len(row["y_ranks"]) == 3 for row in trace)
+        # the final Lagrangian and objective, once, beside the trace
+        assert all(math.isfinite(doc[key]) for key in ("lagrangian", "objective"))
 
     def test_missing_spec_inline(self, problem, tmp_path, capsys):
         _, _, tensor_path, _ = problem

@@ -11,6 +11,7 @@ from lrsetd.kernels import (
     _gram_resolves,
     _nuclear_norm,
     _route,
+    _soft_shrink,
     _svd_shrink,
     soft_shrink,
     svd_shrink,
@@ -25,10 +26,10 @@ def nuclear_norm(m):
 
 def svt_reference(m, tau):
     """Singular value thresholding through LAPACK's SVD of `m` itself, and
-    the nuclear norm of the result."""
+    the rank of the result, the number of singular values above tau."""
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     s = np.maximum(s - tau, 0.0)
-    return (u * s) @ vt, s.sum()
+    return (u * s) @ vt, int(np.count_nonzero(s))
 
 
 def planted(shape, singular_values, seed=0):
@@ -113,12 +114,13 @@ class TestSvdShrink:
 
 
     @pytest.mark.parametrize("tau", [0.0, 0.8, 1e3])
-    def test_reported_nuclear_norm(self, rng, tau):
-        # the sum of the shrunk singular values, against a fresh SVD
+    def test_reported_rank(self, rng, tau):
+        # the count of singular values above tau, against a fresh SVD
         m = rng.standard_normal((7, 3))
-        y, norm = _svd_shrink(m, tau)
+        y, kept = _svd_shrink(m, tau)
         np.testing.assert_array_equal(y, svd_shrink(m, tau))
-        assert norm == pytest.approx(nuclear_norm(y), rel=1e-12, abs=1e-300)
+        sigma = np.linalg.svd(m, compute_uv=False)
+        assert kept == np.count_nonzero(sigma > tau) == np.linalg.matrix_rank(y)
 
 
 class TestGramRoute:
@@ -137,24 +139,24 @@ class TestGramRoute:
         m = rng.standard_normal(shape)
         sigma = np.linalg.svd(m, compute_uv=False)
         tau = level * np.median(sigma) if level < 2.0 else 1.01 * sigma[0]
-        expected, expected_norm = svt_reference(m, tau)
+        expected, expected_rank = svt_reference(m, tau)
         svd_calls.clear()
-        y, norm = _svd_shrink(m, tau)
+        y, kept = _svd_shrink(m, tau)
         assert svd_calls == []
         assert y.shape == m.shape
+        assert kept == expected_rank
         if level == 2.0:
             np.testing.assert_array_equal(y, np.zeros(shape))
-            assert norm == 0.0
+            assert kept == 0
         else:
             gap = np.linalg.norm(y - expected)
             assert gap <= 1e-12 * np.linalg.norm(expected)
-            assert norm == pytest.approx(expected_norm, rel=1e-12)
         np.testing.assert_array_equal(svd_shrink(m, tau), y)
 
     def test_zero_input_gives_zeros_without_svd(self, svd_calls):
-        y, norm = _svd_shrink(np.zeros((5, 3)), 0.0)
+        y, kept = _svd_shrink(np.zeros((5, 3)), 0.0)
         np.testing.assert_array_equal(y, np.zeros((5, 3)))
-        assert norm == 0.0
+        assert kept == 0
         assert svd_calls == []
 
     @pytest.mark.parametrize("shape", [(8, 5), (5, 8)], ids=["tall", "wide"])
@@ -163,12 +165,12 @@ class TestGramRoute:
         # singular values 1e8 ... 1e-2: the Gram's spectrum spans 1e20, far
         # past the 1e8 that its eigenvalues resolve, so LAPACK's SVD runs
         m = planted(shape, [1e8, 1e5, 1e2, 1.0, 1e-2])
-        expected, expected_norm = svt_reference(m, tau)
+        expected, expected_rank = svt_reference(m, tau)
         svd_calls.clear()
-        y, norm = _svd_shrink(m, tau)
+        y, kept = _svd_shrink(m, tau)
         assert svd_calls == [True]
         assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
-        assert norm == pytest.approx(expected_norm, rel=1e-12)
+        assert kept == expected_rank
 
     @pytest.mark.parametrize("tau", [0.0, 1e-9])
     def test_rank_deficient_input_at_small_tau_takes_the_svd(
@@ -200,16 +202,16 @@ class TestGramRoute:
         # entries near 1e200 square past float64 in the Gram; the prox
         # must not warn and must match the SVD
         m = 1e200 * np.random.default_rng(3).standard_normal((6, 3))
-        expected, expected_norm = svt_reference(m, 1e199)
+        expected, expected_rank = svt_reference(m, 1e199)
         svd_calls.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y, norm = _svd_shrink(m, 1e199)
+            y, kept = _svd_shrink(m, 1e199)
         assert svd_calls == [True]
         # compared at unit scale, where the norms do not overflow
         gap = np.linalg.norm((y - expected) / 1e200)
         assert gap <= 1e-12 * np.linalg.norm(expected / 1e200)
-        assert norm == pytest.approx(expected_norm, rel=1e-12)
+        assert kept == expected_rank
 
     @pytest.mark.parametrize(
         "singular_values, uses_svd",
@@ -257,6 +259,25 @@ class TestSoftShrink:
     def test_tensor_input(self, rng):
         t = rng.standard_normal((2, 3, 2))
         assert soft_shrink(t, 0.5).shape == t.shape
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_in_place_threshold_is_bitwise_the_formula(self, rng, tau):
+        # the threshold written into its input, as the core step runs it,
+        # against sign(m)*max(|m| - tau, 0) bit for bit, signed zeros
+        # included; the input of soft_shrink itself is left alone
+        m = np.concatenate(
+            [rng.standard_normal(64), [0.0, -0.0, 0.5, -0.5, 1e-300, -1e-300]]
+        )
+        kept = m.copy()
+        expected = np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
+        got = soft_shrink(m, tau)
+        np.testing.assert_array_equal(m.view(np.uint64), kept.view(np.uint64))
+        inplace = m.copy()
+        assert _soft_shrink(inplace, tau) is inplace
+        for out in (got, inplace):
+            np.testing.assert_array_equal(
+                out.view(np.uint64), expected.view(np.uint64)
+            )
 
 
 class TestToeplitzDiff:

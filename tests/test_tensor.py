@@ -335,6 +335,18 @@ class TestInnerFrobenius:
         assert frobenius(np.zeros((0, 2))) == 0.0
         assert frobenius(np.array([1.0, np.inf])) == np.inf
         assert np.isnan(frobenius(np.array([1.0, np.nan])))
+        # finite entries whose norm passes float64's largest: inf, where
+        # the rescaled norm's math.ldexp raised OverflowError
+        assert frobenius(np.full(4, 1e308)) == np.inf
+        # all zero, with no rescaled copy of the array
+        zeros = np.zeros(100_000)
+        tracemalloc.start()
+        try:
+            assert frobenius(zeros) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < zeros.nbytes / 10
 
 
 class TestObservationMask:
