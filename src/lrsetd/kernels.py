@@ -138,13 +138,14 @@ def soft_shrink(m, tau):
 
 def _soft_shrink(m, tau):
     """:func:`soft_shrink` of a float64 `m` at ``tau >= 0``, unchecked,
-    written into `m` and returned: sign(m)*max(|m| - tau, 0), bit for bit,
-    with one boolean temporary."""
-    negative = m < 0
+    written into `m` and returned: sign(m)*max(|m| - tau, 0), the same
+    operations with one temporary, sign(m)."""
+    sign = np.sign(m)
     np.abs(m, out=m)
     m -= tau
     np.maximum(m, 0.0, out=m)
-    return np.negative(m, out=m, where=negative)
+    m *= sign
+    return m
 
 
 # the longest axis solved as a matrix product by T^{-1}, which caps the

@@ -1262,6 +1262,18 @@ class TestInPlaceBlocks:
         for got_t, expected in zip(state.t, t):
             np.testing.assert_array_equal(got_t, expected)
 
+    def test_overflowing_dual_ascent_is_numerical_error(self):
+        # a finite U_1 near the float64 maximum plus beta times a finite
+        # gap Z - W_1 overflows; the ascent raises at once, naming the
+        # iteration in progress, with no full-size scan of U_1
+        m, mask, cfg = small_problem()
+        state = init_state(m, mask, cfg)
+        state.z = np.full(state.dims, 1e308)
+        state.w[1] = np.zeros(state.dims)
+        state.u[1] = np.full(state.dims, 1.79e308)
+        with pytest.raises(NumericalError, match="U_1 at iteration 1$"):
+            update_duals(state, cfg)
+
     @LAYOUTS
     def test_iterations_through_one_workspace(self, layout):
         # every block, three times, on one state whose two buffers Z_prev
@@ -1873,18 +1885,6 @@ class TestNonFiniteState:
     def test_injected_value_is_numerical_error(self, name, mode, value):
         with pytest.raises(NumericalError, match="at iteration 2$"):
             solve_corrupted_after_iteration_1(name, mode, value)
-
-    def test_overflowing_dual_ascent_is_numerical_error(self):
-        # a finite U_1 near the float64 maximum plus beta times a finite
-        # gap Z - W_1 overflows; the ascent raises at once, naming the
-        # iteration in progress, with no full-size scan of U_1
-        m, mask, cfg = small_problem()
-        state = init_state(m, mask, cfg)
-        state.z = np.full(state.dims, 1e308)
-        state.w[1] = np.zeros(state.dims)
-        state.u[1] = np.full(state.dims, 1.79e308)
-        with pytest.raises(NumericalError, match="U_1 at iteration 1$"):
-            update_duals(state, cfg)
 
     def test_overflowing_prox_input_is_numerical_error(self):
         # a finite T_2 passes the X_2 subproblem check, the last step of
