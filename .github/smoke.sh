@@ -10,13 +10,35 @@ set -euo pipefail
 
 cd "$(mktemp -d "${RUNNER_TEMP:-${TMPDIR:-/tmp}}/lrsetd-smoke.XXXXXX")"
 
+# exits nonzero unless the first row of the sweep CSV $1 is tn = 0 with an
+# SNR in the open interval ($2, $3) dB
+tn0_snr_within() {
+  python -c "
+import csv, sys
+row = next(csv.DictReader(open(sys.argv[1])))
+if float(row['tn']) != 0 or not float(sys.argv[2]) < float(row['snr']) < float(sys.argv[3]):
+    sys.exit(f'{sys.argv[1]}: first row {row} is not tn = 0 within ({sys.argv[2]}, {sys.argv[3]}) dB')
+" "$@"
+}
+
 echo "hosvd-demo"
+# at full rank the reconstruction is exact to rounding, far above 100 dB:
+# one chain of last-axis products, of order 3 and of order 4; ranks below
+# full compress with first-axis products, and random data then loses
+# energy, so its SNR is positive but far below that
 python -c "import numpy as np; from lrsetd.io import write_image; write_image('tiny.ppm', np.random.default_rng(0).uniform(0, 255, (8, 6, 3)))"
 lrsetd hosvd-demo --input tiny.ppm --scale 255 --tn-grid 0,0.05 --images-out tiny > sweep.csv
 head -n 1 sweep.csv > sweep_head.csv
 grep -qx 'tn,sparsity,snr' sweep_head.csv
 test "$(wc -l < sweep.csv)" -eq 3
+tn0_snr_within sweep.csv 100 inf
 test -s tiny_tn0.05.ppm
+lrsetd hosvd-demo --input tiny.ppm --scale 255 --ranks 4,3,2 --tn-grid 0,0.05 > sweep_low.csv
+test "$(wc -l < sweep_low.csv)" -eq 3
+tn0_snr_within sweep_low.csv 0 100
+python -c "import numpy as np; from lrsetd.io import write_tensor; write_tensor('noise4.lrt', np.random.default_rng(5).uniform(0, 1, (5, 4, 3, 2)))"
+lrsetd hosvd-demo --input noise4.lrt --tn-grid 0 > sweep4.csv
+tn0_snr_within sweep4.csv 100 inf
 
 echo "mask-gen, complete and metrics"
 python -c "import numpy as np; from lrsetd.io import write_tensor; f = np.random.default_rng(0).uniform(1, 2, (3, 6)); write_tensor('tiny.lrt', 100 * np.einsum('i,j,k->ijk', *f))"

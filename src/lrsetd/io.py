@@ -57,15 +57,17 @@ def _read_header(f, magic):
     (order,) = np.frombuffer(_read_exact(f, 4, "order"), dtype="<u4")
     if order < 1:
         raise FileFormatError(f"invalid tensor order {order}")
-    dims = np.frombuffer(
-        _read_exact(f, 4 * int(order), "dims"), dtype="<u4"
-    ).astype(np.int64)
-    if (dims < 1).any():
-        raise FileFormatError(f"invalid dims {tuple(dims)}")
-    total = int(np.prod(dims, dtype=np.int64))
+    dims = tuple(
+        int(d)
+        for d in np.frombuffer(_read_exact(f, 4 * int(order), "dims"), "<u4")
+    )
+    if min(dims) < 1:
+        raise FileFormatError(f"invalid dims {dims}")
+    # Python ints: a product that passes int64 must not wrap
+    total = math.prod(dims)
     if total > MAX_ELEMENTS:
-        raise FileFormatError(f"dims {tuple(dims)} overflow element budget")
-    return tuple(int(d) for d in dims), total
+        raise FileFormatError(f"dims {dims} overflow element budget")
+    return dims, total
 
 
 def _write_header(f, magic, dims):

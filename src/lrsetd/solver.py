@@ -55,11 +55,11 @@ beta*Z + U_i, which the matrix product by T_i^{-1} or the sweep's first
 scaling pass reads into W_i. The factor sweep's intermediates (the
 prefixes of Z, the chains of S and the products on Z's side) and the
 reconstruction's smaller products go into pieces of buffers that are dead
-at that point. Each of them is one matmul of C-order reshapes on a first
-or last axis, with no moved copy, except on Z's side of a step past the
-first, whose products on middle axes of a prefix move a copy when they do
-not batch. What an iteration still allocates is factor- or core-sized, or
-such a moved copy and its product.
+at that point. Each of them is one matmul of C-order reshapes, on a first
+or last axis (:func:`lrsetd.tensor._lead` and :func:`lrsetd.tensor._trail`)
+or, on Z's side of a step past the first, batched over the blocks of a
+middle axis of a prefix; none moves a copy. What an iteration still
+allocates is factor- or core-sized.
 
 The order N is the tensor's: every block loops over its modes, and the
 per-mode fields of :class:`SolverConfig` must have one value per mode.
@@ -85,7 +85,7 @@ from .kernels import (
     tridiag_ldl,
     tridiag_solve,
 )
-from .tensor import _batches, frobenius, inner, mode_product, multilinear
+from .tensor import _lead, _trail, frobenius, inner, mode_product, multilinear
 
 __all__ = [
     "SolverConfig",
@@ -349,10 +349,10 @@ def _buffers(state):
 
 
 class _Pool:
-    """Products written into consecutive C-contiguous pieces of the given
-    buffers, handed out in order and never taken back: the products of one
-    block, which all live until the block ends. A product that no buffer
-    has room for is allocated."""
+    """Consecutive C-contiguous pieces of the given buffers, handed out in
+    order and never taken back: the products of one block, which all live
+    until the block ends. A piece that no buffer has room for is
+    allocated."""
 
     def __init__(self, *buffers):
         self._free = [b.reshape(-1) for b in buffers]  # views: C order
@@ -366,27 +366,6 @@ class _Pool:
                 self._free[k] = free[size:]
                 return free[:size].reshape(shape)
         return np.empty(shape)
-
-    def product(self, t, matrix, mode):
-        """``mode_product(t, matrix, mode)`` in the next piece that fits."""
-        shape = (*t.shape[:mode], matrix.shape[0], *t.shape[mode + 1 :])
-        return mode_product(t, matrix, mode, out=self.piece(shape))
-
-    def lead(self, t, matrix):
-        """`t` times `matrix` along its first axis, the new axis placed
-        last: one matmul of C-order reshapes, ``t_(0)^T @ matrix^T``."""
-        out = self.piece((*t.shape[1:], matrix.shape[0]))
-        rows = t.reshape(t.shape[0], -1)
-        np.matmul(rows.T, matrix.T, out=out.reshape(-1, matrix.shape[0]))
-        return out
-
-    def trail(self, t, matrix):
-        """`t` times `matrix` along its last axis, the new axis placed
-        first: one matmul of C-order reshapes, ``matrix @ t_(last)^T``."""
-        out = self.piece((matrix.shape[0], *t.shape[:-1]))
-        rows = t.reshape(-1, t.shape[-1])
-        np.matmul(matrix, rows.T, out=out.reshape(matrix.shape[0], -1))
-        return out
 
 
 def _require_finite(state, what, *arrays):
@@ -420,11 +399,11 @@ def _factor_plan(dims, ranks):
     contracts P_i with each X_j^T first and then with S. For the last
     step both sides are P_{N-1} against S, listed as True.
 
-    A side costs its flops plus the bytes it reads and writes, weighted
-    by _FLOPS_PER_BYTE, those of the moved copy of a middle-mode product
-    that does not batch (see :func:`lrsetd.tensor._batches`) and of a
-    rotated copy of S included. The plan is the cheapest over the first
-    step on the core's side, with each later step on its cheaper side.
+    A side costs its flops plus the bytes it reads and writes, those of a
+    rotated copy of S included, weighted by _FLOPS_PER_BYTE; every product
+    is one matmul, batched on a middle axis, so none moves a copy. The
+    plan is the cheapest over the first step on the core's side, with each
+    later step on its cheaper side.
     """
     order = len(dims)
     core = math.prod(ranks)
@@ -447,14 +426,10 @@ def _factor_plan(dims, ranks):
     def z_side(i):
         shape, total = [*dims[i:], *ranks[:i]], 0  # P_i, mode i first
         for j in range(order - 1, i, -1):
-            size, p = math.prod(shape), j - i
+            size = math.prod(shape)
             out = size // dims[j] * ranks[j]
             total += cost(2 * out * dims[j], size + out)
-            before, after = math.prod(shape[:p]), math.prod(shape[p + 1 :])
-            # step 0 takes its last axis each time, which never moves
-            if i and not (1 in (before, after) or _batches(before, after)):
-                total += cost(0, 2 * (size + out))
-            shape[p] = ranks[j]
+            shape[j - i] = ranks[j]
         total += cost(2 * out * ranks[i], out + core + dims[i] * ranks[i])
         # S rotated so that mode i comes last, a copy on a middle mode
         return total + (cost(0, 2 * core) if i else 0)
@@ -477,16 +452,20 @@ def _z_side(pool, prefix, x, s, i):
     """C_i(Z, X)*S_(i)^T from Z's side: the prefix P_i, in the layout with
     mode i first (see :func:`update_factors`), times X_j^T for each j > i,
     then against S. Step 0 takes its last axis each time and ends with
-    mode 0 last; a later step takes middle axes."""
-    order, rank = len(x), s.shape[i]
+    mode 0 last; a later step takes middle axes, each with one
+    :func:`lrsetd.tensor.mode_product`."""
+    order, ranks, rank = len(x), s.shape, s.shape[i]
     if i == 0:
         for j in range(order - 1, 0, -1):
-            prefix = pool.trail(prefix, x[j].T)
+            shape = (ranks[j], *prefix.shape[:-1])
+            prefix = _trail(prefix, x[j].T, pool.piece(shape))
         # modes 1, ..., N-1, then 0
         rows = prefix.reshape(-1, x[0].shape[0]).T
         return np.matmul(rows, s.reshape(rank, -1).T)
     for j in range(order - 1, i, -1):
-        prefix = pool.product(prefix, x[j].T, j - i)
+        shape = list(prefix.shape)
+        shape[j - i] = ranks[j]
+        prefix = mode_product(prefix, x[j].T, j - i, pool.piece(shape))
     # S with modes i+1, ..., N-1, then 0, ..., i-1, then i
     before = math.prod(s.shape[:i])
     rotated = pool.piece((s.size // (before * rank), before, rank))
@@ -537,9 +516,11 @@ def update_factors(state, cfg):
     # K_i = S x_j X_j over j > i, each with mode i last
     gram_suffix, suffix = [s] * order, [s] * order
     for i in range(order - 2, -1, -1):
-        gram_suffix[i] = pool.trail(gram_suffix[i + 1], grams[i + 1])
+        out = pool.piece((ranks[i + 1], *gram_suffix[i + 1].shape[:-1]))
+        gram_suffix[i] = _trail(gram_suffix[i + 1], grams[i + 1], out)
         if any(plan[: i + 1]):
-            suffix[i] = pool.trail(suffix[i + 1], x[i + 1])
+            out = pool.piece((len(x[i + 1]), *suffix[i + 1].shape[:-1]))
+            suffix[i] = _trail(suffix[i + 1], x[i + 1], out)
     # P_i and S x_j G_j over j < i, each with mode i first
     prefix, gram_prefix = state.z, s
     for i in range(order):
@@ -561,8 +542,10 @@ def update_factors(state, cfg):
         x[i] = np.linalg.solve(lhs, rhs.T).T
         grams[i] = x[i].T @ x[i]
         if i < order - 1:
-            prefix = pool.lead(prefix, x[i].T)
-            gram_prefix = pool.lead(gram_prefix, grams[i])
+            out = pool.piece((*prefix.shape[1:], ranks[i]))
+            prefix = _lead(prefix, x[i].T, out)
+            out = pool.piece((*gram_prefix.shape[1:], ranks[i]))
+            gram_prefix = _lead(gram_prefix, grams[i], out)
     # mode N-1 first: its transpose is Z x_j X_j^T over j < N-1
     z01 = prefix.reshape(x[-1].shape[0], -1).T.reshape(*ranks[:-1], -1)
     return z01, grams
@@ -594,18 +577,20 @@ def update_core(state, cfg, z01=None, grams=None):
     S - grad/zeta and its soft threshold at sigma/(lam*zeta) share one
     core-sized array, which becomes the new S.
     """
-    x = state.x
+    x, rows = state.x, len(state.x[-1])
     if z01 is None:
+        # the prefix chain of update_factors, which ends with mode N-1 first
         z01 = state.z
-        for j in range(len(x) - 1):
-            z01 = mode_product(z01, x[j].T, j)
+        for f in x[:-1]:
+            z01 = _lead(z01, f.T)
+        z01 = z01.reshape(rows, -1).T
         grams = [f.T @ f for f in x]
     # the spectral norm of a Gram is its largest eigenvalue
     zeta = math.prod(np.linalg.eigvalsh(g)[-1] for g in grams)
     if zeta == 0.0:
         return
     step = multilinear(state.s, grams)
-    step -= mode_product(z01, x[-1].T, len(x) - 1)
+    step -= (z01.reshape(-1, rows) @ x[-1]).reshape(step.shape)
     step /= zeta
     np.subtract(state.s, step, out=step)
     state.s = _soft_shrink(step, cfg.sigma / (cfg.lam * zeta))
@@ -647,9 +632,9 @@ def update_z(state, cfg, m, mask):
     # go where Z will
     pool = _Pool(spare)
     recon = state.s
-    for mode in range(order - 1, 0, -1):
-        recon = pool.trail(recon, state.x[mode])
-    recon = _Pool(scratch).trail(recon, state.x[0])
+    for f in reversed(state.x[1:]):
+        recon = _trail(recon, f, pool.piece((len(f), *recon.shape[:-1])))
+    recon = _trail(recon, state.x[0], out=scratch)
     acc = np.multiply(recon, cfg.lam / cfg.beta, out=spare)
     for i in smoothed:
         acc += state.w[i]

@@ -1,25 +1,26 @@
 """Dense tensor primitives: unfolding, mode products, observation masks.
 
 Tensors are plain ``numpy.ndarray`` objects of dtype float64 and may have
-any memory layout. :func:`mode_product`, and so :func:`multilinear`, returns
-a C-contiguous array (last index varies fastest) for any input; each mode
-product is one matrix multiply of a C-order reshape, batched over the
-blocks of a middle mode where :func:`_batches` finds that cheaper than
-moving the mode last, from the tensor's shape alone.
+any memory layout. :func:`mode_product` and :func:`multilinear` return a
+C-contiguous array (last index varies fastest) for any input.
 
-Mode products on distinct modes commute, so :func:`multilinear` picks their
-order. A chain whose output is larger than its input (a Tucker
-reconstruction) runs from the last mode to the first: the full-size result
-then comes from the mode-0 product ``M @ T.reshape(I0, -1)``, which copies
-nothing. Every other chain (a compression, or one that keeps the size) runs
-from the first mode to the last.
+Every Tucker chain is built from two products, each one matmul of C-order
+reshapes with no moved copy: :func:`_lead` multiplies along the first
+axis and places the new axis last, :func:`_trail` multiplies along the
+last axis and places the new axis first. Applied to every mode in turn,
+either leaves the modes in their order. :func:`multilinear` runs a chain
+that shrinks its input as :func:`_lead` products from mode 0, and any
+other (a Tucker reconstruction, or a chain that keeps the size) as
+:func:`_trail` products from the last mode, so that it holds at most its
+input and its output of each step. :func:`mode_product` takes one mode
+alone: a matmul on the rows of a last-axis reshape, or one matmul
+batched over the blocks of any other.
 
-:func:`mode_product` and :func:`unfold`, which a third-order solve calls
-about 30 times per iteration, move axes with ``ndarray.transpose`` on an
-explicit permutation, not ``np.moveaxis``: the permutation and so the
-memory layout and every BLAS operand are the same, but ``np.moveaxis``
-normalizes its axis arguments in Python on every call, which on a
-20x20x20 tensor cost more than the matrix multiplies.
+:func:`unfold` moves axes with ``ndarray.transpose`` on an explicit
+permutation, not ``np.moveaxis``: the permutation and so the memory
+layout are the same, but ``np.moveaxis`` normalizes its axis arguments in
+Python on every call, which on a 20x20x20 tensor cost more than the
+matrix multiplies.
 
 The matrix column order of :func:`unfold` is Fortran-style, whatever the
 layout: the first remaining index varies fastest, i.e. column
@@ -55,6 +56,14 @@ def _check_mode(ndim, mode):
         raise ValueError(f"mode {mode} out of range for order-{ndim} tensor")
 
 
+def _check_factor(matrix, dim, mode):
+    if matrix.ndim != 2 or matrix.shape[1] != dim:
+        raise ValueError(
+            f"factor shape {matrix.shape} incompatible with mode-{mode} "
+            f"dimension {dim}"
+        )
+
+
 def unfold(tensor, mode):
     """Mode-`mode` unfolding of `tensor`.
 
@@ -74,21 +83,6 @@ def unfold(tensor, mode):
     return tensor.transpose(front).reshape((tensor.shape[mode], -1), order="F")
 
 
-# A product along a middle axis of a (before, I, after) reshape runs as one
-# batched ``np.matmul`` over the blocks when this is True: it copies
-# nothing but re-reads the matrix once per block, which pays when the
-# blocks are wide enough for BLAS or few enough that a moved copy and its
-# return cost more. Otherwise the axis is moved last for one large matrix
-# product. At one BLAS thread on a 2-core Xeon VM, batching never lost by
-# more than 2 % at a trailing size of 4 or more, and lost at sizes 2-3 with
-# 192 or more blocks (64x64x3 by 256x64, 64x256x3, 121x288x2) and with a
-# 256-long matrix side at fewer; the table is in BENCH_4.json.
-def _batches(before, after):
-    """Whether the middle-axis product over `before` leading and `after`
-    trailing entries (both > 1) runs as one batched matmul."""
-    return after >= 4 or before * after <= 64
-
-
 def mode_product(tensor, matrix, mode, out=None):
     """n-mode product ``tensor x_mode matrix``.
 
@@ -96,24 +90,18 @@ def mode_product(tensor, matrix, mode, out=None):
     is replaced by ``matrix.shape[0]`` in the result, which is C-contiguous
     for any input layout. With the leading and trailing sizes ``before``
     and ``after`` of a C-order reshape ``(before, I, after)``, the product
-    needs no copy of a C-contiguous `tensor` when ``before == 1`` (one
-    ``M @ T``), when ``after == 1`` (one ``T @ M.T``), or when
-    :func:`_batches` picks one batched matmul over the blocks; any other
-    axis is moved last and back with one copy each.
+    is one ``T @ M^T`` when ``after == 1`` and otherwise one matmul
+    ``M @ T`` batched over the ``before`` blocks; neither copies a
+    C-contiguous `tensor`.
 
     `out`, when given, is a C-contiguous array of the result's shape and
     dtype that receives the product and is returned, bit for bit the array
-    that would otherwise be allocated; only a moved axis still allocates
-    its moved copy and the matrix product, which is then moved into `out`.
+    that would otherwise be allocated.
     """
     tensor = np.asarray(tensor)
     matrix = np.asarray(matrix)
     _check_mode(tensor.ndim, mode)
-    if matrix.ndim != 2 or matrix.shape[1] != tensor.shape[mode]:
-        raise ValueError(
-            f"factor shape {matrix.shape} incompatible with mode-{mode} "
-            f"dimension {tensor.shape[mode]}"
-        )
+    _check_factor(matrix, tensor.shape[mode], mode)
     dims = list(tensor.shape)
     rows = matrix.shape[0]
     shape = (*dims[:mode], rows, *dims[mode + 1 :])
@@ -129,49 +117,67 @@ def mode_product(tensor, matrix, mode, out=None):
                 f"got {out.dtype} {out.shape}"
             )
     before, after = math.prod(dims[:mode]), math.prod(dims[mode + 1 :])
-    if before > 1 and after == 1:
-        # the lines along `mode` are rows
+    if after == 1:  # the lines along `mode` are rows
         flat = None if out is None else out.reshape(before, rows)  # a view
         product = np.matmul(
             tensor.reshape(before, dims[mode]), matrix.T, out=flat
         )
-        return product.reshape(shape) if out is None else out
-    if before == 1 or _batches(before, after):
-        blocks = (before, dims[mode], after)
+    else:
         flat = None if out is None else out.reshape(before, rows, after)
-        product = np.matmul(matrix, tensor.reshape(blocks), out=flat)
-        return product.reshape(shape) if out is None else out
-    last = tensor.ndim - 1
-    rest = dims[:mode] + dims[mode + 1 :]
-    moved = tensor.transpose([*range(mode), *range(mode + 1, last + 1), mode])
-    product = np.matmul(moved.reshape(before * after, dims[mode]), matrix.T)
-    product = product.reshape(rest + [rows])
-    # the last axis goes back to position `mode`
-    back = product.transpose([*range(mode), last, *range(mode, last)])
+        product = np.matmul(
+            matrix, tensor.reshape(before, dims[mode], after), out=flat
+        )
+    return product.reshape(shape) if out is None else out
+
+
+def _lead(t, matrix, out=None):
+    """`t` times `matrix` along its first axis, the new axis placed last:
+    one matmul of C-order reshapes, ``t_(0)^T @ matrix^T``, written into
+    `out` when given, a C-contiguous array of the result's shape, which
+    is returned."""
+    rest = t.shape[1:]
+    rows = t.reshape(t.shape[0], math.prod(rest)).T
     if out is None:
-        return np.ascontiguousarray(back)
-    np.copyto(out, back)
+        return np.matmul(rows, matrix.T).reshape(*rest, len(matrix))
+    np.matmul(rows, matrix.T, out=out.reshape(len(rows), len(matrix)))
+    return out
+
+
+def _trail(t, matrix, out=None):
+    """`t` times `matrix` along its last axis, the new axis placed first:
+    one matmul of C-order reshapes, ``matrix @ t_(last)^T``, written into
+    `out` when given, a C-contiguous array of the result's shape, which
+    is returned."""
+    rest = t.shape[:-1]
+    rows = t.reshape(math.prod(rest), t.shape[-1]).T
+    if out is None:
+        return np.matmul(matrix, rows).reshape(len(matrix), *rest)
+    np.matmul(matrix, rows, out=out.reshape(len(matrix), rows.shape[1]))
     return out
 
 
 def multilinear(core, factors):
     """Multilinear (Tucker) product ``core x_0 F0 x_1 F1 ...``.
 
-    Computed as sequential mode products, in the order the module docstring
-    gives; the large Kronecker factor of the matricized form is never
-    materialized.
+    Computed as sequential products on the first or last axis, as the
+    module docstring describes; the large Kronecker factor of the
+    matricized form is never materialized. The result is C-contiguous.
     """
     core = np.asarray(core)
     if len(factors) != core.ndim:
         raise ValueError(
             f"expected {core.ndim} factors, got {len(factors)}"
         )
-    modes = range(core.ndim)
-    if math.prod(len(f) for f in factors) > core.size:
-        modes = reversed(modes)
+    factors = [np.asarray(f) for f in factors]
+    for mode, f in enumerate(factors):
+        _check_factor(f, core.shape[mode], mode)
     out = core
-    for mode in modes:
-        out = mode_product(out, factors[mode], mode)
+    if math.prod(len(f) for f in factors) < core.size:
+        for f in factors:
+            out = _lead(out, f)
+    else:
+        for f in reversed(factors):
+            out = _trail(out, f)
     return out
 
 

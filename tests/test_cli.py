@@ -673,6 +673,30 @@ class TestBadInput:
             summary = strict_json(captured.out.splitlines()[-1])
             assert metrics.items() <= summary.items()
 
+    @pytest.mark.parametrize("flag", ["--input", "--mask"])
+    def test_dims_whose_product_passes_int64(
+        self, flag, problem, tmp_path, capsys
+    ):
+        # 2^31 * 2^31 * 4 = 2^64 elements, which wrap to 0 in int64: an
+        # LRT1 header, or an LRM1 one with no index, past the element
+        # budget is an I/O error
+        truth, mask, tensor_path, mask_path = problem
+        header = np.asarray([3, 2**31, 2**31, 4], "<u4").tobytes()
+        if flag == "--input":
+            wrapped = tmp_path / "wrap.lrt"
+            wrapped.write_bytes(b"LRT1" + header)
+            argv = ["hosvd-demo", "--input", str(wrapped)]
+        else:
+            wrapped = tmp_path / "wrap.lrm"
+            wrapped.write_bytes(b"LRM1" + header + bytes(8))  # count 0
+            argv = ["metrics", "--truth", str(tensor_path), "--recovered",
+                    str(tensor_path), "--mask", str(wrapped)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: dims (2147483648, 2147483648, 4) overflow element "
+            "budget\n"
+        )
+
     @pytest.mark.parametrize(
         "spec, message",
         [

@@ -106,7 +106,7 @@ class TestTensorFormat:
     def test_zero_dim_rejected(self, tmp_path):
         path = tmp_path / "t.lrt"
         path.write_bytes(b"LRT1" + struct.pack("<I", 2) + struct.pack("<2I", 2, 0))
-        with pytest.raises(FileFormatError, match="dims"):
+        with pytest.raises(FileFormatError, match=r"invalid dims \(2, 0\)$"):
             read_tensor(path)
 
     def test_overflow_guard(self, tmp_path):
@@ -117,6 +117,19 @@ class TestTensorFormat:
             + struct.pack("<3I", 2**20, 2**20, 2**20)
         )
         with pytest.raises(FileFormatError, match="overflow"):
+            read_tensor(path)
+
+    def test_overflow_guard_past_int64(self, tmp_path):
+        # 2^31 * 2^31 * 4 = 2^64 elements, a product that wraps to 0 in
+        # int64
+        path = tmp_path / "t.lrt"
+        path.write_bytes(
+            b"LRT1" + struct.pack("<4I", 3, 2**31, 2**31, 4) + bytes(64)
+        )
+        with pytest.raises(
+            FileFormatError,
+            match=r"^dims \(2147483648, 2147483648, 4\) overflow",
+        ):
             read_tensor(path)
 
 
@@ -158,6 +171,20 @@ class TestMaskFormat:
             + struct.pack("<Q", 9)
         )
         with pytest.raises(FileFormatError, match="count"):
+            read_mask(path)
+
+    def test_overflow_guard_past_int64(self, tmp_path):
+        # as for LRT1: 2^64 elements, a product that wraps to 0 in int64
+        path = tmp_path / "m.lrm"
+        path.write_bytes(
+            b"LRM1"
+            + struct.pack("<4I", 3, 2**31, 2**31, 4)
+            + struct.pack("<Q", 0)
+        )
+        with pytest.raises(
+            FileFormatError,
+            match=r"^dims \(2147483648, 2147483648, 4\) overflow",
+        ):
             read_mask(path)
 
     def test_count_larger_than_file(self, tmp_path):

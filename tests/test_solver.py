@@ -781,12 +781,12 @@ class TestIterationMemory:
             # image-shaped, r_2 = I_2: the sweep's and the reconstruction's
             # products go into the buffers, with no moved copy; the core
             # is a quarter and each factor a sixth of the tensor here. The
-            # factor sweep sets the peak, 0.945 tensors (92 944 bytes), and
-            # the bound leaves 5 % above it. The core step peaks at 0.77;
-            # with its soft threshold in five core-sized temporaries and
-            # the objective in the iteration it set the peak at 1.27. With
-            # the sweep's suffixes from the last mode down it was 1.95, a
-            # moved copy of Z x_2 X_2^T
+            # factor sweep sets the peak, 0.947 tensors (93 120 bytes), and
+            # the bound leaves 5 % above it. The core step rises by 0.52,
+            # its S x_j G_j chain of last-axis products holding two
+            # core-sized arrays beside S; with a moved copy of S x_1 G_1 it
+            # rose by 0.77. With the sweep's suffixes from the last mode
+            # down the peak was 1.95, a moved copy of Z x_2 X_2^T
             ((64, 64, 3), (32, 32, 3), (1.0, 1.0, 0.0), 1.0),
         ],
         ids=["order-3", "order-4", "image-r2-full"],
