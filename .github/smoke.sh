@@ -143,6 +143,17 @@ test "$(grep -c 'error' trace_csv.err)" -eq 1
 grep -q '^lrsetd: error: unrecognized arguments: --trace-csv x$' trace_csv.err
 test ! -e x
 
+echo "mask dims past memory"
+# 1e12 entries lie within the LRM1 element budget (2^40), but drawing them
+# takes 9 bytes each: a config error (exit 2) on one line, raised before
+# any array is allocated
+status=0
+lrsetd mask-gen --dims 100000,100000,100 --ratio 0.5 --out huge.lrm 2> huge.err > /dev/null || status=$?
+test "$status" -eq 2
+test "$(wc -l < huge.err)" -eq 1
+grep -q '^error: dims (100000, 100000, 100) must each lie in ' huge.err
+test ! -e huge.lrm
+
 echo "header that declares more payload than the file holds"
 # 2^18 x 2^18 doubles declared, 64 bytes present: an I/O error (exit 3) on
 # one line, with no traceback

@@ -14,12 +14,12 @@ The ADMM calls :func:`tridiag_solve` on small operands every iteration, so
 its Python-level cost and its strided copies count as much as its
 arithmetic. It takes an exact route chosen from the array's shape alone:
 a short axis is one matrix product by the stored T^{-1}, batched over the
-blocks of a middle axis unless they are many and short (see
-:func:`_route`); any other axis is swept with one ufunc call per step, an
-add on rows scaled beforehand, in place on a first axis and otherwise in a
-copy made as a 2-D transpose of whole trailing blocks. The factor step's
-r x r solve is one ``np.linalg.solve`` call in the solver. Everything here runs
-on numpy alone, so a process loads one LAPACK and one BLAS thread pool.
+blocks of a middle axis (see :func:`_route`); any other axis is swept
+with one ufunc call per step, an add on rows scaled beforehand, in place
+on a first axis and otherwise in a copy made as a 2-D transpose of whole
+trailing blocks. The factor step's r x r solve is one ``np.linalg.solve``
+call in the solver. Everything here runs on numpy alone, so a process
+loads one LAPACK and one BLAS thread pool.
 """
 
 import math
@@ -77,7 +77,7 @@ def _svd_shrink(m, tau):
 _GRAM_COND = 1e8
 
 
-def _gram_resolves(lam, tau=0.0):
+def _gram_resolves(lam, tau):
     """Whether the ascending eigenvalues `lam` of a Gram a^T a give the
     singular values of `a` that matter to working accuracy.
 
@@ -85,8 +85,8 @@ def _gram_resolves(lam, tau=0.0):
     about eps * lambda_max, so they are used only when the singular values
     above `tau`, and `tau` itself when some value falls at or below it, are
     all within a factor 1e4 of the largest:
-    lambda_max <= 1e8 * max(lambda_min, tau^2). For a nuclear norm
-    (tau = 0) that is every singular value.
+    lambda_max <= 1e8 * max(lambda_min, tau^2). At tau = 0 that is every
+    singular value.
     """
     # dividing, and squaring a Python float, cannot warn on overflow
     tau = float(tau)
@@ -114,15 +114,6 @@ def _tall_svd(a, tau):
             return np.sqrt(np.maximum(lam, 0.0)), v
     _, s, vt = np.linalg.svd(a, full_matrices=False)
     return s, vt.T
-
-
-def _nuclear_norm(a, lam):
-    """||a||_* of a tall float64 `a` from the ascending eigenvalues `lam` of
-    its Gram a^T a, or from ``np.linalg.svd`` of `a` when
-    :func:`_gram_resolves` does not trust them."""
-    if _gram_resolves(lam):
-        return float(np.sqrt(np.maximum(lam, 0.0)).sum())
-    return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
 def soft_shrink(m, tau):
@@ -156,14 +147,6 @@ def _soft_shrink(m, tau):
 # whatever beta/omega, and the product stays within 1.3e-15 of a dense
 # solve
 _SHORT = 32
-
-# the most (before, n, after) blocks of a middle axis with a trailing size
-# of 2 or 3 that the product by T^{-1} takes, batched; any count with 4 or
-# more. Interleaved at one BLAS thread on a 2-core Xeon VM, the product
-# took 0.16-0.87 of the swapped sweep's time up to 1 024 blocks at
-# n = 2-32; with a trailing size of 2 the sweep won from 2 048 blocks at
-# n = 2, from 4 096 at n = 4 and at 8 192 at n = 8 and 20 (BENCH_5.json)
-_BLOCKS = 1024
 
 # the scaled sweep's running products stay within this range, so its
 # scaled rows stay finite for data up to about 1e150
@@ -271,8 +254,7 @@ def _route(ldl, shape, axis):
     - ``"inverse"``: an axis of at most 32 is a matrix product by T^{-1}:
       one product on a first or last axis, whose lines are the columns or
       the rows of one matrix, and one batched matmul over the
-      (before, n, after) blocks of a middle axis whose trailing size is at
-      least 4 or whose blocks number at most 1 024.
+      (before, n, after) blocks of a middle axis.
     - ``"rows"``: any other axis whose preceding axes all have length 1,
       as the first, is swept in place: its lines are the columns of n
       contiguous rows.
@@ -280,12 +262,9 @@ def _route(ldl, shape, axis):
       columns, made as a 2-D transpose of records, each the contiguous
       block of the trailing axes.
     """
-    before, after = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
-    if ldl.inverse is not None and (
-        1 in (before, after) or after >= 4 or before * after <= _BLOCKS
-    ):
+    if ldl.inverse is not None:
         return "inverse"
-    return "rows" if before == 1 else "swap"
+    return "rows" if math.prod(shape[:axis]) == 1 else "swap"
 
 
 def _records(a, shape):

@@ -7,10 +7,12 @@ specs and seeds produce identical masks on every platform.
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .io import MAX_ELEMENTS
 from .tensor import ObservationMask, frobenius
 
 __all__ = [
@@ -116,19 +118,36 @@ def _draw(n, ratio, seed):
     return _rng(seed).permutation(n)[: int(round(ratio * n))]
 
 
+def _dims(dims):
+    """`dims` as a tuple of ints, checked before any mask is allocated:
+    each in [1, 2**32 - 1], the range of an LRM1 header, at most
+    ``io.MAX_ELEMENTS`` entries, and the 9 bytes an entry takes to draw
+    (an int64 permutation beside the mask) within physical memory."""
+    dims = tuple(_integer(d, "each dim") for d in dims)
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # not reported
+        memory = math.inf
+    limit = min(MAX_ELEMENTS, memory // 9)
+    if not all(0 < d < 2**32 for d in dims) or math.prod(dims) > limit:
+        raise ValueError(
+            f"dims {dims} must each lie in [1, 2**32 - 1], with at most "
+            f"{limit} entries in all, as memory and the LRM1 format allow"
+        )
+    return dims
+
+
 def random_mask(dims, ratio, seed=0):
     """Uniform random mask observing exactly round(ratio * prod(dims))
     entries, deterministic per seed."""
-    dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims, dtype=np.int64))
+    dims = _dims(dims)
     return ObservationMask.from_fortran_positions(
-        dims, _draw(total, ratio, seed)
+        dims, _draw(math.prod(dims), ratio, seed)
     )
 
 
 def _structural_drop(dims, spec):
     """Boolean array, True where the structural pattern keeps the entry."""
-    keep = np.ones(dims, dtype=bool)
     mode = _integer(spec.mode, "mode")
     if not 0 <= mode < len(dims):
         raise ValueError(f"mode {mode} out of range for dims {dims}")
@@ -163,6 +182,7 @@ def _structural_drop(dims, spec):
         sl[mode] = slices
     else:
         raise ValueError(f"not a structural kind: {spec.kind!r}")
+    keep = np.ones(dims, dtype=bool)
     keep[tuple(sl)] = False
     return keep
 
@@ -173,10 +193,10 @@ def structured_mask(dims, spec):
     For composite kinds the structural pattern drops its slices entirely and
     the surviving entries are retained uniformly at the given ratio.
     """
-    dims = tuple(int(d) for d in dims)
     if spec.kind == "random":
         ratio = _real(_required(spec.params, "ratio", "random spec"), "ratio")
         return random_mask(dims, ratio, spec.seed)
+    dims = _dims(dims)
     if spec.kind == "composite":
         structural = _object(
             _required(spec.params, "structural", "composite spec"), "structural"

@@ -23,15 +23,14 @@ stored: the penalty applies it as differences along axis i, and the W
 subproblem matrix [beta*I + 2*omega_i*A_i^T A_i] is tridiagonal, so W_i
 comes from an O(n) sweep along that axis, or, on an axis of at most 32,
 from a matrix product by the inverse, built once (on a middle axis, one
-batched product unless its blocks are many and short; see
-:func:`lrsetd.kernels._route`).
+batched product; see :func:`lrsetd.kernels._route`).
 
 Each block is one public function, ``update_factors``, ``update_y``,
 ``update_core``, ``update_z``, ``update_w`` and ``update_duals``, and
 :func:`solve` calls exactly these, once each per iteration. A block
-returns only what it forms anyway: ``update_factors`` its partial
-contraction of Z and the Grams X_i^T X_i, each formed once, which
-``update_core`` takes; ``update_y`` the rank each prox keeps; and
+returns only what it forms anyway: ``update_factors`` the ends of its
+chains of Z and S and the Grams X_i^T X_i, which ``update_core``
+continues into its gradient; ``update_y`` the rank each prox keeps; and
 ``update_duals`` the primal residuals max_i ||Z - W_i||_F and
 max_i ||X_i - Y_i||_F of the gaps its ascent adds. No block forms a term
 of the Lagrangian or the objective: :func:`solve` calls
@@ -78,7 +77,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
-    _nuclear_norm,
     _route,
     _soft_shrink,
     _svd_shrink,
@@ -501,11 +499,12 @@ def update_factors(state, cfg):
     side forms the right side of each step, Z's or the core's, is the
     state's `plan`, which :func:`_factor_plan` picks from the shape. The
     sweep reads the full-size Z twice, once for step 0 and once for P_1,
-    and forms each Gram once; it returns P_{N-1}, a view in the mode order
-    of Z that :func:`update_core` takes, and the Grams of the new factors.
+    and forms each Gram once. It returns what :func:`update_core` takes:
+    the two prefixes after its last step, P_{N-1} and S x_j G_j over
+    j < N-1 with the new Grams, both with mode N-1 first, and the Grams.
 
     The sweep's intermediates are written into the state's two full-size
-    buffers as far as they fit, so the returned product lives there until
+    buffers as far as they fit, so the returned prefixes live there until
     :func:`update_z` overwrites them.
     """
     x, s, plan = state.x, state.s, state.plan
@@ -546,9 +545,7 @@ def update_factors(state, cfg):
             prefix = _lead(prefix, x[i].T, out)
             out = pool.piece((*gram_prefix.shape[1:], ranks[i]))
             gram_prefix = _lead(gram_prefix, grams[i], out)
-    # mode N-1 first: its transpose is Z x_j X_j^T over j < N-1
-    z01 = prefix.reshape(x[-1].shape[0], -1).T.reshape(*ranks[:-1], -1)
-    return z01, grams
+    return prefix, gram_prefix, grams
 
 
 def update_y(state, cfg):
@@ -563,7 +560,7 @@ def update_y(state, cfg):
     return tuple(ranks)
 
 
-def update_core(state, cfg, z01=None, grams=None):
+def update_core(state, cfg, prefix=None, gram_prefix=None, grams=None):
     """One proximal-gradient step on the core tensor (in place).
 
     The smooth part is phi(S) = 0.5*||[[S; X]] - Z||_F^2 with
@@ -571,26 +568,26 @@ def update_core(state, cfg, z01=None, grams=None):
     Lipschitz constant zeta, the product of the Grams' spectral norms. A
     zero Lipschitz constant (all-zero factors) skips the step.
 
-    `z01` = Z x_j X_j^T over j < N-1 and the Grams are what
-    :func:`update_factors` returns; pass both or neither, in which case
-    they are built from the current factors. The gradient, the step
-    S - grad/zeta and its soft threshold at sigma/(lam*zeta) share one
-    core-sized array, which becomes the new S.
+    The gradient continues the chains that :func:`update_factors` returns,
+    `prefix` = Z x_j X_j^T and `gram_prefix` = S x_j G_j over j < N-1 with
+    mode N-1 first, by one first-axis product each; pass them and the
+    Grams, or none and they are built from the current factors. The
+    gradient, the step S - grad/zeta and its soft threshold at
+    sigma/(lam*zeta) share one core-sized array, which becomes the new S.
     """
-    x, rows = state.x, len(state.x[-1])
-    if z01 is None:
-        # the prefix chain of update_factors, which ends with mode N-1 first
-        z01 = state.z
-        for f in x[:-1]:
-            z01 = _lead(z01, f.T)
-        z01 = z01.reshape(rows, -1).T
+    x = state.x
+    if prefix is None:
+        # the prefix chains of update_factors
         grams = [f.T @ f for f in x]
+        prefix, gram_prefix = state.z, state.s
+        for f, g in zip(x[:-1], grams):
+            prefix, gram_prefix = _lead(prefix, f.T), _lead(gram_prefix, g)
     # the spectral norm of a Gram is its largest eigenvalue
     zeta = math.prod(np.linalg.eigvalsh(g)[-1] for g in grams)
     if zeta == 0.0:
         return
-    step = multilinear(state.s, grams)
-    step -= (z01.reshape(-1, rows) @ x[-1]).reshape(step.shape)
+    step = _lead(gram_prefix, grams[-1])
+    step -= _lead(prefix, x[-1].T)
     step /= zeta
     np.subtract(state.s, step, out=step)
     state.s = _soft_shrink(step, cfg.sigma / (cfg.lam * zeta))
@@ -657,8 +654,8 @@ def update_w(state, cfg):
     solved along axis i by :func:`lrsetd.kernels.tridiag_solve`. The right
     side beta*Z + U_i goes into W_i when the solve sweeps a copy of the
     axis in the scratch, and into the scratch otherwise, whence the matrix
-    product by T_i^{-1} of a short axis, batched on a middle one, or the
-    first scaling pass of axis 0 writes W_i."""
+    product by T_i^{-1} of any axis of at most 32, batched on a middle
+    one, or the first scaling pass of axis 0 writes W_i."""
     scratch = _buffers(state)[1]
     for i in cfg.smoothed_modes():
         ldl, w = state.w_ldl[i], state.w[i]
@@ -747,14 +744,13 @@ def objective_value(state, cfg):
 
     Each smoothness term ||S x_i (A_i X_i) x_{j!=i} X_j||_F^2 is evaluated
     at core size as <S, S x_j G_j> with G_j = X_j^T X_j and
-    G_i = (A_i X_i)^T (A_i X_i). The nuclear norms come from the
-    eigenvalues of the same Grams G_j, or from an SVD of X_j when G_j is
-    too ill-conditioned (see :mod:`lrsetd.kernels`). :func:`solve`
-    reports it once, at the final iterate."""
+    G_i = (A_i X_i)^T (A_i X_i). The nuclear norms come from an SVD of
+    each X_j, as the Lagrangian's do of each Y_j. :func:`solve` reports it
+    once, at the final iterate."""
     val = cfg.sigma * np.abs(state.s).sum()
+    for a, x in zip(cfg.alpha, state.x):
+        val += a * np.linalg.svd(x, compute_uv=False).sum()
     grams = [f.T @ f for f in state.x]
-    for a, x, g in zip(cfg.alpha, state.x, grams):
-        val += a * _nuclear_norm(x, np.linalg.eigvalsh(g))
     for i in cfg.smoothed_modes():
         parts = _smoothing_parts(state.x[i], 0)
         g = list(grams)
@@ -835,9 +831,9 @@ def solve(m, mask, cfg, callback=None):
     termination = "max_iter"
     for k in range(1, cfg.max_iter + 1):
         it_start = time.perf_counter()
-        z01, grams = update_factors(state, cfg)
+        prefix, gram_prefix, grams = update_factors(state, cfg)
         y_ranks = update_y(state, cfg)
-        update_core(state, cfg, z01, grams)
+        update_core(state, cfg, prefix, gram_prefix, grams)
         update_z(state, cfg, m, mask)
         update_w(state, cfg)
         w_residual, y_residual = update_duals(state, cfg)

@@ -724,6 +724,42 @@ class TestBadInput:
         assert not (tmp_path / "m.lrm").exists()
 
 
+class TestMaskGenDims:
+    @pytest.mark.parametrize(
+        "dims, source",
+        [
+            ("100000,100000,100", ["--ratio", "0.5"]),
+            (
+                "100000,100000,100",
+                ["--missing-spec",
+                 '{"kind":"whole_slices","mode":0,"params":{"slices":[1]}}'],
+            ),
+            ("4294967297,2", ["--ratio", "0"]),
+            ("4294967296,4294967296", ["--ratio", "0"]),
+            ("-1,-5", ["--ratio", "0.5"]),
+        ],
+        ids=["past-memory", "past-memory-slices", "past-uint32",
+             "wraps-int64", "negative"],
+    )
+    def test_one_error_line_before_any_allocation(
+        self, dims, source, tmp_path, capsys
+    ):
+        # dims past memory, the uint32 field of an LRM1 header or int64
+        # are a config error on one line, with no numpy message
+        out = tmp_path / "m.lrm"
+        code = main(["mask-gen", f"--dims={dims}", *source,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        shown = dims.replace(",", ", ")
+        assert err.startswith(
+            f"error: dims ({shown}) must each lie in [1, 2**32 - 1], with "
+            "at most "
+        )
+        assert not out.exists()
+
+
 class TestAnyOrder:
     @pytest.mark.parametrize("order", [1, 2, 4, 5])
     def test_commands_take_the_order_of_the_data(self, order, tmp_path, capsys):

@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import difference_matrix, relayout, tridiag_solve_reference
 from lrsetd.kernels import (
-    _BLOCKS,
     _SHORT,
     _gram_resolves,
-    _nuclear_norm,
     _route,
     _soft_shrink,
     _svd_shrink,
@@ -194,7 +192,7 @@ class TestGramRoute:
         # that cuts the small value away leaves only the large one
         a = planted((6, 2), [1.0, smallest])
         lam = np.linalg.eigvalsh(a.T @ a)
-        assert _gram_resolves(lam) == resolved
+        assert _gram_resolves(lam, 0.0) == resolved
         assert _gram_resolves(lam, 0.5 * smallest) == resolved
         assert _gram_resolves(lam, 0.5)
 
@@ -213,19 +211,6 @@ class TestGramRoute:
         assert gap <= 1e-12 * np.linalg.norm(expected / 1e200)
         assert kept == expected_rank
 
-    @pytest.mark.parametrize(
-        "singular_values, uses_svd",
-        [([3.0, 2.0, 0.5], False), ([1e8, 1.0, 1e-2], True)],
-        ids=["well-conditioned", "ill-conditioned"],
-    )
-    def test_nuclear_norm(self, singular_values, uses_svd, svd_calls):
-        a = planted((9, 3), singular_values, seed=1)
-        expected = nuclear_norm(a)
-        lam = np.linalg.eigvalsh(a.T @ a)
-        svd_calls.clear()
-        got = _nuclear_norm(a, lam)
-        assert svd_calls == ([False] if uses_svd else [])
-        assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestSoftShrink:
@@ -532,18 +517,14 @@ class TestTridiagRoutes:
         ],
     )
     def test_short_middle_axis(self, n, before, after):
-        # a short middle axis is one batched product by T^{-1} when its
-        # trailing size is 4 or more or its blocks number at most 1 024,
-        # which the mode-product rule would not batch from 65 blocks on
-        # at a trailing size of 2-3; past that, as with a trailing size
-        # of 2 and 2 000 blocks, it stays on the swapped sweep
+        # a short middle axis is one batched product by T^{-1} whatever
+        # the number and trailing size of its blocks, 2 000 blocks of a
+        # trailing size of 2 included
         shape = (before, n, after)
         ldl = tridiag_ldl(*w_matrix(n, 0.1, 1.0))
         a = difference_matrix(n)
         t = 0.1 * np.eye(n) + 2.0 * a.T @ a
-        short = after >= 4 or before * after <= _BLOCKS
-        assert _route(ldl, shape, 1) == ("inverse" if short else "swap")
-        assert _BLOCKS == 1024  # which the pairs above straddle
+        assert _route(ldl, shape, 1) == "inverse"
         b = np.random.default_rng([n, before, after]).standard_normal(shape)
         got = self.check(ldl, t, b, 1, 1.0)
         for layout in ("F", "strided"):

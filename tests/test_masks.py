@@ -70,6 +70,56 @@ class TestRandomMask:
             random_mask((2, 2, 2), 1.5)
 
 
+class TestDimsBoundary:
+    RANGE = r"must each lie in \[1, 2\*\*32 - 1\], with at most \d+ entries"
+
+    @pytest.mark.parametrize(
+        "dims, ratio",
+        [
+            # 1e12 entries: within io.MAX_ELEMENTS (2**40), but a draw
+            # holds 9 bytes an entry, far past any machine's memory
+            ((100000, 100000, 100), 0.5),
+            # past an LRM1 header's uint32 field
+            ((4294967297, 2), 0.0),
+            # an int64 product of 2**64 wraps to 0
+            ((2**32, 2**32), 0.0),
+            ((-1, -5), 0.5),
+            ((0, 3), 0.5),
+        ],
+        ids=["past-memory", "past-uint32", "wraps-int64", "negative", "zero"],
+    )
+    def test_rejected_before_any_allocation(self, dims, ratio):
+        slices = MissingSpec(
+            kind="whole_slices", mode=0, params={"slices": [0]}
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=self.RANGE):
+                random_mask(dims, ratio)
+            with pytest.raises(ValueError, match=self.RANGE):
+                structured_mask(dims, slices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+
+    def test_element_budget_without_a_memory_figure(self, monkeypatch):
+        # where the system reports no memory size, io.MAX_ELEMENTS alone
+        # bounds the product, taken as a Python int
+        def unreported(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(os, "sysconf", unreported)
+        with pytest.raises(ValueError, match=f"at most {2**40} entries"):
+            random_mask((2**20, 2**20, 2), 0.0)
+        assert random_mask((3, 2), 0.5).n_observed == 3
+
+    @pytest.mark.parametrize("dims", [(2.0, 3), (True, 3), ("2", 3)])
+    def test_non_integer_dims(self, dims):
+        with pytest.raises(ValueError, match="each dim must be an integer"):
+            random_mask(dims, 0.5)
+
+
 class TestStructuredMask:
     def test_random_kind_delegates(self):
         spec = MissingSpec(kind="random", params={"ratio": 0.25}, seed=9)

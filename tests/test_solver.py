@@ -616,7 +616,8 @@ class TestFactorPlan:
         # each step's right side lam*Z_(i) B_i S_(i)^T + beta*Y_i - T_i and
         # left side beta*I + lam*S_(i) B_i^T B_i S_(i)^T, with B_i the
         # explicit Kronecker product of the factors as step i sees them,
-        # and the returned Z x_j X_j^T over j < N-1, by the index formula
+        # and the returned Z x_j X_j^T and S x_j G_j over j < N-1, with
+        # the new factors and Grams, by the index formula
         order = len(dims)
         cfg = SolverConfig(
             ranks=ranks, alpha=(0.5,) * order, omega=(0.0,) * order,
@@ -636,7 +637,7 @@ class TestFactorPlan:
                 return solve_system(lhs, rhs)
 
             monkeypatch.setattr(np.linalg, "solve", spy)
-            z01, grams = update_factors(state, cfg)
+            prefix, gram_prefix, grams = update_factors(state, cfg)
             monkeypatch.undo()
             assert len(systems) == order
             for i, (lhs, rhs) in enumerate(systems):
@@ -657,19 +658,31 @@ class TestFactorPlan:
                 np.testing.assert_allclose(
                     lhs, want, rtol=0, atol=1e-12 * np.linalg.norm(want)
                 )
+            for g, f in zip(grams, state.x):
+                np.testing.assert_array_equal(g, f.T @ f)
+            # both chains have mode N-1 first, then modes 0 to N-2
             last = order - 1
+            in_order = (*range(1, order), 0)
             want = unfold_by_index_formula(state.z, last) @ kron_others(
                 state.x, last
             )
-            assert z01.shape == (*ranks[:-1], dims[-1])
+            assert prefix.shape == (dims[-1], *ranks[:-1])
             np.testing.assert_allclose(
-                unfold_by_index_formula(z01, last),
+                unfold_by_index_formula(prefix.transpose(in_order), last),
                 want,
                 rtol=0,
                 atol=1e-12 * np.linalg.norm(want),
             )
-            for g, f in zip(grams, state.x):
-                np.testing.assert_array_equal(g, f.T @ f)
+            want = unfold_by_index_formula(state.s, last) @ kron_others(
+                [f.T @ f for f in state.x], last
+            ).T
+            assert gram_prefix.shape == (ranks[-1], *ranks[:-1])
+            np.testing.assert_allclose(
+                unfold_by_index_formula(gram_prefix.transpose(in_order), last),
+                want,
+                rtol=0,
+                atol=1e-12 * np.linalg.norm(want),
+            )
 
     @pytest.mark.parametrize(
         "dims, ranks, plan",
@@ -782,8 +795,8 @@ class TestIterationMemory:
             # products go into the buffers, with no moved copy; the core
             # is a quarter and each factor a sixth of the tensor here. The
             # factor sweep sets the peak, 0.947 tensors (93 120 bytes), and
-            # the bound leaves 5 % above it. The core step rises by 0.52,
-            # its S x_j G_j chain of last-axis products holding two
+            # the bound leaves 5 % above it. The core step rises by 0.51,
+            # its gradient's two first-axis products holding two
             # core-sized arrays beside S; with a moved copy of S x_1 G_1 it
             # rose by 0.77. With the sweep's suffixes from the last mode
             # down the peak was 1.95, a moved copy of Z x_2 X_2^T
@@ -936,8 +949,9 @@ class TestUpdateCore:
         assert sub_obj(state.s) <= before + 1e-10
 
     def test_sweep_products_equal_rebuilt_ones(self):
-        # update_factors hands its Z contraction and Grams to update_core;
-        # without them update_core rebuilds both from the same factors
+        # update_factors hands its chains of Z and S and its Grams to
+        # update_core; without them update_core rebuilds all three from the
+        # same factors
         dims, ranks = (5, 4, 3), (2, 3, 2)
         m, mask, _ = small_problem(seed=4, dims=dims, ranks=ranks)
         cfg = SolverConfig(ranks=ranks, beta=0.5, lam=1.0, sigma=1e-3)
@@ -1282,13 +1296,13 @@ class TestInPlaceBlocks:
         # but for W_i
         state, m, mask, cfg = self.problem(layout, 89)
         for _ in range(3):
-            z01, grams = update_factors(state, cfg)
+            chains = update_factors(state, cfg)
             update_y(state, cfg)
             # the core from the sweep's products, which live in the
             # buffers, against the core from products rebuilt afresh
             rebuilt = copy.deepcopy(state)
             update_core(rebuilt, cfg)
-            update_core(state, cfg, z01, grams)
+            update_core(state, cfg, *chains)
             np.testing.assert_array_equal(state.s, rebuilt.s)
             z = z_step_oracle(state, cfg, m, mask)
             update_z(state, cfg, m, mask)
@@ -1407,15 +1421,13 @@ class TestLagrangianAndObjective:
                 prev = augmented_lagrangian(state, cfg)
 
     @pytest.mark.parametrize(
-        "singular_values, uses_svd",
-        [((5.0, 2.0), False), ((1e8, 1e-2), True)],
+        "singular_values",
+        [(5.0, 2.0), (1e8, 1e-2)],
         ids=["gram", "svd"],
     )
-    def test_objective_nuclear_norms(
-        self, singular_values, uses_svd, monkeypatch
-    ):
-        # ||X_i||_* from the eigenvalues of X_i^T X_i, or from the SVD of
-        # X_i when that Gram's condition number passes 1e8
+    def test_objective_nuclear_norms(self, singular_values, monkeypatch):
+        # ||X_i||_* from one SVD of each X_i, however well or badly
+        # conditioned its Gram
         dims, ranks = (6, 5, 4), (2, 2, 2)
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
         cfg = replace(cfg, sigma=0.0, omega=(0.0, 0.0, 0.0))
@@ -1437,7 +1449,7 @@ class TestLagrangianAndObjective:
         monkeypatch.setattr(np.linalg, "svd", counted)
         got = objective_value(state, cfg)
         assert got == pytest.approx(expected, rel=1e-12)
-        assert calls == ([(dims[1], 2)] if uses_svd else [])
+        assert calls == [(d, 2) for d in dims]
 
     def test_objective_smoothness_term(self):
         dims, ranks = (4, 3, 2), (2, 2, 2)
@@ -1648,8 +1660,8 @@ class TestSolve:
         # each iteration's Y-step prox takes one eigh of each r x r Gram and
         # no SVD, and the core step's spectral norms one eigvalsh of each
         # factor Gram; counted between callbacks, since the final
-        # Lagrangian (an SVD of each Y_i) and objective (an eigvalsh of
-        # each factor Gram) run once, after the last one
+        # Lagrangian (an SVD of each Y_i) and objective (an SVD of each
+        # X_i) run once, after the last one
         calls = {"svd": 0, "eigh": 0, "eigvalsh": 0}
 
         def spy(name):
@@ -1684,7 +1696,7 @@ class TestSolve:
         ]
         assert report.iterations == 3
         assert steps == [{"svd": 0, "eigh": 3, "eigvalsh": 3}] * 3 + [
-            {"svd": 3, "eigh": 0, "eigvalsh": 3}
+            {"svd": 6, "eigh": 0, "eigvalsh": 0}
         ]
 
     def test_final_values_computed_once_per_solve(self, monkeypatch):
