@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .masks import _integer
 from .tensor import _exponent, frobenius, multilinear, unfold
 
 __all__ = ["TuckerModel", "hosvd", "truncate_core", "reconstruction_snr"]
@@ -85,7 +86,8 @@ def hosvd(t, ranks):
 
     factors[n] holds the leading ranks[n] left singular vectors of the
     mode-n unfolding; the core is the multilinear compression of `t`.
-    Raises ValueError when `t` holds NaN or inf.
+    Raises ValueError when `t` holds NaN or inf, or a rank is not an
+    integer in [1, I_n].
     """
     t = np.asarray(t, dtype=np.float64)
     # min and max carry any NaN or inf, without a full-size boolean mask,
@@ -93,7 +95,7 @@ def hosvd(t, ranks):
     lo, hi = (t.min(), t.max()) if t.size else (0.0, 0.0)
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("hosvd input must be finite, found NaN or inf")
-    ranks = tuple(int(r) for r in ranks)
+    ranks = tuple(_integer(r, "each rank") for r in ranks)
     if len(ranks) != t.ndim:
         raise ValueError(f"need {t.ndim} ranks, got {len(ranks)}")
     for r, d in zip(ranks, t.shape):

@@ -70,10 +70,17 @@ def _read_header(f, magic):
     return dims, total
 
 
-def _write_header(f, magic, dims):
-    f.write(magic)
-    f.write(np.asarray([len(dims)], dtype="<u4").tobytes())
-    f.write(np.asarray(dims, dtype="<u4").tobytes())
+def _header(magic, dims):
+    """The header for `dims`, checked against :func:`_read_header`'s rule
+    before any file is opened, so no writer leaves a file a reader
+    refuses."""
+    valid = dims and all(0 < d < 2**32 for d in dims)
+    if not valid or math.prod(dims) > MAX_ELEMENTS:
+        raise ValueError(
+            f"cannot write dims {dims}: need at least one dim, each in "
+            f"[1, 2**32 - 1], and at most {MAX_ELEMENTS} entries"
+        )
+    return magic + np.asarray([len(dims), *dims], dtype="<u4").tobytes()
 
 
 def read_tensor(path):
@@ -91,8 +98,9 @@ def read_tensor(path):
 def write_tensor(path, tensor):
     """Write an LRT1 tensor file; bit-exact round trip with read_tensor."""
     tensor = np.asarray(tensor, dtype=np.float64)
+    header = _header(TENSOR_MAGIC, tensor.shape)
     with open(path, "wb") as f:
-        _write_header(f, TENSOR_MAGIC, tensor.shape)
+        f.write(header)
         f.write(
             tensor.ravel(order="F").astype("<f8", copy=False).tobytes()
         )
@@ -119,9 +127,10 @@ def read_mask(path):
 
 def write_mask(path, mask):
     """Write an LRM1 observation-mask file."""
+    header = _header(MASK_MAGIC, mask.dims)
     flat = mask.fortran_positions()
     with open(path, "wb") as f:
-        _write_header(f, MASK_MAGIC, mask.dims)
+        f.write(header)
         f.write(np.asarray([flat.size], dtype="<u8").tobytes())
         f.write(flat.astype("<u8").tobytes())
 

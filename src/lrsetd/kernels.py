@@ -317,8 +317,10 @@ def tridiag_solve(ldl, b, axis, scratch=None, out=None):
       columns on every other.
 
     A copy goes into `scratch` when given: a C-contiguous array of `b`'s
-    dtype and size that shares no memory with `b` or `out`. Each route
-    gives bitwise the same result in every layout of `b` and `out`.
+    dtype and size that shares no memory with `b` or `out`. The routes
+    run on C-order arrays: an `out` in another layout takes the solve of a
+    C-order copy of `b`, and a `b` in another layout is copied to C order,
+    so each route gives bitwise the same result in every layout.
     """
     n = ldl.inv_d.size
     if b.shape[axis] != n:
@@ -337,26 +339,27 @@ def tridiag_solve(ldl, b, axis, scratch=None, out=None):
         raise ValueError(f"out has shape {out.shape}, b {b.shape}")
     if not b.size:
         return out
+    if not out.flags.c_contiguous:
+        x = tridiag_solve(ldl, np.array(b, order="C"), axis, scratch)
+        np.copyto(out, x)
+        return out
+    b = np.ascontiguousarray(b)
     route = _route(ldl, b.shape, axis)
     before = math.prod(b.shape[:axis])
     after = b.size // (before * n)
-    aligned = out.flags.c_contiguous
     if route == "inverse":
         # the product must not read what it writes
         src = b
-        if out is b or not b.flags.c_contiguous:
-            src = np.empty_like(b, order="C") if scratch is None else scratch
+        if out is b:
+            src = np.empty_like(b) if scratch is None else scratch
             np.copyto(src.reshape(b.shape), b)
-        dst = out if aligned else np.empty_like(b, order="C")
         if before > 1 and after == 1:
-            np.matmul(src.reshape(-1, n), ldl.inverse, out=dst.reshape(-1, n))
+            np.matmul(src.reshape(-1, n), ldl.inverse, out=out.reshape(-1, n))
         else:
             block = (before, n, after)
-            np.matmul(ldl.inverse, src.reshape(block), out=dst.reshape(block))
-        if dst is not out:
-            np.copyto(out, dst)
+            np.matmul(ldl.inverse, src.reshape(block), out=out.reshape(block))
         return out
-    if route == "rows" and aligned:
+    if route == "rows":
         # the first scaling pass writes b/P into out
         pre = ldl.pre.reshape((1,) * axis + (n,) + (1,) * (b.ndim - axis - 1))
         np.multiply(b, pre, out=out)
@@ -365,19 +368,10 @@ def tridiag_solve(ldl, b, axis, scratch=None, out=None):
     # lines as columns: the (before, n, after) blocks of b swapped into an
     # (n, before, after) copy, a byte copy of whole trailing blocks
     x = np.empty(b.size, dtype=b.dtype) if scratch is None else scratch
-    block = (before, n, after)
-    swapped = (n, before, after)
-    front = [axis, *range(axis), *range(axis + 1, b.ndim)]
-    lines = x.reshape([b.shape[k] for k in front])  # a view
-    if b.flags.c_contiguous:
-        np.copyto(_records(x, swapped), _records(b, block).T)
-    else:
-        np.copyto(lines, b.transpose(front))
+    block, swapped = (before, n, after), (n, before, after)
+    np.copyto(_records(x, swapped), _records(b, block).T)
     rows = x.reshape(n, -1)
     rows *= ldl.pre[:, None]
     _sweep(rows, ldl)
-    if aligned:
-        np.copyto(_records(out, block), _records(x, swapped).T)
-    else:
-        np.copyto(out.transpose(front), lines)
+    np.copyto(_records(out, block), _records(x, swapped).T)
     return out

@@ -139,10 +139,10 @@ def _dims(dims):
 
 def random_mask(dims, ratio, seed=0):
     """Uniform random mask observing exactly round(ratio * prod(dims))
-    entries, deterministic per seed."""
+    entries, deterministic per seed; `ratio` is a real number in [0, 1]."""
     dims = _dims(dims)
     return ObservationMask.from_fortran_positions(
-        dims, _draw(math.prod(dims), ratio, seed)
+        dims, _draw(math.prod(dims), _real(ratio, "ratio"), seed)
     )
 
 

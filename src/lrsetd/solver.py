@@ -42,8 +42,9 @@ change of Z or a primal residual, which are checked as scalars, and the
 U_i ascent raises on overflow.
 
 Memory plan: the state keeps the observed values of M, which
-:func:`init_state` gathers once, and two full-size buffers, the spare
-and the scratch, which the first block that needs them allocates; from
+:func:`init_state` gathers once, their positions (the mask's cached
+index, not a copy) and two full-size buffers, the spare and the
+scratch, which the first block that needs them allocates; from
 then on an iteration allocates nothing full-size. The Z step writes the
 new Z into the spare, which takes the previous Z in exchange, so the
 stopping test's difference Z_k - Z_{k-1} overwrites it. The W and dual
@@ -247,7 +248,8 @@ class SolverState:
     # kernels.TridiagLDL of the tridiagonal [beta*I + 2*omega_i*A_i^T A_i]:
     # O(n) numbers, and its inverse when n <= 32
     w_ldl: list
-    observed: np.ndarray  # the values of M at mask.c_flat_index()
+    index: np.ndarray  # the mask's c_flat_index(): where M was observed
+    observed: np.ndarray  # the values of M there
     # update_factors' side per step, True for the core's: _factor_plan
     plan: tuple
     iteration: int = 0
@@ -333,6 +335,7 @@ def init_state(m, mask, cfg):
         w=w,
         u=u,
         w_ldl=w_ldl,
+        index=index,
         observed=observed,
         plan=_factor_plan(dims, ranks),
     )
@@ -593,7 +596,7 @@ def update_core(state, cfg, prefix=None, gram_prefix=None, grams=None):
     state.s = _soft_shrink(step, cfg.sigma / (cfg.lam * zeta))
 
 
-def update_z(state, cfg, m, mask):
+def update_z(state, cfg):
     """Closed-form Z update with the observation constraint.
 
     Off the observed set, with Zhat = [[S; X]] the current Tucker
@@ -603,23 +606,15 @@ def update_z(state, cfg, m, mask):
             / (lam + N*beta),
 
     evaluated in that order as in-place passes over one buffer, the k
-    copies of Z_prev added one at a time; on it, Z = M exactly. The sums
+    copies of Z_prev added one at a time; on it, Z = M exactly, from the
+    observed values and their index that :func:`init_state` kept. The sums
     run over the smoothed modes: an unsmoothed mode enters with
     W_i = Z_prev (the Z before this update) and U_i = 0, the values its W
     and dual steps would have left.
 
-    `m` and `mask` are the ones the state was built from: Z takes the
-    observed values :func:`init_state` gathered, so `m` is not read again,
-    and a shape or observed count other than the state's is a ValueError.
     The new Z is written into the state's spare buffer, which then takes
     Z_prev in exchange; the reconstruction goes into its scratch.
     """
-    dims, n = state.dims, state.observed.size
-    if (np.shape(m), mask.dims, mask.n_observed) != (dims, dims, n):
-        raise ValueError(
-            f"tensor {np.shape(m)} and {mask!r} are not those of the state, "
-            f"{dims} with {n} observed"
-        )
     spare, scratch = _buffers(state)
     order = len(state.x)
     smoothed = cfg.smoothed_modes()
@@ -642,7 +637,7 @@ def update_z(state, cfg, m, mask):
         acc -= state.u[i]
     acc /= cfg.lam + order * cfg.beta
     # a view: the spare is C-contiguous
-    acc.reshape(-1)[mask.c_flat_index()] = state.observed
+    acc.reshape(-1)[state.index] = state.observed
     # Z_prev becomes the spare; a Z in another layout, which a caller put
     # in the state, is copied, so the spare stays C-contiguous
     state.spare, state.z = np.ascontiguousarray(state.z), acc
@@ -807,7 +802,7 @@ def solve(m, mask, cfg, callback=None):
     Parameters
     ----------
     m : ndarray
-        Observed tensor; only its entries on the mask are read.
+        Observed tensor; only its entries on the mask are read, once.
     mask : ObservationMask
     cfg : SolverConfig
     callback : callable, optional
@@ -834,7 +829,7 @@ def solve(m, mask, cfg, callback=None):
         prefix, gram_prefix, grams = update_factors(state, cfg)
         y_ranks = update_y(state, cfg)
         update_core(state, cfg, prefix, gram_prefix, grams)
-        update_z(state, cfg, m, mask)
+        update_z(state, cfg)
         update_w(state, cfg)
         w_residual, y_residual = update_duals(state, cfg)
         _require_finite(state, "core or dual T", state.s, *state.t)

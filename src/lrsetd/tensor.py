@@ -16,12 +16,6 @@ input and its output of each step. :func:`mode_product` takes one mode
 alone: a matmul on the rows of a last-axis reshape, or one matmul
 batched over the blocks of any other.
 
-:func:`unfold` moves axes with ``ndarray.transpose`` on an explicit
-permutation, not ``np.moveaxis``: the permutation and so the memory
-layout are the same, but ``np.moveaxis`` normalizes its axis arguments in
-Python on every call, which on a 20x20x20 tensor cost more than the
-matrix multiplies.
-
 The matrix column order of :func:`unfold` is Fortran-style, whatever the
 layout: the first remaining index varies fastest, i.e. column
 

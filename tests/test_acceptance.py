@@ -100,7 +100,7 @@ def test_criterion_1_block_updates_solve_their_subproblems():
                 / max(1.0, np.linalg.norm(rhs)),
             )
 
-        update_z(state, cfg, m, mask)
+        update_z(state, cfg)
         zhat = multilinear(state.s, state.x)
         grad = cfg.lam * (state.z - zhat)
         for i in range(3):
@@ -153,7 +153,7 @@ def test_criterion_2_lagrangian_monotone_over_primal_blocks():
                 cur = augmented_lagrangian(state, cfg)
                 worst = max(worst, (cur - prev) / max(1.0, abs(prev)))
                 prev = cur
-            update_z(state, cfg, m, mask)
+            update_z(state, cfg)
             cur = augmented_lagrangian(state, cfg)
             worst = max(worst, (cur - prev) / max(1.0, abs(prev)))
             prev = cur

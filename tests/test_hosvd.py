@@ -65,6 +65,19 @@ class TestHosvd:
         with pytest.raises(ValueError, match="ranks"):
             hosvd(t, (2, 2))
 
+    @pytest.mark.parametrize(
+        "ranks", [(2.5, 2, 2), (True, 2, 2), ("2", 2, 2)]
+    )
+    def test_non_integer_ranks(self, rng, ranks):
+        # each would have run at a truncated or coerced rank
+        t = rng.standard_normal((3, 3, 3))
+        with pytest.raises(ValueError, match="each rank must be an integer"):
+            hosvd(t, ranks)
+
+    def test_numpy_integer_ranks(self, rng):
+        t = rng.standard_normal((3, 3, 3))
+        assert hosvd(t, np.array([2, 2, 1])).core.shape == (2, 2, 1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, rng, bad):
         t = rng.standard_normal((4, 3, 2))

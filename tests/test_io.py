@@ -132,6 +132,19 @@ class TestTensorFormat:
         ):
             read_tensor(path)
 
+    @pytest.mark.parametrize(
+        "tensor",
+        [np.empty((3, 0)), np.float64(2.0), np.empty((2**32, 0))],
+        ids=["zero-dim", "order-0", "dim-past-uint32"],
+    )
+    def test_writer_refuses_header_reader_refuses(self, tmp_path, tensor):
+        # the reader's rule is checked before the file is opened, so no
+        # header, whole or partial, is left behind
+        path = tmp_path / "t.lrt"
+        with pytest.raises(ValueError, match="cannot write dims"):
+            write_tensor(path, tensor)
+        assert not path.exists()
+
 
 class TestMaskFormat:
     def test_round_trip(self, tmp_path):
@@ -148,6 +161,12 @@ class TestMaskFormat:
             write_mask(path, mask)
             back = read_mask(path)
             np.testing.assert_array_equal(back.boolean(), mask.boolean())
+
+    def test_writer_refuses_order_0(self, tmp_path):
+        path = tmp_path / "m.lrm"
+        with pytest.raises(ValueError, match=r"cannot write dims \(\)"):
+            write_mask(path, ObservationMask(np.array(True)))
+        assert not path.exists()
 
     def test_header_layout(self, tmp_path):
         mask = mask_at((2, 2, 2), (1, 0, 0), (0, 1, 1))

@@ -69,6 +69,12 @@ class TestRandomMask:
         with pytest.raises(ValueError, match="ratio"):
             random_mask((2, 2, 2), 1.5)
 
+    @pytest.mark.parametrize("ratio", [True, "0.5", None])
+    def test_non_number_ratio(self, ratio):
+        # a boolean would draw a full mask, a string fail inside numpy
+        with pytest.raises(ValueError, match="ratio must be a number"):
+            random_mask((2, 2, 2), ratio)
+
 
 class TestDimsBoundary:
     RANGE = r"must each lie in \[1, 2\*\*32 - 1\], with at most \d+ entries"
