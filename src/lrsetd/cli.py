@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure, 141 (128 + SIGPIPE) when the reader of stdout has quit. The
 --report JSON of `complete` echoes the config, holds the per-iteration
 trace, one object per `IterationRecord` with the record's fields (the
-relative change, the primal and dual residuals, the Y ranks and the core
-density), and gives the augmented Lagrangian and the model objective at
+penalty beta of the iteration, the relative change, the primal and dual
+residuals, the Y ranks and the core density), and gives the augmented Lagrangian and the model objective at
 the final iterate as top-level `lagrangian` and `objective`. A
 `complete` whose final core is all zero (termination "collapsed") exits 0
 with one `warning:` line on stderr naming sigma, lam and the observed RMS.

@@ -120,10 +120,13 @@ def _draw(n, ratio, seed):
 
 def _dims(dims):
     """`dims` as a tuple of ints, checked before any mask is allocated:
-    each in [1, 2**32 - 1], the range of an LRM1 header, at most
-    ``io.MAX_ELEMENTS`` entries, and the 9 bytes an entry takes to draw
-    (an int64 permutation beside the mask) within physical memory."""
+    at least one, as an LRM1 file holds, each in [1, 2**32 - 1], the range
+    of its header, at most ``io.MAX_ELEMENTS`` entries, and the 9 bytes an
+    entry takes to draw (an int64 permutation beside the mask) within
+    physical memory."""
     dims = tuple(_integer(d, "each dim") for d in dims)
+    if not dims:
+        raise ValueError("a mask needs at least one dim, got ()")
     try:
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # not reported

@@ -64,6 +64,12 @@ allocates is factor- or core-sized.
 The order N is the tensor's: every block loops over its modes, and the
 per-mode fields of :class:`SolverConfig` must have one value per mode.
 
+The penalty beta is the config's at the start. When some mode is
+smoothed, :func:`solve` balances it over the first `balance_iters`
+iterations from the residuals each iteration already forms, and refactors
+the W solve whenever it changes; the duals U_i and T_i are unscaled, so
+no other state follows beta.
+
 Every solve starts from the same point: Z is the zero-filled observation,
 each factor X_i is the orthonormal Q of a fixed-seed Gaussian draw, and the
 core is the multilinear compression of Z. That start costs O(tensor) at any
@@ -73,7 +79,7 @@ mode length, where a truncated HOSVD of Z would form I_i x I_i Grams.
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,6 +146,10 @@ class SolverConfig:
     A run stops after iteration k when
     ||Z_k - Z_{k-1}||_F / max(||Z_k||_F, 1) <= tol, or after max_iter
     iterations.
+
+    `beta` is the penalty the run starts at; :func:`solve` balances it
+    against the residuals over the first balance_iters iterations, and
+    balance_iters = 0 keeps it fixed, as the paper's ADMM does.
     """
 
     ranks: tuple | None = None
@@ -150,6 +160,7 @@ class SolverConfig:
     omega: tuple = (0.0, 0.0, 0.0)
     tol: float = 1e-5
     max_iter: int = 250
+    balance_iters: int = 50
 
     def __post_init__(self):
         # alpha counts the modes; the other per-mode fields must match it
@@ -168,12 +179,14 @@ class SolverConfig:
                     "alpha, omega and ranks need one value per mode, as "
                     f"many as alpha has; got {name}={value!r}"
                 )
-        integers = (self.max_iter, *(self.ranks or ()))
+        integers = (self.max_iter, self.balance_iters, *(self.ranks or ()))
         if not all(
             isinstance(v, numbers.Integral) and not isinstance(v, bool)
             for v in integers
         ):
-            raise ValueError("ranks and max_iter must be integers")
+            raise ValueError(
+                "ranks, max_iter and balance_iters must be integers"
+            )
         reals = (self.lam, self.beta, self.sigma, self.tol, *self.alpha)
         if not all(
             isinstance(v, numbers.Real)
@@ -192,12 +205,16 @@ class SolverConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.balance_iters < 0:
+            raise ValueError(
+                f"balance_iters must be >= 0, got {self.balance_iters}"
+            )
         if self.sigma < 0 or any(a < 0 for a in self.alpha) or any(
             w < 0 for w in self.omega
         ):
             raise ValueError("sigma, alpha and omega must be nonnegative")
         # every block reads it each iteration; an attribute, not a field, so
-        # fields(), asdict() and equality see the eight fields alone
+        # fields(), asdict() and equality see the nine fields alone
         object.__setattr__(
             self,
             "_smoothed",
@@ -229,8 +246,8 @@ def default_ranks(dims):
 
 @dataclass
 class SolverState:
-    """All block variables of one run, the observed values, the
-    iteration-invariant W solve and the blocks' two full-size buffers.
+    """All block variables of one run, the observed values, the W solve
+    at the penalty in force and the blocks' two full-size buffers.
 
     The per-mode lists `w`, `u` and `w_ldl` have one entry per mode and hold
     None at every mode with omega_i = 0; index them by mode. The blocks
@@ -246,7 +263,7 @@ class SolverState:
     w: list  # auxiliary tensors W_i, full size, smoothed modes only
     u: list  # duals for Z = W_i, smoothed modes only
     # kernels.TridiagLDL of the tridiagonal [beta*I + 2*omega_i*A_i^T A_i]:
-    # O(n) numbers, and its inverse when n <= 32
+    # O(n) numbers, and its inverse when n <= 32 (see _w_factors)
     w_ldl: list
     index: np.ndarray  # the mask's c_flat_index(): where M was observed
     observed: np.ndarray  # the values of M there
@@ -315,16 +332,10 @@ def init_state(m, mask, cfg):
         x0.append(q)
     s0 = multilinear(z0, [f.T for f in x0])
 
-    w, u, w_ldl = [None] * m.ndim, [None] * m.ndim, [None] * m.ndim
+    w, u = [None] * m.ndim, [None] * m.ndim
     for i in cfg.smoothed_modes():
         w[i] = z0.copy()
         u[i] = np.zeros(dims)
-        # A_i^T A_i is tridiag(-1, (1, 2, ..., 2), -1); the shifted matrix
-        # is factored once
-        two_omega = 2.0 * cfg.omega[i]
-        diag = np.full(dims[i], cfg.beta + two_omega)
-        diag[1:] += two_omega
-        w_ldl[i] = tridiag_ldl(diag, np.full(dims[i] - 1, -two_omega))
 
     return SolverState(
         x=x0,
@@ -334,11 +345,26 @@ def init_state(m, mask, cfg):
         z=z0,
         w=w,
         u=u,
-        w_ldl=w_ldl,
+        w_ldl=_w_factors(cfg, dims),
         index=index,
         observed=observed,
         plan=_factor_plan(dims, ranks),
     )
+
+
+def _w_factors(cfg, dims):
+    """The W solve of each mode, the state's `w_ldl`: the
+    :class:`lrsetd.kernels.TridiagLDL` of [beta*I + 2*omega_i*A_i^T A_i] on
+    the smoothed modes, None on the others. :func:`init_state` builds it,
+    and :func:`solve` builds it again whenever beta changes."""
+    w_ldl = [None] * len(dims)
+    for i in cfg.smoothed_modes():
+        # A_i^T A_i is tridiag(-1, (1, 2, ..., 2), -1)
+        two_omega = 2.0 * cfg.omega[i]
+        diag = np.full(dims[i], cfg.beta + two_omega)
+        diag[1:] += two_omega
+        w_ldl[i] = tridiag_ldl(diag, np.full(dims[i] - 1, -two_omega))
+    return w_ldl
 
 
 def _buffers(state):
@@ -756,13 +782,15 @@ def objective_value(state, cfg):
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """What one iteration of :func:`solve` formed: the relative change of
-    Z, the primal residuals max_i ||Z - W_i||_F over the smoothed modes
-    (0.0 when none is) and max_i ||X_i - Y_i||_F, the dual residual
-    beta*||Z_k - Z_{k-1}||_F, the rank of each Y_i, the share of nonzero
-    core entries and the iteration's wall time."""
+    """What one iteration of :func:`solve` formed: the penalty beta it ran
+    with, the relative change of Z, the primal residuals
+    max_i ||Z - W_i||_F over the smoothed modes (0.0 when none is) and
+    max_i ||X_i - Y_i||_F, the dual residual beta*||Z_k - Z_{k-1}||_F at
+    that beta, the rank of each Y_i, the share of nonzero core entries and
+    the iteration's wall time."""
 
     iteration: int
+    beta: float
     rel_change: float
     w_residual: float
     y_residual: float
@@ -787,6 +815,17 @@ class CompletionReport:
     total_seconds: float
 
 
+def _balanced(beta, primal, dual):
+    """The penalty after one step of residual balancing (Boyd et al.
+    2011, section 3.4.1): twice `beta` when the primal residual exceeds 10
+    times the dual one, half of it in the converse case, else `beta`."""
+    if primal > 10.0 * dual:
+        return 2.0 * beta
+    if dual > 10.0 * primal:
+        return 0.5 * beta
+    return beta
+
+
 def solve(m, mask, cfg, callback=None):
     """Run the full ADMM to completion.
 
@@ -799,6 +838,16 @@ def solve(m, mask, cfg, callback=None):
     every core entry, and the tensor off the mask is the smoothing of the
     zero fill, not a Tucker fit.
 
+    The run starts at ``cfg.beta``. When some mode is smoothed, each
+    iteration k <= ``cfg.balance_iters`` that does not end the run is
+    followed by one step of residual balancing on its record: beta
+    doubles when ``w_residual`` exceeds 10 times ``dual_residual`` and
+    halves in the converse case, and the W solve is refactored at the new
+    beta. The duals U_i and T_i are unscaled, so nothing else changes.
+    Each record carries the beta its iteration ran with, and the final
+    Lagrangian is evaluated at the beta of the last iteration. With
+    ``balance_iters=0``, or no smoothed mode, beta stays fixed.
+
     Parameters
     ----------
     m : ndarray
@@ -808,7 +857,10 @@ def solve(m, mask, cfg, callback=None):
     callback : callable, optional
         Called as ``callback(state)`` after every full iteration; intended
         for diagnostics. Later iterations overwrite the state's full-size
-        arrays in place, so a callback copies those it keeps.
+        arrays in place, so a callback copies those it keeps. A callback
+        that evaluates :func:`augmented_lagrangian` needs the beta of the
+        iteration it sees, ``trace[state.iteration - 1].beta`` of the
+        report, which is ``cfg.beta`` only while beta is fixed.
 
     Returns
     -------
@@ -822,6 +874,8 @@ def solve(m, mask, cfg, callback=None):
     """
     start = time.perf_counter()
     state = init_state(m, mask, cfg)
+    # with no smoothed mode w_residual is 0, and the rule would only halve
+    balance = cfg.balance_iters if cfg.smoothed_modes() else 0
     trace = []
     termination = "max_iter"
     for k in range(1, cfg.max_iter + 1):
@@ -847,6 +901,7 @@ def solve(m, mask, cfg, callback=None):
         trace.append(
             IterationRecord(
                 iteration=k,
+                beta=cfg.beta,
                 rel_change=rel_change,
                 w_residual=w_residual,
                 y_residual=y_residual,
@@ -861,6 +916,12 @@ def solve(m, mask, cfg, callback=None):
         if rel_change <= cfg.tol:
             termination = "tol"
             break
+        if k <= balance and k < cfg.max_iter:
+            beta = _balanced(cfg.beta, w_residual, trace[-1].dual_residual)
+            if beta != cfg.beta:
+                # the working copy holds the beta in force
+                cfg = replace(cfg, beta=beta)
+                state.w_ldl = _w_factors(cfg, state.dims)
     if not state.s.any():
         termination = "collapsed"
     # the buffers are dead after the last iteration: released, their memory

@@ -232,8 +232,11 @@ class ObservationMask:
     convert."""
 
     def __init__(self, observed):
-        """Mask of the True entries of `observed`, which is copied."""
+        """Mask of the True entries of `observed`, which is copied; it
+        needs order 1 or more, as an LRM1 file does."""
         observed = np.array(observed, dtype=bool, order="C")
+        if not observed.ndim:
+            raise ValueError("a mask needs at least one dim, got ()")
         if any(d < 1 for d in observed.shape):
             raise ValueError(f"all dims must be >= 1, got {observed.shape}")
         observed.flags.writeable = False

@@ -84,10 +84,14 @@ def reference_admm(m, observed, cfg, n_iter):
     formula, each X_i from its normal equations with the explicit
     :func:`kron_others` factor. The start is the solver's fixed draw, the
     orthonormal Q of one seed-0 Gaussian I_n x r_n matrix per mode in mode
-    order. Returns Z after `n_iter` iterations.
+    order. After each iteration k <= ``cfg.balance_iters``, when some mode
+    has omega_i > 0, beta doubles when max ||Z - W_i||_F over those modes
+    exceeds 10 times beta*||Z_k - Z_{k-1}||_F and halves in the converse
+    case. Returns Z after `n_iter` iterations.
     """
     dims, ranks, modes = m.shape, cfg.ranks, range(m.ndim)
     beta, lam = cfg.beta, cfg.lam
+    smoothed = [i for i in modes if cfg.omega[i] > 0]
     unf, fld = unfold_by_index_formula, fold_by_index_formula
     z = np.where(observed, m, 0.0)
     rng = np.random.default_rng(0)
@@ -98,7 +102,8 @@ def reference_admm(m, observed, cfg, n_iter):
     w = [z.copy() for _ in modes]
     u = [np.zeros(dims) for _ in modes]
     a_mats = [smoothing_matrix(cfg, dims, i) for i in modes]
-    for _ in range(n_iter):
+    for k in range(1, n_iter + 1):
+        z_prev = z
         for i in modes:
             b = kron_others(x, i)
             s_i = unf(s, i)
@@ -132,6 +137,13 @@ def reference_admm(m, observed, cfg, n_iter):
         for i in modes:
             u[i] = u[i] + beta * (z - w[i])
             t[i] = t[i] + beta * (x[i] - y[i])
+        if smoothed and k <= cfg.balance_iters:
+            primal = max(np.linalg.norm(z - w[i]) for i in smoothed)
+            dual = beta * np.linalg.norm(z - z_prev)
+            if primal > 10 * dual:
+                beta *= 2
+            elif dual > 10 * primal:
+                beta /= 2
     return z
 
 

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -163,9 +164,14 @@ class TestMaskFormat:
             np.testing.assert_array_equal(back.boolean(), mask.boolean())
 
     def test_writer_refuses_order_0(self, tmp_path):
+        # no ObservationMask has order 0; the writer still checks the dims
+        # of what it is given before it opens the file
         path = tmp_path / "m.lrm"
+        order_0 = SimpleNamespace(
+            dims=(), fortran_positions=lambda: np.zeros(1, dtype=np.intp)
+        )
         with pytest.raises(ValueError, match=r"cannot write dims \(\)"):
-            write_mask(path, ObservationMask(np.array(True)))
+            write_mask(path, order_0)
         assert not path.exists()
 
     def test_header_layout(self, tmp_path):

@@ -120,6 +120,19 @@ class TestDimsBoundary:
             random_mask((2**20, 2**20, 2), 0.0)
         assert random_mask((3, 2), 0.5).n_observed == 3
 
+    def test_order_zero_rejected(self):
+        # an LRM1 file holds order 1 or more, so a mask of order 0 could be
+        # built but never stored
+        slices = MissingSpec(kind="whole_slices", mode=0, params={"slices": []})
+        spec = MissingSpec(kind="random", params={"ratio": 1.0})
+        for build in (
+            lambda: random_mask((), 1.0),
+            lambda: structured_mask((), slices),
+            lambda: structured_mask((), spec),
+        ):
+            with pytest.raises(ValueError, match="at least one dim"):
+                build()
+
     @pytest.mark.parametrize("dims", [(2.0, 3), (True, 3), ("2", 3)])
     def test_non_integer_dims(self, dims):
         with pytest.raises(ValueError, match="each dim must be an integer"):

@@ -229,23 +229,22 @@ ORACLE_SHAPES = pytest.mark.parametrize(
 
 # the three-way W_i/U_i layouts: two smoothed modes in two positions, and
 # none; and a four-way one that smooths two modes with unequal weights
+SOLVE_CASES = {
+    "image": preset_config("image", ranks=(3, 3, 2), max_iter=30, tol=1e-300),
+    "traffic-wholeday": preset_config(
+        "traffic-wholeday", ranks=(3, 3, 2), max_iter=30, tol=1e-300
+    ),
+    "omega-zero": SolverConfig(ranks=(3, 3, 2), max_iter=30, tol=1e-300),
+    "4-way": SolverConfig(
+        ranks=(3, 3, 2, 2),
+        alpha=(0.25,) * 4,
+        omega=(1.0, 0.0, 0.5, 0.0),
+        max_iter=30,
+        tol=1e-300,
+    ),
+}
 SOLVE_CONFIGS = pytest.mark.parametrize(
-    "cfg",
-    [
-        preset_config("image", ranks=(3, 3, 2), max_iter=30, tol=1e-300),
-        preset_config(
-            "traffic-wholeday", ranks=(3, 3, 2), max_iter=30, tol=1e-300
-        ),
-        SolverConfig(ranks=(3, 3, 2), max_iter=30, tol=1e-300),
-        SolverConfig(
-            ranks=(3, 3, 2, 2),
-            alpha=(0.25,) * 4,
-            omega=(1.0, 0.0, 0.5, 0.0),
-            max_iter=30,
-            tol=1e-300,
-        ),
-    ],
-    ids=["image", "traffic-wholeday", "omega-zero", "4-way"],
+    "cfg", list(SOLVE_CASES.values()), ids=list(SOLVE_CASES)
 )
 
 
@@ -343,8 +342,14 @@ class TestSolverConfig:
     def test_field_count(self):
         assert list(SolverConfig.__dataclass_fields__) == [
             "ranks", "alpha", "sigma", "lam", "beta", "omega", "tol",
-            "max_iter",
+            "max_iter", "balance_iters",
         ]
+
+    @pytest.mark.parametrize("value", [True, -1, 2.0, "5", None])
+    def test_balance_iters_rejected(self, value):
+        # a count of iterations, checked as max_iter is
+        with pytest.raises(ValueError, match="balance_iters"):
+            SolverConfig(balance_iters=value)
 
     @pytest.mark.parametrize("name", ["alpha", "omega", "ranks"])
     def test_ragged_value_names_the_field(self, name):
@@ -1758,13 +1763,25 @@ class TestSolve:
         assert not np.shares_memory(first.recovered, second.recovered)
         np.testing.assert_array_equal(first.recovered, second.recovered)
 
-    @SOLVE_CONFIGS
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            *SOLVE_CASES.values(),
+            replace(SOLVE_CASES["traffic-wholeday"], balance_iters=0),
+        ],
+        ids=[*SOLVE_CASES, "fixed-beta"],
+    )
     def test_matches_reference_admm(self, cfg):
         # the solver drops W_i/U_i on unsmoothed modes; the reference keeps
-        # all three pairs, so agreement shows the collapse is exact
+        # all three pairs, so agreement shows the collapse is exact. The
+        # smoothed runs balance beta, which the fixed-beta case keeps at
+        # its start, as the paper's ADMM does
         observed, mask = reference_problem(len(cfg.alpha))
-        got = solve(observed, mask, cfg).recovered
+        report = solve(observed, mask, cfg)
+        balanced = bool(cfg.smoothed_modes()) and cfg.balance_iters > 0
+        assert (len({r.beta for r in report.trace}) > 1) == balanced
         expected = reference_admm(observed, mask.boolean(), cfg, 30)
+        got = report.recovered
         assert frobenius(got - expected) <= 1e-10 * frobenius(expected)
 
     @SOLVE_CONFIGS
@@ -1773,14 +1790,20 @@ class TestSolve:
         # counts they form anyway; every record must equal the values
         # recomputed from fresh arrays on the state it describes, and the
         # report's final Lagrangian and objective the from-scratch
-        # functions on the final state
+        # functions on the final state. Each record is recomputed at the
+        # beta it carries, the one its iteration ran with
         observed, mask = reference_problem(len(cfg.alpha))
+        states = []
+        report = solve(
+            observed, mask, cfg, callback=lambda s: states.append(copy.deepcopy(s))
+        )
+        assert len(states) == report.iterations == 30
         zs = [np.where(mask.boolean(), observed, 0.0)]
         recomputed = []
-
-        def cb(state):
+        for state, rec in zip(states, report.trace):
+            at = replace(cfg, beta=rec.beta)
             gaps = [state.z - state.w[i] for i in cfg.smoothed_modes()]
-            points = [y + t / cfg.beta for y, t in zip(state.y, state.t)]
+            points = [y + t / at.beta for y, t in zip(state.y, state.t)]
             recomputed.append(
                 dict(
                     iteration=state.iteration,
@@ -1790,22 +1813,20 @@ class TestSolve:
                     y_residual=max(
                         np.linalg.norm(x - y) for x, y in zip(state.x, state.y)
                     ),
-                    dual_residual=cfg.beta * np.linalg.norm(state.z - zs[-1]),
+                    dual_residual=at.beta * np.linalg.norm(state.z - zs[-1]),
                     # the prox input X_i + T_i/beta, before the ascent, is
                     # Y_i + T_i/beta after it
                     y_ranks=tuple(
-                        int(np.sum(np.linalg.svd(p, compute_uv=False) > a / cfg.beta))
+                        int(np.sum(np.linalg.svd(p, compute_uv=False) > a / at.beta))
                         for p, a in zip(points, cfg.alpha)
                     ),
                     core_density=np.mean(state.s != 0),
-                    lagrangian=augmented_lagrangian(state, cfg),
-                    objective=objective_value(state, cfg),
+                    lagrangian=augmented_lagrangian(state, at),
+                    objective=objective_value(state, at),
                 )
             )
-            zs.append(state.z.copy())
-
-        report = solve(observed, mask, cfg, callback=cb)
-        assert len(recomputed) == report.iterations == 30
+            zs.append(state.z)
+        assert report.trace[0].beta == cfg.beta
         for rec, expected in zip(report.trace, recomputed):
             assert rec.iteration == expected["iteration"]
             assert rec.y_ranks == expected["y_ranks"]
@@ -1818,6 +1839,7 @@ class TestSolve:
         assert report.objective == recomputed[-1]["objective"]
         assert [f.name for f in fields(IterationRecord)] == [
             "iteration",
+            "beta",
             "rel_change",
             "w_residual",
             "y_residual",
@@ -1826,6 +1848,26 @@ class TestSolve:
             "core_density",
             "seconds",
         ]
+
+    @pytest.mark.parametrize("balance_iters", [1, 5])
+    def test_beta_follows_the_balancing_rule(self, balance_iters):
+        # beta changes only after an iteration k <= balance_iters, by the
+        # rule on that iteration's own record, and nothing else moves it
+        observed, mask = reference_problem()
+        cfg = replace(
+            SOLVE_CASES["traffic-wholeday"], balance_iters=balance_iters
+        )
+        trace = solve(observed, mask, cfg).trace
+        assert trace[0].beta == cfg.beta
+        for before, rec in zip(trace, trace[1:]):
+            expected = before.beta
+            if before.iteration <= balance_iters:
+                if before.w_residual > 10 * before.dual_residual:
+                    expected = 2 * before.beta
+                elif before.dual_residual > 10 * before.w_residual:
+                    expected = before.beta / 2
+            assert rec.beta == expected
+        assert any(a.beta != b.beta for a, b in zip(trace, trace[1:]))
 
     def test_synthetic_recovery(self):
         from lrsetd.masks import random_mask

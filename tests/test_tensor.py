@@ -383,6 +383,22 @@ class TestObservationMask:
             ObservationMask((2, 2), [(0, 0)])
         assert not hasattr(ObservationMask, "indices")
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ObservationMask(np.array(True)),
+            lambda: ObservationMask(False),
+            lambda: ObservationMask.full(()),
+            lambda: ObservationMask.from_fortran_positions((), [0]),
+        ],
+        ids=["array", "scalar", "full", "positions"],
+    )
+    def test_order_zero_rejected(self, build):
+        # an LRM1 file holds order 1 or more, so a mask of order 0 could be
+        # built but never stored
+        with pytest.raises(ValueError, match="at least one dim"):
+            build()
+
     def test_out_of_range(self):
         for position in (8, -1):
             with pytest.raises(ValueError, match="out of range"):
