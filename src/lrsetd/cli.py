@@ -5,8 +5,9 @@ failure, 141 (128 + SIGPIPE) when the reader of stdout has quit. The
 --report JSON of `complete` echoes the config, holds the per-iteration
 trace, one object per `IterationRecord` with the record's fields (the
 penalty beta of the iteration, the relative change, the primal and dual
-residuals, the Y ranks and the core density), and gives the augmented Lagrangian and the model objective at
-the final iterate as top-level `lagrangian` and `objective`. A
+residuals, the Y ranks and the core density), and gives the augmented
+Lagrangian and the model objective at the final iterate as top-level
+`lagrangian` and `objective`. A
 `complete` whose final core is all zero (termination "collapsed") exits 0
 with one `warning:` line on stderr naming sigma, lam and the observed RMS.
 """

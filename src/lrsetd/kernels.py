@@ -186,23 +186,21 @@ class TridiagLDL:
 
 
 def _scaled_products(mult):
-    """Running products p of the multipliers `mult`, a list of floats,
-    p[0] = 1 and p[j+1] = p[j] * mult[j], restarted at 1 wherever they
-    would leave _SCALED, and the couplings c: the recurrence
+    """Running products p of the multipliers `mult`, p[0] = 1 and
+    p[j+1] = p[j] * mult[j], restarted at 1 wherever they would leave
+    _SCALED, and the couplings c: the recurrence
     v_{j+1} = b_{j+1} + mult[j] v_j becomes
     v_{j+1}/p[j+1] = b_{j+1}/p[j+1] + c[j] v_j/p[j], with c[j] = 1.0 inside
-    a block and the carried product p[j] * mult[j] at a restart. Returns p
-    as an array and c as a tuple."""
+    a block and the carried product p[j] * mult[j] at a restart."""
     lo, hi = _SCALED
-    p, c = [1.0], [1.0] * len(mult)
-    for j, m in enumerate(mult):
+    p, c = np.ones(mult.size + 1), [1.0] * mult.size
+    for j, m in enumerate(mult.tolist()):
         carried = p[j] * m
         if lo <= abs(carried) <= hi:
-            p.append(carried)
+            p[j + 1] = carried
         else:
-            p.append(1.0)
             c[j] = carried
-    return np.array(p), tuple(c)
+    return p, tuple(c)
 
 
 def tridiag_ldl(diag, off):
@@ -219,27 +217,26 @@ def tridiag_ldl(diag, off):
             f"need n >= 1 diagonal and n-1 off-diagonal entries, got "
             f"{diag.shape} and {off.shape}"
         )
-    # Python floats: the same IEEE operations as on numpy scalars, without
-    # the cost of indexing an array per step
-    d, lower = diag.tolist(), []
-    for j, o in enumerate(off.tolist()):
+    d = diag.copy()
+    lower = np.empty_like(off)
+    for j in range(off.size):
         if not d[j] > 0:
             break
-        lower.append(o / d[j])
-        d[j + 1] -= lower[j] * o
-    if not all(v > 0 for v in d):
+        lower[j] = off[j] / d[j]
+        d[j + 1] -= lower[j] * off[j]
+    if not np.all(d > 0):
         raise np.linalg.LinAlgError("tridiagonal matrix is not SPD")
-    p, forward = _scaled_products([-v for v in lower])
-    q, backward = _scaled_products([-v for v in reversed(lower)])
-    q, d = q[::-1], np.array(d)
     inverse = None
     if diag.size <= _SHORT:
         inverse = np.linalg.inv(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         # exactly symmetric, so one C-contiguous matrix serves as T^{-1}
         # and as its transpose, the faster operand of either product
         inverse = 0.5 * (inverse + inverse.T)
+    p, forward = _scaled_products(-lower)
+    q, backward = _scaled_products(-lower[::-1])
+    q = q[::-1]
     return TridiagLDL(
-        lower=np.array(lower, dtype=np.float64),
+        lower=lower,
         inv_d=1.0 / d,
         inverse=inverse,
         pre=1.0 / p,

@@ -65,10 +65,11 @@ The order N is the tensor's: every block loops over its modes, and the
 per-mode fields of :class:`SolverConfig` must have one value per mode.
 
 The penalty beta is the config's at the start. When some mode is
-smoothed, :func:`solve` balances it over the first `balance_iters`
-iterations from the residuals each iteration already forms, and refactors
-the W solve whenever it changes; the duals U_i and T_i are unscaled, so
-no other state follows beta.
+smoothed, :func:`solve` balances it over the first :data:`_BALANCE_ITERS`
+iterations against the Z = W_i residuals each iteration already forms,
+keeps the beta in force in the state and refactors the W solve whenever
+it changes; the duals U_i and T_i are unscaled, so no other state follows
+beta.
 
 Every solve starts from the same point: Z is the zero-filled observation,
 each factor X_i is the orthonormal Q of a fixed-seed Gaussian draw, and the
@@ -147,9 +148,9 @@ class SolverConfig:
     ||Z_k - Z_{k-1}||_F / max(||Z_k||_F, 1) <= tol, or after max_iter
     iterations.
 
-    `beta` is the penalty the run starts at; :func:`solve` balances it
-    against the residuals over the first balance_iters iterations, and
-    balance_iters = 0 keeps it fixed, as the paper's ADMM does.
+    `beta` is the penalty the run starts at; when some mode is smoothed,
+    :func:`solve` balances it against the residuals of Z = W_i over its
+    first iterations.
     """
 
     ranks: tuple | None = None
@@ -160,7 +161,6 @@ class SolverConfig:
     omega: tuple = (0.0, 0.0, 0.0)
     tol: float = 1e-5
     max_iter: int = 250
-    balance_iters: int = 50
 
     def __post_init__(self):
         # alpha counts the modes; the other per-mode fields must match it
@@ -179,14 +179,12 @@ class SolverConfig:
                     "alpha, omega and ranks need one value per mode, as "
                     f"many as alpha has; got {name}={value!r}"
                 )
-        integers = (self.max_iter, self.balance_iters, *(self.ranks or ()))
+        integers = (self.max_iter, *(self.ranks or ()))
         if not all(
             isinstance(v, numbers.Integral) and not isinstance(v, bool)
             for v in integers
         ):
-            raise ValueError(
-                "ranks, max_iter and balance_iters must be integers"
-            )
+            raise ValueError("ranks and max_iter must be integers")
         reals = (self.lam, self.beta, self.sigma, self.tol, *self.alpha)
         if not all(
             isinstance(v, numbers.Real)
@@ -205,16 +203,12 @@ class SolverConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.balance_iters < 0:
-            raise ValueError(
-                f"balance_iters must be >= 0, got {self.balance_iters}"
-            )
         if self.sigma < 0 or any(a < 0 for a in self.alpha) or any(
             w < 0 for w in self.omega
         ):
             raise ValueError("sigma, alpha and omega must be nonnegative")
         # every block reads it each iteration; an attribute, not a field, so
-        # fields(), asdict() and equality see the nine fields alone
+        # fields(), asdict() and equality see the eight fields alone
         object.__setattr__(
             self,
             "_smoothed",
@@ -269,6 +263,9 @@ class SolverState:
     observed: np.ndarray  # the values of M there
     # update_factors' side per step, True for the core's: _factor_plan
     plan: tuple
+    # the penalty in force, cfg.beta at the start: solve balances it, and a
+    # callback sees the beta of the iteration it follows
+    beta: float
     iteration: int = 0
     # full-size buffers, None until a block needs them (see the memory plan)
     spare: np.ndarray | None = None
@@ -349,6 +346,7 @@ def init_state(m, mask, cfg):
         index=index,
         observed=observed,
         plan=_factor_plan(dims, ranks),
+        beta=cfg.beta,
     )
 
 
@@ -815,6 +813,12 @@ class CompletionReport:
     total_seconds: float
 
 
+# residual balancing runs after each of a solve's first _BALANCE_ITERS
+# iterations: 10 or 20 stop it too early on the benchmark's image and
+# traffic recipes, and 50, 100 or no limit gave identical runs
+_BALANCE_ITERS = 50
+
+
 def _balanced(beta, primal, dual):
     """The penalty after one step of residual balancing (Boyd et al.
     2011, section 3.4.1): twice `beta` when the primal residual exceeds 10
@@ -839,14 +843,17 @@ def solve(m, mask, cfg, callback=None):
     zero fill, not a Tucker fit.
 
     The run starts at ``cfg.beta``. When some mode is smoothed, each
-    iteration k <= ``cfg.balance_iters`` that does not end the run is
-    followed by one step of residual balancing on its record: beta
+    iteration k <= 50 (:data:`_BALANCE_ITERS`) that does not end the run
+    is followed by one step of residual balancing on its record: beta
     doubles when ``w_residual`` exceeds 10 times ``dual_residual`` and
-    halves in the converse case, and the W solve is refactored at the new
-    beta. The duals U_i and T_i are unscaled, so nothing else changes.
-    Each record carries the beta its iteration ran with, and the final
-    Lagrangian is evaluated at the beta of the last iteration. With
-    ``balance_iters=0``, or no smoothed mode, beta stays fixed.
+    halves in the converse case, ``state.beta`` takes the new value and
+    the W solve is refactored at it. The duals U_i and T_i are unscaled,
+    so nothing else changes. Only the Z = W_i coupling is balanced: the
+    X_i = Y_i residual ``y_residual`` is left out of the rule on purpose,
+    since the imbalance measured on the smoothed recipes is the Z = W_i
+    one. With no smoothed mode beta stays fixed. Each record carries the
+    beta its iteration ran with, and the final Lagrangian is evaluated at
+    the beta of the last iteration.
 
     Parameters
     ----------
@@ -857,10 +864,10 @@ def solve(m, mask, cfg, callback=None):
     callback : callable, optional
         Called as ``callback(state)`` after every full iteration; intended
         for diagnostics. Later iterations overwrite the state's full-size
-        arrays in place, so a callback copies those it keeps. A callback
-        that evaluates :func:`augmented_lagrangian` needs the beta of the
-        iteration it sees, ``trace[state.iteration - 1].beta`` of the
-        report, which is ``cfg.beta`` only while beta is fixed.
+        arrays in place, so a callback copies those it keeps.
+        ``state.beta`` is the beta the iteration ran with, so a callback
+        evaluates the Lagrangian as
+        ``augmented_lagrangian(state, replace(cfg, beta=state.beta))``.
 
     Returns
     -------
@@ -875,7 +882,7 @@ def solve(m, mask, cfg, callback=None):
     start = time.perf_counter()
     state = init_state(m, mask, cfg)
     # with no smoothed mode w_residual is 0, and the rule would only halve
-    balance = cfg.balance_iters if cfg.smoothed_modes() else 0
+    balance = _BALANCE_ITERS if cfg.smoothed_modes() else 0
     trace = []
     termination = "max_iter"
     for k in range(1, cfg.max_iter + 1):
@@ -901,11 +908,11 @@ def solve(m, mask, cfg, callback=None):
         trace.append(
             IterationRecord(
                 iteration=k,
-                beta=cfg.beta,
+                beta=state.beta,
                 rel_change=rel_change,
                 w_residual=w_residual,
                 y_residual=y_residual,
-                dual_residual=cfg.beta * change,
+                dual_residual=state.beta * change,
                 y_ranks=y_ranks,
                 core_density=np.count_nonzero(state.s) / state.s.size,
                 seconds=time.perf_counter() - it_start,
@@ -917,9 +924,10 @@ def solve(m, mask, cfg, callback=None):
             termination = "tol"
             break
         if k <= balance and k < cfg.max_iter:
-            beta = _balanced(cfg.beta, w_residual, trace[-1].dual_residual)
-            if beta != cfg.beta:
-                # the working copy holds the beta in force
+            beta = _balanced(state.beta, w_residual, trace[-1].dual_residual)
+            if beta != state.beta:
+                # the blocks read beta from a working copy of the config
+                state.beta = beta
                 cfg = replace(cfg, beta=beta)
                 state.w_ldl = _w_factors(cfg, state.dims)
     if not state.s.any():

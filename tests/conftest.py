@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lrsetd import solver
 from lrsetd.tensor import ObservationMask, multilinear
 
 
@@ -84,10 +85,10 @@ def reference_admm(m, observed, cfg, n_iter):
     formula, each X_i from its normal equations with the explicit
     :func:`kron_others` factor. The start is the solver's fixed draw, the
     orthonormal Q of one seed-0 Gaussian I_n x r_n matrix per mode in mode
-    order. After each iteration k <= ``cfg.balance_iters``, when some mode
-    has omega_i > 0, beta doubles when max ||Z - W_i||_F over those modes
-    exceeds 10 times beta*||Z_k - Z_{k-1}||_F and halves in the converse
-    case. Returns Z after `n_iter` iterations.
+    order. After each iteration k <= ``solver._BALANCE_ITERS``, when some
+    mode has omega_i > 0, beta doubles when max ||Z - W_i||_F over those
+    modes exceeds 10 times beta*||Z_k - Z_{k-1}||_F and halves in the
+    converse case. Returns Z after `n_iter` iterations.
     """
     dims, ranks, modes = m.shape, cfg.ranks, range(m.ndim)
     beta, lam = cfg.beta, cfg.lam
@@ -137,7 +138,7 @@ def reference_admm(m, observed, cfg, n_iter):
         for i in modes:
             u[i] = u[i] + beta * (z - w[i])
             t[i] = t[i] + beta * (x[i] - y[i])
-        if smoothed and k <= cfg.balance_iters:
+        if smoothed and k <= solver._BALANCE_ITERS:
             primal = max(np.linalg.norm(z - w[i]) for i in smoothed)
             dual = beta * np.linalg.norm(z - z_prev)
             if primal > 10 * dual:

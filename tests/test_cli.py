@@ -1067,7 +1067,6 @@ VALID_CONFIG = st.fixed_dictionaries(
         "beta": st.floats(1e-3, 10.0),
         "tol": st.floats(1e-8, 1.0),
         "max_iter": st.integers(1, 3),
-        "balance_iters": st.integers(0, 3),
     },
 )
 # config file text: a config with one bad value or the unknown key

@@ -446,49 +446,6 @@ def relative_error(got, expected, scale):
     )
 
 
-def ldl_loop_reference(diag, off):
-    """The LDL^T recurrences of :func:`tridiag_ldl` as a loop over numpy
-    float64 scalars, and the scaled products and couplings of its sweeps:
-    ``(lower, d, p, forward, q, backward)`` in the layout of
-    :class:`lrsetd.kernels.TridiagLDL`, with q and backward in row order."""
-    d, lower = np.array(diag, dtype=np.float64), np.empty(len(off))
-    for j in range(len(off)):
-        lower[j] = off[j] / d[j]
-        d[j + 1] -= lower[j] * off[j]
-
-    def products(mult):
-        p, c = np.ones(mult.size + 1), [1.0] * mult.size
-        for j in range(mult.size):
-            carried = p[j] * mult[j]
-            if 1e-150 <= abs(carried) <= 1e150:
-                p[j + 1] = carried
-            else:
-                c[j] = carried
-        return p, c
-
-    p, forward = products(-lower)
-    q, backward = products(-lower[::-1])
-    return lower, d, p, forward, q[::-1], backward[::-1]
-
-
-class TestTridiagLDL:
-    @pytest.mark.parametrize("n", [1, 2, 7, _SHORT + 1, 288])
-    def test_bitwise_the_numpy_loop(self, n):
-        # the factor runs its recurrences on Python floats, the same IEEE
-        # operations in the same order, over beta/omega from 1e-6 to 1e6
-        for ratio in np.logspace(-6, 6, 25):
-            diag, off = w_matrix(n, 0.3 * ratio, 0.3)
-            ldl = tridiag_ldl(diag, off)
-            lower, d, p, forward, q, backward = ldl_loop_reference(diag, off)
-            assert ldl.lower.tobytes() == lower.tobytes()
-            assert ldl.inv_d.tobytes() == (1.0 / d).tobytes()
-            assert ldl.pre.tobytes() == (1.0 / p).tobytes()
-            assert ldl.mid.tobytes() == (p / q / d).tobytes()
-            assert ldl.post.tobytes() == q.tobytes()
-            assert ldl.forward == tuple(forward)
-            assert ldl.backward == tuple(backward)
-
-
 class TestTridiagRoutes:
     # each route of tridiag_solve, the matrix product by T^{-1} of a short
     # axis and the scaled sweep in place or in a swapped copy, against the

@@ -229,22 +229,23 @@ ORACLE_SHAPES = pytest.mark.parametrize(
 
 # the three-way W_i/U_i layouts: two smoothed modes in two positions, and
 # none; and a four-way one that smooths two modes with unequal weights
-SOLVE_CASES = {
-    "image": preset_config("image", ranks=(3, 3, 2), max_iter=30, tol=1e-300),
-    "traffic-wholeday": preset_config(
-        "traffic-wholeday", ranks=(3, 3, 2), max_iter=30, tol=1e-300
-    ),
-    "omega-zero": SolverConfig(ranks=(3, 3, 2), max_iter=30, tol=1e-300),
-    "4-way": SolverConfig(
-        ranks=(3, 3, 2, 2),
-        alpha=(0.25,) * 4,
-        omega=(1.0, 0.0, 0.5, 0.0),
-        max_iter=30,
-        tol=1e-300,
-    ),
-}
 SOLVE_CONFIGS = pytest.mark.parametrize(
-    "cfg", list(SOLVE_CASES.values()), ids=list(SOLVE_CASES)
+    "cfg",
+    [
+        preset_config("image", ranks=(3, 3, 2), max_iter=30, tol=1e-300),
+        preset_config(
+            "traffic-wholeday", ranks=(3, 3, 2), max_iter=30, tol=1e-300
+        ),
+        SolverConfig(ranks=(3, 3, 2), max_iter=30, tol=1e-300),
+        SolverConfig(
+            ranks=(3, 3, 2, 2),
+            alpha=(0.25,) * 4,
+            omega=(1.0, 0.0, 0.5, 0.0),
+            max_iter=30,
+            tol=1e-300,
+        ),
+    ],
+    ids=["image", "traffic-wholeday", "omega-zero", "4-way"],
 )
 
 
@@ -342,14 +343,8 @@ class TestSolverConfig:
     def test_field_count(self):
         assert list(SolverConfig.__dataclass_fields__) == [
             "ranks", "alpha", "sigma", "lam", "beta", "omega", "tol",
-            "max_iter", "balance_iters",
+            "max_iter",
         ]
-
-    @pytest.mark.parametrize("value", [True, -1, 2.0, "5", None])
-    def test_balance_iters_rejected(self, value):
-        # a count of iterations, checked as max_iter is
-        with pytest.raises(ValueError, match="balance_iters"):
-            SolverConfig(balance_iters=value)
 
     @pytest.mark.parametrize("name", ["alpha", "omega", "ranks"])
     def test_ragged_value_names_the_field(self, name):
@@ -1763,22 +1758,15 @@ class TestSolve:
         assert not np.shares_memory(first.recovered, second.recovered)
         np.testing.assert_array_equal(first.recovered, second.recovered)
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            *SOLVE_CASES.values(),
-            replace(SOLVE_CASES["traffic-wholeday"], balance_iters=0),
-        ],
-        ids=[*SOLVE_CASES, "fixed-beta"],
-    )
+    @SOLVE_CONFIGS
     def test_matches_reference_admm(self, cfg):
         # the solver drops W_i/U_i on unsmoothed modes; the reference keeps
         # all three pairs, so agreement shows the collapse is exact. The
-        # smoothed runs balance beta, which the fixed-beta case keeps at
-        # its start, as the paper's ADMM does
+        # smoothed runs balance beta and the unsmoothed one keeps it fixed,
+        # as the paper's ADMM does
         observed, mask = reference_problem(len(cfg.alpha))
         report = solve(observed, mask, cfg)
-        balanced = bool(cfg.smoothed_modes()) and cfg.balance_iters > 0
+        balanced = bool(cfg.smoothed_modes())
         assert (len({r.beta for r in report.trace}) > 1) == balanced
         expected = reference_admm(observed, mask.boolean(), cfg, 30)
         got = report.recovered
@@ -1788,25 +1776,22 @@ class TestSolve:
     def test_trace_matches_from_scratch_values(self, cfg):
         # the blocks report the residuals and ranks from the gaps and
         # counts they form anyway; every record must equal the values
-        # recomputed from fresh arrays on the state it describes, and the
-        # report's final Lagrangian and objective the from-scratch
-        # functions on the final state. Each record is recomputed at the
-        # beta it carries, the one its iteration ran with
+        # recomputed from fresh arrays on the state it describes, at the
+        # state's beta, the one its iteration ran with, and the report's
+        # final Lagrangian and objective the from-scratch functions on the
+        # final state
         observed, mask = reference_problem(len(cfg.alpha))
-        states = []
-        report = solve(
-            observed, mask, cfg, callback=lambda s: states.append(copy.deepcopy(s))
-        )
-        assert len(states) == report.iterations == 30
         zs = [np.where(mask.boolean(), observed, 0.0)]
         recomputed = []
-        for state, rec in zip(states, report.trace):
-            at = replace(cfg, beta=rec.beta)
+
+        def cb(state):
+            at = replace(cfg, beta=state.beta)
             gaps = [state.z - state.w[i] for i in cfg.smoothed_modes()]
             points = [y + t / at.beta for y, t in zip(state.y, state.t)]
             recomputed.append(
                 dict(
                     iteration=state.iteration,
+                    beta=state.beta,
                     rel_change=np.linalg.norm(state.z - zs[-1])
                     / max(np.linalg.norm(state.z), 1.0),
                     w_residual=max(map(np.linalg.norm, gaps), default=0.0),
@@ -1825,10 +1810,14 @@ class TestSolve:
                     objective=objective_value(state, at),
                 )
             )
-            zs.append(state.z)
+            zs.append(state.z.copy())
+
+        report = solve(observed, mask, cfg, callback=cb)
+        assert len(recomputed) == report.iterations == 30
         assert report.trace[0].beta == cfg.beta
         for rec, expected in zip(report.trace, recomputed):
             assert rec.iteration == expected["iteration"]
+            assert rec.beta == expected["beta"]
             assert rec.y_ranks == expected["y_ranks"]
             assert rec.core_density == expected["core_density"]
             for name in ("rel_change", "w_residual", "y_residual", "dual_residual"):
@@ -1849,19 +1838,23 @@ class TestSolve:
             "seconds",
         ]
 
-    @pytest.mark.parametrize("balance_iters", [1, 5])
-    def test_beta_follows_the_balancing_rule(self, balance_iters):
-        # beta changes only after an iteration k <= balance_iters, by the
-        # rule on that iteration's own record, and nothing else moves it
+    @pytest.mark.parametrize("horizon", [1, 5])
+    def test_beta_follows_the_balancing_rule(self, monkeypatch, horizon):
+        # beta changes only after an iteration k <= the balancing horizon,
+        # by the rule on that iteration's own record, and nothing else
+        # moves it
+        import lrsetd.solver as solver_module
+
+        monkeypatch.setattr(solver_module, "_BALANCE_ITERS", horizon)
         observed, mask = reference_problem()
-        cfg = replace(
-            SOLVE_CASES["traffic-wholeday"], balance_iters=balance_iters
+        cfg = preset_config(
+            "traffic-wholeday", ranks=(3, 3, 2), max_iter=30, tol=1e-300
         )
         trace = solve(observed, mask, cfg).trace
         assert trace[0].beta == cfg.beta
         for before, rec in zip(trace, trace[1:]):
             expected = before.beta
-            if before.iteration <= balance_iters:
+            if before.iteration <= horizon:
                 if before.w_residual > 10 * before.dual_residual:
                     expected = 2 * before.beta
                 elif before.dual_residual > 10 * before.w_residual:
