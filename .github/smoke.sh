@@ -82,6 +82,25 @@ if not after or any(k > _BALANCE_ITERS for k in after):
     sys.exit(f'beta {betas} changed after iterations {after}')
 "
 
+echo "traffic CSV"
+# a spreadsheet export: a byte-order mark and a blank line, both skipped;
+# 4 pairs by 3 days of 6 intervals
+python -c "
+import numpy as np
+rows = np.random.default_rng(2).uniform(1, 9, (4, 18))
+text = '\n'.join(','.join(repr(v) for v in row) for row in rows.tolist())
+open('traffic.csv', 'wb').write(b'\xef\xbb\xbf\n' + text.encode() + b'\n')
+"
+lrsetd complete --input traffic.csv --tensorize otd:4,6,3 --sample-ratio 0.6 --seed 1 --ranks 2,2,2 --max-iter 20 --out traffic_csv.lrt > /dev/null
+test -s traffic_csv.lrt
+# a Latin-1 byte is an I/O error (exit 3) on one line naming the file
+printf '1,2\n3,\xe9\n' > latin1.csv
+status=0
+lrsetd complete --input latin1.csv --tensorize otd:2,1,2 --sample-ratio 0.5 2> latin1.err > /dev/null || status=$?
+test "$status" -eq 3
+test "$(wc -l < latin1.err)" -eq 1
+grep -q '^error: latin1\.csv: not UTF-8 text' latin1.err
+
 echo "inline missing spec that is not an object"
 # inline JSON that is not an object is a bad spec (exit 2), not a path to
 # a missing file (exit 3)

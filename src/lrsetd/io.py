@@ -8,6 +8,7 @@ payload with a uint64 count and that many ascending uint64 flat indices in
 the same order, the ``ObservationMask.fortran_positions()`` of the mask.
 """
 
+import itertools
 import math
 import os
 import stat
@@ -207,38 +208,92 @@ def write_image(path, tensor):
         f.write(pixels.astype(np.uint8, order="C"))
 
 
-def read_traffic_csv(path):
-    """Read a rectangular CSV of finite reals as a 2-D matrix.
+def _parse_csv(lines):
+    """The matrix of `lines`, comma-separated float64 fields: the one
+    value parser of :func:`read_traffic_csv`, numpy's C tokenizer, whose
+    values are bitwise those of Python's ``float``. It raises ValueError
+    on a field that is not an ASCII decimal, and on ragged rows."""
+    return np.loadtxt(
+        lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2
+    )
 
-    A UTF-8 byte-order mark at the start of the file, as spreadsheet
-    exports write, is skipped. A field with an underscore is non-numeric,
-    although Python's ``float`` reads ``1_0`` as 10.0.
-    """
-    rows = []
-    with open(path, "r", encoding="utf-8-sig") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            try:
-                if "_" in line:
-                    field = next(v for v in fields if "_" in v)
-                    raise ValueError(f"digit group separator in {field!r}")
-                row = [float(v) for v in fields]
-            except ValueError as e:
-                raise FileFormatError(
-                    f"{path}:{lineno}: non-numeric field ({e})"
-                ) from e
-            if not all(math.isfinite(v) for v in row):
-                raise FileFormatError(f"{path}:{lineno}: non-finite field")
-            rows.append(row)
-    if not rows:
-        raise FileFormatError(f"{path}: empty CSV")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+
+def _non_numeric(line):
+    """The first field of `line` that :func:`_parse_csv` rejects."""
+    for field in line.split(","):
+        if field.isspace() or not field:
+            return field.strip()
+        try:
+            _parse_csv([field])
+        except ValueError:
+            return field.strip()
+    return line.strip()
+
+
+def _raise_fault(path, f):
+    """Raise the FileFormatError of the CSV text file `f`, if any: each
+    line that is not blank is parsed alone, so the first non-numeric or
+    non-finite one is named by its file line, and ragged rows are
+    reported only when no line is faulty."""
+    widths = set()
+    for lineno, line in enumerate(f, 1):
+        if line.isspace():
+            continue
+        try:
+            row = _parse_csv([line])
+        except ValueError:
+            field = _non_numeric(line)
+            raise FileFormatError(
+                f"{path}:{lineno}: non-numeric field {field!r}"
+            ) from None
+        if not np.isfinite(row).all():
+            raise FileFormatError(f"{path}:{lineno}: non-finite field")
+        widths.add(row.size)
+    if len(widths) > 1:
         raise FileFormatError(f"{path}: ragged rows")
-    return np.asarray(rows, dtype=np.float64)
+
+
+def read_traffic_csv(path):
+    """Read a rectangular CSV of finite reals as a 2-D float64 matrix.
+
+    Each field is an ASCII decimal such as ``-1.5e3``, with optional
+    spaces or tabs around it, read bitwise as Python's ``float`` reads it.
+    A UTF-8 byte-order mark at the start of the file, as spreadsheet
+    exports write, is skipped, and so are blank and whitespace-only lines.
+    An empty, quoted or ``#`` field is non-numeric, and so are ``1_0`` and
+    non-ASCII digits such as ``\u0661``, which ``float`` reads. A ``nan``,
+    ``inf`` or overflowing field such as ``1e400`` is non-finite. Either
+    is a :class:`FileFormatError` named ``path:line`` by file line; so are
+    ragged rows and a file that is not UTF-8 text, named by path.
+
+    The text streams through numpy's C tokenizer, so the reader holds
+    about the matrix's own size: up to a quarter more while numpy grows
+    it, and one line of text at 4 bytes a character. A faulty file is read
+    again, one line at a time, to name its first faulty line; a pipe, read
+    once, is named by path with numpy's message.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as f:
+            lines = (line for line in f if not line.isspace())
+            # loadtxt would warn on no data, an error under -W error
+            first = next(lines, None)
+            if first is None:
+                raise FileFormatError(f"{path}: empty CSV")
+            try:
+                matrix = _parse_csv(itertools.chain([first], lines))
+                if np.isfinite(matrix).all():
+                    return matrix
+                error = "non-finite field"
+            except UnicodeDecodeError:
+                raise
+            except ValueError as e:
+                error = e
+            if f.seekable():
+                f.seek(0)
+                _raise_fault(path, f)
+            raise FileFormatError(f"{path}: {error}")
+    except UnicodeDecodeError as e:
+        raise FileFormatError(f"{path}: not UTF-8 text ({e.reason})") from e
 
 
 def tensorize(matrix, directive):

@@ -192,13 +192,17 @@ def _exponent(lo, hi):
 
 
 def frobenius(a):
-    """Frobenius norm, ``sqrt(inner(a, a))``: numpy's norm when that lies in
-    (2**-400, inf), else the norm of `a` rescaled by ``_exponent``, or inf
-    when the norm of finite entries passes float64's range; entries below
-    2**-511 lose their squares only below the ulp of such a norm."""
+    """Frobenius norm in float64, ``sqrt(inner(a, a))``: numpy's norm when
+    that lies in (2**-400, inf), else the norm of `a` rescaled by
+    ``_exponent``, or inf when the norm of finite entries passes float64's
+    range; entries below 2**-511 lose their squares only below the ulp of
+    such a norm."""
     a = np.asarray(a)
-    with np.errstate(over="ignore", under="ignore"):
-        n = float(np.linalg.norm(a.ravel()))
+    v = a.ravel().astype(np.float64, copy=False)
+    # numpy's norm is sqrt(v.dot(v)); vdot is the same BLAS sum without the
+    # norm's wrapper, and raises no floating-point warning that would need
+    # an errstate when the sum overflows or underflows
+    n = math.sqrt(float(np.vdot(v, v)))
     if 2.0**-400 < n < math.inf or not a.size:
         return n
     lo, hi = a.min(), a.max()

@@ -355,6 +355,17 @@ class TestCompleteCommand:
             "tol", "max_iter", "collapsed"
         )
 
+    def test_csv_not_utf8_is_an_io_error(self, tmp_path, capsys):
+        # a Latin-1 byte: UnicodeDecodeError is a ValueError, which would
+        # be a config error (exit 2) with no file name
+        csv = tmp_path / "t.csv"
+        csv.write_bytes(b"1,2,3,4,5,6\n7,8,\xe9,1,2,3\n")
+        code = main(["complete", "--input", str(csv), "--tensorize",
+                     "otd:2,3,2", "--sample-ratio", "0.75"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"error: {csv}: not UTF-8 text (invalid continuation byte)\n"
+
     def test_collapsed_core_warns(self, tmp_path, capsys):
         # a dense rank-(2, 2, 2) tensor at unit RMS, half observed: the
         # default sigma and lam zero the core, which exits 0 with one

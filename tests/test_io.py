@@ -1,9 +1,14 @@
+import os
 import struct
+import threading
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lrsetd.io import (
     FileFormatError,
@@ -378,6 +383,173 @@ class TestTrafficCsv:
         path.write_text(f"1,2\n3,{field}\n")
         with pytest.raises(FileFormatError, match=r"t\.csv:2: non-finite"):
             read_traffic_csv(path)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "",  # a trailing comma
+            "#3",
+            '"3"',
+            "  ",
+            "0x10",
+            # float() reads this Arabic-Indic one as 1.0; the reader takes
+            # ASCII decimals only, a deliberate narrowing
+            "\u0661",
+        ],
+    )
+    def test_non_numeric_fields(self, tmp_path, field):
+        path = tmp_path / "t.csv"
+        path.write_text(f"1,2\n4,{field}\n", encoding="utf-8")
+        with pytest.raises(
+            FileFormatError,
+            match=rf"t\.csv:2: non-numeric field {field.strip()!r}$",
+        ):
+            read_traffic_csv(path)
+
+    def test_fault_names_its_file_line(self, tmp_path):
+        # two blank lines, one of them whitespace only, before the fault:
+        # the line is counted in the file, not in data rows
+        path = tmp_path / "t.csv"
+        path.write_text("1,2\n\n \t\n3,4\n5,x\n")
+        with pytest.raises(
+            FileFormatError, match=r"t\.csv:5: non-numeric field 'x'$"
+        ):
+            read_traffic_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a faulty line after a ragged row is reported, as before
+            ("1,2\n3\n4,x\n", r"t\.csv:3: non-numeric field 'x'$"),
+            ("1,2\n3,nan\n4,x\n", r"t\.csv:2: non-finite field$"),
+            ("1,2\n3,x\n4,nan\n", r"t\.csv:2: non-numeric field 'x'$"),
+            ("1,2\n3\n4,nan\n", r"t\.csv:3: non-finite field$"),
+            ("1,2\n3\n", r"t\.csv: ragged rows$"),
+        ],
+    )
+    def test_first_fault_in_file_order(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match=message):
+            read_traffic_csv(path)
+
+    def test_not_utf8(self, tmp_path):
+        # a Latin-1 byte; UnicodeDecodeError is a ValueError, which the CLI
+        # would report as a config error with no file name
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"1,2\n3,\xe9\n")
+        with pytest.raises(FileFormatError, match=r"t\.csv: not UTF-8 text"):
+            read_traffic_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n \n\t\r\n", "\ufeff\n"])
+    def test_empty_before_any_parser_warning(self, tmp_path, text):
+        # loadtxt warns on no data, an error under -W error; the reader
+        # refuses the file before that
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FileFormatError, match=r"t\.csv: empty CSV$"):
+                read_traffic_csv(path)
+
+    def test_shapes_of_one_row_and_one_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("7\n")
+        assert read_traffic_csv(path).shape == (1, 1)
+        path.write_text("1\n2\n3\n")
+        assert read_traffic_csv(path).shape == (3, 1)
+        path.write_text("1,2,3\n")
+        assert read_traffic_csv(path).shape == (1, 3)
+
+    def test_memory_about_the_matrix(self, tmp_path, rng):
+        # the traffic-wholeday matrix, 121 pairs by 7 days of 288 intervals,
+        # 1.95 MB: the reader streams the text, with no Python float or list
+        # per field, which peaked at 5.1 times the matrix
+        matrix = rng.standard_normal((121, 2016))
+        path = tmp_path / "t.csv"
+        np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
+        tracemalloc.start()
+        try:
+            got = read_traffic_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, matrix)
+        assert peak <= 1.5 * matrix.nbytes
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1,2\n3,4\n", None), ("1,2\n3,x\n", r"t\.csv: ")],
+    )
+    def test_pipe(self, tmp_path, text, message):
+        # a pipe is read once: a bad one is named by path, not by line
+        path = tmp_path / "t.csv"
+        os.mkfifo(path)
+
+        def feed():
+            with open(path, "w") as f:
+                f.write(text)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            if message is None:
+                assert read_traffic_csv(path).tolist() == [[1, 2], [3, 4]]
+            else:
+                with pytest.raises(FileFormatError, match=message):
+                    read_traffic_csv(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+# finite float64 values, the extremes of the range included
+CSV_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+         1.7e308, -1.7e308, 1.7976931348623157e308]
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "t.csv"
+
+
+class TestTrafficCsvRoundTrip:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        matrix=st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+            lambda shape: arrays(np.float64, shape, elements=CSV_VALUES)
+        ),
+        text=st.sampled_from(["%.17g", "repr"]),
+        bom=st.booleans(),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        blanks=st.lists(
+            st.tuples(st.integers(0, 5), st.sampled_from(["", " ", "\t  "])),
+            max_size=3,
+        ),
+    )
+    def test_values_round_trip_bitwise(
+        self, csv_path, matrix, text, bom, newline, blanks
+    ):
+        def field(v):
+            return f"{v:.17g}" if text == "%.17g" else repr(float(v))
+
+        lines = [",".join(field(v) for v in row) for row in matrix]
+        for at, blank in blanks:
+            lines.insert(min(at, len(lines)), blank)
+        body = newline.join(lines) + newline
+        csv_path.write_bytes(
+            (b"\xef\xbb\xbf" if bom else b"") + body.encode("utf-8")
+        )
+        got = read_traffic_csv(csv_path)
+        assert got.dtype == np.float64
+        assert got.shape == matrix.shape
+        assert np.array_equal(got.view(np.uint64), matrix.view(np.uint64))
 
 
 class TestTensorize:
