@@ -71,15 +71,22 @@ grep -q '"rse"' metrics_composite.json
 
 echo "residual balancing"
 # a smoothed run changes beta at least once, and only after one of the
-# first _BALANCE_ITERS iterations
+# first _BALANCE_ITERS iterations; the config echo keeps the start beta,
+# the one the first iteration ran with, while later rows carry the beta in
+# force
 lrsetd complete --input tiny.lrt --mask tiny.lrm --preset traffic-wholeday --ranks 2,2,2 --max-iter 80 --deterministic-report --report balance.json > /dev/null
 python -c "
 import json, sys
 from lrsetd.solver import _BALANCE_ITERS
-betas = [r['beta'] for r in json.load(open('balance.json'))['trace']]
+doc = json.load(open('balance.json'))
+betas = [r['beta'] for r in doc['trace']]
 after = [k for k in range(1, len(betas)) if betas[k] != betas[k - 1]]
 if not after or any(k > _BALANCE_ITERS for k in after):
     sys.exit(f'beta {betas} changed after iterations {after}')
+if doc['config']['beta'] != betas[0]:
+    sys.exit(f'config beta {doc[\"config\"][\"beta\"]} is not the first row beta {betas[0]}')
+if all(beta == betas[0] for beta in betas[1:]):
+    sys.exit(f'no later row moved beta from {betas[0]}')
 "
 
 echo "traffic CSV"

@@ -64,12 +64,12 @@ allocates is factor- or core-sized.
 The order N is the tensor's: every block loops over its modes, and the
 per-mode fields of :class:`SolverConfig` must have one value per mode.
 
-The penalty beta is the config's at the start. When some mode is
-smoothed, :func:`solve` balances it over the first :data:`_BALANCE_ITERS`
-iterations against the Z = W_i residuals each iteration already forms,
-keeps the beta in force in the state and refactors the W solve whenever
-it changes; the duals U_i and T_i are unscaled, so no other state follows
-beta.
+The penalty beta in force is ``state.beta``, the only one the blocks and
+:func:`augmented_lagrangian` read; ``cfg.beta`` is its start. When some
+mode is smoothed, :func:`solve` balances it over the first
+:data:`_BALANCE_ITERS` iterations against the Z = W_i residuals each
+iteration already forms and refactors the W solve whenever it changes;
+the duals U_i and T_i are unscaled, so no other state follows beta.
 
 Every solve starts from the same point: Z is the zero-filled observation,
 each factor X_i is the orthonormal Q of a fixed-seed Gaussian draw, and the
@@ -80,7 +80,7 @@ mode length, where a truncated HOSVD of Z would form I_i x I_i Grams.
 import math
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,9 +148,9 @@ class SolverConfig:
     ||Z_k - Z_{k-1}||_F / max(||Z_k||_F, 1) <= tol, or after max_iter
     iterations.
 
-    `beta` is the penalty the run starts at; when some mode is smoothed,
-    :func:`solve` balances it against the residuals of Z = W_i over its
-    first iterations.
+    `beta` is the start of the penalty in force, ``SolverState.beta``,
+    which :func:`solve` balances against the residuals of Z = W_i over
+    its first iterations when some mode is smoothed.
     """
 
     ranks: tuple | None = None
@@ -263,8 +263,8 @@ class SolverState:
     observed: np.ndarray  # the values of M there
     # update_factors' side per step, True for the core's: _factor_plan
     plan: tuple
-    # the penalty in force, cfg.beta at the start: solve balances it, and a
-    # callback sees the beta of the iteration it follows
+    # the penalty in force, the only one the blocks read: cfg.beta at the
+    # start, then as solve balances it; w_ldl is factored at it
     beta: float
     iteration: int = 0
     # full-size buffers, None until a block needs them (see the memory plan)
@@ -342,7 +342,7 @@ def init_state(m, mask, cfg):
         z=z0,
         w=w,
         u=u,
-        w_ldl=_w_factors(cfg, dims),
+        w_ldl=_w_factors(cfg, cfg.beta, dims),
         index=index,
         observed=observed,
         plan=_factor_plan(dims, ranks),
@@ -350,16 +350,16 @@ def init_state(m, mask, cfg):
     )
 
 
-def _w_factors(cfg, dims):
-    """The W solve of each mode, the state's `w_ldl`: the
-    :class:`lrsetd.kernels.TridiagLDL` of [beta*I + 2*omega_i*A_i^T A_i] on
-    the smoothed modes, None on the others. :func:`init_state` builds it,
+def _w_factors(cfg, beta, dims):
+    """The W solve of each mode at the penalty `beta`, the state's `w_ldl`:
+    the :class:`lrsetd.kernels.TridiagLDL` of [beta*I + 2*omega_i*A_i^T A_i]
+    on the smoothed modes, None on the others. :func:`init_state` builds it,
     and :func:`solve` builds it again whenever beta changes."""
     w_ldl = [None] * len(dims)
     for i in cfg.smoothed_modes():
         # A_i^T A_i is tridiag(-1, (1, 2, ..., 2), -1)
         two_omega = 2.0 * cfg.omega[i]
-        diag = np.full(dims[i], cfg.beta + two_omega)
+        diag = np.full(dims[i], beta + two_omega)
         diag[1:] += two_omega
         w_ldl[i] = tridiag_ldl(diag, np.full(dims[i] - 1, -two_omega))
     return w_ldl
@@ -534,7 +534,7 @@ def update_factors(state, cfg):
     buffers as far as they fit, so the returned prefixes live there until
     :func:`update_z` overwrites them.
     """
-    x, s, plan = state.x, state.s, state.plan
+    x, s, plan, beta = state.x, state.s, state.plan, state.beta
     order, ranks = len(x), s.shape
     pool = _Pool(*_buffers(state))
     grams = [None] + [f.T @ f for f in x[1:]]  # step 0 does not read G_0
@@ -556,12 +556,12 @@ def update_factors(state, cfg):
         else:
             rhs = _z_side(pool, prefix, x, s, i)
         rhs *= cfg.lam
-        rhs += cfg.beta * state.y[i] - state.t[i]
+        rhs += beta * state.y[i] - state.t[i]
         lhs = gram_prefix.reshape(ranks[i], -1) @ gram_suffix[i].reshape(
             -1, ranks[i]
         )
         lhs *= cfg.lam
-        lhs += cfg.beta * np.eye(ranks[i])
+        lhs += beta * np.eye(ranks[i])
         lhs = 0.5 * (lhs + lhs.T)
         _require_finite(state, f"X_{i} subproblem", lhs, rhs)
         # X @ lhs = rhs; lhs >= beta*I is SPD by construction, so no check
@@ -581,9 +581,9 @@ def update_y(state, cfg):
     each new Y_i, the number of singular values above alpha_i/beta."""
     ranks = [0] * len(state.x)
     for i in range(len(state.x)):
-        point = state.x[i] + state.t[i] / cfg.beta
+        point = state.x[i] + state.t[i] / state.beta
         _require_finite(state, f"Y_{i} prox input", point)
-        state.y[i], ranks[i] = _svd_shrink(point, cfg.alpha[i] / cfg.beta)
+        state.y[i], ranks[i] = _svd_shrink(point, cfg.alpha[i] / state.beta)
     return tuple(ranks)
 
 
@@ -651,15 +651,15 @@ def update_z(state, cfg):
     for f in reversed(state.x[1:]):
         recon = _trail(recon, f, pool.piece((len(f), *recon.shape[:-1])))
     recon = _trail(recon, state.x[0], out=scratch)
-    acc = np.multiply(recon, cfg.lam / cfg.beta, out=spare)
+    acc = np.multiply(recon, cfg.lam / state.beta, out=spare)
     for i in smoothed:
         acc += state.w[i]
     for _ in range(order - len(smoothed)):
         acc += state.z
-    acc *= cfg.beta
+    acc *= state.beta
     for i in smoothed:
         acc -= state.u[i]
-    acc /= cfg.lam + order * cfg.beta
+    acc /= cfg.lam + order * state.beta
     # a view: the spare is C-contiguous
     acc.reshape(-1)[state.index] = state.observed
     # Z_prev becomes the spare; a Z in another layout, which a caller put
@@ -679,7 +679,7 @@ def update_w(state, cfg):
     for i in cfg.smoothed_modes():
         ldl, w = state.w_ldl[i], state.w[i]
         swapped = _route(ldl, w.shape, i) == "swap"
-        rhs = np.multiply(state.z, cfg.beta, out=w if swapped else scratch)
+        rhs = np.multiply(state.z, state.beta, out=w if swapped else scratch)
         rhs += state.u[i]
         tridiag_solve(ldl, rhs, i, scratch if swapped else None, out=w)
 
@@ -702,7 +702,7 @@ def update_duals(state, cfg):
         w_gaps.append(frobenius(gap))
         try:
             with np.errstate(over="raise", invalid="raise"):
-                gap *= cfg.beta
+                gap *= state.beta
                 state.u[i] += gap
         except FloatingPointError:
             raise NumericalError(
@@ -710,7 +710,7 @@ def update_duals(state, cfg):
             ) from None
     for i in range(len(state.x)):
         gap = state.x[i] - state.y[i]
-        state.t[i] = state.t[i] + cfg.beta * gap
+        state.t[i] = state.t[i] + state.beta * gap
         y_gaps.append(frobenius(gap))
     # np.max, unlike max, keeps a NaN
     return float(np.max(w_gaps)), float(np.max(y_gaps))
@@ -729,19 +729,19 @@ def _smoothing_parts(t, axis):
 
 
 def augmented_lagrangian(state, cfg):
-    """Value of the augmented Lagrangian at the current state, computed
-    from scratch, the smoothness terms from differences along each axis.
-    :func:`solve` reports it once, at the final iterate; a caller that
+    """Value of the augmented Lagrangian at the current state and its beta,
+    computed from scratch, the smoothness terms from differences along each
+    axis. :func:`solve` reports it once, at the final iterate; a caller that
     wants it every iteration calls it from the solve's callback."""
-    smoothed = cfg.smoothed_modes()
+    smoothed, beta = cfg.smoothed_modes(), state.beta
     nuclear = sum(
         a * np.linalg.svd(y, compute_uv=False).sum()
         for a, y in zip(cfg.alpha, state.y)
     )
     penalties = sum(
-        _penalty(state.u[i], state.z - state.w[i], cfg.beta) for i in smoothed
+        _penalty(state.u[i], state.z - state.w[i], beta) for i in smoothed
     ) + sum(
-        _penalty(t, x - y, cfg.beta)
+        _penalty(t, x - y, beta)
         for t, x, y in zip(state.t, state.x, state.y)
     )
     smoothness = sum(
@@ -842,18 +842,19 @@ def solve(m, mask, cfg, callback=None):
     every core entry, and the tensor off the mask is the smoothing of the
     zero fill, not a Tucker fit.
 
-    The run starts at ``cfg.beta``. When some mode is smoothed, each
+    The run starts at ``cfg.beta``; the beta in force is ``state.beta``,
+    the only one the blocks read. When some mode is smoothed, each
     iteration k <= 50 (:data:`_BALANCE_ITERS`) that does not end the run
     is followed by one step of residual balancing on its record: beta
     doubles when ``w_residual`` exceeds 10 times ``dual_residual`` and
     halves in the converse case, ``state.beta`` takes the new value and
     the W solve is refactored at it. The duals U_i and T_i are unscaled,
-    so nothing else changes. Only the Z = W_i coupling is balanced: the
-    X_i = Y_i residual ``y_residual`` is left out of the rule on purpose,
-    since the imbalance measured on the smoothed recipes is the Z = W_i
-    one. With no smoothed mode beta stays fixed. Each record carries the
-    beta its iteration ran with, and the final Lagrangian is evaluated at
-    the beta of the last iteration.
+    so nothing else changes, ``cfg`` included. Only the Z = W_i coupling
+    is balanced: the X_i = Y_i residual ``y_residual`` is left out of the
+    rule on purpose, since the imbalance measured on the smoothed recipes
+    is the Z = W_i one. With no smoothed mode beta stays fixed. Each
+    record carries the beta its iteration ran with, and the final
+    Lagrangian is evaluated at the beta of the last iteration.
 
     Parameters
     ----------
@@ -865,9 +866,8 @@ def solve(m, mask, cfg, callback=None):
         Called as ``callback(state)`` after every full iteration; intended
         for diagnostics. Later iterations overwrite the state's full-size
         arrays in place, so a callback copies those it keeps.
-        ``state.beta`` is the beta the iteration ran with, so a callback
-        evaluates the Lagrangian as
-        ``augmented_lagrangian(state, replace(cfg, beta=state.beta))``.
+        ``state.beta`` is the beta the iteration ran with, at which
+        ``augmented_lagrangian(state, cfg)`` evaluates.
 
     Returns
     -------
@@ -926,10 +926,8 @@ def solve(m, mask, cfg, callback=None):
         if k <= balance and k < cfg.max_iter:
             beta = _balanced(state.beta, w_residual, trace[-1].dual_residual)
             if beta != state.beta:
-                # the blocks read beta from a working copy of the config
                 state.beta = beta
-                cfg = replace(cfg, beta=beta)
-                state.w_ldl = _w_factors(cfg, state.dims)
+                state.w_ldl = _w_factors(cfg, beta, state.dims)
     if not state.s.any():
         termination = "collapsed"
     # the buffers are dead after the last iteration: released, their memory

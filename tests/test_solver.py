@@ -10,6 +10,7 @@ from lrsetd.kernels import tridiag_solve
 from lrsetd.solver import (
     PRESETS,
     _factor_plan,
+    _w_factors,
     IterationRecord,
     NumericalError,
     SolverConfig,
@@ -52,11 +53,15 @@ def small_problem(seed=0, dims=(4, 3, 2), ranks=(2, 2, 2), obs=0.7):
     return m, mask, cfg
 
 
-def randomized_state(seed, dims, ranks, cfg, m, mask):
+def randomized_state(seed, dims, ranks, cfg, m, mask, beta=None):
     """A generic point in the iteration space, not a solver-produced one, so
-    block oracles are exercised away from any fixed point."""
+    block oracles are exercised away from any fixed point. Its penalty in
+    force is `beta` (``cfg.beta`` when None), with the W solve refactored
+    at it as :func:`solve` does when it balances beta."""
     rng = np.random.default_rng(seed)
     state = init_state(m, mask, cfg)
+    state.beta = cfg.beta if beta is None else beta
+    state.w_ldl = _w_factors(cfg, state.beta, dims)
     state.x = [rng.standard_normal(f.shape) for f in state.x]
     state.y = [rng.standard_normal(f.shape) for f in state.y]
     state.t = [rng.standard_normal(f.shape) for f in state.t]
@@ -66,6 +71,13 @@ def randomized_state(seed, dims, ranks, cfg, m, mask):
         state.w[i] = rng.standard_normal(dims)
         state.u[i] = rng.standard_normal(dims)
     return state
+
+
+def betas_in_force(cfg):
+    """Penalties for a state to run its blocks at: cfg.beta, the start, and
+    4x and 1/4x of it, as balancing moves it, which a block must read from
+    the state and not from the config."""
+    return [scale * cfg.beta for scale in (1.0, 4.0, 0.25)]
 
 
 def unsmoothed_modes(cfg):
@@ -89,10 +101,10 @@ def check_factor_update(state, cfg):
         mix[i] = state.x[i]
         b = kron_others(mix, i)
         s_i = unfold(state.s, i)
-        lhs = cfg.beta * np.eye(ranks[i]) + cfg.lam * s_i @ b.T @ b @ s_i.T
+        lhs = state.beta * np.eye(ranks[i]) + cfg.lam * s_i @ b.T @ b @ s_i.T
         rhs = (
             cfg.lam * unfold(state.z, i) @ b @ s_i.T
-            + cfg.beta * state.y[i]
+            + state.beta * state.y[i]
             - state.t[i]
         )
         res = np.linalg.norm(state.x[i] @ lhs - rhs)
@@ -127,8 +139,8 @@ def check_w_update(state, cfg):
     for i in cfg.smoothed_modes():
         assert state.w[i].flags.c_contiguous
         a = smoothing_matrix(cfg, dims, i)
-        lhs = cfg.beta * np.eye(dims[i]) + 2.0 * cfg.omega[i] * a.T @ a
-        rhs = cfg.beta * unfold(state.z, i) + unfold(state.u[i], i)
+        lhs = state.beta * np.eye(dims[i]) + 2.0 * cfg.omega[i] * a.T @ a
+        rhs = state.beta * unfold(state.z, i) + unfold(state.u[i], i)
         res = np.linalg.norm(lhs @ unfold(state.w[i], i) - rhs)
         assert res <= 1e-10 * max(1.0, np.linalg.norm(rhs))
 
@@ -145,8 +157,8 @@ def dense_w_solve(state, cfg, i):
     on the unfolding of beta*Z + U_i along axis i."""
     n = state.dims[i]
     a = smoothing_matrix(cfg, state.dims, i)
-    lhs = cfg.beta * np.eye(n) + 2.0 * cfg.omega[i] * a.T @ a
-    lines = np.moveaxis(cfg.beta * state.z + state.u[i], i, 0)
+    lhs = state.beta * np.eye(n) + 2.0 * cfg.omega[i] * a.T @ a
+    lines = np.moveaxis(state.beta * state.z + state.u[i], i, 0)
     solved = np.linalg.solve(lhs, lines.reshape(n, -1)).reshape(lines.shape)
     return np.moveaxis(solved, 0, i)
 
@@ -163,15 +175,15 @@ def z_step_oracle(state, cfg, m, mask):
     (beta*((lam/beta)*Zhat + sum_i W_i + k*Z) - sum_i U_i) / (lam + N*beta)
     off the mask and M on it."""
     zhat = multilinear(state.s, state.x)
-    acc = (cfg.lam / cfg.beta) * zhat
+    acc = (cfg.lam / state.beta) * zhat
     for i in cfg.smoothed_modes():
         acc += state.w[i]
     for _ in unsmoothed_modes(cfg):
         acc += state.z
-    acc *= cfg.beta
+    acc *= state.beta
     for i in cfg.smoothed_modes():
         acc -= state.u[i]
-    z = acc / (cfg.lam + len(state.x) * cfg.beta)
+    z = acc / (cfg.lam + len(state.x) * state.beta)
     sel = mask.boolean()
     z[sel] = np.asarray(m)[sel]
     return z
@@ -182,7 +194,7 @@ def w_step_oracle(state, cfg):
     beta*Z + U_i along axis i."""
     return {
         i: tridiag_solve_reference(
-            state.w_ldl[i], cfg.beta * state.z + state.u[i], i
+            state.w_ldl[i], state.beta * state.z + state.u[i], i
         )
         for i in cfg.smoothed_modes()
     }
@@ -195,13 +207,31 @@ def dual_step_oracle(state, cfg):
     u, t, w_res, y_res = {}, [], 0.0, 0.0
     for i in cfg.smoothed_modes():
         gap = state.z - state.w[i]
-        u[i] = state.u[i] + cfg.beta * gap
+        u[i] = state.u[i] + state.beta * gap
         w_res = max(w_res, np.linalg.norm(gap))
     for t_i, x, y in zip(state.t, state.x, state.y):
         gap = x - y
-        t.append(t_i + cfg.beta * gap)
+        t.append(t_i + state.beta * gap)
         y_res = max(y_res, np.linalg.norm(gap))
     return u, t, (w_res, y_res)
+
+
+def lagrangian_oracle(state, cfg):
+    """The augmented Lagrangian from fresh arrays at the state's beta, the
+    smoothness terms with the dense A_i."""
+    beta = state.beta
+    val = cfg.sigma * np.abs(state.s).sum()
+    fit = multilinear(state.s, state.x) - state.z
+    val += cfg.lam / 2.0 * np.linalg.norm(fit) ** 2
+    for a, x, y, t in zip(cfg.alpha, state.x, state.y, state.t):
+        val += a * np.linalg.svd(y, compute_uv=False).sum()
+        val += np.sum(t * (x - y)) + beta / 2.0 * np.linalg.norm(x - y) ** 2
+    for i in cfg.smoothed_modes():
+        a = smoothing_matrix(cfg, state.dims, i)
+        gap = state.z - state.w[i]
+        val += cfg.omega[i] * np.sum((a @ unfold(state.w[i], i)) ** 2)
+        val += np.sum(state.u[i] * gap) + beta / 2.0 * np.linalg.norm(gap) ** 2
+    return val
 
 
 LAYOUTS = pytest.mark.parametrize("layout", ["C", "F", "strided"])
@@ -537,8 +567,9 @@ class TestUpdateFactors:
     @ORACLE_SHAPES
     def test_normal_equation_oracle(self, dims, ranks):
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
-        state = randomized_state(3, dims, ranks, cfg, m, mask)
-        check_factor_update(state, cfg)
+        for beta in betas_in_force(cfg):
+            state = randomized_state(3, dims, ranks, cfg, m, mask, beta)
+            check_factor_update(state, cfg)
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5])
     def test_sweep_reads_z_twice(self, order, monkeypatch):
@@ -575,11 +606,14 @@ class TestUpdateFactors:
         dims, ranks = (3, 3, 3), (2, 2, 2)
         m, mask, _ = small_problem(dims=dims, ranks=ranks)
         cfg = SolverConfig(ranks=ranks, lam=1e-30, beta=0.7)
-        state = randomized_state(5, dims, ranks, cfg, m, mask)
-        expected = [state.y[i] - state.t[i] / cfg.beta for i in range(3)]
-        update_factors(state, cfg)
-        for i in range(3):
-            np.testing.assert_allclose(state.x[i], expected[i], atol=1e-10)
+        for beta in betas_in_force(cfg):
+            state = randomized_state(5, dims, ranks, cfg, m, mask, beta)
+            expected = [state.y[i] - state.t[i] / beta for i in range(3)]
+            update_factors(state, cfg)
+            for i in range(3):
+                np.testing.assert_allclose(
+                    state.x[i], expected[i], atol=1e-10
+                )
 
 
 def every_plan(order):
@@ -625,8 +659,9 @@ class TestFactorPlan:
         )
         m = np.zeros(dims)
         mask = ObservationMask.full(dims)
-        for plan in every_plan(order):
-            state = randomized_state(7, dims, ranks, cfg, m, mask)
+        cases = itertools.product(betas_in_force(cfg), every_plan(order))
+        for beta, plan in cases:
+            state = randomized_state(7, dims, ranks, cfg, m, mask, beta)
             state.plan = plan
             x_old = [f.copy() for f in state.x]
             systems = []
@@ -647,13 +682,13 @@ class TestFactorPlan:
                 z_i = unfold_by_index_formula(state.z, i)
                 want = (
                     cfg.lam * z_i @ b @ s_i.T
-                    + cfg.beta * state.y[i]
+                    + beta * state.y[i]
                     - state.t[i]
                 )
                 np.testing.assert_allclose(
                     rhs, want, rtol=0, atol=1e-12 * np.linalg.norm(want)
                 )
-                want = cfg.beta * np.eye(ranks[i])
+                want = beta * np.eye(ranks[i])
                 want += cfg.lam * s_i @ b.T @ b @ s_i.T
                 np.testing.assert_allclose(
                     lhs, want, rtol=0, atol=1e-12 * np.linalg.norm(want)
@@ -899,34 +934,36 @@ class TestRandomShapeSweep:
         )
         m = rng.standard_normal(dims)
         mask = ObservationMask(rng.random(dims) < 0.7)
-        state = randomized_state(seed, dims, ranks, cfg, m, mask)
-        check_factor_update(state, cfg)
-        check_core_update(state, cfg)
-        check_w_update(state, cfg)
+        for beta in betas_in_force(cfg):
+            state = randomized_state(seed, dims, ranks, cfg, m, mask, beta)
+            check_factor_update(state, cfg)
+            check_core_update(state, cfg)
+            check_w_update(state, cfg)
 
 
 class TestUpdateY:
     def test_prox_input_and_threshold(self):
         dims, ranks = (4, 3, 2), (2, 2, 2)
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
-        state = randomized_state(7, dims, ranks, cfg, m, mask)
-        inputs = [state.x[i] + state.t[i] / cfg.beta for i in range(3)]
-        update_y(state, cfg)
         rng = np.random.default_rng(42)
-        for i in range(3):
-            tau = cfg.alpha[i] / cfg.beta
-            g = inputs[i]
+        for beta in betas_in_force(cfg):
+            state = randomized_state(7, dims, ranks, cfg, m, mask, beta)
+            inputs = [state.x[i] + state.t[i] / beta for i in range(3)]
+            update_y(state, cfg)
+            for i in range(3):
+                tau = cfg.alpha[i] / beta
+                g = inputs[i]
 
-            def obj(c):
-                return tau * np.linalg.svd(c, compute_uv=False).sum() + (
-                    0.5 * np.linalg.norm(c - g) ** 2
-                )
+                def obj(c):
+                    return tau * np.linalg.svd(c, compute_uv=False).sum() + (
+                        0.5 * np.linalg.norm(c - g) ** 2
+                    )
 
-            best = obj(state.y[i])
-            for _ in range(100):
-                d = rng.standard_normal(g.shape)
-                d *= 1e-3 / np.linalg.norm(d)
-                assert obj(state.y[i] + d) >= best - 1e-12
+                best = obj(state.y[i])
+                for _ in range(100):
+                    d = rng.standard_normal(g.shape)
+                    d *= 1e-3 / np.linalg.norm(d)
+                    assert obj(state.y[i] + d) >= best - 1e-12
 
 
 class TestUpdateCore:
@@ -995,17 +1032,18 @@ class TestUpdateZ:
         # where an unsmoothed mode has W_i = Z_prev and U_i = 0
         dims, ranks = (4, 3, 2), (2, 2, 2)
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
-        state = randomized_state(23, dims, ranks, cfg, m, mask)
-        z_prev = state.z
-        update_z(state, cfg)
-        zhat = multilinear(state.s, state.x)
-        grad = cfg.lam * (state.z - zhat)
-        for i in cfg.smoothed_modes():
-            grad += state.u[i] + cfg.beta * (state.z - state.w[i])
-        for i in unsmoothed_modes(cfg):
-            grad += cfg.beta * (state.z - z_prev)
         off = ~mask.boolean()
-        assert np.abs(grad[off]).max() <= 1e-12
+        for beta in betas_in_force(cfg):
+            state = randomized_state(23, dims, ranks, cfg, m, mask, beta)
+            z_prev = state.z
+            update_z(state, cfg)
+            zhat = multilinear(state.s, state.x)
+            grad = cfg.lam * (state.z - zhat)
+            for i in cfg.smoothed_modes():
+                grad += state.u[i] + beta * (state.z - state.w[i])
+            for i in unsmoothed_modes(cfg):
+                grad += beta * (state.z - z_prev)
+            assert np.abs(grad[off]).max() <= 1e-12
 
     @pytest.mark.parametrize("kind", ["fortran-boolean", "empty", "full"])
     def test_observed_write_and_closed_form(self, kind):
@@ -1021,12 +1059,13 @@ class TestUpdateZ:
             "full": lambda: ObservationMask.full(dims),
         }[kind]()
         m = np.asfortranarray(m)
-        state = randomized_state(41, dims, ranks, cfg, m, mask)
-        expected = z_step_oracle(state, cfg, m, mask)
-        update_z(state, cfg)
         sel = mask.boolean()
-        np.testing.assert_array_equal(state.z[sel], m[sel])
-        np.testing.assert_array_equal(state.z[~sel], expected[~sel])
+        for beta in betas_in_force(cfg):
+            state = randomized_state(41, dims, ranks, cfg, m, mask, beta)
+            expected = z_step_oracle(state, cfg, m, mask)
+            update_z(state, cfg)
+            np.testing.assert_array_equal(state.z[sel], m[sel])
+            np.testing.assert_array_equal(state.z[~sel], expected[~sel])
 
     def test_full_mask_copies_data(self):
         dims, ranks = (3, 3, 3), (2, 2, 2)
@@ -1040,24 +1079,26 @@ class TestUpdateZ:
         dims, ranks = (3, 3, 3), (2, 2, 2)
         m, _, cfg = small_problem(dims=dims, ranks=ranks)
         mask = ObservationMask.empty(dims)
-        state = randomized_state(31, dims, ranks, cfg, m, mask)
-        zhat = multilinear(state.s, state.x)
-        expected = cfg.lam * zhat
-        for i in cfg.smoothed_modes():
-            expected += cfg.beta * state.w[i] - state.u[i]
-        for i in unsmoothed_modes(cfg):
-            expected += cfg.beta * state.z
-        expected /= cfg.lam + 3.0 * cfg.beta
-        update_z(state, cfg)
-        np.testing.assert_allclose(state.z, expected, atol=1e-13)
+        for beta in betas_in_force(cfg):
+            state = randomized_state(31, dims, ranks, cfg, m, mask, beta)
+            zhat = multilinear(state.s, state.x)
+            expected = cfg.lam * zhat
+            for i in cfg.smoothed_modes():
+                expected += beta * state.w[i] - state.u[i]
+            for i in unsmoothed_modes(cfg):
+                expected += beta * state.z
+            expected /= cfg.lam + 3.0 * beta
+            update_z(state, cfg)
+            np.testing.assert_allclose(state.z, expected, atol=1e-13)
 
 
 class TestUpdateW:
     def test_linear_system_oracle(self):
         dims, ranks = (4, 3, 2), (2, 2, 2)
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
-        state = randomized_state(37, dims, ranks, cfg, m, mask)
-        check_w_update(state, cfg)
+        for beta in betas_in_force(cfg):
+            state = randomized_state(37, dims, ranks, cfg, m, mask, beta)
+            check_w_update(state, cfg)
 
     def test_iterates_stay_c_contiguous(self):
         # the Tucker reconstruction comes out of its last mode product in a
@@ -1098,8 +1139,11 @@ class TestUpdateW:
             beta=0.1,
             omega=(0.1 / ratio,) * order,
         )
-        for layout in ("C", "F", "strided"):
-            state = randomized_state(order, dims, (1,) * order, cfg, m, mask)
+        cases = itertools.product(betas_in_force(cfg), ("C", "F", "strided"))
+        for beta, layout in cases:
+            state = randomized_state(
+                order, dims, (1,) * order, cfg, m, mask, beta
+            )
             state.z = relayout(state.z, layout)
             for i in cfg.smoothed_modes():
                 state.w[i] = relayout(state.w[i], layout)
@@ -1120,137 +1164,144 @@ class TestUpdateW:
         m, _, _ = small_problem(dims=dims, ranks=ranks)
         mask = ObservationMask.empty(dims)
         cfg = SolverConfig(ranks=ranks, beta=0.4, omega=(0.0, 0.0, 0.0))
-        state = randomized_state(41, dims, ranks, cfg, m, mask)
-        assert state.w == [None] * 3 and state.u == [None] * 3
-        assert state.w_ldl == [None] * 3
-        expected = (
-            cfg.lam * multilinear(state.s, state.x) + 3.0 * cfg.beta * state.z
-        ) / (cfg.lam + 3.0 * cfg.beta)
-        update_z(state, cfg)
-        update_w(state, cfg)
-        update_duals(state, cfg)
-        np.testing.assert_allclose(state.z, expected, atol=1e-13)
-        assert state.w == [None] * 3 and state.u == [None] * 3
+        for beta in betas_in_force(cfg):
+            state = randomized_state(41, dims, ranks, cfg, m, mask, beta)
+            assert state.w == [None] * 3 and state.u == [None] * 3
+            assert state.w_ldl == [None] * 3
+            expected = (
+                cfg.lam * multilinear(state.s, state.x) + 3.0 * beta * state.z
+            ) / (cfg.lam + 3.0 * beta)
+            update_z(state, cfg)
+            update_w(state, cfg)
+            update_duals(state, cfg)
+            np.testing.assert_allclose(state.z, expected, atol=1e-13)
+            assert state.w == [None] * 3 and state.u == [None] * 3
 
     def test_stationarity_probe(self):
         # each W_i minimizes
         # omega_i*||A_i W_(i)||^2 - <U_i, W_i> + beta/2*||Z - W_i||^2
         dims, ranks = (4, 3, 2), (2, 2, 2)
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
-        state = randomized_state(43, dims, ranks, cfg, m, mask)
-        update_w(state, cfg)
         rng = np.random.default_rng(1)
-        for i in cfg.smoothed_modes():
-            a = smoothing_matrix(cfg, dims, i)
+        for beta in betas_in_force(cfg):
+            state = randomized_state(43, dims, ranks, cfg, m, mask, beta)
+            update_w(state, cfg)
+            for i in cfg.smoothed_modes():
+                a = smoothing_matrix(cfg, dims, i)
 
-            def obj(w):
-                return (
-                    cfg.omega[i] * np.sum((a @ unfold(w, i)) ** 2)
-                    - np.sum(state.u[i] * w)
-                    + 0.5 * cfg.beta * frobenius(state.z - w) ** 2
-                )
+                def obj(w):
+                    return (
+                        cfg.omega[i] * np.sum((a @ unfold(w, i)) ** 2)
+                        - np.sum(state.u[i] * w)
+                        + 0.5 * beta * frobenius(state.z - w) ** 2
+                    )
 
-            best = obj(state.w[i])
-            for _ in range(50):
-                d = rng.standard_normal(dims)
-                d *= 1e-4 / np.linalg.norm(d)
-                assert obj(state.w[i] + d) >= best - 1e-12
+                best = obj(state.w[i])
+                for _ in range(50):
+                    d = rng.standard_normal(dims)
+                    d *= 1e-4 / np.linalg.norm(d)
+                    assert obj(state.w[i] + d) >= best - 1e-12
 
 
 class TestUpdateDuals:
     def test_ascent_identities(self):
         dims, ranks = (4, 3, 2), (2, 2, 2)
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
-        state = randomized_state(47, dims, ranks, cfg, m, mask)
         smoothed = cfg.smoothed_modes()
-        u_before = {i: state.u[i].copy() for i in smoothed}
-        t_before = [t.copy() for t in state.t]
-        lag_before = augmented_lagrangian(state, cfg)
-        update_duals(state, cfg)
-        gap = 0.0
-        for i in smoothed:
-            np.testing.assert_allclose(
-                state.u[i] - u_before[i], cfg.beta * (state.z - state.w[i])
-            )
-            gap += frobenius(state.z - state.w[i]) ** 2
-        for i in unsmoothed_modes(cfg):
-            assert state.u[i] is None
-        for i in range(3):
-            np.testing.assert_allclose(
-                state.t[i] - t_before[i], cfg.beta * (state.x[i] - state.y[i])
-            )
-            gap += frobenius(state.x[i] - state.y[i]) ** 2
-        # dual step raises the Lagrangian by exactly beta * sum of residuals
-        delta = augmented_lagrangian(state, cfg) - lag_before
-        assert delta == pytest.approx(cfg.beta * gap, rel=1e-9, abs=1e-9)
+        for beta in betas_in_force(cfg):
+            state = randomized_state(47, dims, ranks, cfg, m, mask, beta)
+            u_before = {i: state.u[i].copy() for i in smoothed}
+            t_before = [t.copy() for t in state.t]
+            lag_before = augmented_lagrangian(state, cfg)
+            update_duals(state, cfg)
+            gap = 0.0
+            for i in smoothed:
+                np.testing.assert_allclose(
+                    state.u[i] - u_before[i], beta * (state.z - state.w[i])
+                )
+                gap += frobenius(state.z - state.w[i]) ** 2
+            for i in unsmoothed_modes(cfg):
+                assert state.u[i] is None
+            for i in range(3):
+                np.testing.assert_allclose(
+                    state.t[i] - t_before[i], beta * (state.x[i] - state.y[i])
+                )
+                gap += frobenius(state.x[i] - state.y[i]) ** 2
+            # the dual step raises the Lagrangian by exactly beta * sum of
+            # squared residuals
+            delta = augmented_lagrangian(state, cfg) - lag_before
+            assert delta == pytest.approx(beta * gap, rel=1e-9, abs=1e-9)
 
 
 class TestInPlaceBlocks:
-    # Z, W_i and U_i of a random state in each layout go through the
-    # blocks; the blocks write into the state's arrays and buffers, and
-    # give bitwise what the fresh-array oracles give, except W_i, whose
-    # matrix product or scaled sweep is within 1e-12 of the reference sweep
+    # Z, W_i and U_i of a random state in each layout, at each of
+    # betas_in_force, go through the blocks; the blocks write into the
+    # state's arrays and buffers, and give bitwise what the fresh-array
+    # oracles give, except W_i, whose matrix product or scaled sweep is
+    # within 1e-12 of the reference sweep
 
-    def problem(self, layout, seed, held=False):
+    def problems(self, layout, seed, held=False):
         dims, ranks = (5, 4, 3), (2, 2, 2)
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
-        state = randomized_state(seed, dims, ranks, cfg, m, mask)
-        state.z = relayout(state.z, layout)
-        for i in cfg.smoothed_modes():
-            state.w[i] = relayout(state.w[i], layout)
-            state.u[i] = relayout(state.u[i], layout)
-        if held:
-            state.spare = np.full(dims, np.nan)
-            state.scratch = np.full(dims, np.nan)
-        return state, m, mask, cfg
+        for beta in betas_in_force(cfg):
+            state = randomized_state(seed, dims, ranks, cfg, m, mask, beta)
+            state.z = relayout(state.z, layout)
+            for i in cfg.smoothed_modes():
+                state.w[i] = relayout(state.w[i], layout)
+                state.u[i] = relayout(state.u[i], layout)
+            if held:
+                state.spare = np.full(dims, np.nan)
+                state.scratch = np.full(dims, np.nan)
+            yield state, m, mask, cfg
 
     @LAYOUTS
     def test_factor_step(self, layout):
-        state, _, _, cfg = self.problem(layout, 71, held=True)
-        check_factor_update(state, cfg)
+        for state, _, _, cfg in self.problems(layout, 71, held=True):
+            check_factor_update(state, cfg)
 
     @LAYOUTS
     @BUFFERS_HELD
     def test_z_step(self, layout, held):
-        state, m, mask, cfg = self.problem(layout, 73, held)
-        z_prev, spare = state.z, state.spare
-        kept = z_prev.copy()
-        expected = z_step_oracle(state, cfg, m, mask)
-        # the step forms no fit term: it returns nothing
-        assert update_z(state, cfg) is None
-        np.testing.assert_array_equal(state.z, expected)
-        assert state.z.flags.c_contiguous
-        np.testing.assert_array_equal(z_prev, kept)
-        # the new Z took the spare buffer, which took Z_prev in C order
-        if held:
-            assert state.z is spare
-        np.testing.assert_array_equal(state.spare, kept)
-        assert state.spare.flags.c_contiguous
+        for state, m, mask, cfg in self.problems(layout, 73, held):
+            z_prev, spare = state.z, state.spare
+            kept = z_prev.copy()
+            expected = z_step_oracle(state, cfg, m, mask)
+            # the step forms no fit term: it returns nothing
+            assert update_z(state, cfg) is None
+            np.testing.assert_array_equal(state.z, expected)
+            assert state.z.flags.c_contiguous
+            np.testing.assert_array_equal(z_prev, kept)
+            # the new Z took the spare buffer, which took Z_prev in C order
+            if held:
+                assert state.z is spare
+            np.testing.assert_array_equal(state.spare, kept)
+            assert state.spare.flags.c_contiguous
 
     @LAYOUTS
     @BUFFERS_HELD
     def test_w_step(self, layout, held):
-        state, _, _, cfg = self.problem(layout, 79, held)
-        expected = w_step_oracle(state, cfg)
-        arrays = list(state.w)
-        update_w(state, cfg)
-        assert state.w == arrays  # the same objects, written in place
-        for i in cfg.smoothed_modes():
-            assert state.w[i] is arrays[i]
-            assert_w_close(state.w[i], expected[i])
+        for state, _, _, cfg in self.problems(layout, 79, held):
+            expected = w_step_oracle(state, cfg)
+            arrays = list(state.w)
+            update_w(state, cfg)
+            assert state.w == arrays  # the same objects, written in place
+            for i in cfg.smoothed_modes():
+                assert state.w[i] is arrays[i]
+                assert_w_close(state.w[i], expected[i])
 
     @LAYOUTS
     @BUFFERS_HELD
     def test_dual_step(self, layout, held):
-        state, _, _, cfg = self.problem(layout, 83, held)
-        u, t, residuals = dual_step_oracle(state, cfg)
-        arrays = list(state.u)
-        assert update_duals(state, cfg) == pytest.approx(residuals, rel=1e-12)
-        for i in cfg.smoothed_modes():
-            assert state.u[i] is arrays[i]
-            np.testing.assert_array_equal(state.u[i], u[i])
-        for got_t, expected in zip(state.t, t):
-            np.testing.assert_array_equal(got_t, expected)
+        for state, _, _, cfg in self.problems(layout, 83, held):
+            u, t, residuals = dual_step_oracle(state, cfg)
+            arrays = list(state.u)
+            residuals_got = update_duals(state, cfg)
+            assert residuals_got == pytest.approx(residuals, rel=1e-12)
+            for i in cfg.smoothed_modes():
+                assert state.u[i] is arrays[i]
+                np.testing.assert_array_equal(state.u[i], u[i])
+            for got_t, expected in zip(state.t, t):
+                np.testing.assert_array_equal(got_t, expected)
 
     def test_overflowing_dual_ascent_is_numerical_error(self):
         # a finite U_1 near the float64 maximum plus beta times a finite
@@ -1270,28 +1321,28 @@ class TestInPlaceBlocks:
         # and every step's full-size products pass through; each step
         # gives what its oracle gives on the state it starts from, bitwise
         # but for W_i
-        state, m, mask, cfg = self.problem(layout, 89)
-        for _ in range(3):
-            chains = update_factors(state, cfg)
-            update_y(state, cfg)
-            # the core from the sweep's products, which live in the
-            # buffers, against the core from products rebuilt afresh
-            rebuilt = copy.deepcopy(state)
-            update_core(rebuilt, cfg)
-            update_core(state, cfg, *chains)
-            np.testing.assert_array_equal(state.s, rebuilt.s)
-            z = z_step_oracle(state, cfg, m, mask)
-            update_z(state, cfg)
-            np.testing.assert_array_equal(state.z, z)
-            w = w_step_oracle(state, cfg)
-            update_w(state, cfg)
-            u, t, _ = dual_step_oracle(state, cfg)
-            update_duals(state, cfg)
-            for i in cfg.smoothed_modes():
-                assert_w_close(state.w[i], w[i])
-                np.testing.assert_array_equal(state.u[i], u[i])
-            for got, expected in zip(state.t, t):
-                np.testing.assert_array_equal(got, expected)
+        for state, m, mask, cfg in self.problems(layout, 89):
+            for _ in range(3):
+                chains = update_factors(state, cfg)
+                update_y(state, cfg)
+                # the core from the sweep's products, which live in the
+                # buffers, against the core from products rebuilt afresh
+                rebuilt = copy.deepcopy(state)
+                update_core(rebuilt, cfg)
+                update_core(state, cfg, *chains)
+                np.testing.assert_array_equal(state.s, rebuilt.s)
+                z = z_step_oracle(state, cfg, m, mask)
+                update_z(state, cfg)
+                np.testing.assert_array_equal(state.z, z)
+                w = w_step_oracle(state, cfg)
+                update_w(state, cfg)
+                u, t, _ = dual_step_oracle(state, cfg)
+                update_duals(state, cfg)
+                for i in cfg.smoothed_modes():
+                    assert_w_close(state.w[i], w[i])
+                    np.testing.assert_array_equal(state.u[i], u[i])
+                for got, expected in zip(state.t, t):
+                    np.testing.assert_array_equal(got, expected)
 
 
 def dual_identity_error(state, cfg):
@@ -1777,37 +1828,39 @@ class TestSolve:
         # the blocks report the residuals and ranks from the gaps and
         # counts they form anyway; every record must equal the values
         # recomputed from fresh arrays on the state it describes, at the
-        # state's beta, the one its iteration ran with, and the report's
-        # final Lagrangian and objective the from-scratch functions on the
-        # final state
+        # state's beta, the one its iteration ran with. The callback passes
+        # the caller's config, whose beta is only the start: the Lagrangian
+        # it gets is the one at the state's beta, and at the last callback
+        # the report's final Lagrangian and objective
         observed, mask = reference_problem(len(cfg.alpha))
         zs = [np.where(mask.boolean(), observed, 0.0)]
         recomputed = []
 
         def cb(state):
-            at = replace(cfg, beta=state.beta)
+            beta = state.beta
             gaps = [state.z - state.w[i] for i in cfg.smoothed_modes()]
-            points = [y + t / at.beta for y, t in zip(state.y, state.t)]
+            points = [y + t / beta for y, t in zip(state.y, state.t)]
             recomputed.append(
                 dict(
                     iteration=state.iteration,
-                    beta=state.beta,
+                    beta=beta,
                     rel_change=np.linalg.norm(state.z - zs[-1])
                     / max(np.linalg.norm(state.z), 1.0),
                     w_residual=max(map(np.linalg.norm, gaps), default=0.0),
                     y_residual=max(
                         np.linalg.norm(x - y) for x, y in zip(state.x, state.y)
                     ),
-                    dual_residual=at.beta * np.linalg.norm(state.z - zs[-1]),
+                    dual_residual=beta * np.linalg.norm(state.z - zs[-1]),
                     # the prox input X_i + T_i/beta, before the ascent, is
                     # Y_i + T_i/beta after it
                     y_ranks=tuple(
-                        int(np.sum(np.linalg.svd(p, compute_uv=False) > a / at.beta))
+                        int(np.sum(np.linalg.svd(p, compute_uv=False) > a / beta))
                         for p, a in zip(points, cfg.alpha)
                     ),
                     core_density=np.mean(state.s != 0),
-                    lagrangian=augmented_lagrangian(state, at),
-                    objective=objective_value(state, at),
+                    lagrangian=augmented_lagrangian(state, cfg),
+                    from_scratch=lagrangian_oracle(state, cfg),
+                    objective=objective_value(state, cfg),
                 )
             )
             zs.append(state.z.copy())
@@ -1824,6 +1877,9 @@ class TestSolve:
                 assert getattr(rec, name) == pytest.approx(
                     expected[name], rel=1e-12
                 )
+            assert expected["lagrangian"] == pytest.approx(
+                expected["from_scratch"], rel=1e-12
+            )
         assert report.lagrangian == recomputed[-1]["lagrangian"]
         assert report.objective == recomputed[-1]["objective"]
         assert [f.name for f in fields(IterationRecord)] == [
