@@ -89,6 +89,31 @@ if all(beta == betas[0] for beta in betas[1:]):
     sys.exit(f'no later row moved beta from {betas[0]}')
 "
 
+echo "library step"
+# init_state and three calls of step, with residual balancing between them
+# through set_beta as a solve does, give iterations 1, 2 and 3, equal but
+# for their wall time to the rows of a solve at max_iter 3
+python -c "
+import sys
+from dataclasses import replace
+from lrsetd.io import read_mask, read_tensor
+from lrsetd.solver import _balanced, init_state, preset_config, set_beta, solve, step
+m, mask = read_tensor('tiny.lrt'), read_mask('tiny.lrm')
+cfg = preset_config('traffic-wholeday', ranks=(2, 2, 2), max_iter=3)
+state, records = init_state(m, mask, cfg), []
+for k in (1, 2, 3):
+    records.append(step(state, cfg))
+    if k < 3:
+        set_beta(state, cfg, _balanced(state.beta, records[-1]))
+if [r.iteration for r in records] != [1, 2, 3]:
+    sys.exit(f'step records are iterations {[r.iteration for r in records]}')
+rows = [replace(r, seconds=0.0) for r in solve(m, mask, cfg).trace]
+if [replace(r, seconds=0.0) for r in records] != rows:
+    sys.exit(f'step records {records} are not the solve rows {rows}')
+if len({r.beta for r in records}) == 1:
+    sys.exit(f'set_beta moved no beta: {records}')
+"
+
 echo "traffic CSV"
 # a spreadsheet export: a byte-order mark and a blank line, both skipped;
 # 4 pairs by 3 days of 6 intervals

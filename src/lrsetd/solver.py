@@ -27,15 +27,14 @@ batched product; see :func:`lrsetd.kernels._route`).
 
 Each block is one public function, ``update_factors``, ``update_y``,
 ``update_core``, ``update_z``, ``update_w`` and ``update_duals``, and
-:func:`solve` calls exactly these, once each per iteration. A block
+:func:`step`, one iteration, calls exactly these, once each. A block
 returns only what it forms anyway: ``update_factors`` the ends of its
 chains of Z and S and the Grams X_i^T X_i, which ``update_core``
 continues into its gradient; ``update_y`` the rank each prox keeps; and
 ``update_duals`` the primal residuals max_i ||Z - W_i||_F and
 max_i ||X_i - Y_i||_F of the gaps its ascent adds. No block forms a term
-of the Lagrangian or the objective: :func:`solve` calls
-:func:`augmented_lagrangian` and :func:`objective_value`, which compute
-them from scratch, once, at the final iterate. No full-size array is
+of the Lagrangian or the objective, which :func:`augmented_lagrangian`
+and :func:`objective_value` compute from scratch. No full-size array is
 scanned for NaN or inf: the factor-sized subproblem inputs, the core and
 the T_i are checked whole, every other state array reaches the relative
 change of Z or a primal residual, which are checked as scalars, and the
@@ -65,11 +64,8 @@ The order N is the tensor's: every block loops over its modes, and the
 per-mode fields of :class:`SolverConfig` must have one value per mode.
 
 The penalty beta in force is ``state.beta``, the only one the blocks and
-:func:`augmented_lagrangian` read; ``cfg.beta`` is its start. When some
-mode is smoothed, :func:`solve` balances it over the first
-:data:`_BALANCE_ITERS` iterations against the Z = W_i residuals each
-iteration already forms and refactors the W solve whenever it changes;
-the duals U_i and T_i are unscaled, so no other state follows beta.
+:func:`augmented_lagrangian` read; ``cfg.beta`` is its start, and
+:func:`set_beta` changes it, as the residual balancing of :func:`solve` does.
 
 Every solve starts from the same point: Z is the zero-filled observation,
 each factor X_i is the orthonormal Q of a fixed-seed Gaussian draw, and the
@@ -103,6 +99,8 @@ __all__ = [
     "preset_config",
     "default_ranks",
     "init_state",
+    "set_beta",
+    "step",
     "update_factors",
     "update_y",
     "update_core",
@@ -149,8 +147,7 @@ class SolverConfig:
     iterations.
 
     `beta` is the start of the penalty in force, ``SolverState.beta``,
-    which :func:`solve` balances against the residuals of Z = W_i over
-    its first iterations when some mode is smoothed.
+    which :func:`solve` balances when some mode is smoothed.
     """
 
     ranks: tuple | None = None
@@ -257,14 +254,14 @@ class SolverState:
     w: list  # auxiliary tensors W_i, full size, smoothed modes only
     u: list  # duals for Z = W_i, smoothed modes only
     # kernels.TridiagLDL of the tridiagonal [beta*I + 2*omega_i*A_i^T A_i]:
-    # O(n) numbers, and its inverse when n <= 32 (see _w_factors)
+    # O(n) numbers, and its inverse when n <= 32 (see set_beta)
     w_ldl: list
     index: np.ndarray  # the mask's c_flat_index(): where M was observed
     observed: np.ndarray  # the values of M there
     # update_factors' side per step, True for the core's: _factor_plan
     plan: tuple
     # the penalty in force, the only one the blocks read: cfg.beta at the
-    # start, then as solve balances it; w_ldl is factored at it
+    # start, then as set_beta changes it; w_ldl is factored at it
     beta: float
     iteration: int = 0
     # full-size buffers, None until a block needs them (see the memory plan)
@@ -290,7 +287,7 @@ def _resolve_ranks(cfg, dims):
 
 
 def init_state(m, mask, cfg):
-    """Build the starting point for :func:`solve`.
+    """Build the starting point for :func:`step`, at the penalty ``cfg.beta``.
 
     Z starts as the zero-filled observation; the factors are orthonormal
     draws from ``np.random.default_rng(0)``, one QR of an I_i x r_i Gaussian
@@ -334,7 +331,7 @@ def init_state(m, mask, cfg):
         w[i] = z0.copy()
         u[i] = np.zeros(dims)
 
-    return SolverState(
+    state = SolverState(
         x=x0,
         y=[f.copy() for f in x0],
         t=[np.zeros_like(f) for f in x0],
@@ -342,27 +339,32 @@ def init_state(m, mask, cfg):
         z=z0,
         w=w,
         u=u,
-        w_ldl=_w_factors(cfg, cfg.beta, dims),
+        w_ldl=None,
         index=index,
         observed=observed,
         plan=_factor_plan(dims, ranks),
-        beta=cfg.beta,
+        beta=None,
     )
+    set_beta(state, cfg, cfg.beta)
+    return state
 
 
-def _w_factors(cfg, beta, dims):
-    """The W solve of each mode at the penalty `beta`, the state's `w_ldl`:
-    the :class:`lrsetd.kernels.TridiagLDL` of [beta*I + 2*omega_i*A_i^T A_i]
-    on the smoothed modes, None on the others. :func:`init_state` builds it,
-    and :func:`solve` builds it again whenever beta changes."""
-    w_ldl = [None] * len(dims)
+def set_beta(state, cfg, beta):
+    """Put the penalty `beta` in force: ``state.beta`` takes it, and
+    ``state.w_ldl`` the W solve at it (nothing changes when `beta` is in
+    force already). The duals U_i and T_i are unscaled, so no other state
+    follows beta. Raises ValueError unless `beta` is positive and finite."""
+    if beta == state.beta:
+        return
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    state.beta, state.w_ldl = beta, [None] * len(state.dims)
     for i in cfg.smoothed_modes():
         # A_i^T A_i is tridiag(-1, (1, 2, ..., 2), -1)
-        two_omega = 2.0 * cfg.omega[i]
-        diag = np.full(dims[i], beta + two_omega)
+        two_omega, n = 2.0 * cfg.omega[i], state.dims[i]
+        diag = np.full(n, beta + two_omega)
         diag[1:] += two_omega
-        w_ldl[i] = tridiag_ldl(diag, np.full(dims[i] - 1, -two_omega))
-    return w_ldl
+        state.w_ldl[i] = tridiag_ldl(diag, np.full(n - 1, -two_omega))
 
 
 def _buffers(state):
@@ -732,7 +734,7 @@ def augmented_lagrangian(state, cfg):
     """Value of the augmented Lagrangian at the current state and its beta,
     computed from scratch, the smoothness terms from differences along each
     axis. :func:`solve` reports it once, at the final iterate; a caller that
-    wants it every iteration calls it from the solve's callback."""
+    wants it every iteration calls it after each :func:`step`."""
     smoothed, beta = cfg.smoothed_modes(), state.beta
     nuclear = sum(
         a * np.linalg.svd(y, compute_uv=False).sum()
@@ -780,8 +782,8 @@ def objective_value(state, cfg):
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """What one iteration of :func:`solve` formed: the penalty beta it ran
-    with, the relative change of Z, the primal residuals
+    """What one iteration, one :func:`step`, formed: the penalty beta it
+    ran with, the relative change of Z, the primal residuals
     max_i ||Z - W_i||_F over the smoothed modes (0.0 when none is) and
     max_i ||X_i - Y_i||_F, the dual residual beta*||Z_k - Z_{k-1}||_F at
     that beta, the rank of each Y_i, the share of nonzero core entries and
@@ -813,48 +815,81 @@ class CompletionReport:
     total_seconds: float
 
 
+def step(state, cfg):
+    """Run one ADMM iteration on `state`, in place, and return its
+    :class:`IterationRecord`: the six blocks once each, in order, at
+    ``state.beta``, with the factor sweep's chains dying on return. The
+    relative change of iteration k, counted in ``state.iteration``, is
+    ||Z_k - Z_{k-1}||_F / max(||Z_k||_F, 1), Z_0 the zero-filled data.
+    Raises NumericalError naming iteration ``state.iteration + 1`` when
+    the iteration produces NaN or inf."""
+    start = time.perf_counter()
+    prefix, gram_prefix, grams = update_factors(state, cfg)
+    y_ranks = update_y(state, cfg)
+    update_core(state, cfg, prefix, gram_prefix, grams)
+    update_z(state, cfg)
+    update_w(state, cfg)
+    w_residual, y_residual = update_duals(state, cfg)
+    _require_finite(state, "core or dual T", state.s, *state.t)
+    state.iteration += 1
+
+    # update_z left Z_{k-1} in the spare buffer, which takes the change
+    change = frobenius(np.subtract(state.z, state.spare, out=state.spare))
+    rel_change = change / max(frobenius(state.z), 1.0)
+    # every other state array reaches Z or a primal residual, so NaN
+    # or inf anywhere in the state shows here
+    if not all(map(math.isfinite, (rel_change, w_residual, y_residual))):
+        raise NumericalError(
+            f"non-finite values in solver state at iteration {state.iteration}"
+        )
+    return IterationRecord(
+        iteration=state.iteration,
+        beta=state.beta,
+        rel_change=rel_change,
+        w_residual=w_residual,
+        y_residual=y_residual,
+        dual_residual=state.beta * change,
+        y_ranks=y_ranks,
+        core_density=np.count_nonzero(state.s) / state.s.size,
+        seconds=time.perf_counter() - start,
+    )
+
+
 # residual balancing runs after each of a solve's first _BALANCE_ITERS
 # iterations: 10 or 20 stop it too early on the benchmark's image and
 # traffic recipes, and 50, 100 or no limit gave identical runs
 _BALANCE_ITERS = 50
 
 
-def _balanced(beta, primal, dual):
+def _balanced(beta, record):
     """The penalty after one step of residual balancing (Boyd et al.
-    2011, section 3.4.1): twice `beta` when the primal residual exceeds 10
-    times the dual one, half of it in the converse case, else `beta`."""
-    if primal > 10.0 * dual:
+    2011, section 3.4.1) on an iteration's `record`: twice `beta` when
+    ``w_residual`` exceeds 10 times ``dual_residual``, half of it in the
+    converse case, else `beta`."""
+    if record.w_residual > 10.0 * record.dual_residual:
         return 2.0 * beta
-    if dual > 10.0 * primal:
+    if record.dual_residual > 10.0 * record.w_residual:
         return 0.5 * beta
     return beta
 
 
 def solve(m, mask, cfg, callback=None):
-    """Run the full ADMM to completion.
-
-    The run stops after iteration k when the relative change
-    ||Z_k - Z_{k-1}||_F / max(||Z_k||_F, 1) is at most ``cfg.tol``, with
-    Z_0 the zero-filled observations, or after ``cfg.max_iter``
-    iterations. Its termination is ``"tol"`` or ``"max_iter"``
+    """Run the full ADMM: :func:`init_state`, then :func:`step` until
+    iteration k has a relative change of at most ``cfg.tol`` or k is
+    ``cfg.max_iter``. The termination is ``"tol"`` or ``"max_iter"``
     accordingly, or ``"collapsed"`` when the final core is all zero: the
     sparsity threshold sigma/(lam*zeta) of the core step then exceeded
     every core entry, and the tensor off the mask is the smoothing of the
     zero fill, not a Tucker fit.
 
-    The run starts at ``cfg.beta``; the beta in force is ``state.beta``,
-    the only one the blocks read. When some mode is smoothed, each
+    The run starts at ``cfg.beta``. When some mode is smoothed, each
     iteration k <= 50 (:data:`_BALANCE_ITERS`) that does not end the run
-    is followed by one step of residual balancing on its record: beta
-    doubles when ``w_residual`` exceeds 10 times ``dual_residual`` and
-    halves in the converse case, ``state.beta`` takes the new value and
-    the W solve is refactored at it. The duals U_i and T_i are unscaled,
-    so nothing else changes, ``cfg`` included. Only the Z = W_i coupling
-    is balanced: the X_i = Y_i residual ``y_residual`` is left out of the
-    rule on purpose, since the imbalance measured on the smoothed recipes
-    is the Z = W_i one. With no smoothed mode beta stays fixed. Each
-    record carries the beta its iteration ran with, and the final
-    Lagrangian is evaluated at the beta of the last iteration.
+    is followed by one step of residual balancing on its record, put in
+    force by :func:`set_beta`: beta doubles when ``w_residual`` exceeds 10
+    times ``dual_residual`` and halves in the converse case; ``y_residual``
+    is left out on purpose, since the imbalance measured on the smoothed
+    recipes is the Z = W_i one. With no smoothed mode beta stays fixed.
+    The final Lagrangian is evaluated at the beta of the last iteration.
 
     Parameters
     ----------
@@ -863,11 +898,10 @@ def solve(m, mask, cfg, callback=None):
     mask : ObservationMask
     cfg : SolverConfig
     callback : callable, optional
-        Called as ``callback(state)`` after every full iteration; intended
-        for diagnostics. Later iterations overwrite the state's full-size
-        arrays in place, so a callback copies those it keeps.
-        ``state.beta`` is the beta the iteration ran with, at which
-        ``augmented_lagrangian(state, cfg)`` evaluates.
+        Called as ``callback(state)`` after each :func:`step`, for
+        diagnostics; it copies the full-size arrays it keeps, which later
+        steps overwrite. ``state.beta`` is the beta the step ran with, at
+        which ``augmented_lagrangian(state, cfg)`` evaluates.
 
     Returns
     -------
@@ -876,58 +910,23 @@ def solve(m, mask, cfg, callback=None):
     Raises
     ------
     NumericalError
-        When an iteration produces NaN or inf, naming that iteration, or
-        when the final Lagrangian or objective is not finite.
+        When an iteration produces NaN or inf (see :func:`step`), or when
+        the final Lagrangian or objective is not finite.
     """
     start = time.perf_counter()
     state = init_state(m, mask, cfg)
     # with no smoothed mode w_residual is 0, and the rule would only halve
     balance = _BALANCE_ITERS if cfg.smoothed_modes() else 0
     trace = []
-    termination = "max_iter"
     for k in range(1, cfg.max_iter + 1):
-        it_start = time.perf_counter()
-        prefix, gram_prefix, grams = update_factors(state, cfg)
-        y_ranks = update_y(state, cfg)
-        update_core(state, cfg, prefix, gram_prefix, grams)
-        update_z(state, cfg)
-        update_w(state, cfg)
-        w_residual, y_residual = update_duals(state, cfg)
-        _require_finite(state, "core or dual T", state.s, *state.t)
-        state.iteration = k
-
-        # update_z left Z_{k-1} in the spare buffer, which takes the change
-        change = frobenius(np.subtract(state.z, state.spare, out=state.spare))
-        rel_change = change / max(frobenius(state.z), 1.0)
-        # every other state array reaches Z or a primal residual, so NaN
-        # or inf anywhere in the state shows here
-        if not all(map(math.isfinite, (rel_change, w_residual, y_residual))):
-            raise NumericalError(
-                f"non-finite values in solver state at iteration {k}"
-            )
-        trace.append(
-            IterationRecord(
-                iteration=k,
-                beta=state.beta,
-                rel_change=rel_change,
-                w_residual=w_residual,
-                y_residual=y_residual,
-                dual_residual=state.beta * change,
-                y_ranks=y_ranks,
-                core_density=np.count_nonzero(state.s) / state.s.size,
-                seconds=time.perf_counter() - it_start,
-            )
-        )
+        trace.append(step(state, cfg))
         if callback is not None:
             callback(state)
-        if rel_change <= cfg.tol:
-            termination = "tol"
+        if trace[-1].rel_change <= cfg.tol:
             break
         if k <= balance and k < cfg.max_iter:
-            beta = _balanced(state.beta, w_residual, trace[-1].dual_residual)
-            if beta != state.beta:
-                state.beta = beta
-                state.w_ldl = _w_factors(cfg, beta, state.dims)
+            set_beta(state, cfg, _balanced(state.beta, trace[-1]))
+    termination = "tol" if trace[-1].rel_change <= cfg.tol else "max_iter"
     if not state.s.any():
         termination = "collapsed"
     # the buffers are dead after the last iteration: released, their memory

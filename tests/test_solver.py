@@ -9,8 +9,9 @@ import pytest
 from lrsetd.kernels import tridiag_solve
 from lrsetd.solver import (
     PRESETS,
+    _BALANCE_ITERS,
+    _balanced,
     _factor_plan,
-    _w_factors,
     IterationRecord,
     NumericalError,
     SolverConfig,
@@ -19,7 +20,9 @@ from lrsetd.solver import (
     init_state,
     objective_value,
     preset_config,
+    set_beta,
     solve,
+    step,
     update_core,
     update_duals,
     update_factors,
@@ -56,12 +59,11 @@ def small_problem(seed=0, dims=(4, 3, 2), ranks=(2, 2, 2), obs=0.7):
 def randomized_state(seed, dims, ranks, cfg, m, mask, beta=None):
     """A generic point in the iteration space, not a solver-produced one, so
     block oracles are exercised away from any fixed point. Its penalty in
-    force is `beta` (``cfg.beta`` when None), with the W solve refactored
-    at it as :func:`solve` does when it balances beta."""
+    force is `beta` (``cfg.beta`` when None), put in force by set_beta as
+    :func:`solve` does when it balances beta."""
     rng = np.random.default_rng(seed)
     state = init_state(m, mask, cfg)
-    state.beta = cfg.beta if beta is None else beta
-    state.w_ldl = _w_factors(cfg, state.beta, dims)
+    set_beta(state, cfg, cfg.beta if beta is None else beta)
     state.x = [rng.standard_normal(f.shape) for f in state.x]
     state.y = [rng.standard_normal(f.shape) for f in state.y]
     state.t = [rng.standard_normal(f.shape) for f in state.t]
@@ -820,6 +822,21 @@ class TestBlockMemory:
         assert peak < 1_132_284 + 98_304
 
 
+def held(state):
+    """The bytes of the arrays that `state` holds, each base counted once:
+    what an iteration's tracemalloc peak rises above."""
+    bases = {}
+    for a in [
+        state.s, state.z, *state.x, *state.y, *state.t, *state.w, *state.u,
+        state.index, state.observed, state.spare, state.scratch,
+    ]:
+        if a is not None:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            bases[id(a)] = a.nbytes
+    return sum(bases.values())
+
+
 class TestIterationMemory:
     @pytest.mark.parametrize(
         "dims, ranks, omega, bound",
@@ -829,13 +846,11 @@ class TestIterationMemory:
             # image-shaped, r_2 = I_2: the sweep's and the reconstruction's
             # products go into the buffers, with no moved copy; the core
             # is a quarter and each factor a sixth of the tensor here. The
-            # factor sweep sets the peak, 0.947 tensors (93 120 bytes), and
-            # the bound leaves 5 % above it. The core step rises by 0.51,
-            # its gradient's two first-axis products holding two
-            # core-sized arrays beside S; with a moved copy of S x_1 G_1 it
-            # rose by 0.77. With the sweep's suffixes from the last mode
-            # down the peak was 1.95, a moved copy of Z x_2 X_2^T
-            ((64, 64, 3), (32, 32, 3), (1.0, 1.0, 0.0), 1.0),
+            # peak reads 1.611 tensors, and the bound leaves 4 % above it.
+            # When solve held the last iteration's factor chains (0.67
+            # tensors) across the callback, which step frees when it
+            # returns, it read 1.780
+            ((64, 64, 3), (32, 32, 3), (1.0, 1.0, 0.0), 1.68),
         ],
         ids=["order-3", "order-4", "image-r2-full"],
     )
@@ -843,10 +858,12 @@ class TestIterationMemory:
         self, dims, ranks, omega, bound
     ):
         # every full-size array of an iteration lives in the state, whose
-        # two buffers the first block allocates; in the first two shapes
-        # each factor is under 5 % of the tensor and the end modes shrink
-        # tenfold, so no mode product reaches a quarter of it. Before
-        # those buffers an iteration's peak rose by about two tensors.
+        # two buffers the first block allocates, so an iteration's peak
+        # adds only factor- and core-sized products to the bytes the state
+        # holds; in the first two shapes each factor is under 5 % of the
+        # tensor and the end modes shrink tenfold, so no mode product
+        # reaches a quarter of it. Before those buffers an iteration
+        # allocated about two full-size tensors.
         rng = np.random.default_rng(0)
         m = 100.0 * rng.random(dims)
         mask = ObservationMask(rng.random(dims) < 0.5)
@@ -860,14 +877,14 @@ class TestIterationMemory:
             max_iter=6,
             tol=1e-300,
         )
-        rises, start = [], []
+        rises, seen = [], []
 
         def cb(state):
-            # the peak since the last callback, above the memory then held
-            if start:
-                rises.append(tracemalloc.get_traced_memory()[1] - start[-1])
+            # the peak since the last callback, above the state's arrays
+            if seen:
+                rises.append(tracemalloc.get_traced_memory()[1] - held(state))
             tracemalloc.reset_peak()
-            start.append(tracemalloc.get_traced_memory()[0])
+            seen.append(state.iteration)
 
         tracemalloc.start()
         try:
@@ -1108,11 +1125,7 @@ class TestUpdateW:
         cfg = preset_config("traffic-wholeday", ranks=ranks)
         state = init_state(m, mask, cfg)
         for _ in range(2):
-            for step in (update_factors, update_y, update_core):
-                step(state, cfg)
-            update_z(state, cfg)
-            update_w(state, cfg)
-            update_duals(state, cfg)
+            step(state, cfg)
         assert state.z.flags.c_contiguous
         for i in cfg.smoothed_modes():
             assert state.w[i].flags.c_contiguous
@@ -1435,8 +1448,8 @@ class TestLagrangianAndObjective:
             state = init_state(m, mask, cfg)
             prev = augmented_lagrangian(state, cfg)
             for _ in range(20):
-                for step in (update_factors, update_y, update_core, update_w):
-                    step(state, cfg)
+                for block in (update_factors, update_y, update_core, update_w):
+                    block(state, cfg)
                     cur = augmented_lagrangian(state, cfg)
                     assert cur <= prev + 1e-8 * max(1.0, abs(prev))
                     prev = cur
@@ -1594,11 +1607,12 @@ class TestSolve:
 
     def test_calls_each_public_block_once_per_iteration(self, monkeypatch):
         # a tracer or profiler that wraps the public block functions must
-        # see every block, so solve runs its iteration through them, in
-        # the ADMM block order
+        # see every block, so solve runs each iteration as one step, and
+        # the step its blocks, in the ADMM block order
         import lrsetd.solver as solver_module
 
         blocks = (
+            "step",
             "update_factors",
             "update_y",
             "update_core",
@@ -1944,6 +1958,85 @@ class TestSolve:
         report = solve(truth, mask, cfg)
         err = frobenius(report.recovered - truth) / frobenius(truth)
         assert err < 0.05
+
+
+class TestStep:
+    @SOLVE_CONFIGS
+    def test_hand_written_loop_reproduces_solve(self, cfg):
+        # solve is init_state, then step with residual balancing between
+        # steps through set_beta; a loop over the public pieces gets the
+        # same run bit for bit
+        observed, mask = reference_problem(len(cfg.alpha))
+        report = solve(observed, mask, cfg)
+        state = init_state(observed, mask, cfg)
+        horizon = min(_BALANCE_ITERS, cfg.max_iter - 1)
+        trace = []
+        for k in range(1, cfg.max_iter + 1):
+            trace.append(step(state, cfg))
+            if trace[-1].rel_change <= cfg.tol:
+                break
+            if cfg.smoothed_modes() and k <= horizon:
+                set_beta(state, cfg, _balanced(state.beta, trace[-1]))
+        assert state.iteration == report.iterations == len(trace) == 30
+        assert state.z.tobytes() == report.recovered.tobytes()
+        assert [replace(r, seconds=0.0) for r in trace] == [
+            replace(r, seconds=0.0) for r in report.trace
+        ]
+
+    @pytest.mark.parametrize("scale", [4.0, 0.25])
+    def test_beta_changed_mid_run(self, scale):
+        # a caller moves beta between steps with set_beta: the W step of
+        # the changed state solves the system at the new beta, and the next
+        # step runs with it and says so
+        m, mask, _ = small_problem(seed=5, dims=(5, 4, 3))
+        cfg = preset_config(
+            "traffic-wholeday", ranks=(2, 2, 2), lam=1.0, tol=1e-300
+        )
+        state = init_state(m, mask, cfg)
+        for _ in range(3):
+            assert step(state, cfg).beta == cfg.beta
+        set_beta(state, cfg, scale * cfg.beta)
+        assert state.beta == scale * cfg.beta
+        changed = copy.deepcopy(state)
+        expected = w_step_oracle(changed, cfg)
+        dense = {i: dense_w_solve(changed, cfg, i) for i in expected}
+        update_w(changed, cfg)
+        for i in cfg.smoothed_modes():
+            assert_w_close(changed.w[i], expected[i])
+            assert_w_close(changed.w[i], dense[i])
+        record = step(state, cfg)
+        assert (record.iteration, record.beta) == (4, scale * cfg.beta)
+
+    def test_set_beta_in_force_changes_nothing(self):
+        m, mask, cfg = small_problem()
+        state = init_state(m, mask, cfg)
+        w_ldl = state.w_ldl
+        set_beta(state, cfg, cfg.beta)
+        assert state.w_ldl is w_ldl
+        set_beta(state, cfg, 2 * cfg.beta)
+        assert state.w_ldl is not w_ldl and state.beta == 2 * cfg.beta
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, np.inf, np.nan])
+    def test_set_beta_rejects_a_penalty_no_solve_has(self, beta):
+        m, mask, cfg = small_problem()
+        state = init_state(m, mask, cfg)
+        w_ldl = state.w_ldl
+        with pytest.raises(ValueError, match="beta must be positive"):
+            set_beta(state, cfg, beta)
+        assert (state.beta, state.w_ldl) == (cfg.beta, w_ldl)
+
+    def test_non_finite_state_names_the_step(self):
+        m, mask, cfg = small_problem(seed=5, dims=(5, 4, 3))
+        state = init_state(m, mask, cfg)
+        step(state, cfg)
+        step(state, cfg)
+        state.t[0][0, 0] = np.nan
+        # the X_0 subproblem of the next iteration reads T_0 first
+        with pytest.raises(
+            NumericalError, match="X_0 subproblem at iteration 3$"
+        ):
+            step(state, cfg)
+        assert state.iteration == 2
 
 
 # state arrays to corrupt after iteration 1, as (SolverState field, mode);
