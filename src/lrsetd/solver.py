@@ -18,9 +18,13 @@ subproblem. For a mode with omega_i = 0 the W and dual steps force W_i = Z
 and U_i = 0 after every iteration, so the solver keeps W_i and U_i only for
 the smoothed modes (omega_i > 0) and lets Z stand in for the others.
 
+The duals are kept scaled (Boyd et al. 2011, section 3.1.1): the state's
+u_i is U_i/beta and its t_i is T_i/beta, so no step multiplies a dual or a
+gap by beta, and :func:`set_beta` rescales them when beta changes.
+
 A_i is always the first-order difference matrix of mode i and is never
 stored: the penalty applies it as differences along axis i, and the W
-subproblem matrix [beta*I + 2*omega_i*A_i^T A_i] is tridiagonal, so W_i
+subproblem matrix [I + (2*omega_i/beta)*A_i^T A_i] is tridiagonal, so W_i
 comes from an O(n) sweep along that axis, or, on an axis of at most 32,
 from a matrix product by the inverse, built once (on a middle axis, one
 batched product; see :func:`lrsetd.kernels._route`).
@@ -36,9 +40,9 @@ max_i ||X_i - Y_i||_F of the gaps its ascent adds. No block forms a term
 of the Lagrangian or the objective, which :func:`augmented_lagrangian`
 and :func:`objective_value` compute from scratch. No full-size array is
 scanned for NaN or inf: the factor-sized subproblem inputs, the core and
-the T_i are checked whole, every other state array reaches the relative
+the t_i are checked whole, every other state array reaches the relative
 change of Z or a primal residual, which are checked as scalars, and the
-U_i ascent raises on overflow.
+u_i ascent raises on overflow.
 
 Memory plan: the state keeps the observed values of M, which
 :func:`init_state` gathers once, their positions (the mask's cached
@@ -47,18 +51,23 @@ scratch, which the first block that needs them allocates; from
 then on an iteration allocates nothing full-size. The Z step writes the
 new Z into the spare, which takes the previous Z in exchange, so the
 stopping test's difference Z_k - Z_{k-1} overwrites it. The W and dual
-steps write W_i and U_i in place; the dual step forms each gap Z - W_i
+steps write W_i and u_i in place; the dual step forms each gap Z - W_i
 in the scratch, which also holds the reconstruction [[S; X]] and, in the
 W step, either the swapped copy of a strided axis or the right side
-beta*Z + U_i, which the matrix product by T_i^{-1} or the sweep's first
-scaling pass reads into W_i. The factor sweep's intermediates (the
-prefixes of Z, the chains of S and the products on Z's side) and the
-reconstruction's smaller products go into pieces of buffers that are dead
-at that point. Each of them is one matmul of C-order reshapes, on a first
-or last axis (:func:`lrsetd.tensor._lead` and :func:`lrsetd.tensor._trail`)
-or, on Z's side of a step past the first, batched over the blocks of a
-middle axis of a prefix; none moves a copy. What an iteration still
-allocates is factor- or core-sized.
+Z + u_i, which the matrix product by T_i^{-1} or the sweep's first
+scaling pass reads into W_i. The elementwise chains over full-size
+arrays, the Z step's after the reconstruction, the dual step's gap, its
+squared norm and its ascent, and the stopping test's difference and
+norms, run slab by slab along axis 0 (:func:`_slabs`), so each slab's
+operands stay in cache from one pass to the next. The factor sweep's
+intermediates (the prefixes of Z, the chains of S and the products on
+Z's side) and the reconstruction's smaller products go into pieces of
+buffers that are dead at that point. Each of them is one matmul of
+C-order reshapes, on a first or last axis (:func:`lrsetd.tensor._lead`
+and :func:`lrsetd.tensor._trail`) or, on Z's side of a step past the
+first, batched over the blocks of a middle axis of a prefix; none moves a
+copy. What an iteration still allocates is factor- or core-sized, and
+the sweep's chains die once the core step has continued them.
 
 The order N is the tensor's: every block loops over its modes, and the
 per-mode fields of :class:`SolverConfig` must have one value per mode.
@@ -241,19 +250,21 @@ class SolverState:
     at the penalty in force and the blocks' two full-size buffers.
 
     The per-mode lists `w`, `u` and `w_ldl` have one entry per mode and hold
-    None at every mode with omega_i = 0; index them by mode. The blocks
-    write the full-size arrays in place, and the Z step hands the previous
-    Z to the spare buffer, so a caller copies what it keeps.
+    None at every mode with omega_i = 0; index them by mode. The duals `u`
+    and `t` are scaled by the penalty in force: the unscaled duals are
+    ``beta * u[i]`` and ``beta * t[i]``. The blocks write the full-size
+    arrays in place, and the Z step hands the previous Z to the spare
+    buffer, so a caller copies what it keeps.
     """
 
     x: list  # factor matrices X_i, I_i x r_i
     y: list  # auxiliary factors Y_i
-    t: list  # duals for X_i = Y_i
+    t: list  # scaled duals T_i/beta for X_i = Y_i
     s: np.ndarray  # core, r_0 x ... x r_{N-1}
     z: np.ndarray  # completed tensor estimate
     w: list  # auxiliary tensors W_i, full size, smoothed modes only
-    u: list  # duals for Z = W_i, smoothed modes only
-    # kernels.TridiagLDL of the tridiagonal [beta*I + 2*omega_i*A_i^T A_i]:
+    u: list  # scaled duals U_i/beta for Z = W_i, smoothed modes only
+    # kernels.TridiagLDL of the tridiagonal [I + (2*omega_i/beta)*A_i^T A_i]:
     # O(n) numbers, and its inverse when n <= 32 (see set_beta)
     w_ldl: list
     index: np.ndarray  # the mask's c_flat_index(): where M was observed
@@ -261,7 +272,7 @@ class SolverState:
     # update_factors' side per step, True for the core's: _factor_plan
     plan: tuple
     # the penalty in force, the only one the blocks read: cfg.beta at the
-    # start, then as set_beta changes it; w_ldl is factored at it
+    # start, then as set_beta changes it; w_ldl and the duals are scaled by it
     beta: float
     iteration: int = 0
     # full-size buffers, None until a block needs them (see the memory plan)
@@ -350,21 +361,36 @@ def init_state(m, mask, cfg):
 
 
 def set_beta(state, cfg, beta):
-    """Put the penalty `beta` in force: ``state.beta`` takes it, and
-    ``state.w_ldl`` the W solve at it (nothing changes when `beta` is in
-    force already). The duals U_i and T_i are unscaled, so no other state
-    follows beta. Raises ValueError unless `beta` is positive and finite."""
+    """Put the penalty `beta` in force: ``state.beta`` takes it,
+    ``state.w_ldl`` the W solve at it, and the scaled duals u_i and t_i
+    are multiplied in place by the old beta over `beta`, so that the
+    unscaled duals beta*u_i and beta*t_i stay as they were. Nothing
+    changes when `beta` is in force already, and the first call, from
+    :func:`init_state`, rescales nothing. Raises ValueError unless `beta`
+    is positive and finite, and NumericalError when a rescaled dual
+    overflows."""
     if beta == state.beta:
         return
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    if state.beta is not None:
+        ratio = state.beta / beta
+        duals = [state.u[i] for i in cfg.smoothed_modes()] + state.t
+        try:
+            with np.errstate(over="raise"):
+                for dual in duals:
+                    dual *= ratio
+        except FloatingPointError:
+            raise NumericalError(
+                f"non-finite scaled duals at beta {beta!r}"
+            ) from None
     state.beta, state.w_ldl = beta, [None] * len(state.dims)
     for i in cfg.smoothed_modes():
         # A_i^T A_i is tridiag(-1, (1, 2, ..., 2), -1)
-        two_omega, n = 2.0 * cfg.omega[i], state.dims[i]
-        diag = np.full(n, beta + two_omega)
-        diag[1:] += two_omega
-        state.w_ldl[i] = tridiag_ldl(diag, np.full(n - 1, -two_omega))
+        c, n = 2.0 * cfg.omega[i] / beta, state.dims[i]
+        diag = np.full(n, 1.0 + c)
+        diag[1:] += c
+        state.w_ldl[i] = tridiag_ldl(diag, np.full(n - 1, -c))
 
 
 def _buffers(state):
@@ -373,6 +399,28 @@ def _buffers(state):
     if state.spare is None:
         state.spare, state.scratch = np.empty(state.dims), np.empty(state.dims)
     return state.spare, state.scratch
+
+
+# entries per slab of :func:`_slabs`, 256 kB of float64: small enough that
+# a chain's operands stay in cache from one pass to the next. Not a
+# setting, since every value gives the same iterates bit for bit
+_SLAB = 32_768
+
+
+def _slabs(shape):
+    """Slices of axis 0 that cut an array of `shape` into slabs of about
+    _SLAB entries, one row at least: the pieces over which a chain of
+    elementwise passes runs. An axis-0 slice is a view in any layout."""
+    rows = max(1, _SLAB // max(1, math.prod(shape[1:])))
+    return [slice(k, k + rows) for k in range(0, shape[0], rows)]
+
+
+def _norm(squares, whole):
+    """``math.sqrt(squares)``, a squared Frobenius norm summed over slabs
+    of the array `whole`, or, outside :func:`lrsetd.tensor.frobenius`'s
+    safe range (2**-400, inf), that function over `whole`."""
+    n = math.sqrt(squares)
+    return n if 2.0**-400 < n < math.inf else frobenius(whole)
 
 
 class _Pool:
@@ -510,7 +558,8 @@ def update_factors(state, cfg):
         X_i = [lam*C_i(Z, X)*S_(i)^T + beta*Y_i - T_i]
               [beta*I + lam*C_i(S, G)*S_(i)^T]^{-1}
 
-    with C_i(T, M) = unfold(T x_j M_j^T for j != i, i) and G_j = X_j^T X_j
+    with T_i = beta*t_i, the unscaled dual of the state's scaled t_i,
+    C_i(T, M) = unfold(T x_j M_j^T for j != i, i) and G_j = X_j^T X_j
     taken from the factors as they stand at step i: the new ones for
     j < i, the old ones for j > i.
 
@@ -558,7 +607,7 @@ def update_factors(state, cfg):
         else:
             rhs = _z_side(pool, prefix, x, s, i)
         rhs *= cfg.lam
-        rhs += beta * state.y[i] - state.t[i]
+        rhs += beta * (state.y[i] - state.t[i])
         lhs = gram_prefix.reshape(ranks[i], -1) @ gram_suffix[i].reshape(
             -1, ranks[i]
         )
@@ -579,11 +628,12 @@ def update_factors(state, cfg):
 
 def update_y(state, cfg):
     """Nuclear-norm prox on each auxiliary factor (in place):
-    Y_i = svd_shrink(X_i + T_i/beta, alpha_i/beta). Returns the rank of
-    each new Y_i, the number of singular values above alpha_i/beta."""
+    Y_i = svd_shrink(X_i + t_i, alpha_i/beta), t_i = T_i/beta the scaled
+    dual. Returns the rank of each new Y_i, the number of singular values
+    above alpha_i/beta."""
     ranks = [0] * len(state.x)
     for i in range(len(state.x)):
-        point = state.x[i] + state.t[i] / state.beta
+        point = state.x[i] + state.t[i]
         _require_finite(state, f"Y_{i} prox input", point)
         state.y[i], ranks[i] = _svd_shrink(point, cfg.alpha[i] / state.beta)
     return tuple(ranks)
@@ -626,23 +676,25 @@ def update_z(state, cfg):
     """Closed-form Z update with the observation constraint.
 
     Off the observed set, with Zhat = [[S; X]] the current Tucker
-    reconstruction and k = N - (number of smoothed modes),
+    reconstruction, k = N - (number of smoothed modes) and u_i = U_i/beta
+    the scaled duals,
 
-        Z = (beta*((lam/beta)*Zhat + sum_i W_i + k*Z_prev) - sum_i U_i)
-            / (lam + N*beta),
+        Z = ((lam/beta)*Zhat + sum_i (W_i - u_i) + k*Z_prev)
+            * beta/(lam + N*beta),
 
-    evaluated in that order as in-place passes over one buffer, the k
-    copies of Z_prev added one at a time; on it, Z = M exactly, from the
-    observed values and their index that :func:`init_state` kept. The sums
-    run over the smoothed modes: an unsmoothed mode enters with
-    W_i = Z_prev (the Z before this update) and U_i = 0, the values its W
-    and dual steps would have left.
+    evaluated in that order as in-place passes over one buffer, each W_i
+    added and its u_i subtracted in turn and the k copies of Z_prev added
+    one at a time, all slab by slab along axis 0 (:func:`_slabs`); on it,
+    Z = M exactly, from the observed values and their index that
+    :func:`init_state` kept. The sums run over the smoothed modes: an
+    unsmoothed mode enters with W_i = Z_prev (the Z before this update)
+    and u_i = 0, the values its W and dual steps would have left.
 
     The new Z is written into the state's spare buffer, which then takes
     Z_prev in exchange; the reconstruction goes into its scratch.
     """
     spare, scratch = _buffers(state)
-    order = len(state.x)
+    order, beta = len(state.x), state.beta
     smoothed = cfg.smoothed_modes()
     # from the last mode to the first, each product on the last axis
     # placing its new one first, so the full-size product, the mode-0
@@ -653,87 +705,107 @@ def update_z(state, cfg):
     for f in reversed(state.x[1:]):
         recon = _trail(recon, f, pool.piece((len(f), *recon.shape[:-1])))
     recon = _trail(recon, state.x[0], out=scratch)
-    acc = np.multiply(recon, cfg.lam / state.beta, out=spare)
-    for i in smoothed:
-        acc += state.w[i]
-    for _ in range(order - len(smoothed)):
-        acc += state.z
-    acc *= state.beta
-    for i in smoothed:
-        acc -= state.u[i]
-    acc /= cfg.lam + order * state.beta
+    scale = beta / (cfg.lam + order * beta)
+    for sl in _slabs(spare.shape):
+        acc = np.multiply(recon[sl], cfg.lam / beta, out=spare[sl])
+        for i in smoothed:
+            acc += state.w[i][sl]
+            acc -= state.u[i][sl]
+        for _ in range(order - len(smoothed)):
+            acc += state.z[sl]
+        acc *= scale
     # a view: the spare is C-contiguous
-    acc.reshape(-1)[state.index] = state.observed
+    spare.reshape(-1)[state.index] = state.observed
     # Z_prev becomes the spare; a Z in another layout, which a caller put
     # in the state, is copied, so the spare stays C-contiguous
-    state.spare, state.z = np.ascontiguousarray(state.z), acc
+    state.spare, state.z = np.ascontiguousarray(state.z), spare
 
 
 def update_w(state, cfg):
     """Smoothness-regularized W update (in place) on each smoothed mode:
-    W_(i) = [beta*I + 2*omega_i*A_i^T A_i]^{-1} [beta*Z_(i) + U_(i)],
-    solved along axis i by :func:`lrsetd.kernels.tridiag_solve`. The right
-    side beta*Z + U_i goes into W_i when the solve sweeps a copy of the
-    axis in the scratch, and into the scratch otherwise, whence the matrix
-    product by T_i^{-1} of any axis of at most 32, batched on a middle
-    one, or the first scaling pass of axis 0 writes W_i."""
+    W_(i) = [I + (2*omega_i/beta)*A_i^T A_i]^{-1} [Z_(i) + u_(i)], with
+    u_i = U_i/beta the scaled dual, solved along axis i by
+    :func:`lrsetd.kernels.tridiag_solve`. The right side Z + u_i goes into
+    W_i when the solve sweeps a copy of the axis in the scratch, and into
+    the scratch otherwise, whence the matrix product by T_i^{-1} of any
+    axis of at most 32, batched on a middle one, or the first scaling pass
+    of axis 0 writes W_i."""
     scratch = _buffers(state)[1]
     for i in cfg.smoothed_modes():
         ldl, w = state.w_ldl[i], state.w[i]
         swapped = _route(ldl, w.shape, i) == "swap"
-        rhs = np.multiply(state.z, state.beta, out=w if swapped else scratch)
-        rhs += state.u[i]
+        rhs = np.add(state.z, state.u[i], out=w if swapped else scratch)
         tridiag_solve(ldl, rhs, i, scratch if swapped else None, out=w)
 
 
 def _penalty(dual, gap, beta):
-    """<dual, gap> + beta/2*||gap||^2, one constraint's augmented term."""
-    return inner(dual, gap) + (beta / 2.0) * inner(gap, gap)
+    """beta*(<dual, gap> + ||gap||^2/2), one constraint's augmented term
+    with its scaled dual."""
+    return beta * (inner(dual, gap) + 0.5 * inner(gap, gap))
 
 
 def update_duals(state, cfg):
-    """Dual ascent (in place): U_i += beta*(Z - W_i) on the smoothed modes,
-    T_i += beta*(X_i - Y_i) on all. Returns the primal residuals
-    ``(max_i ||Z - W_i||_F, max_i ||X_i - Y_i||_F)``, the first 0.0 with no
-    smoothed mode, or NaN for a NaN gap. Each gap Z - W_i is formed in the
-    state's scratch buffer; an overflow in the U_i ascent, or an inf - inf,
-    raises NumericalError."""
+    """Scaled dual ascent (in place): u_i += Z - W_i on the smoothed modes,
+    t_i += X_i - Y_i on all, which is U_i += beta*(Z - W_i) and
+    T_i += beta*(X_i - Y_i) on the unscaled duals. Returns the primal
+    residuals ``(max_i ||Z - W_i||_F, max_i ||X_i - Y_i||_F)``, the first
+    0.0 with no smoothed mode, or NaN for a NaN gap. Each gap Z - W_i is
+    formed in the state's scratch buffer, its squared norm summed and u_i
+    ascended slab by slab along axis 0 (:func:`_slabs`); an overflow in
+    the gap or the u_i ascent, or an inf - inf, raises NumericalError."""
     w_gaps, y_gaps = [0.0], [0.0]
+    scratch = _buffers(state)[1]
     for i in cfg.smoothed_modes():
-        gap = np.subtract(state.z, state.w[i], out=_buffers(state)[1])
-        w_gaps.append(frobenius(gap))
+        z, w, u, squares = state.z, state.w[i], state.u[i], 0.0
         try:
             with np.errstate(over="raise", invalid="raise"):
-                gap *= state.beta
-                state.u[i] += gap
+                for sl in _slabs(scratch.shape):
+                    gap = np.subtract(z[sl], w[sl], out=scratch[sl])
+                    squares += float(np.vdot(gap, gap))
+                    u[sl] += gap
         except FloatingPointError:
             raise NumericalError(
                 f"non-finite U_{i} at iteration {state.iteration + 1}"
             ) from None
+        # the scratch holds every slab's gap
+        w_gaps.append(_norm(squares, scratch))
     for i in range(len(state.x)):
         gap = state.x[i] - state.y[i]
-        state.t[i] = state.t[i] + state.beta * gap
+        state.t[i] = state.t[i] + gap
         y_gaps.append(frobenius(gap))
     # np.max, unlike max, keeps a NaN
     return float(np.max(w_gaps)), float(np.max(y_gaps))
 
 
-def _smoothing_parts(t, axis):
-    """A_i applied along `axis` of `t`, split into pieces whose squared
-    norms sum to ||A_i T_(i)||_F^2 (and, for a matrix along axis 0, whose
-    Grams sum to (A_i t)^T (A_i t)): the differences of neighbouring slices
-    and the last slice."""
+def _smoothness(t, axis):
+    """||A_i T_(i)||_F^2 for the difference matrix A_i along `axis` of `t`:
+    the squared differences of neighbouring slices plus the squared last
+    slice, summed over the slabs of :func:`_slabs`, so only one slab's
+    differences are held at a time. Along axis 0 each slab takes the next
+    one's first row with it, which its last difference reads."""
     # basic slicing is what np.diff does, without its per-call axis
-    # handling; the last slice is a view
+    # handling; the slices are views
     head = (slice(None),) * axis
-    after, before = t[head + (slice(1, None),)], t[head + (slice(None, -1),)]
-    return after - before, t[head + (slice(-1, None),)]
+    total = 0.0
+    for sl in _slabs(t.shape):
+        slab = t[sl.start : sl.stop + (axis == 0)]
+        if axis:
+            last = slab[head + (slice(-1, None),)]
+            total += inner(last, last)
+        diff = slab[head + (slice(1, None),)] - slab[head + (slice(None, -1),)]
+        total += inner(diff, diff)
+        del diff  # before the next slab's is formed
+    if not axis:
+        total += inner(t[-1], t[-1])
+    return total
 
 
 def augmented_lagrangian(state, cfg):
     """Value of the augmented Lagrangian at the current state and its beta,
-    computed from scratch, the smoothness terms from differences along each
-    axis. :func:`solve` reports it once, at the final iterate; a caller that
+    computed from scratch, the penalty terms from the scaled duals as
+    beta*(<u_i, Z - W_i> + ||Z - W_i||^2/2) and alike for t_i, the
+    smoothness terms from differences along each axis, slab by slab.
+    :func:`solve` reports it once, at the final iterate; a caller that
     wants it every iteration calls it after each :func:`step`."""
     smoothed, beta = cfg.smoothed_modes(), state.beta
     nuclear = sum(
@@ -746,11 +818,7 @@ def augmented_lagrangian(state, cfg):
         _penalty(t, x - y, beta)
         for t, x, y in zip(state.t, state.x, state.y)
     )
-    smoothness = sum(
-        cfg.omega[i] * inner(p, p)
-        for i in smoothed
-        for p in _smoothing_parts(state.w[i], i)
-    )
+    smoothness = sum(cfg.omega[i] * _smoothness(state.w[i], i) for i in smoothed)
     sparsity = cfg.sigma * np.abs(state.s).sum()
     # last, so that no other term's arrays are held beside it
     gap = multilinear(state.s, state.x)
@@ -773,9 +841,11 @@ def objective_value(state, cfg):
         val += a * np.linalg.svd(x, compute_uv=False).sum()
     grams = [f.T @ f for f in state.x]
     for i in cfg.smoothed_modes():
-        parts = _smoothing_parts(state.x[i], 0)
-        g = list(grams)
-        g[i] = sum(p.T @ p for p in parts)
+        # (A_i X_i)^T (A_i X_i): the differences of neighbouring rows and
+        # the last row
+        x, g = state.x[i], list(grams)
+        diff = x[1:] - x[:-1]
+        g[i] = diff.T @ diff + x[-1:].T @ x[-1:]
         val += cfg.omega[i] * inner(state.s, multilinear(state.s, g))
     return float(val)
 
@@ -818,15 +888,18 @@ class CompletionReport:
 def step(state, cfg):
     """Run one ADMM iteration on `state`, in place, and return its
     :class:`IterationRecord`: the six blocks once each, in order, at
-    ``state.beta``, with the factor sweep's chains dying on return. The
-    relative change of iteration k, counted in ``state.iteration``, is
-    ||Z_k - Z_{k-1}||_F / max(||Z_k||_F, 1), Z_0 the zero-filled data.
-    Raises NumericalError naming iteration ``state.iteration + 1`` when
-    the iteration produces NaN or inf."""
+    ``state.beta``, with the factor sweep's chains dying as soon as the
+    core step has continued them. The relative change of iteration k,
+    counted in ``state.iteration``, is
+    ||Z_k - Z_{k-1}||_F / max(||Z_k||_F, 1), Z_0 the zero-filled data; the
+    difference and both norms are formed slab by slab along axis 0
+    (:func:`_slabs`). Raises NumericalError naming iteration
+    ``state.iteration + 1`` when the iteration produces NaN or inf."""
     start = time.perf_counter()
-    prefix, gram_prefix, grams = update_factors(state, cfg)
+    chains = update_factors(state, cfg)
     y_ranks = update_y(state, cfg)
-    update_core(state, cfg, prefix, gram_prefix, grams)
+    update_core(state, cfg, *chains)
+    del chains  # no later block reads them
     update_z(state, cfg)
     update_w(state, cfg)
     w_residual, y_residual = update_duals(state, cfg)
@@ -834,8 +907,15 @@ def step(state, cfg):
     state.iteration += 1
 
     # update_z left Z_{k-1} in the spare buffer, which takes the change
-    change = frobenius(np.subtract(state.z, state.spare, out=state.spare))
-    rel_change = change / max(frobenius(state.z), 1.0)
+    z, spare = state.z, state.spare
+    change_squares = z_squares = 0.0
+    for sl in _slabs(z.shape):
+        diff = np.subtract(z[sl], spare[sl], out=spare[sl])
+        change_squares += float(np.vdot(diff, diff))
+        z_squares += float(np.vdot(z[sl], z[sl]))
+    # the spare holds every slab's difference
+    change = _norm(change_squares, spare)
+    rel_change = change / max(_norm(z_squares, z), 1.0)
     # every other state array reaches Z or a primal residual, so NaN
     # or inf anywhere in the state shows here
     if not all(map(math.isfinite, (rel_change, w_residual, y_residual))):

@@ -89,10 +89,11 @@ def test_criterion_1_block_updates_solve_their_subproblems():
             b = kron_others(mix, i)
             s_i = unfold(state.s, i)
             lhs = cfg.beta * np.eye(ranks[i]) + cfg.lam * s_i @ b.T @ b @ s_i.T
+            # the state keeps the scaled duals t_i = T_i/beta
             rhs = (
                 cfg.lam * unfold(state.z, i) @ b @ s_i.T
                 + cfg.beta * state.y[i]
-                - state.t[i]
+                - cfg.beta * state.t[i]
             )
             worst = max(
                 worst,
@@ -104,7 +105,7 @@ def test_criterion_1_block_updates_solve_their_subproblems():
         zhat = multilinear(state.s, state.x)
         grad = cfg.lam * (state.z - zhat)
         for i in range(3):
-            grad += state.u[i] + cfg.beta * (state.z - state.w[i])
+            grad += cfg.beta * state.u[i] + cfg.beta * (state.z - state.w[i])
         off = ~mask.boolean()
         if off.any():
             worst = max(worst, float(np.abs(grad[off]).max()))
@@ -116,7 +117,7 @@ def test_criterion_1_block_updates_solve_their_subproblems():
         for i in range(3):
             a = smoothing_matrix(cfg, dims, i)
             lhs = cfg.beta * np.eye(dims[i]) + 2.0 * cfg.omega[i] * a.T @ a
-            rhs = cfg.beta * unfold(state.z, i) + unfold(state.u[i], i)
+            rhs = cfg.beta * unfold(state.z, i) + unfold(cfg.beta * state.u[i], i)
             worst = max(
                 worst,
                 np.linalg.norm(lhs @ unfold(state.w[i], i) - rhs)
