@@ -8,8 +8,9 @@ penalty beta of the iteration, the relative change, the primal and dual
 residuals, the Y ranks and the core density), and gives the augmented
 Lagrangian and the model objective at the final iterate as top-level
 `lagrangian` and `objective`. A
-`complete` whose final core is all zero (termination "collapsed") exits 0
-with one `warning:` line on stderr naming sigma, lam and the observed RMS.
+`complete` whose final core is all zero (termination "collapsed") exits 0,
+with one `warning:` line on stderr naming sigma, lam and the observed RMS
+when some entry is off the mask.
 """
 
 import argparse
@@ -180,7 +181,8 @@ def cmd_complete(args):
     cfg, preset = _solver_config(args)
     # solve reads only the observed entries of its input, so no copy
     report = solve(truth, mask, cfg)
-    if report.termination == "collapsed":
+    # with a full mask no entry comes from the smoothed zero fill
+    if report.termination == "collapsed" and mask.n_missing:
         observed = np.take(truth, mask.c_flat_index())
         rms = frobenius(observed) / math.sqrt(max(observed.size, 1))
         print(

@@ -10,8 +10,11 @@ an N-th-order tensor,
 
 subject to W_i = Z, Y_i = X_i and the data constraint that Z agrees with the
 observations. One iteration updates the blocks in the order
-X -> Y -> S -> Z -> W -> duals; the X sub-blocks run Gauss-Seidel, everything
-else is separable per mode.
+X -> S -> Y -> Z -> W -> duals; the X sub-blocks run Gauss-Seidel, everything
+else is separable per mode. The paper's cycle runs Y before S, but the two
+steps share no input (the Y_i prox reads X_i and t_i, the core step X, Z and
+S), so either order gives the same iterates bit for bit, and with S first
+the core step consumes the factor sweep's products as soon as they exist.
 
 The split W_i = Z exists only to give the smoothness term an easy
 subproblem. For a mode with omega_i = 0 the W and dual steps force W_i = Z
@@ -29,12 +32,13 @@ comes from an O(n) sweep along that axis, or, on an axis of at most 32,
 from a matrix product by the inverse, built once (on a middle axis, one
 batched product; see :func:`lrsetd.kernels._route`).
 
-Each block is one public function, ``update_factors``, ``update_y``,
-``update_core``, ``update_z``, ``update_w`` and ``update_duals``, and
+Each block is one public function, ``update_factors``, ``update_core``,
+``update_y``, ``update_z``, ``update_w`` and ``update_duals``, and
 :func:`step`, one iteration, calls exactly these, once each. A block
 returns only what it forms anyway: ``update_factors`` the ends of its
-chains of Z and S and the Grams X_i^T X_i, which ``update_core``
-continues into its gradient; ``update_y`` the rank each prox keeps; and
+chains, Z x_j X_j^T and S x_j G_j over all modes, and the Grams
+G_j = X_j^T X_j, the three inputs that ``update_core`` requires;
+``update_y`` the rank each prox keeps; and
 ``update_duals`` the primal residuals max_i ||Z - W_i||_F and
 max_i ||X_i - Y_i||_F of the gaps its ascent adds. No block forms a term
 of the Lagrangian or the objective, which :func:`augmented_lagrangian`
@@ -67,7 +71,7 @@ C-order reshapes, on a first or last axis (:func:`lrsetd.tensor._lead`
 and :func:`lrsetd.tensor._trail`) or, on Z's side of a step past the
 first, batched over the blocks of a middle axis of a prefix; none moves a
 copy. What an iteration still allocates is factor- or core-sized, and
-the sweep's chains die once the core step has continued them.
+the sweep's chains die in the core step that follows it.
 
 The order N is the tensor's: every block loops over its modes, and the
 per-mode fields of :class:`SolverConfig` must have one value per mode.
@@ -577,12 +581,13 @@ def update_factors(state, cfg):
     side forms the right side of each step, Z's or the core's, is the
     state's `plan`, which :func:`_factor_plan` picks from the shape. The
     sweep reads the full-size Z twice, once for step 0 and once for P_1,
-    and forms each Gram once. It returns what :func:`update_core` takes:
-    the two prefixes after its last step, P_{N-1} and S x_j G_j over
-    j < N-1 with the new Grams, both with mode N-1 first, and the Grams.
+    and forms each Gram once. Both prefix chains run through the last
+    mode, so it returns what :func:`update_core` takes: Z x_j X_j^T and
+    S x_j G_j over all modes, with the new factors and Grams, core-sized
+    with the modes in order, and the Grams.
 
     The sweep's intermediates are written into the state's two full-size
-    buffers as far as they fit, so the returned prefixes live there until
+    buffers as far as they fit, so the returned products live there until
     :func:`update_z` overwrites them.
     """
     x, s, plan, beta = state.x, state.s, state.plan, state.beta
@@ -618,11 +623,10 @@ def update_factors(state, cfg):
         # X @ lhs = rhs; lhs >= beta*I is SPD by construction, so no check
         x[i] = np.linalg.solve(lhs, rhs.T).T
         grams[i] = x[i].T @ x[i]
-        if i < order - 1:
-            out = pool.piece((*prefix.shape[1:], ranks[i]))
-            prefix = _lead(prefix, x[i].T, out)
-            out = pool.piece((*gram_prefix.shape[1:], ranks[i]))
-            gram_prefix = _lead(gram_prefix, grams[i], out)
+        out = pool.piece((*prefix.shape[1:], ranks[i]))
+        prefix = _lead(prefix, x[i].T, out)
+        out = pool.piece((*gram_prefix.shape[1:], ranks[i]))
+        gram_prefix = _lead(gram_prefix, grams[i], out)
     return prefix, gram_prefix, grams
 
 
@@ -639,7 +643,7 @@ def update_y(state, cfg):
     return tuple(ranks)
 
 
-def update_core(state, cfg, prefix=None, gram_prefix=None, grams=None):
+def update_core(state, cfg, zx, sg, grams):
     """One proximal-gradient step on the core tensor (in place).
 
     The smooth part is phi(S) = 0.5*||[[S; X]] - Z||_F^2 with
@@ -647,26 +651,18 @@ def update_core(state, cfg, prefix=None, gram_prefix=None, grams=None):
     Lipschitz constant zeta, the product of the Grams' spectral norms. A
     zero Lipschitz constant (all-zero factors) skips the step.
 
-    The gradient continues the chains that :func:`update_factors` returns,
-    `prefix` = Z x_j X_j^T and `gram_prefix` = S x_j G_j over j < N-1 with
-    mode N-1 first, by one first-axis product each; pass them and the
-    Grams, or none and they are built from the current factors. The
-    gradient, the step S - grad/zeta and its soft threshold at
-    sigma/(lam*zeta) share one core-sized array, which becomes the new S.
+    `zx` = Z x_j X_j^T, `sg` = S x_j G_j and the Grams `grams` are what
+    :func:`update_factors` returns, formed from the factors the core step
+    reads, so a caller passes them straight on:
+    ``update_core(state, cfg, *update_factors(state, cfg))``. The
+    gradient sg - zx, the step S - grad/zeta and its soft threshold at
+    sigma/(lam*zeta) share one new core-sized array, which becomes S.
     """
-    x = state.x
-    if prefix is None:
-        # the prefix chains of update_factors
-        grams = [f.T @ f for f in x]
-        prefix, gram_prefix = state.z, state.s
-        for f, g in zip(x[:-1], grams):
-            prefix, gram_prefix = _lead(prefix, f.T), _lead(gram_prefix, g)
     # the spectral norm of a Gram is its largest eigenvalue
     zeta = math.prod(np.linalg.eigvalsh(g)[-1] for g in grams)
     if zeta == 0.0:
         return
-    step = _lead(gram_prefix, grams[-1])
-    step -= _lead(prefix, x[-1].T)
+    step = np.subtract(sg, zx)
     step /= zeta
     np.subtract(state.s, step, out=step)
     state.s = _soft_shrink(step, cfg.sigma / (cfg.lam * zeta))
@@ -887,19 +883,18 @@ class CompletionReport:
 
 def step(state, cfg):
     """Run one ADMM iteration on `state`, in place, and return its
-    :class:`IterationRecord`: the six blocks once each, in order, at
-    ``state.beta``, with the factor sweep's chains dying as soon as the
-    core step has continued them. The relative change of iteration k,
+    :class:`IterationRecord`: the six blocks once each, at
+    ``state.beta``, in the order X -> S -> Y -> Z -> W -> duals, the core
+    step taking the factor sweep's products straight from it, so that no
+    other block runs while they live. The relative change of iteration k,
     counted in ``state.iteration``, is
     ||Z_k - Z_{k-1}||_F / max(||Z_k||_F, 1), Z_0 the zero-filled data; the
     difference and both norms are formed slab by slab along axis 0
     (:func:`_slabs`). Raises NumericalError naming iteration
     ``state.iteration + 1`` when the iteration produces NaN or inf."""
     start = time.perf_counter()
-    chains = update_factors(state, cfg)
+    update_core(state, cfg, *update_factors(state, cfg))
     y_ranks = update_y(state, cfg)
-    update_core(state, cfg, *chains)
-    del chains  # no later block reads them
     update_z(state, cfg)
     update_w(state, cfg)
     w_residual, y_residual = update_duals(state, cfg)

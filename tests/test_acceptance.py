@@ -147,21 +147,27 @@ def test_criterion_2_lagrangian_monotone_over_primal_blocks():
             ranks=(3, 3, 3), beta=0.5, omega=(0.0, 1.0, 0.2)
         )
         state = init_state(m, mask, cfg)
+
+        def primal_blocks():
+            # X, S, Y, Z and W in the order of step, pausing after each;
+            # the core step takes the factor sweep's products
+            chains = update_factors(state, cfg)
+            yield
+            update_core(state, cfg, *chains)
+            yield
+            update_y(state, cfg)
+            yield
+            update_z(state, cfg)
+            yield
+            update_w(state, cfg)
+            yield
+
         prev = augmented_lagrangian(state, cfg)
         for _ in range(100):
-            for step in (update_factors, update_y, update_core):
-                step(state, cfg)
+            for _ in primal_blocks():
                 cur = augmented_lagrangian(state, cfg)
                 worst = max(worst, (cur - prev) / max(1.0, abs(prev)))
                 prev = cur
-            update_z(state, cfg)
-            cur = augmented_lagrangian(state, cfg)
-            worst = max(worst, (cur - prev) / max(1.0, abs(prev)))
-            prev = cur
-            update_w(state, cfg)
-            cur = augmented_lagrangian(state, cfg)
-            worst = max(worst, (cur - prev) / max(1.0, abs(prev)))
-            prev = cur
             update_duals(state, cfg)
             prev = augmented_lagrangian(state, cfg)
     elapsed = time.perf_counter() - start

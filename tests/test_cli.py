@@ -391,6 +391,46 @@ class TestCompleteCommand:
         assert json.loads(captured.out)["termination"] != "collapsed"
         assert captured.err == ""
 
+    def test_collapse_on_a_full_mask_does_not_warn(self, tmp_path, capsys):
+        # the same tensor at RMS 0.5, fully observed: the core collapses,
+        # but every entry is the data, none the smoothed zero fill, so the
+        # termination says so and stderr stays empty
+        truth = synthetic_tucker(1, density=1.0)[0]
+        truth *= 0.5 / np.sqrt(np.mean(truth**2))
+        tensor = tmp_path / "t.lrt"
+        write_tensor(tensor, truth)
+        report = tmp_path / "report.json"
+        assert main(["complete", "--input", str(tensor), "--sample-ratio",
+                     "1", "--ranks", "2,2,2", "--report",
+                     str(report)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["termination"] == "collapsed"
+        assert json.loads(report.read_text())["termination"] == "collapsed"
+        assert captured.err == ""
+
+    def test_skip_metrics(self, problem, tmp_path, capsys):
+        # --skip-metrics leaves the metrics out of the summary and the
+        # report and changes nothing of the run
+        _, _, tensor_path, mask_path = problem
+        docs, outs = [], []
+        for flag in ([], ["--skip-metrics"]):
+            out, report = tmp_path / "rec.lrt", tmp_path / "report.json"
+            assert main(["complete", "--input", str(tensor_path), "--mask",
+                         str(mask_path), "--ranks", "2,2,2", "--max-iter",
+                         "10", "--out", str(out), "--report", str(report),
+                         "--deterministic-report", *flag]) == 0
+            summary = json.loads(capsys.readouterr().out)
+            docs.append((summary, json.loads(report.read_text())))
+            outs.append(out.read_bytes())
+        (summary, doc), (skipped_summary, skipped_doc) = docs
+        assert {"rse", "nmae", "psnr"} <= set(summary)
+        assert set(doc["metrics"]) == {"rse", "nmae", "psnr"}
+        assert set(skipped_summary) == {"iterations", "termination"}
+        assert skipped_doc["metrics"] == {}
+        assert outs[0] == outs[1]
+        del doc["metrics"], skipped_doc["metrics"]
+        assert doc == skipped_doc
+
 
 def _first_observed(value):
     def edit(truth, observed):

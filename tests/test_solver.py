@@ -95,10 +95,10 @@ def check_factor_update(state, cfg):
             = lam*Z_(i)B_i S_(i)^T + beta*Y_i - T_i
 
     with B_i materialized explicitly from the other (updated) factors and
-    T_i = beta*t_i."""
+    T_i = beta*t_i. Returns the sweep's products, for update_core."""
     ranks, modes = state.ranks, range(len(state.x))
     x_old = [f.copy() for f in state.x]
-    update_factors(state, cfg)
+    chains = update_factors(state, cfg)
     for i in modes:
         # Gauss-Seidel: mode i saw the updated factors below it and the
         # pre-sweep factors above it
@@ -114,11 +114,13 @@ def check_factor_update(state, cfg):
         )
         res = np.linalg.norm(state.x[i] @ lhs - rhs)
         assert res <= 1e-10 * max(1.0, np.linalg.norm(rhs))
+    return chains
 
 
-def check_core_update(state, cfg):
-    """Run update_core; S must be the soft-thresholded gradient step of the
-    explicit-Kronecker mode-0 unfolding."""
+def check_core_update(state, cfg, chains):
+    """Run update_core on `chains`, the products of the update_factors
+    call just before; S must be the soft-thresholded gradient step of the
+    explicit-Kronecker mode-0 unfolding at the factors that sweep left."""
     x0 = state.x[0]
     b = kron_others(state.x, 0)
     s_mat = unfold(state.s, 0)
@@ -129,7 +131,7 @@ def check_core_update(state, cfg):
     step = s_mat - grad / zeta
     tau = cfg.sigma / (cfg.lam * zeta)
     expected = np.sign(step) * np.maximum(np.abs(step) - tau, 0.0)
-    update_core(state, cfg)
+    update_core(state, cfg, *chains)
     np.testing.assert_allclose(unfold(state.s, 0), expected, atol=1e-10)
 
 
@@ -670,7 +672,7 @@ class TestFactorPlan:
         # each step's right side lam*Z_(i) B_i S_(i)^T + beta*Y_i - T_i and
         # left side beta*I + lam*S_(i) B_i^T B_i S_(i)^T, with B_i the
         # explicit Kronecker product of the factors as step i sees them,
-        # and the returned Z x_j X_j^T and S x_j G_j over j < N-1, with
+        # and the returned Z x_j X_j^T and S x_j G_j over all modes, with
         # the new factors and Grams, by the index formula
         order = len(dims)
         cfg = SolverConfig(
@@ -692,7 +694,7 @@ class TestFactorPlan:
                 return solve_system(lhs, rhs)
 
             monkeypatch.setattr(np.linalg, "solve", spy)
-            prefix, gram_prefix, grams = update_factors(state, cfg)
+            zx, sg, grams = update_factors(state, cfg)
             monkeypatch.undo()
             assert len(systems) == order
             for i, (lhs, rhs) in enumerate(systems):
@@ -715,25 +717,28 @@ class TestFactorPlan:
                 )
             for g, f in zip(grams, state.x):
                 np.testing.assert_array_equal(g, f.T @ f)
-            # both chains have mode N-1 first, then modes 0 to N-2
-            last = order - 1
-            in_order = (*range(1, order), 0)
-            want = unfold_by_index_formula(state.z, last) @ kron_others(
-                state.x, last
+            # both chains run through every mode and end core-sized, with
+            # the modes in order
+            want = (
+                state.x[0].T
+                @ unfold_by_index_formula(state.z, 0)
+                @ kron_others(state.x, 0)
             )
-            assert prefix.shape == (dims[-1], *ranks[:-1])
+            assert zx.shape == ranks
             np.testing.assert_allclose(
-                unfold_by_index_formula(prefix.transpose(in_order), last),
+                unfold_by_index_formula(zx, 0),
                 want,
                 rtol=0,
                 atol=1e-12 * np.linalg.norm(want),
             )
-            want = unfold_by_index_formula(state.s, last) @ kron_others(
-                [f.T @ f for f in state.x], last
-            ).T
-            assert gram_prefix.shape == (ranks[-1], *ranks[:-1])
+            want = (
+                grams[0]
+                @ unfold_by_index_formula(state.s, 0)
+                @ kron_others(grams, 0).T
+            )
+            assert sg.shape == ranks
             np.testing.assert_allclose(
-                unfold_by_index_formula(gram_prefix.transpose(in_order), last),
+                unfold_by_index_formula(sg, 0),
                 want,
                 rtol=0,
                 atol=1e-12 * np.linalg.norm(want),
@@ -776,8 +781,7 @@ class TestBlockMemory:
         state = init_state(m, mask, cfg)
         tracemalloc.start()
         try:
-            update_factors(state, cfg)
-            update_core(state, cfg)
+            update_core(state, cfg, *update_factors(state, cfg))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -864,11 +868,12 @@ class TestIterationMemory:
             # image-shaped, r_2 = I_2: the sweep's and the reconstruction's
             # products go into the buffers, with no moved copy; the core
             # is a quarter and each factor a sixth of the tensor here. The
-            # peak reads 1.606 tensors, set by update_y while the factor
-            # chains (0.67 tensors) wait for the core step, and the bound
-            # leaves under 5 % above it. When solve held the last
-            # iteration's chains across the callback it read 1.780
-            ((64, 64, 3), (32, 32, 3), (1.0, 1.0, 0.0), 1.68),
+            # peak reads 1.348-1.352 tensors, as other tests run before
+            # this one or not, and the bound leaves under 5 % above it.
+            # When update_y ran between the factor sweep and the core step,
+            # with the sweep's chains alive, it read 1.606, and 1.780 when
+            # solve also held them across the callback
+            ((64, 64, 3), (32, 32, 3), (1.0, 1.0, 0.0), 1.41),
         ],
         ids=["order-3", "order-4", "image-r2-full"],
     )
@@ -915,13 +920,15 @@ class TestIterationMemory:
     def test_blocks_after_the_core_step_run_without_the_chains(
         self, monkeypatch
     ):
-        # step frees the factor sweep's chains (0.67 tensors here) once the
-        # core step has continued them, so the Z, W and dual blocks rise
-        # above the state's arrays by their own temporaries alone. Over
-        # four iterations the peaks read 0.161-0.168, 0.915-0.921 and
-        # 0.667-0.672 tensors, as other tests run before this one or not,
-        # and each bound leaves under 5 % above the highest; with the
-        # chains alive through these blocks they read 0.84, 1.59 and 1.35
+        # the core step consumes the factor sweep's chains (0.67 tensors
+        # here) straight after the sweep, so the Y, Z, W and dual blocks
+        # rise above the state's arrays by their own temporaries alone.
+        # Over four iterations the peaks read 0.656-0.927, 0.154-0.163,
+        # 0.908-0.918 and 0.661-0.669 tensors, as other tests run before
+        # this one or not, and the bounds leave under 5 % above the
+        # highest, and 7 % for update_z. With the chains alive through
+        # update_y it read 1.331-1.602, and with them alive through every
+        # block the last three read 0.84, 1.59 and 1.35
         import lrsetd.solver as solver_module
 
         dims, ranks = (64, 64, 3), (32, 32, 3)
@@ -935,7 +942,12 @@ class TestIterationMemory:
             sigma=0.1,
             lam=1.0,
         )
-        bounds = {"update_z": 0.175, "update_w": 0.96, "update_duals": 0.70}
+        bounds = {
+            "update_y": 0.97,
+            "update_z": 0.175,
+            "update_w": 0.96,
+            "update_duals": 0.70,
+        }
         rises = {name: [] for name in bounds}
 
         def measured(name, block):
@@ -982,7 +994,8 @@ class TestIterationMemory:
     def test_block_called_again_allocates_no_full_size_tensor(self, block):
         # outside solve too, the buffers that a block allocates stay with
         # the state, so its second call allocates no full-size array; the
-        # products here are at most a tenth of the tensor
+        # products here are at most a tenth of the tensor. update_core
+        # takes the products of a sweep run just before it, untraced
         dims = (60, 50, 40)
         rng = np.random.default_rng(0)
         m = 100.0 * rng.random(dims)
@@ -991,10 +1004,12 @@ class TestIterationMemory:
             ranks=(6, 3, 4), omega=(1.0, 0.0, 0.5), sigma=0.1, lam=1.0
         )
         state = init_state(m, mask, cfg)
-        block(state, cfg)
+        sweep = update_factors if block is update_core else lambda *_: ()
+        block(state, cfg, *sweep(state, cfg))
+        args = sweep(state, cfg)
         tracemalloc.start()
         try:
-            block(state, cfg)
+            block(state, cfg, *args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1026,8 +1041,8 @@ class TestRandomShapeSweep:
         mask = ObservationMask(rng.random(dims) < 0.7)
         for beta in betas_in_force(cfg):
             state = randomized_state(seed, dims, ranks, cfg, m, mask, beta)
-            check_factor_update(state, cfg)
-            check_core_update(state, cfg)
+            chains = check_factor_update(state, cfg)
+            check_core_update(state, cfg, chains)
             check_w_update(state, cfg)
 
 
@@ -1064,6 +1079,7 @@ class TestUpdateCore:
         dims, ranks = (5, 4, 3), (2, 2, 2)
         m, mask, cfg = small_problem(seed=2, dims=dims, ranks=ranks)
         state = randomized_state(11, dims, ranks, cfg, m, mask)
+        chains = update_factors(state, cfg)
 
         def sub_obj(s):
             fit = multilinear(s, state.x) - state.z
@@ -1072,39 +1088,27 @@ class TestUpdateCore:
             )
 
         before = sub_obj(state.s)
-        update_core(state, cfg)
+        update_core(state, cfg, *chains)
         assert sub_obj(state.s) <= before + 1e-10
-
-    def test_sweep_products_equal_rebuilt_ones(self):
-        # update_factors hands its chains of Z and S and its Grams to
-        # update_core; without them update_core rebuilds all three from the
-        # same factors
-        dims, ranks = (5, 4, 3), (2, 3, 2)
-        m, mask, _ = small_problem(seed=4, dims=dims, ranks=ranks)
-        cfg = SolverConfig(ranks=ranks, beta=0.5, lam=1.0, sigma=1e-3)
-        rebuilt = randomized_state(43, dims, ranks, cfg, m, mask)
-        passed = copy.deepcopy(rebuilt)
-        s_before = rebuilt.s.copy()
-        update_factors(rebuilt, cfg)
-        update_core(rebuilt, cfg)
-        update_core(passed, cfg, *update_factors(passed, cfg))
-        assert rebuilt.s.tobytes() == passed.s.tobytes()
-        assert not np.array_equal(rebuilt.s, s_before)
 
     @ORACLE_SHAPES
     def test_sigma_zero_is_plain_gradient_step(self, dims, ranks):
         m, mask, _ = small_problem(dims=dims, ranks=ranks)
         cfg = SolverConfig(ranks=ranks, sigma=0.0)
         state = randomized_state(13, dims, ranks, cfg, m, mask)
-        check_core_update(state, cfg)
+        check_core_update(state, cfg, update_factors(state, cfg))
 
     def test_zero_factors_skip(self):
+        # all-zero factors: zero Grams and products, so zeta = 0
         dims, ranks = (3, 3, 3), (2, 2, 2)
         m, mask, cfg = small_problem(dims=dims, ranks=ranks)
         state = randomized_state(17, dims, ranks, cfg, m, mask)
         state.x = [np.zeros_like(f) for f in state.x]
+        grams = [f.T @ f for f in state.x]
+        zx = multilinear(state.z, [f.T for f in state.x])
+        sg = multilinear(state.s, grams)
         s_before = state.s.copy()
-        update_core(state, cfg)
+        update_core(state, cfg, zx, sg, grams)
         np.testing.assert_array_equal(state.s, s_before)
 
 
@@ -1415,14 +1419,8 @@ class TestInPlaceBlocks:
         # but for W_i
         for state, m, mask, cfg in self.problems(layout, 89):
             for _ in range(3):
-                chains = update_factors(state, cfg)
+                update_core(state, cfg, *update_factors(state, cfg))
                 update_y(state, cfg)
-                # the core from the sweep's products, which live in the
-                # buffers, against the core from products rebuilt afresh
-                rebuilt = copy.deepcopy(state)
-                update_core(rebuilt, cfg)
-                update_core(state, cfg, *chains)
-                np.testing.assert_array_equal(state.s, rebuilt.s)
                 z = z_step_oracle(state, cfg, m, mask)
                 update_z(state, cfg)
                 np.testing.assert_array_equal(state.z, z)
@@ -1627,16 +1625,21 @@ class TestLagrangianAndObjective:
             m, mask, cfg = small_problem(seed=seed, dims=dims, ranks=ranks)
             state = init_state(m, mask, cfg)
             prev = augmented_lagrangian(state, cfg)
-            for _ in range(20):
-                for block in (update_factors, update_y, update_core, update_w):
-                    block(state, cfg)
-                    cur = augmented_lagrangian(state, cfg)
-                    assert cur <= prev + 1e-8 * max(1.0, abs(prev))
-                    prev = cur
-                update_z(state, cfg)
+
+            def not_increased():
+                nonlocal prev
                 cur = augmented_lagrangian(state, cfg)
                 assert cur <= prev + 1e-8 * max(1.0, abs(prev))
                 prev = cur
+
+            for _ in range(20):
+                chains = update_factors(state, cfg)
+                not_increased()
+                update_core(state, cfg, *chains)
+                not_increased()
+                for block in (update_y, update_w, update_z):
+                    block(state, cfg)
+                    not_increased()
                 update_duals(state, cfg)
                 prev = augmented_lagrangian(state, cfg)
 
@@ -1794,8 +1797,8 @@ class TestSolve:
         blocks = (
             "step",
             "update_factors",
-            "update_y",
             "update_core",
+            "update_y",
             "update_z",
             "update_w",
             "update_duals",
@@ -2162,6 +2165,50 @@ class TestStep:
         assert [replace(r, seconds=0.0) for r in trace] == [
             replace(r, seconds=0.0) for r in report.trace
         ]
+
+    def test_paper_block_order_gives_the_same_run(self, monkeypatch):
+        # the paper runs the Y prox before the core step; step runs the
+        # core step first, on the factor sweep's products, since neither
+        # reads what the other writes. Five balanced iterations in the
+        # paper's order, chains = update_factors, update_y, then
+        # update_core(state, cfg, *chains), with step's own bookkeeping,
+        # give step's run bit for bit, in each layout and at orders 1 to 5
+        import lrsetd.solver as solver_module
+
+        pending = []
+
+        def y_then_core(state, cfg):
+            ranks = update_y(state, cfg)
+            update_core(state, cfg, *pending.pop())
+            return ranks
+
+        for name, start, cfg in slab_problems():
+            expected = copy.deepcopy(start)
+            records = run_balanced(expected, cfg)
+            monkeypatch.setattr(
+                solver_module,
+                "update_core",
+                lambda state, cfg, *chains: pending.append(chains),
+            )
+            monkeypatch.setattr(solver_module, "update_y", y_then_core)
+            state = copy.deepcopy(start)
+            got = run_balanced(state, cfg)
+            monkeypatch.undo()
+            assert not pending, name
+            assert (state.iteration, state.beta) == (
+                expected.iteration,
+                expected.beta,
+            ), name
+            for field in ("s", "z", "spare", "scratch", "x", "y", "t", "w", "u"):
+                a, b = getattr(state, field), getattr(expected, field)
+                pairs = zip(a, b) if isinstance(a, list) else [(a, b)]
+                for a, b in pairs:
+                    assert (a is None) == (b is None), (name, field)
+                    if a is not None:
+                        assert a.tobytes() == b.tobytes(), (name, field)
+            assert [replace(r, seconds=0.0) for r in got] == [
+                replace(r, seconds=0.0) for r in records
+            ], name
 
     @pytest.mark.parametrize("scale", [4.0, 0.25])
     def test_beta_changed_mid_run(self, scale):
