@@ -39,6 +39,16 @@ tn0_snr_within sweep_low.csv 0 100
 python -c "import numpy as np; from lrsetd.io import write_tensor; write_tensor('noise4.lrt', np.random.default_rng(5).uniform(0, 1, (5, 4, 3, 2)))"
 lrsetd hosvd-demo --input noise4.lrt --tn-grid 0 > sweep4.csv
 tn0_snr_within sweep4.csv 100 inf
+# a 128x96x3 image spans two axis-0 slabs (113 rows of 96x3 and 15), in
+# truncate_core's pass over the full-rank core and in write_image's; the
+# full-rank reconstruction writes the input's bytes back, and two runs
+# write the same truncated image
+python -c "import numpy as np; from lrsetd.io import write_image; write_image('wide.ppm', np.random.default_rng(6).uniform(0, 255, (128, 96, 3)))"
+for run in a b; do
+  lrsetd hosvd-demo --input wide.ppm --scale 255 --tn-grid 0,0.02 --images-out "wide_$run" > "wide_$run.csv"
+done
+cmp wide_a_tn0.ppm wide.ppm
+cmp wide_a_tn0.02.ppm wide_b_tn0.02.ppm
 
 echo "mask-gen, complete and metrics"
 python -c "import numpy as np; from lrsetd.io import write_tensor; f = np.random.default_rng(0).uniform(1, 2, (3, 6)); write_tensor('tiny.lrt', 100 * np.einsum('i,j,k->ijk', *f))"

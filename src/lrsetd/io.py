@@ -15,7 +15,7 @@ import stat
 
 import numpy as np
 
-from .tensor import ObservationMask
+from .tensor import ObservationMask, _slabs
 
 __all__ = [
     "FileFormatError",
@@ -189,7 +189,12 @@ def write_image(path, tensor):
     """Write an H x W x C tensor as binary PPM (C=3) or PGM (C=1).
 
     Values are rounded half away from zero and clamped to [0, 255], so a
-    read/write round trip on decoded files is exact.
+    read/write round trip on decoded files is exact. On [0, 255],
+    floor(t + 0.5) is that rounding, so each axis-0 slab
+    (:func:`lrsetd.tensor._slabs`) is clipped, shifted by 0.5 and floored
+    in one slab-sized float64 buffer, then cast into a C-order uint8 image,
+    which is written once: the writer holds about one byte per pixel
+    value beside its input.
     """
     tensor = np.asarray(tensor, dtype=np.float64)
     if tensor.ndim != 3 or tensor.shape[2] not in (1, 3):
@@ -197,15 +202,20 @@ def write_image(path, tensor):
             f"expected H x W x 1 or H x W x 3 tensor, got {tensor.shape}"
         )
     height, width, channels = tensor.shape
-    # on [0, 255], floor(t + 0.5) is rounding half away from zero, so
-    # clamping first gives the same bytes in three passes
-    pixels = np.clip(tensor, 0.0, 255.0)
-    pixels += 0.5
-    np.floor(pixels, out=pixels)
+    pixels = np.empty(tensor.shape, dtype=np.uint8)
+    slabs = _slabs(tensor.shape)
+    # the first slab is the longest
+    buf = np.empty(tensor[slabs[0]].shape) if slabs else None
+    for sl in slabs:
+        slab = tensor[sl]
+        piece = np.clip(slab, 0.0, 255.0, out=buf[: len(slab)])
+        piece += 0.5
+        np.floor(piece, out=piece)
+        pixels[sl] = piece
     magic = b"P6" if channels == 3 else b"P5"
     with open(path, "wb") as f:
         f.write(magic + b"\n%d %d\n255\n" % (width, height))
-        f.write(pixels.astype(np.uint8, order="C"))
+        f.write(pixels)
 
 
 def _parse_csv(lines):

@@ -55,15 +55,17 @@ scratch, which the first block that needs them allocates; from
 then on an iteration allocates nothing full-size. The Z step writes the
 new Z into the spare, which takes the previous Z in exchange, so the
 stopping test's difference Z_k - Z_{k-1} overwrites it. The W and dual
-steps write W_i and u_i in place; the dual step forms each gap Z - W_i
-in the scratch, which also holds the reconstruction [[S; X]] and, in the
-W step, either the swapped copy of a strided axis or the right side
-Z + u_i, which the matrix product by T_i^{-1} or the sweep's first
-scaling pass reads into W_i. The elementwise chains over full-size
-arrays, the Z step's after the reconstruction, the dual step's gap, its
-squared norm and its ascent, and the stopping test's difference and
-norms, run slab by slab along axis 0 (:func:`_slabs`), so each slab's
-operands stay in cache from one pass to the next. The factor sweep's
+steps write W_i and u_i in place; the dual step forms each slab of a
+gap Z - W_i in one slab-sized piece of the scratch, which also holds the
+reconstruction [[S; X]] and, in the W step, either the swapped copy of a
+strided axis or the right side Z + u_i, which the matrix product by
+T_i^{-1} or the sweep's first scaling pass reads into W_i. The
+elementwise chains over full-size arrays, the Z step's after the
+reconstruction, the W step's right side and product on a short axis past
+the first, the dual step's gap, its squared norm and its ascent, and the
+stopping test's difference and norms, run slab by slab along axis 0
+(:func:`lrsetd.tensor._slabs`), so each slab's operands stay in cache
+from one pass to the next. The factor sweep's
 intermediates (the prefixes of Z, the chains of S and the products on
 Z's side) and the reconstruction's smaller products go into pieces of
 buffers that are dead at that point. Each of them is one matmul of
@@ -100,7 +102,15 @@ from .kernels import (
     tridiag_ldl,
     tridiag_solve,
 )
-from .tensor import _lead, _trail, frobenius, inner, mode_product, multilinear
+from .tensor import (
+    _lead,
+    _slabs,
+    _trail,
+    frobenius,
+    inner,
+    mode_product,
+    multilinear,
+)
 
 __all__ = [
     "SolverConfig",
@@ -405,26 +415,13 @@ def _buffers(state):
     return state.spare, state.scratch
 
 
-# entries per slab of :func:`_slabs`, 256 kB of float64: small enough that
-# a chain's operands stay in cache from one pass to the next. Not a
-# setting, since every value gives the same iterates bit for bit
-_SLAB = 32_768
-
-
-def _slabs(shape):
-    """Slices of axis 0 that cut an array of `shape` into slabs of about
-    _SLAB entries, one row at least: the pieces over which a chain of
-    elementwise passes runs. An axis-0 slice is a view in any layout."""
-    rows = max(1, _SLAB // max(1, math.prod(shape[1:])))
-    return [slice(k, k + rows) for k in range(0, shape[0], rows)]
-
-
-def _norm(squares, whole):
-    """``math.sqrt(squares)``, a squared Frobenius norm summed over slabs
-    of the array `whole`, or, outside :func:`lrsetd.tensor.frobenius`'s
-    safe range (2**-400, inf), that function over `whole`."""
+def _norm(squares, fallback):
+    """``math.sqrt(squares)``, a squared Frobenius norm summed over slabs,
+    or, when that leaves :func:`lrsetd.tensor.frobenius`'s safe range
+    (2**-400, inf) and is not NaN, ``fallback()``: the norm taken again
+    at a safe scale."""
     n = math.sqrt(squares)
-    return n if 2.0**-400 < n < math.inf else frobenius(whole)
+    return n if 2.0**-400 < n < math.inf or math.isnan(n) else fallback()
 
 
 class _Pool:
@@ -725,11 +722,23 @@ def update_w(state, cfg):
     W_i when the solve sweeps a copy of the axis in the scratch, and into
     the scratch otherwise, whence the matrix product by T_i^{-1} of any
     axis of at most 32, batched on a middle one, or the first scaling pass
-    of axis 0 writes W_i."""
+    of axis 0 writes W_i. On an axis past the first that takes the
+    product, each line lies within an axis-0 slab (:func:`_slabs`), so
+    the add and the product run slab by slab, the add's slab still in
+    cache when the product reads it. On a middle axis that is the same
+    matmuls, one per block; on the last axis it is one matmul per slab's
+    rows, which OpenBLAS rounds as one over all rows at the traffic shape
+    and the tested ones, though no BLAS promises it for every row count."""
     scratch = _buffers(state)[1]
     for i in cfg.smoothed_modes():
         ldl, w = state.w_ldl[i], state.w[i]
-        swapped = _route(ldl, w.shape, i) == "swap"
+        route = _route(ldl, w.shape, i)
+        if i and route == "inverse":
+            for sl in _slabs(w.shape):
+                rhs = np.add(state.z[sl], state.u[i][sl], out=scratch[sl])
+                tridiag_solve(ldl, rhs, i, out=w[sl])
+            continue
+        swapped = route == "swap"
         rhs = np.add(state.z, state.u[i], out=w if swapped else scratch)
         tridiag_solve(ldl, rhs, i, scratch if swapped else None, out=w)
 
@@ -740,31 +749,49 @@ def _penalty(dual, gap, beta):
     return beta * (inner(dual, gap) + 0.5 * inner(gap, gap))
 
 
+def _gaps(z, w, scratch):
+    """(slice, Z - W) for each axis-0 slab of :func:`_slabs`, the
+    difference written into the scratch's first slab-sized piece, which
+    each slab reuses."""
+    for sl in _slabs(z.shape):
+        z_slab = z[sl]
+        yield sl, np.subtract(z_slab, w[sl], out=scratch[: len(z_slab)])
+
+
+def _gap_norm(z, w, scratch):
+    """||Z - W||_F as the hypot of the slabs' frobenius norms, each slab's
+    gap formed anew by :func:`_gaps`: the dual step's fallback of
+    :func:`_norm`, since the scratch holds the last slab's gap alone."""
+    return math.hypot(*(frobenius(gap) for _, gap in _gaps(z, w, scratch)))
+
+
 def update_duals(state, cfg):
     """Scaled dual ascent (in place): u_i += Z - W_i on the smoothed modes,
     t_i += X_i - Y_i on all, which is U_i += beta*(Z - W_i) and
     T_i += beta*(X_i - Y_i) on the unscaled duals. Returns the primal
     residuals ``(max_i ||Z - W_i||_F, max_i ||X_i - Y_i||_F)``, the first
-    0.0 with no smoothed mode, or NaN for a NaN gap. Each gap Z - W_i is
-    formed in the state's scratch buffer, its squared norm summed and u_i
-    ascended slab by slab along axis 0 (:func:`_slabs`); an overflow in
-    the gap or the u_i ascent, or an inf - inf, raises NumericalError."""
+    0.0 with no smoothed mode, or NaN for a NaN gap. The gap Z - W_i is
+    formed slab by slab along axis 0 (:func:`_slabs`), each slab in the
+    same slab-sized piece of the state's scratch buffer, which stays in
+    cache, where its squared norm is summed and u_i ascended from it; a
+    norm outside :func:`lrsetd.tensor.frobenius`'s safe range
+    (2**-400, inf) is taken again as the ``math.hypot`` of the slabs'
+    ``frobenius`` norms, each slab's gap formed anew. An overflow in the
+    gap or the u_i ascent, or an inf - inf, raises NumericalError."""
     w_gaps, y_gaps = [0.0], [0.0]
     scratch = _buffers(state)[1]
     for i in cfg.smoothed_modes():
-        z, w, u, squares = state.z, state.w[i], state.u[i], 0.0
+        w, u, squares = state.w[i], state.u[i], 0.0
         try:
             with np.errstate(over="raise", invalid="raise"):
-                for sl in _slabs(scratch.shape):
-                    gap = np.subtract(z[sl], w[sl], out=scratch[sl])
+                for sl, gap in _gaps(state.z, w, scratch):
                     squares += float(np.vdot(gap, gap))
                     u[sl] += gap
         except FloatingPointError:
             raise NumericalError(
                 f"non-finite U_{i} at iteration {state.iteration + 1}"
             ) from None
-        # the scratch holds every slab's gap
-        w_gaps.append(_norm(squares, scratch))
+        w_gaps.append(_norm(squares, lambda: _gap_norm(state.z, w, scratch)))
     for i in range(len(state.x)):
         gap = state.x[i] - state.y[i]
         state.t[i] = state.t[i] + gap
@@ -909,8 +936,8 @@ def step(state, cfg):
         change_squares += float(np.vdot(diff, diff))
         z_squares += float(np.vdot(z[sl], z[sl]))
     # the spare holds every slab's difference
-    change = _norm(change_squares, spare)
-    rel_change = change / max(_norm(z_squares, z), 1.0)
+    change = _norm(change_squares, lambda: frobenius(spare))
+    rel_change = change / max(_norm(z_squares, lambda: frobenius(z)), 1.0)
     # every other state array reaches Z or a primal residual, so NaN
     # or inf anywhere in the state shows here
     if not all(map(math.isfinite, (rel_change, w_residual, y_residual))):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,80 @@ class TestTruncateCore:
         out, _ = truncate_core(model, 0.3)
         for fa, fb in zip(model.factors, out.factors):
             assert fa is fb
+
+    @pytest.mark.parametrize("tn", [0.0, 5e-324, 0.5, np.inf])
+    @pytest.mark.parametrize(
+        "shape",
+        # one slab; several with a shorter last one (64 rows of 30x17, then
+        # 6); rows longer than a slab; 1-D over two slabs; 0-d
+        [(3, 5, 4, 2), (70, 30, 17), (2, 40_000), (40_000,), ()],
+    )
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bitwise_the_np_where_core_and_its_count(self, tn, shape, layout):
+        # the slab pass gives np.where's core bit for bit, signed zeros and
+        # NaN signs included, and the count of the former whole-array form
+        rng = np.random.default_rng(len(shape))
+        tiny = np.finfo(np.float64).smallest_subnormal
+        specials = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, tiny,
+                    -tiny, 1e-310, -1e-310, 0.5, -0.5, 0.49999999999999994,
+                    -0.5000000000000001]
+        if shape:
+            full = rng.standard_normal((2,) + shape) * 0.6
+            flat = full.reshape(-1)
+            spots = rng.choice(flat.size, len(specials), replace=False)
+            flat[spots] = specials
+            flip = (slice(None, None, -1),) * len(shape)
+            cores = [{
+                "C": full[0],
+                "F": np.asfortranarray(full[0]),
+                "strided": full[::-1][1][flip],
+            }[layout]]
+        else:  # each special in turn
+            cores = [np.array(v) for v in specials]
+        for core in cores:
+            assert core.shape == shape
+            before = core.copy()
+            model = TuckerModel(core=core, factors=[])
+            out, sparsity = truncate_core(model, tn)
+            small = np.abs(core) < tn
+            expected = np.where(small, 0.0, core)
+            zeros = np.count_nonzero(small if tn > 0 else expected == 0.0)
+            assert out.core.dtype == expected.dtype
+            assert out.core.shape == shape
+            assert (
+                out.core.view(np.int64).tobytes()
+                == expected.view(np.int64).tobytes()
+            )
+            assert sparsity == float(zeros) / expected.size
+            # the input core is left as it was, NaN bits included
+            assert (
+                core.view(np.int64).tobytes()
+                == before.view(np.int64).tobytes()
+            )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.float64])
+    def test_dtype_matches_np_where(self, dtype):
+        core = (np.arange(-30, 30).reshape(3, 4, 5) / 7).astype(dtype)
+        out, _ = truncate_core(TuckerModel(core=core, factors=[]), 1.5)
+        expected = np.where(np.abs(core) < 1.5, 0.0, core)
+        assert out.core.dtype == np.result_type(core, 0.0) == expected.dtype
+        assert out.core.tobytes() == expected.tobytes()
+
+    def test_memory_is_one_core_and_a_slab(self):
+        # the new core and one slab's boolean mask: the peak read 1.016
+        # cores at 512x512x3 and tn = 0.01, and the bound leaves under 5 %
+        # above it; the former np.abs, mask and np.where passes read 1.125
+        core = np.random.default_rng(0).standard_normal((512, 512, 3)) / 100
+        model = TuckerModel(core=core, factors=[])
+        truncate_core(model, 0.01)  # what numpy caches on first use
+        tracemalloc.start()
+        try:
+            out, sparsity = truncate_core(model, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < sparsity < 1.0
+        assert peak < 1.06 * core.nbytes
 
     def test_sparsity_monotone_in_threshold(self, rng):
         model = hosvd(rng.standard_normal((5, 5, 5)), (4, 4, 4))

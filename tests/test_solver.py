@@ -7,7 +7,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from lrsetd.kernels import tridiag_ldl, tridiag_solve
+from lrsetd.kernels import _route, tridiag_ldl, tridiag_solve
 from lrsetd.solver import (
     PRESETS,
     _BALANCE_ITERS,
@@ -1328,6 +1328,54 @@ class TestUpdateDuals:
             delta = augmented_lagrangian(state, cfg) - lag_before
             assert delta == pytest.approx(beta * gap, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_residual_past_the_slab_sums_range(self, scale):
+        # gaps of 1e-200 underflow the slab-summed squares and gaps of
+        # 1e200 overflow them; the residual is then the hypot of the slabs'
+        # frobenius norms, each slab's gap formed anew in one slab-sized
+        # piece of the scratch, so no full-size array is allocated. The
+        # tensor spans eight slabs (16 rows of 50x40), the last of 8 rows
+        dims = (120, 50, 40)
+        rng = np.random.default_rng(0)
+        m = rng.random(dims)
+        mask = ObservationMask(rng.random(dims) < 0.5)
+        cfg = SolverConfig(
+            ranks=(6, 3, 4), omega=(1.0, 0.0, 0.5), sigma=0.1, lam=1.0
+        )
+        state = init_state(m, mask, cfg)
+        update_duals(state, cfg)  # allocates the buffers
+        state.z = scale * rng.uniform(1.0, 2.0, dims)
+        for i in cfg.smoothed_modes():
+            state.w[i] = scale * rng.uniform(1.0, 2.0, dims)
+            state.u[i] = np.zeros(dims)
+        expected = max(
+            frobenius(state.z - state.w[i]) for i in cfg.smoothed_modes()
+        )
+        assert 0.1 * scale * 1e3 < expected < 10 * scale * 1e3
+        tracemalloc.start()
+        try:
+            w_residual, _ = update_duals(state, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w_residual == pytest.approx(expected, rel=1e-15)
+        assert peak < m.nbytes / 4
+
+    def test_nan_gap_beside_an_infinite_one_is_nan(self):
+        # a NaN in one slab's gap and inf in another's: the residual is
+        # NaN, as frobenius gives over both, and not the inf that a hypot
+        # of the slabs' norms would give
+        dims = (120, 50, 40)
+        m = np.ones(dims)
+        mask = ObservationMask(np.ones(dims, dtype=bool))
+        cfg = SolverConfig(ranks=(2, 2, 2), omega=(1.0, 0.0, 0.0))
+        state = init_state(m, mask, cfg)
+        state.z = np.zeros(dims)
+        state.z[0, 0, 0], state.z[-1, -1, -1] = np.nan, np.inf
+        state.w[0] = np.zeros(dims)
+        w_residual, _ = update_duals(state, cfg)
+        assert math.isnan(w_residual)
+
 
 class TestInPlaceBlocks:
     # Z, W_i and U_i of a random state in each layout, at each of
@@ -1470,24 +1518,31 @@ def slab_problems():
 
 class TestSlabs:
     def test_slab_size_leaves_the_iterates_bitwise(self, monkeypatch):
-        # the Z step's chain, the dual step's gap and ascent and the
-        # stopping test's difference run slab by slab along axis 0; with
-        # slabs of one row, each row longer than a slab, and of two or
-        # four rows, with a shorter last slab, five balanced iterations
-        # give the default run's state bit for bit. Only the sums of
-        # squares differ by slabbing, so the residuals, the relative change
-        # and the Lagrangian agree to rounding
-        import lrsetd.solver as solver_module
+        # the Z step's chain, the W step's right side and product on an
+        # inverse-route axis past the first, the dual step's gap and
+        # ascent and the stopping test's difference run slab by slab along
+        # axis 0; with slabs of one row, each row longer than a slab, and
+        # of two or four rows, with a shorter last slab, five balanced
+        # iterations give the default run's state bit for bit. Only the
+        # sums of squares differ by slabbing, so the residuals, the
+        # relative change and the Lagrangian agree to rounding
+        import lrsetd.tensor as tensor_module
 
         arrays = ("x", "y", "t", "w", "u")
+        slabbed_w = set()
         for name, start, cfg in slab_problems():
             row = math.prod(start.dims[1:])
             expected = copy.deepcopy(start)
             records = run_balanced(expected, cfg)
+            for i in cfg.smoothed_modes():
+                if i and _route(start.w_ldl[i], start.dims, i) == "inverse":
+                    # a middle axis or the last
+                    layout = name.split("-")[0]
+                    slabbed_w.add((layout, i == len(start.dims) - 1))
             for size in (1, 2 * row, 4 * row):
                 slabs = -(-start.dims[0] // max(1, size // row))
                 assert slabs > 1 or start.dims[0] == 1, name
-                monkeypatch.setattr(solver_module, "_SLAB", size)
+                monkeypatch.setattr(tensor_module, "_SLAB", size)
                 state = copy.deepcopy(start)
                 got = run_balanced(state, cfg)
                 lagrangian = augmented_lagrangian(state, cfg)
@@ -1510,6 +1565,10 @@ class TestSlabs:
                 assert lagrangian == pytest.approx(
                     augmented_lagrangian(expected, cfg), rel=1e-12
                 ), name
+        # the C, F and strided layouts and the orders 3 to 5 run the W
+        # step's slabs on a middle and on the last axis
+        layouts = ("C", "F", "strided", "order")
+        assert slabbed_w == set(itertools.product(layouts, (False, True)))
 
 
 def dual_identity_error(state, cfg):
