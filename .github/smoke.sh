@@ -59,6 +59,13 @@ done
 cmp report_a.json report_b.json
 lrsetd metrics --truth tiny.lrt --recovered recovered_a.lrt --mask tiny.lrm > metrics_a.json
 grep -q '"rse"' metrics_a.json
+# a peak that is not positive and finite is a config error (exit 2)
+for peak in 0 nan; do
+  status=0
+  lrsetd metrics --truth tiny.lrt --recovered recovered_a.lrt --mask tiny.lrm --max-value "$peak" 2> "peak_$peak.err" > /dev/null || status=$?
+  test "$status" -eq 2
+  grep -q '^error: --max-value must be positive and finite' "peak_$peak.err"
+done
 # the trace rows carry exactly the fields of IterationRecord, and the final
 # Lagrangian and objective sit at the top level as finite numbers
 python -c "

@@ -285,6 +285,11 @@ def cmd_mask_gen(args):
 
 
 def cmd_metrics(args):
+    # a bad peak is a config error, not a PSNR left undefined
+    if args.max_value is not None and not 0.0 < args.max_value < math.inf:
+        raise ValueError(
+            f"--max-value must be positive and finite, got {args.max_value!r}"
+        )
     truth = _load_input(args.truth, args.format, None)
     recovered = _load_input(args.recovered, args.format, None)
     mask = tio.read_mask(args.mask)

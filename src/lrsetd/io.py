@@ -194,7 +194,8 @@ def write_image(path, tensor):
     (:func:`lrsetd.tensor._slabs`) is clipped, shifted by 0.5 and floored
     in one slab-sized float64 buffer, then cast into a C-order uint8 image,
     which is written once: the writer holds about one byte per pixel
-    value beside its input.
+    value beside its input. A NaN entry raises ValueError, caught by that
+    cast before the file is opened; +inf and -inf clamp to 255 and 0.
     """
     tensor = np.asarray(tensor, dtype=np.float64)
     if tensor.ndim != 3 or tensor.shape[2] not in (1, 3):
@@ -206,12 +207,17 @@ def write_image(path, tensor):
     slabs = _slabs(tensor.shape)
     # the first slab is the longest
     buf = np.empty(tensor[slabs[0]].shape) if slabs else None
-    for sl in slabs:
-        slab = tensor[sl]
-        piece = np.clip(slab, 0.0, 255.0, out=buf[: len(slab)])
-        piece += 0.5
-        np.floor(piece, out=piece)
-        pixels[sl] = piece
+    # clipping keeps NaN, the only value whose cast to uint8 is invalid
+    try:
+        with np.errstate(invalid="raise"):
+            for sl in slabs:
+                slab = tensor[sl]
+                piece = np.clip(slab, 0.0, 255.0, out=buf[: len(slab)])
+                piece += 0.5
+                np.floor(piece, out=piece)
+                pixels[sl] = piece
+    except FloatingPointError:
+        raise ValueError("write_image: tensor has NaN entries") from None
     magic = b"P6" if channels == 3 else b"P5"
     with open(path, "wb") as f:
         f.write(magic + b"\n%d %d\n255\n" % (width, height))

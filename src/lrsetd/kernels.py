@@ -40,9 +40,10 @@ def svd_shrink(m, tau):
     """Singular value shrinkage: prox of ``tau * ||.||_*`` at `m`.
 
     Unique minimizer of ``tau*||Y||_* + 0.5*||Y - m||_F^2``. Raises
-    ValueError when `m` is not 2-D or holds NaN or inf.
+    ValueError when `m` is not 2-D or holds NaN or inf, or when `tau` is
+    negative or NaN.
     """
-    if tau < 0:
+    if not tau >= 0:  # NaN included
         raise ValueError(f"tau must be nonnegative, got {tau}")
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -119,9 +120,10 @@ def _tall_svd(a, tau):
 def soft_shrink(m, tau):
     """Elementwise soft threshold: prox of ``tau * ||.||_1`` at `m`.
 
-    Works on arrays of any shape.
+    Works on arrays of any shape. Raises ValueError when `tau` is negative
+    or NaN.
     """
-    if tau < 0:
+    if not tau >= 0:  # NaN included
         raise ValueError(f"tau must be nonnegative, got {tau}")
     # [()] gives a scalar for a scalar input, as a ufunc does
     return _soft_shrink(np.array(m, dtype=np.float64), tau)[()]

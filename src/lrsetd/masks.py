@@ -255,15 +255,16 @@ def psnr(truth, recovered, mask, max_value=None, full_tensor=False):
     By default the squared error is averaged over the unobserved entries
     only; ``full_tensor=True`` switches to the whole-tensor error divided by
     the complement size, for cross-checking against published figures.
-    `max_value` defaults to the maximum entry of `truth`. The figure is a
+    `max_value` defaults to the maximum entry of `truth`; a peak that is
+    not positive and finite raises ValueError. The figure is a
     sum of logarithms, so no square is formed and any finite scale works.
     The error is taken over the whole tensor with the observed entries set
     to zero, so no complement is gathered.
     """
     _check(truth, recovered, mask)
     peak = float(np.max(truth) if max_value is None else max_value)
-    if peak <= 0.0:
-        raise ValueError(f"peak value must be positive, got {peak}")
+    if not 0.0 < peak < math.inf:  # NaN included
+        raise ValueError(f"peak value must be positive and finite, got {peak}")
     # in C order, so the flat view below and the norm copy nothing
     diff = np.subtract(recovered, truth, dtype=np.float64, order="C")
     if not full_tensor:

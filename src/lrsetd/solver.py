@@ -38,42 +38,43 @@ Each block is one public function, ``update_factors``, ``update_core``,
 returns only what it forms anyway: ``update_factors`` the ends of its
 chains, Z x_j X_j^T and S x_j G_j over all modes, and the Grams
 G_j = X_j^T X_j, the three inputs that ``update_core`` requires;
-``update_y`` the rank each prox keeps; and
-``update_duals`` the primal residuals max_i ||Z - W_i||_F and
-max_i ||X_i - Y_i||_F of the gaps its ascent adds. No block forms a term
-of the Lagrangian or the objective, which :func:`augmented_lagrangian`
-and :func:`objective_value` compute from scratch. No full-size array is
+``update_y`` the rank each prox keeps; ``update_z`` the norms
+||Z_k - Z_{k-1}||_F and ||Z_k||_F of the stopping test and the dual
+residual; and ``update_duals`` the primal residuals max_i ||Z - W_i||_F
+and max_i ||X_i - Y_i||_F of the gaps its ascent adds. So every full-size
+pass of an iteration runs inside a block. No block forms a term of the
+Lagrangian or the objective, which :func:`augmented_lagrangian` and
+:func:`objective_value` compute from scratch. No full-size array is
 scanned for NaN or inf: the factor-sized subproblem inputs, the core and
 the t_i are checked whole, every other state array reaches the relative
 change of Z or a primal residual, which are checked as scalars, and the
 u_i ascent raises on overflow.
 
 Memory plan: the state keeps the observed values of M, which
-:func:`init_state` gathers once, their positions (the mask's cached
-index, not a copy) and two full-size buffers, the spare and the
-scratch, which the first block that needs them allocates; from
-then on an iteration allocates nothing full-size. The Z step writes the
-new Z into the spare, which takes the previous Z in exchange, so the
-stopping test's difference Z_k - Z_{k-1} overwrites it. The W and dual
-steps write W_i and u_i in place; the dual step forms each slab of a
-gap Z - W_i in one slab-sized piece of the scratch, which also holds the
-reconstruction [[S; X]] and, in the W step, either the swapped copy of a
-strided axis or the right side Z + u_i, which the matrix product by
-T_i^{-1} or the sweep's first scaling pass reads into W_i. The
-elementwise chains over full-size arrays, the Z step's after the
-reconstruction, the W step's right side and product on a short axis past
-the first, the dual step's gap, its squared norm and its ascent, and the
-stopping test's difference and norms, run slab by slab along axis 0
-(:func:`lrsetd.tensor._slabs`), so each slab's operands stay in cache
-from one pass to the next. The factor sweep's
-intermediates (the prefixes of Z, the chains of S and the products on
-Z's side) and the reconstruction's smaller products go into pieces of
-buffers that are dead at that point. Each of them is one matmul of
-C-order reshapes, on a first or last axis (:func:`lrsetd.tensor._lead`
-and :func:`lrsetd.tensor._trail`) or, on Z's side of a step past the
-first, batched over the blocks of a middle axis of a prefix; none moves a
-copy. What an iteration still allocates is factor- or core-sized, and
-the sweep's chains die in the core step that follows it.
+:func:`init_state` gathers once, their positions (the mask's cached index,
+not a copy) and two full-size buffers, the spare and the scratch, which
+the first block that needs them allocates; from then on an iteration
+allocates nothing full-size. The Z step writes the new Z into the spare,
+which takes the previous Z in exchange and then the difference
+Z_k - Z_{k-1}. The W and dual steps write W_i and u_i in place; the dual
+step forms each slab of a gap Z - W_i in one slab-sized piece of the
+scratch, which also holds the reconstruction [[S; X]] and, in the W step,
+either the swapped copy of a strided axis or the right side Z + u_i, which
+the matrix product by T_i^{-1} or the sweep's first scaling pass reads
+into W_i. The elementwise chains over full-size arrays, the Z step's after
+the reconstruction and its difference and norms, the W step's right side
+and product on a short axis past the first, and the dual step's gap, its
+squared norm and its ascent, run slab by slab along axis 0
+(:func:`lrsetd.tensor._slabs`), so each slab's operands stay in cache from
+one pass to the next. The factor sweep's intermediates (the prefixes of Z,
+the chains of S and the products on Z's side) and the reconstruction's
+smaller products go into pieces of buffers that are dead at that point.
+Each of them is one matmul of C-order reshapes, on a first or last axis
+(:func:`lrsetd.tensor._lead` and :func:`lrsetd.tensor._trail`) or, on Z's
+side of a step past the first, batched over the blocks of a middle axis of
+a prefix; none moves a copy. What an iteration still allocates is
+factor- or core-sized, and the sweep's chains die in the core step that
+follows it.
 
 The order N is the tensor's: every block loops over its modes, and the
 per-mode fields of :class:`SolverConfig` must have one value per mode.
@@ -684,7 +685,8 @@ def update_z(state, cfg):
     and u_i = 0, the values its W and dual steps would have left.
 
     The new Z is written into the state's spare buffer, which then takes
-    Z_prev in exchange; the reconstruction goes into its scratch.
+    Z_prev in exchange; the reconstruction goes into its scratch. Returns
+    ``(||Z - Z_prev||_F, ||Z||_F)``, the difference formed over Z_prev.
     """
     spare, scratch = _buffers(state)
     order, beta = len(state.x), state.beta
@@ -711,7 +713,15 @@ def update_z(state, cfg):
     spare.reshape(-1)[state.index] = state.observed
     # Z_prev becomes the spare; a Z in another layout, which a caller put
     # in the state, is copied, so the spare stays C-contiguous
-    state.spare, state.z = np.ascontiguousarray(state.z), spare
+    z, prev = spare, np.ascontiguousarray(state.z)
+    state.z, state.spare = z, prev
+    change_squares = z_squares = 0.0
+    for sl in _slabs(z.shape):
+        diff = np.subtract(z[sl], prev[sl], out=prev[sl])
+        change_squares += float(np.vdot(diff, diff))
+        z_squares += float(np.vdot(z[sl], z[sl]))
+    change = _norm(change_squares, lambda: frobenius(prev))
+    return change, _norm(z_squares, lambda: frobenius(z))
 
 
 def update_w(state, cfg):
@@ -915,29 +925,19 @@ def step(state, cfg):
     step taking the factor sweep's products straight from it, so that no
     other block runs while they live. The relative change of iteration k,
     counted in ``state.iteration``, is
-    ||Z_k - Z_{k-1}||_F / max(||Z_k||_F, 1), Z_0 the zero-filled data; the
-    difference and both norms are formed slab by slab along axis 0
-    (:func:`_slabs`). Raises NumericalError naming iteration
+    ||Z_k - Z_{k-1}||_F / max(||Z_k||_F, 1), Z_0 the zero-filled data, and
+    its dual residual beta*||Z_k - Z_{k-1}||_F, both from the norms that
+    :func:`update_z` returns. Raises NumericalError naming iteration
     ``state.iteration + 1`` when the iteration produces NaN or inf."""
     start = time.perf_counter()
     update_core(state, cfg, *update_factors(state, cfg))
     y_ranks = update_y(state, cfg)
-    update_z(state, cfg)
+    change, z_norm = update_z(state, cfg)
     update_w(state, cfg)
     w_residual, y_residual = update_duals(state, cfg)
     _require_finite(state, "core or dual T", state.s, *state.t)
     state.iteration += 1
-
-    # update_z left Z_{k-1} in the spare buffer, which takes the change
-    z, spare = state.z, state.spare
-    change_squares = z_squares = 0.0
-    for sl in _slabs(z.shape):
-        diff = np.subtract(z[sl], spare[sl], out=spare[sl])
-        change_squares += float(np.vdot(diff, diff))
-        z_squares += float(np.vdot(z[sl], z[sl]))
-    # the spare holds every slab's difference
-    change = _norm(change_squares, lambda: frobenius(spare))
-    rel_change = change / max(_norm(z_squares, lambda: frobenius(z)), 1.0)
+    rel_change = change / max(z_norm, 1.0)
     # every other state array reaches Z or a primal residual, so NaN
     # or inf anywhere in the state shows here
     if not all(map(math.isfinite, (rel_change, w_residual, y_residual))):

@@ -523,6 +523,12 @@ BAD_INPUTS = {
     # finite data whose squares, or the peak's square, overflow float64
     "metrics-1e200": (lambda t, o: t * HUGE, "metrics", 0, "out", '"psnr": '),
     "metrics-max-value-1e200": (_as_is, "metrics", 0, "out", '"psnr": '),
+    # a peak that is not positive and finite is a config error, raised
+    # before any metric runs, not a PSNR of null
+    **{
+        f"metrics-max-value-{v}": (_as_is, "metrics", 2, "err", "--max-value")
+        for v in ("0", "-5", "nan", "inf")
+    },
     # finite input whose first factor subproblem overflows under BAD_CONFIGS
     "lam-1e300": (
         lambda t, o: t * 1e10, "complete", 4, "err", "at iteration 1"
@@ -605,6 +611,10 @@ BAD_FLAGS = {
     "hosvd-demo-tn-negative": ["--tn-grid", "0,-0.05"],
     "hosvd-demo-tn-empty-field": ["--tn-grid", "0,,0.05"],
     "metrics-max-value-1e200": ["--max-value", "1e200"],
+    **{
+        f"metrics-max-value-{v}": ["--max-value", v]
+        for v in ("0", "-5", "nan", "inf")
+    },
 }
 # --recovered edits for the `metrics` cases that need them
 BAD_RECOVERED = {

@@ -377,6 +377,18 @@ class TestImages:
         path.write_bytes(b"P6 200000 200000 255\n" + bytes(30))
         read_oversized(read_image, path, "pixel data")
 
+    def test_write_nan_rejected(self, tmp_path):
+        # caught by the cast, as a ValueError before the file is opened,
+        # not written as byte 0 with a RuntimeWarning
+        img = np.full((3, 2, 3), 7.0)
+        img[2, 1, 0] = np.nan
+        path = tmp_path / "nan.ppm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN"):
+                write_image(path, img)
+        assert not path.exists()
+
     def test_write_bad_channels(self, tmp_path):
         with pytest.raises(ValueError, match="H x W"):
             write_image(tmp_path / "x.ppm", np.zeros((2, 2, 2)))

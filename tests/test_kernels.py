@@ -69,6 +69,15 @@ class TestSvdShrink:
         with pytest.raises(ValueError, match="nonnegative"):
             svd_shrink(np.eye(2), -0.1)
 
+    def test_nan_tau(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            svd_shrink(np.eye(2), np.nan)
+
+    def test_infinite_tau_gives_zeros(self, rng):
+        np.testing.assert_array_equal(
+            svd_shrink(rng.standard_normal((4, 3)), np.inf), np.zeros((4, 3))
+        )
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             svd_shrink(np.array([[1.0, np.nan]]), 0.5)
@@ -225,6 +234,15 @@ class TestSoftShrink:
     def test_negative_tau(self):
         with pytest.raises(ValueError, match="nonnegative"):
             soft_shrink(np.zeros(3), -1.0)
+
+    def test_nan_tau(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            soft_shrink(np.ones(3), np.nan)
+
+    def test_infinite_tau_gives_zeros(self, rng):
+        np.testing.assert_array_equal(
+            soft_shrink(rng.standard_normal((3, 3)), np.inf), np.zeros((3, 3))
+        )
 
     def test_matches_grid_oracle(self, rng):
         m = rng.standard_normal((3, 3))

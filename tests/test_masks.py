@@ -532,6 +532,14 @@ class TestPsnr:
         with pytest.raises(ValueError, match="peak"):
             psnr(truth, truth + 1.0, mask)
 
+    @pytest.mark.parametrize("peak", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_peak_not_positive_and_finite_rejected(self, peak):
+        # NaN and inf peaks would give a NaN or infinite figure
+        truth = np.ones((2, 2, 2))
+        mask = ObservationMask.empty((2, 2, 2))
+        with pytest.raises(ValueError, match="positive and finite"):
+            psnr(truth, truth + 1.0, mask, max_value=peak)
+
     @pytest.mark.parametrize("full_tensor", [False, True])
     def test_undefined_cases_rejected(self, rng, full_tensor):
         t = rng.standard_normal((2, 2, 2))

@@ -1131,7 +1131,8 @@ class TestUpdateZ:
         off = ~mask.boolean()
         for beta in betas_in_force(cfg):
             state = randomized_state(23, dims, ranks, cfg, m, mask, beta)
-            z_prev = state.z
+            # a copy: the step writes Z - Z_prev over the Z_prev it keeps
+            z_prev = state.z.copy()
             update_z(state, cfg)
             zhat = multilinear(state.s, state.x)
             grad = cfg.lam * (state.z - zhat)
@@ -1410,16 +1411,23 @@ class TestInPlaceBlocks:
             z_prev, spare = state.z, state.spare
             kept = z_prev.copy()
             expected = z_step_oracle(state, cfg, m, mask)
-            # the step forms no fit term: it returns nothing
-            assert update_z(state, cfg) is None
+            # the step forms no fit term: it returns the norms of the
+            # stopping test, ||Z - Z_prev|| and ||Z||
+            change, z_norm = update_z(state, cfg)
             np.testing.assert_array_equal(state.z, expected)
             assert state.z.flags.c_contiguous
-            np.testing.assert_array_equal(z_prev, kept)
-            # the new Z took the spare buffer, which took Z_prev in C order
+            assert change == pytest.approx(frobenius(state.z - kept), rel=1e-12)
+            assert z_norm == pytest.approx(frobenius(state.z), rel=1e-12)
+            # the new Z took the spare buffer, which took Z_prev in C order,
+            # Z_prev itself when it was C-contiguous and a copy otherwise,
+            # and the difference Z - Z_prev over it
             if held:
                 assert state.z is spare
-            np.testing.assert_array_equal(state.spare, kept)
+            assert (state.spare is z_prev) == (layout == "C")
+            assert state.spare.tobytes() == np.subtract(state.z, kept).tobytes()
             assert state.spare.flags.c_contiguous
+            if layout != "C":
+                np.testing.assert_array_equal(z_prev, kept)
 
     @LAYOUTS
     @BUFFERS_HELD
@@ -1458,6 +1466,31 @@ class TestInPlaceBlocks:
         state.u[1] = np.full(state.dims, 1.79e308)
         with pytest.raises(NumericalError, match="U_1 at iteration 1$"):
             update_duals(state, cfg)
+
+    @LAYOUTS
+    def test_step_records_the_z_step_norms(self, layout):
+        # the six blocks run by hand on one copy of the state and step on
+        # another give the same iterates, and step's relative change and
+        # dual residual are formed from the two norms update_z returns
+        for start, _, _, cfg in self.problems(layout, 101):
+            state, by_hand = copy.deepcopy(start), copy.deepcopy(start)
+            record = step(state, cfg)
+            update_core(by_hand, cfg, *update_factors(by_hand, cfg))
+            y_ranks = update_y(by_hand, cfg)
+            change, z_norm = update_z(by_hand, cfg)
+            update_w(by_hand, cfg)
+            residuals = update_duals(by_hand, cfg)
+            assert record.rel_change == change / max(z_norm, 1.0)
+            assert record.dual_residual == by_hand.beta * change
+            assert (record.w_residual, record.y_residual) == residuals
+            assert record.y_ranks == y_ranks
+            for field in ("s", "z", "spare", "x", "y", "t", "w", "u"):
+                a, b = getattr(state, field), getattr(by_hand, field)
+                pairs = zip(a, b) if isinstance(a, list) else [(a, b)]
+                for a, b in pairs:
+                    assert (a is None) == (b is None), field
+                    if a is not None:
+                        assert a.tobytes() == b.tobytes(), field
 
     @LAYOUTS
     def test_iterations_through_one_workspace(self, layout):
