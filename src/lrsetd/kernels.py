@@ -8,7 +8,10 @@ The solver's factors are tall I x r matrices with r much smaller than I,
 so their singular values come from the eigenvalues of the r x r Gram
 A^T A, a fraction of the cost of LAPACK's SVD of A, wherever
 :func:`_gram_resolves` trusts them (a condition number up to 1e4 for A),
-and from ``np.linalg.svd`` otherwise.
+and from ``np.linalg.svd`` otherwise. The solver's Y step takes all its
+spectra in one :func:`_spectra` call, whose Grams of one shape go to one
+batched ``eigh``: on small factors a LAPACK call costs its Python
+wrapper more than its arithmetic.
 
 The ADMM calls :func:`tridiag_solve` on small operands every iteration, so
 its Python-level cost and its strided copies count as much as its
@@ -17,9 +20,11 @@ a short axis is one matrix product by the stored T^{-1}, batched over the
 blocks of a middle axis (see :func:`_route`); any other axis is swept
 with one ufunc call per step, an add on rows scaled beforehand, in place
 on a first axis and otherwise in a copy made as a 2-D transpose of whole
-trailing blocks. The factor step's r x r solve is one ``np.linalg.solve``
-call in the solver. Everything here runs on numpy alone, so a process
-loads one LAPACK and one BLAS thread pool.
+trailing blocks. The solver's W step enters below the argument checks,
+at :func:`_tridiag_solve`, with the route it has picked. The factor
+step's r x r solve is one ``np.linalg.solve`` call in the solver.
+Everything here runs on numpy alone, so a process loads one LAPACK and
+one BLAS thread pool.
 """
 
 import math
@@ -63,14 +68,18 @@ def _svd_shrink(m, tau):
     """
     wide = m.shape[0] < m.shape[1]
     a = m.T if wide else m
-    s, v = _tall_svd(a, tau)
-    keep = s > tau
-    kept = int(np.count_nonzero(keep))
-    if not kept:
-        return np.zeros_like(m), 0
-    s, v = s[keep], v[:, keep]
-    y = ((a @ v) * ((s - tau) / s)) @ v.T
+    y, kept = _shrink(a, tau, *_spectra([a], [tau])[0])
     return (y.T if wide else y), kept
+
+
+def _groups(keys):
+    """The indices of `keys` grouped by equal key, as a dict from each key
+    to the tuple of its indices in order: the matrices of one shape, for
+    one batched LAPACK call."""
+    groups = {}
+    for k, key in enumerate(keys):
+        groups[key] = groups.get(key, ()) + (k,)
+    return groups
 
 
 # largest lambda_max / lambda_min of a Gram whose eigenvalues are used: a
@@ -94,27 +103,64 @@ def _gram_resolves(lam, tau):
     return lam[-1] / _GRAM_COND <= max(lam[0], tau * tau)
 
 
-def _tall_svd(a, tau):
-    """Singular values of a tall float64 `a` (rows >= columns) and its
-    right singular vectors as columns, ``(s, v)``, for singular value
-    thresholding at `tau`.
+def _spectra(tall, taus):
+    """The singular values of each finite float64 matrix of `tall` (rows >=
+    columns) and its right singular vectors as columns, ``(s, v)``, for
+    singular value thresholding at its tau in `taus`.
 
     They come from ``eigh`` of the r x r Gram a^T a, a fraction of the cost
     of LAPACK's SVD of a factor-sized matrix, when :func:`_gram_resolves`
     trusts its eigenvalues; otherwise, or when the Gram overflows, from
-    ``np.linalg.svd``.
+    ``np.linalg.svd``. The Grams of one shape are written into one stack,
+    all under one errstate, and each stack goes to one batched ``eigh``
+    call, LAPACK's same solve of each, while the choice of the SVD is
+    made per matrix: each pair is bitwise what the matrix alone gives.
     """
+    spectra = [None] * len(tall)
+    stacks = []
     # a Gram that overflows is sent to the SVD below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = a.T @ a
-    # an empty Gram has no eigenvalues to compare
-    if gram.size and np.isfinite(gram).all():
-        lam, v = np.linalg.eigh(gram)
-        if _gram_resolves(lam, tau):
-            # rounding may leave tiny eigenvalues negative
-            return np.sqrt(np.maximum(lam, 0.0)), v
-    _, s, vt = np.linalg.svd(a, full_matrices=False)
-    return s, vt.T
+        for r, group in _groups([a.shape[1] for a in tall]).items():
+            stack = np.empty((len(group), r, r))
+            for k, gram in zip(group, stack):
+                np.matmul(tall[k].T, tall[k], out=gram)
+            stacks.append((group, stack))
+    for group, stack in stacks:
+        # an empty Gram has no eigenvalues to compare
+        if not stack.size:
+            continue
+        if not np.isfinite(stack).all():
+            finite = np.isfinite(stack).all(axis=(1, 2))
+            group = [k for k, f in zip(group, finite) if f]
+            stack = stack[finite]
+            if not group:
+                continue
+        lams, vs = np.linalg.eigh(stack)
+        for k, lam, v in zip(group, lams, vs):
+            if _gram_resolves(lam, taus[k]):
+                # rounding may leave tiny eigenvalues negative
+                spectra[k] = np.sqrt(np.maximum(lam, 0.0)), v
+    for k, a in enumerate(tall):
+        if spectra[k] is None:
+            _, s, vt = np.linalg.svd(a, full_matrices=False)
+            spectra[k] = s, vt.T
+    return spectra
+
+
+def _shrink(a, tau, s, v):
+    """Singular value thresholding of a tall `a` at `tau` from its singular
+    values `s` and right vectors `v` as columns, in either order (see
+    :func:`_spectra`), and the rank of the result; the kept ones are
+    copied out only when some are not."""
+    keep = s > tau
+    kept = int(np.count_nonzero(keep))
+    if not kept:
+        return np.zeros_like(a), 0
+    if kept < s.size:
+        s, v = s[keep], v[:, keep]
+    y = a @ v
+    y *= (s - tau) / s
+    return y @ v.T, kept
 
 
 def soft_shrink(m, tau):
@@ -323,6 +369,9 @@ def tridiag_solve(ldl, b, axis, scratch=None, out=None):
     run on C-order arrays: an `out` in another layout takes the solve of a
     C-order copy of `b`, and a `b` in another layout is copied to C order,
     so each route gives bitwise the same result in every layout.
+
+    The arguments are checked here, and the solve itself is
+    :func:`_tridiag_solve`, which the solver's W step calls directly.
     """
     n = ldl.inv_d.size
     if b.shape[axis] != n:
@@ -339,14 +388,24 @@ def tridiag_solve(ldl, b, axis, scratch=None, out=None):
     out = b if out is None else out
     if out.shape != b.shape:
         raise ValueError(f"out has shape {out.shape}, b {b.shape}")
+    route = _route(ldl, b.shape, axis)
+    return _tridiag_solve(ldl, route, b, axis, out, scratch)
+
+
+def _tridiag_solve(ldl, route, b, axis, out, scratch=None):
+    """:func:`tridiag_solve` below its argument checks, on the `route` that
+    :func:`_route` gives for the shape of `b`: `b` has T's length along
+    `axis`, `out` is `b` or an array of its shape that shares no memory
+    with it, and `scratch` is None or fits as there. The solver's W step
+    calls it with the route it has picked already."""
+    n = ldl.inv_d.size
     if not b.size:
         return out
     if not out.flags.c_contiguous:
-        x = tridiag_solve(ldl, np.array(b, order="C"), axis, scratch)
-        np.copyto(out, x)
+        x = np.array(b, order="C")
+        np.copyto(out, _tridiag_solve(ldl, route, x, axis, x, scratch))
         return out
     b = np.ascontiguousarray(b)
-    route = _route(ldl, b.shape, axis)
     before = math.prod(b.shape[:axis])
     after = b.size // (before * n)
     if route == "inverse":

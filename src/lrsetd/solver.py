@@ -68,7 +68,9 @@ squared norm and its ascent, run slab by slab along axis 0
 (:func:`lrsetd.tensor._slabs`), so each slab's operands stay in cache from
 one pass to the next. The factor sweep's intermediates (the prefixes of Z,
 the chains of S and the products on Z's side) and the reconstruction's
-smaller products go into pieces of buffers that are dead at that point.
+smaller products go into pieces of buffers that are dead at that point;
+the sweep gives each piece back once its step is done, so that the
+pieces of later steps reuse its room (:class:`_Pool`).
 Each of them is one matmul of C-order reshapes, on a first or last axis
 (:func:`lrsetd.tensor._lead` and :func:`lrsetd.tensor._trail`) or, on Z's
 side of a step past the first, batched over the blocks of a middle axis of
@@ -97,11 +99,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
+    _groups,
     _route,
     _soft_shrink,
-    _svd_shrink,
+    _shrink,
+    _spectra,
+    _tridiag_solve,
     tridiag_ldl,
-    tridiag_solve,
 )
 from .tensor import (
     _lead,
@@ -426,23 +430,41 @@ def _norm(squares, fallback):
 
 
 class _Pool:
-    """Consecutive C-contiguous pieces of the given buffers, handed out in
-    order and never taken back: the products of one block, which all live
-    until the block ends. A piece that no buffer has room for is
-    allocated."""
+    """C-contiguous pieces of the given buffers for the products of one
+    block, each buffer a stack: a piece is cut from the top of the first
+    buffer with room for it, and a piece given back by :meth:`release` is
+    cut again once every piece above it in its buffer is given back too. A
+    piece that no buffer has room for is allocated."""
 
     def __init__(self, *buffers):
-        self._free = [b.reshape(-1) for b in buffers]  # views: C order
+        # per buffer a C-order view and its pieces held, as [end, piece],
+        # piece None once given back
+        self._stacks = [(b.reshape(-1), []) for b in buffers]
 
     def piece(self, shape):
-        """An uninitialized C-contiguous float64 array of `shape`, in the
-        next piece that fits."""
+        """An uninitialized C-contiguous float64 array of `shape`, on the
+        top of the first buffer that has room for it."""
         size = math.prod(shape)
-        for k, free in enumerate(self._free):
-            if free.size >= size:
-                self._free[k] = free[size:]
-                return free[:size].reshape(shape)
+        for flat, held in self._stacks:
+            start = held[-1][0] if held else 0
+            if flat.size - start >= size:
+                piece = flat[start : start + size].reshape(shape)
+                held.append([start + size, piece])
+                return piece
         return np.empty(shape)
+
+    def release(self, *arrays):
+        """Give back the pieces among `arrays`, which are dead, and lower
+        each buffer's top past the pieces given back; an array that is no
+        piece of this pool is ignored."""
+        for a in arrays:
+            for _, held in self._stacks:
+                for entry in held:
+                    if entry[1] is a:
+                        entry[1] = None
+        for _, held in self._stacks:
+            while held and held[-1][1] is None:
+                held.pop()
 
 
 def _require_finite(state, what, *arrays):
@@ -530,25 +552,33 @@ def _z_side(pool, prefix, x, s, i):
     mode i first (see :func:`update_factors`), times X_j^T for each j > i,
     then against S. Step 0 takes its last axis each time and ends with
     mode 0 last; a later step takes middle axes, each with one
-    :func:`lrsetd.tensor.mode_product`."""
+    :func:`lrsetd.tensor.mode_product`. Its pieces of `pool` are given
+    back before it returns."""
     order, ranks, rank = len(x), s.shape, s.shape[i]
+    pieces = []
     if i == 0:
         for j in range(order - 1, 0, -1):
             shape = (ranks[j], *prefix.shape[:-1])
             prefix = _trail(prefix, x[j].T, pool.piece(shape))
+            pieces.append(prefix)
         # modes 1, ..., N-1, then 0
         rows = prefix.reshape(-1, x[0].shape[0]).T
-        return np.matmul(rows, s.reshape(rank, -1).T)
-    for j in range(order - 1, i, -1):
-        shape = list(prefix.shape)
-        shape[j - i] = ranks[j]
-        prefix = mode_product(prefix, x[j].T, j - i, pool.piece(shape))
-    # S with modes i+1, ..., N-1, then 0, ..., i-1, then i
-    before = math.prod(s.shape[:i])
-    rotated = pool.piece((s.size // (before * rank), before, rank))
-    np.copyto(rotated, s.reshape(before, rank, -1).transpose(2, 0, 1))
-    rows = prefix.reshape(x[i].shape[0], -1)
-    return np.matmul(rows, rotated.reshape(-1, rank))
+        rhs = np.matmul(rows, s.reshape(rank, -1).T)
+    else:
+        for j in range(order - 1, i, -1):
+            shape = list(prefix.shape)
+            shape[j - i] = ranks[j]
+            prefix = mode_product(prefix, x[j].T, j - i, pool.piece(shape))
+            pieces.append(prefix)
+        # S with modes i+1, ..., N-1, then 0, ..., i-1, then i
+        before = math.prod(s.shape[:i])
+        rotated = pool.piece((s.size // (before * rank), before, rank))
+        np.copyto(rotated, s.reshape(before, rank, -1).transpose(2, 0, 1))
+        pieces.append(rotated)
+        rows = prefix.reshape(x[i].shape[0], -1)
+        rhs = np.matmul(rows, rotated.reshape(-1, rank))
+    pool.release(*pieces)
+    return rhs
 
 
 def update_factors(state, cfg):
@@ -586,7 +616,10 @@ def update_factors(state, cfg):
 
     The sweep's intermediates are written into the state's two full-size
     buffers as far as they fit, so the returned products live there until
-    :func:`update_z` overwrites them.
+    :func:`update_z` overwrites them. Each is given back to the pool once
+    its step is done, the suffixes of step i as soon as its right side and
+    its matrix are formed, the prefixes it read once it has formed the
+    next ones, so that a later step's products reuse their room.
     """
     x, s, plan, beta = state.x, state.s, state.plan, state.beta
     order, ranks = len(x), s.shape
@@ -614,17 +647,21 @@ def update_factors(state, cfg):
         lhs = gram_prefix.reshape(ranks[i], -1) @ gram_suffix[i].reshape(
             -1, ranks[i]
         )
+        pool.release(suffix[i], gram_suffix[i])
         lhs *= cfg.lam
-        lhs += beta * np.eye(ranks[i])
+        # beta*I added on the diagonal, a strided view of the C-order lhs
+        lhs.reshape(-1)[:: ranks[i] + 1] += beta
         lhs = 0.5 * (lhs + lhs.T)
         _require_finite(state, f"X_{i} subproblem", lhs, rhs)
         # X @ lhs = rhs; lhs >= beta*I is SPD by construction, so no check
         x[i] = np.linalg.solve(lhs, rhs.T).T
         grams[i] = x[i].T @ x[i]
+        read = prefix, gram_prefix
         out = pool.piece((*prefix.shape[1:], ranks[i]))
         prefix = _lead(prefix, x[i].T, out)
         out = pool.piece((*gram_prefix.shape[1:], ranks[i]))
         gram_prefix = _lead(gram_prefix, grams[i], out)
+        pool.release(*read)
     return prefix, gram_prefix, grams
 
 
@@ -632,13 +669,38 @@ def update_y(state, cfg):
     """Nuclear-norm prox on each auxiliary factor (in place):
     Y_i = svd_shrink(X_i + t_i, alpha_i/beta), t_i = T_i/beta the scaled
     dual. Returns the rank of each new Y_i, the number of singular values
-    above alpha_i/beta."""
-    ranks = [0] * len(state.x)
-    for i in range(len(state.x)):
-        point = state.x[i] + state.t[i]
+    above alpha_i/beta.
+
+    The factors are tall (r_i <= I_i). The N proxes share the spectral
+    step of :func:`lrsetd.kernels._spectra`: their Grams are formed under
+    one errstate and go to one ``eigh`` call per Gram shape, while the
+    trust in each Gram's eigenvalues, and the SVD that replaces them, is
+    decided per mode, so each Y_i is bitwise ``svd_shrink`` of its input.
+    Until its prox, each Y_i holds its input."""
+    y = state.y
+    # the inputs X_i + t_i take the old Y_i's places, which frees those,
+    # until each prox replaces its own input
+    y[:] = [x + t for x, t in zip(state.x, state.t)]
+    for i, point in enumerate(y):
         _require_finite(state, f"Y_{i} prox input", point)
-        state.y[i], ranks[i] = _svd_shrink(point, cfg.alpha[i] / state.beta)
+    taus = [a / state.beta for a in cfg.alpha]
+    ranks = [0] * len(y)
+    for i, spectrum in enumerate(_spectra(y, taus)):
+        y[i], ranks[i] = _shrink(y[i], taus[i], *spectrum)
     return tuple(ranks)
+
+
+def _lipschitz(grams):
+    """The product of the spectral norms of the symmetric `grams`, each its
+    largest eigenvalue, in mode order: the Grams of one shape go to one
+    batched ``eigvalsh`` call, LAPACK's same solve of each, so the product
+    is bitwise the one of a call per Gram."""
+    largest = [None] * len(grams)
+    for group in _groups([g.shape for g in grams]).values():
+        top = np.linalg.eigvalsh(np.array([grams[i] for i in group]))[:, -1]
+        for i, value in zip(group, top):
+            largest[i] = value
+    return math.prod(largest)
 
 
 def update_core(state, cfg, zx, sg, grams):
@@ -655,9 +717,10 @@ def update_core(state, cfg, zx, sg, grams):
     ``update_core(state, cfg, *update_factors(state, cfg))``. The
     gradient sg - zx, the step S - grad/zeta and its soft threshold at
     sigma/(lam*zeta) share one new core-sized array, which becomes S.
+    The spectral norms come from one ``eigvalsh`` call per Gram shape
+    (:func:`_lipschitz`).
     """
-    # the spectral norm of a Gram is its largest eigenvalue
-    zeta = math.prod(np.linalg.eigvalsh(g)[-1] for g in grams)
+    zeta = _lipschitz(grams)
     if zeta == 0.0:
         return
     step = np.subtract(sg, zx)
@@ -728,7 +791,9 @@ def update_w(state, cfg):
     """Smoothness-regularized W update (in place) on each smoothed mode:
     W_(i) = [I + (2*omega_i/beta)*A_i^T A_i]^{-1} [Z_(i) + u_(i)], with
     u_i = U_i/beta the scaled dual, solved along axis i by
-    :func:`lrsetd.kernels.tridiag_solve`. The right side Z + u_i goes into
+    :func:`lrsetd.kernels.tridiag_solve` below its argument checks, which
+    the state's arrays meet, on the route that the block picks once per
+    mode (:func:`lrsetd.kernels._route`). The right side Z + u_i goes into
     W_i when the solve sweeps a copy of the axis in the scratch, and into
     the scratch otherwise, whence the matrix product by T_i^{-1} of any
     axis of at most 32, batched on a middle one, or the first scaling pass
@@ -746,11 +811,11 @@ def update_w(state, cfg):
         if i and route == "inverse":
             for sl in _slabs(w.shape):
                 rhs = np.add(state.z[sl], state.u[i][sl], out=scratch[sl])
-                tridiag_solve(ldl, rhs, i, out=w[sl])
+                _tridiag_solve(ldl, route, rhs, i, w[sl])
             continue
         swapped = route == "swap"
         rhs = np.add(state.z, state.u[i], out=w if swapped else scratch)
-        tridiag_solve(ldl, rhs, i, scratch if swapped else None, out=w)
+        _tridiag_solve(ldl, route, rhs, i, w, scratch if swapped else None)
 
 
 def _penalty(dual, gap, beta):
@@ -787,27 +852,38 @@ def update_duals(state, cfg):
     norm outside :func:`lrsetd.tensor.frobenius`'s safe range
     (2**-400, inf) is taken again as the ``math.hypot`` of the slabs'
     ``frobenius`` norms, each slab's gap formed anew. An overflow in the
-    gap or the u_i ascent, or an inf - inf, raises NumericalError."""
-    w_gaps, y_gaps = [0.0], [0.0]
+    gap or the u_i ascent, or an inf - inf, raises NumericalError. The
+    norms of the gaps X_i - Y_i are taken alike, from one ``vdot`` each or
+    by ``frobenius``."""
     scratch = _buffers(state)[1]
-    for i in cfg.smoothed_modes():
-        w, u, squares = state.w[i], state.u[i], 0.0
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                for sl, gap in _gaps(state.z, w, scratch):
-                    squares += float(np.vdot(gap, gap))
+    smoothed, squares = cfg.smoothed_modes(), []
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i in smoothed:
+                u, total = state.u[i], 0.0
+                for sl, gap in _gaps(state.z, state.w[i], scratch):
+                    total += float(np.vdot(gap, gap))
                     u[sl] += gap
-        except FloatingPointError:
-            raise NumericalError(
-                f"non-finite U_{i} at iteration {state.iteration + 1}"
-            ) from None
-        w_gaps.append(_norm(squares, lambda: _gap_norm(state.z, w, scratch)))
+                squares.append(total)
+    except FloatingPointError:
+        raise NumericalError(
+            f"non-finite U_{i} at iteration {state.iteration + 1}"
+        ) from None
+    w_gaps, y_gaps = [0.0], [0.0]
+    for i, total in zip(smoothed, squares):
+        w = state.w[i]
+        w_gaps.append(_norm(total, lambda: _gap_norm(state.z, w, scratch)))
     for i in range(len(state.x)):
         gap = state.x[i] - state.y[i]
         state.t[i] = state.t[i] + gap
-        y_gaps.append(frobenius(gap))
-    # np.max, unlike max, keeps a NaN
-    return float(np.max(w_gaps)), float(np.max(y_gaps))
+        y_gaps.append(_norm(float(np.vdot(gap, gap)), lambda: frobenius(gap)))
+    return _max(w_gaps), _max(y_gaps)
+
+
+def _max(values):
+    """The largest of `values`, or NaN when one of them is NaN, which the
+    built-in max keeps only as its first item."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def _smoothness(t, axis):

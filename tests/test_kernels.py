@@ -9,8 +9,11 @@ from lrsetd.kernels import (
     _SHORT,
     _gram_resolves,
     _route,
+    _shrink,
     _soft_shrink,
+    _spectra,
     _svd_shrink,
+    _tridiag_solve,
     soft_shrink,
     svd_shrink,
     tridiag_ldl,
@@ -219,6 +222,67 @@ class TestGramRoute:
         gap = np.linalg.norm((y - expected) / 1e200)
         assert gap <= 1e-12 * np.linalg.norm(expected / 1e200)
         assert kept == expected_rank
+
+
+def one_spectrum(a, tau):
+    """The spectrum of one tall `a` for thresholding at `tau` as a call of
+    its own takes it: ``eigh`` of the Gram ``a.T @ a`` when that is finite
+    and its eigenvalues resolve the values, else LAPACK's SVD of `a`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a.T @ a
+    if np.isfinite(gram).all():
+        lam, v = np.linalg.eigh(gram)
+        if _gram_resolves(lam, tau):
+            return np.sqrt(np.maximum(lam, 0.0)), v
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
+    return s, vt.T
+
+
+class TestBatchedSpectra:
+    # the Y step hands all its prox inputs to _spectra at once: the Grams
+    # of one shape go to one batched eigh, and each spectrum, and the
+    # prox built on it, must be bitwise the one-matrix result, whichever
+    # matrices share its batch and whether they fall back to the SVD
+
+    def test_mixed_batch_matches_one_matrix_at_a_time(self, svd_calls):
+        rng = np.random.default_rng(11)
+        tall = [
+            rng.standard_normal((9, 4)),
+            # singular values 1e8 ... 1e-2: the Gram cannot resolve them
+            planted((8, 4), [1e8, 1e5, 1e2, 1e-2]),
+            rng.standard_normal((30, 4)),
+            # a Gram that overflows
+            1e200 * rng.standard_normal((6, 4)),
+            rng.standard_normal((7, 3)),
+            planted((12, 3), [3.0, 2.0, 1e-9]),
+            rng.standard_normal((5, 1)),
+        ]
+        taus = [0.5, 0.0, 2.0, 1e199, 0.0, 0.5, 0.1]
+        svd_calls.clear()
+        spectra = _spectra(tall, taus)
+        # the ill-conditioned and the overflowing ones alone
+        assert svd_calls == [True, True]
+        for a, tau, (s, v) in zip(tall, taus, spectra):
+            s_one, v_one = one_spectrum(a, tau)
+            np.testing.assert_array_equal(s, s_one)
+            np.testing.assert_array_equal(v, v_one)
+            y, kept = _shrink(a, tau, s, v)
+            y_one, kept_one = _svd_shrink(a, tau)
+            np.testing.assert_array_equal(y, y_one)
+            np.testing.assert_array_equal(y, svd_shrink(a, tau))
+            assert kept == kept_one
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 32, 64])
+    def test_same_shape_batch(self, r):
+        # the batch of the benchmark's factor shapes, against a call per
+        # matrix
+        rng = np.random.default_rng(r)
+        tall = [rng.standard_normal((4 * r + 1, r)) for _ in range(3)]
+        taus = [0.0, 0.3, 1.0]
+        for a, tau, (s, v) in zip(tall, taus, _spectra(tall, taus)):
+            s_one, v_one = one_spectrum(a, tau)
+            np.testing.assert_array_equal(s, s_one)
+            np.testing.assert_array_equal(v, v_one)
 
 
 
@@ -554,6 +618,44 @@ class TestTridiagRoutes:
         out = np.empty(shape)
         tridiag_solve(ldl, b, 1, np.empty(b.size), out=out)
         np.testing.assert_array_equal(out, got)
+
+    @pytest.mark.parametrize(
+        "shape, axis, route",
+        [
+            ((8, 5, 6), 0, "inverse"),
+            ((5, 8, 6), 1, "inverse"),
+            ((5, 6, 8), 2, "inverse"),
+            ((40, 3, 2), 0, "rows"),
+            ((1, 40, 3), 1, "rows"),
+            ((3, 40, 2), 1, "swap"),
+            ((3, 2, 40), 2, "swap"),
+        ],
+    )
+    def test_private_entry_matches_public(self, shape, axis, route):
+        # the W step calls _tridiag_solve with the route it picked, below
+        # tridiag_solve's checks: bitwise the public solve on every route,
+        # into another array, in place and through a scratch, in C order
+        # and into an out in another layout
+        n = shape[axis]
+        ldl = tridiag_ldl(*w_matrix(n, 0.1, 1.0))
+        assert _route(ldl, shape, axis) == route
+        b = np.random.default_rng([n, axis]).standard_normal(shape)
+        expected = tridiag_solve(ldl, b.copy(), axis)
+        out = np.empty(shape)
+        assert _tridiag_solve(ldl, route, b, axis, out) is out
+        np.testing.assert_array_equal(out, expected)
+        c = b.copy()
+        assert _tridiag_solve(ldl, route, c, axis, c) is c
+        np.testing.assert_array_equal(c, expected)
+        c = b.copy()
+        _tridiag_solve(ldl, route, c, axis, c, np.empty(b.size))
+        np.testing.assert_array_equal(c, expected)
+        out = relayout(np.zeros(shape), "F")
+        _tridiag_solve(ldl, route, b, axis, out)
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(
+            tridiag_solve(ldl, b.copy(), axis, out=np.empty(shape)), expected
+        )
 
     @pytest.mark.parametrize("ratio", [1e-6, 1.0, 1e6])
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])

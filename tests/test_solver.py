@@ -1,18 +1,21 @@
 import copy
 import itertools
 import math
+import sys
 import tracemalloc
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
-from lrsetd.kernels import _route, tridiag_ldl, tridiag_solve
+from lrsetd.kernels import _route, svd_shrink, tridiag_ldl, tridiag_solve
 from lrsetd.solver import (
     PRESETS,
     _BALANCE_ITERS,
+    _Pool,
     _balanced,
     _factor_plan,
+    _lipschitz,
     IterationRecord,
     NumericalError,
     SolverConfig,
@@ -868,12 +871,13 @@ class TestIterationMemory:
             # image-shaped, r_2 = I_2: the sweep's and the reconstruction's
             # products go into the buffers, with no moved copy; the core
             # is a quarter and each factor a sixth of the tensor here. The
-            # peak reads 1.348-1.352 tensors, as other tests run before
-            # this one or not, and the bound leaves under 5 % above it.
-            # When update_y ran between the factor sweep and the core step,
-            # with the sweep's chains alive, it read 1.606, and 1.780 when
-            # solve also held them across the callback
-            ((64, 64, 3), (32, 32, 3), (1.0, 1.0, 0.0), 1.41),
+            # peak reads 0.913-0.930 tensors, set by the factor sweep and
+            # the W step, and the bound leaves under 5 % above it. When the
+            # sweep's pool took no dead piece back it read 1.348-1.352; when
+            # update_y ran between the factor sweep and the core step, with
+            # the sweep's chains alive, 1.606, and 1.780 when solve also
+            # held them across the callback
+            ((64, 64, 3), (32, 32, 3), (1.0, 1.0, 0.0), 0.97),
         ],
         ids=["order-3", "order-4", "image-r2-full"],
     )
@@ -916,6 +920,52 @@ class TestIterationMemory:
             tracemalloc.stop()
         assert report.iterations == 6 and len(rises) == 5
         assert max(rises) < bound * m.nbytes
+
+    @pytest.mark.parametrize(
+        "dims, ranks",
+        [
+            ((64, 64, 3), (32, 32, 3)),
+            ((256, 256, 3), (64, 64, 3)),
+            ((121, 288, 7), (31, 72, 2)),
+            ((20, 20, 20), (2, 2, 2)),
+        ],
+        ids=["image-r2-full", "image-256", "traffic", "synth"],
+    )
+    def test_factor_sweep_fits_in_the_buffers(self, monkeypatch, dims, ranks):
+        # the sweep asks for 3.0 tensors of pieces at 64x64x3, more than
+        # the two buffers hold; the pieces of finished steps are taken
+        # back, so every piece, at the benchmark's shapes too, is cut
+        # from the buffers and none is allocated beside them
+        m, mask, _ = small_problem(dims=dims, ranks=ranks)
+        cfg = SolverConfig(ranks=ranks, omega=(1.0, 1.0, 0.0))
+        state = init_state(m, mask, cfg)
+        update_factors(state, cfg)  # allocates the buffers
+        pieces = []
+        piece = _Pool.piece
+
+        def recorded(pool, shape):
+            pieces.append(piece(pool, shape))
+            return pieces[-1]
+
+        monkeypatch.setattr(_Pool, "piece", recorded)
+        update_factors(state, cfg)
+        assert pieces
+        for p in pieces:
+            assert np.shares_memory(p, state.spare) or np.shares_memory(
+                p, state.scratch
+            )
+
+    def test_pool_takes_back_pieces_once_those_above_are(self):
+        buffer = np.empty(10)
+        pool = _Pool(buffer)
+        a, b, c = pool.piece((4,)), pool.piece((3,)), pool.piece((3,))
+        assert all(np.shares_memory(p, buffer) for p in (a, b, c))
+        # b lies below c, so its room returns only with c's
+        pool.release(b, buffer)
+        assert not np.shares_memory(pool.piece((1,)), buffer)
+        pool.release(c)
+        d = pool.piece((6,))
+        assert np.shares_memory(d, buffer) and not np.shares_memory(d, a)
 
     def test_blocks_after_the_core_step_run_without_the_chains(
         self, monkeypatch
@@ -1071,6 +1121,41 @@ class TestUpdateY:
                     d *= 1e-3 / np.linalg.norm(d)
                     assert obj(state.y[i] + d) >= best - 1e-12
 
+    def test_batched_prox_is_svd_shrink_per_mode(self, monkeypatch):
+        # the three proxes share one eigh per Gram shape; mode 1, whose
+        # input has singular values 1e8 ... 1e-2, falls back to the SVD
+        # beside mode 0 of the same shape, which does not, and mode 2 has
+        # a shape of its own. Each Y_i and its rank are bitwise those of
+        # svd_shrink on that mode alone
+        dims, ranks = (8, 8, 5), (4, 4, 2)
+        m, mask, _ = small_problem(dims=dims, ranks=ranks)
+        cfg = SolverConfig(ranks=ranks, alpha=(0.4, 0.0, 0.2), beta=0.5)
+        state = randomized_state(5, dims, ranks, cfg, m, mask)
+        rng = np.random.default_rng(6)
+        u, _ = np.linalg.qr(rng.standard_normal((8, 4)))
+        v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        state.x[1] = (u * [1e8, 1e5, 1e2, 1e-2]) @ v.T
+        state.t[1] = np.zeros((8, 4))
+        inputs = [x + t for x, t in zip(state.x, state.t)]
+        taus = [a / state.beta for a in cfg.alpha]
+        expected = [svd_shrink(g, tau) for g, tau in zip(inputs, taus)]
+        kept = [
+            int(np.count_nonzero(np.linalg.svd(g, compute_uv=False) > tau))
+            for g, tau in zip(inputs, taus)
+        ]
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert update_y(state, cfg) == tuple(kept)
+        assert calls == [(8, 4)]
+        for y, y_one in zip(state.y, expected):
+            np.testing.assert_array_equal(y, y_one)
+
 
 class TestUpdateCore:
     def test_majorization_decrease(self):
@@ -1097,6 +1182,25 @@ class TestUpdateCore:
         cfg = SolverConfig(ranks=ranks, sigma=0.0)
         state = randomized_state(13, dims, ranks, cfg, m, mask)
         check_core_update(state, cfg, update_factors(state, cfg))
+
+    @pytest.mark.parametrize(
+        "dims, ranks",
+        [
+            ((20, 20, 20), (2, 2, 2)),
+            ((256, 256, 3), (64, 64, 3)),
+            ((121, 288, 7), (31, 72, 2)),
+            ((12, 10, 9, 11), (4, 3, 4, 3)),
+        ],
+        ids=["synth", "image", "traffic", "order-4"],
+    )
+    def test_batched_lipschitz_is_the_per_gram_product(self, dims, ranks):
+        # one eigvalsh per Gram shape, bitwise the product of a call per
+        # Gram in mode order
+        rng = np.random.default_rng(len(dims) + ranks[0])
+        factors = [rng.standard_normal((d, r)) for d, r in zip(dims, ranks)]
+        grams = [f.T @ f for f in factors]
+        expected = math.prod(np.linalg.eigvalsh(g)[-1] for g in grams)
+        assert _lipschitz(grams) == expected
 
     def test_zero_factors_skip(self):
         # all-zero factors: zero Grams and products, so zeta = 0
@@ -1973,11 +2077,12 @@ class TestSolve:
         assert calls == {"cholesky": 0, "solve": 3 * 3}
 
     def test_spectra_come_from_the_grams(self, monkeypatch):
-        # each iteration's Y-step prox takes one eigh of each r x r Gram and
-        # no SVD, and the core step's spectral norms one eigvalsh of each
-        # factor Gram; counted between callbacks, since the final
-        # Lagrangian (an SVD of each Y_i) and objective (an SVD of each
-        # X_i) run once, after the last one
+        # each iteration's Y-step prox takes its spectra from one batched
+        # eigh of the three 2 x 2 Grams and no SVD, and the core step's
+        # spectral norms from one batched eigvalsh of the three factor
+        # Grams, one call per Gram shape; counted between callbacks, since
+        # the final Lagrangian (an SVD of each Y_i) and objective (an SVD of
+        # each X_i) run once, after the last one
         calls = {"svd": 0, "eigh": 0, "eigvalsh": 0}
 
         def spy(name):
@@ -2011,7 +2116,7 @@ class TestSolve:
             for before, after in zip(counts, counts[1:])
         ]
         assert report.iterations == 3
-        assert steps == [{"svd": 0, "eigh": 3, "eigvalsh": 3}] * 3 + [
+        assert steps == [{"svd": 0, "eigh": 1, "eigvalsh": 1}] * 3 + [
             {"svd": 6, "eigh": 0, "eigvalsh": 0}
         ]
 
@@ -2235,7 +2340,56 @@ class TestSolve:
         assert err < 0.05
 
 
+# comprehensions, which Python 3.12 runs inline, in no frame of their own
+INLINED = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+
+
+def lrsetd_calls(run):
+    """The calls made from frames of lrsetd's modules while `run()` runs:
+    Python functions entered, comprehensions not counted, and C functions
+    called."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "c_call":
+            caller = frame
+        elif event == "call" and frame.f_code.co_name not in INLINED:
+            caller = frame.f_back
+        else:
+            return
+        if caller is not None and caller.f_globals.get(
+            "__name__", ""
+        ).startswith("lrsetd"):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
 class TestStep:
+    def test_dispatch_budget(self):
+        # on a 20^3 tensor at ranks 2 an iteration costs its calls more
+        # than its arithmetic, so each call counts: one step makes 323
+        # calls from lrsetd's frames, and the bound leaves 10 % above it.
+        # Before the batched spectral calls, the W step's route entry and
+        # the pool that takes dead pieces back it made 321, but 608 calls
+        # in all, numpy's own included, against 503 now
+        truth, _, _ = synthetic_tucker(seed=2, dims=(20, 20, 20))
+        mask = ObservationMask(
+            np.random.default_rng(3).random(truth.shape) < 0.6
+        )
+        cfg = preset_config("image", ranks=(2, 2, 2), beta=1.0)
+        state = init_state(np.where(mask.boolean(), truth, 0.0), mask, cfg)
+        for _ in range(3):
+            step(state, cfg)
+        assert lrsetd_calls(lambda: step(state, cfg)) <= 355
+
     @SOLVE_CONFIGS
     def test_hand_written_loop_reproduces_solve(self, cfg):
         # solve is init_state, then step with residual balancing between
